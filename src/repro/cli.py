@@ -8,9 +8,7 @@
     python -m repro fig3 --scale 0.5  # Figure 3 at half length
     python -m repro run tachyon --dataset "set 1" --policy proposed
     python -m repro run tachyon --profile   # + cProfile hot-spot dump
-    python -m repro bench             # tick-loop benchmark -> BENCH_PR3.json
     python -m repro ensemble run tachyon --members 64   # vectorized seed grid
-    python -m repro ensemble bench    # trajectories/sec -> BENCH_PR7.json
     python -m repro list              # available artefacts & policies
     python -m repro run tachyon --checkpoint-every 500 --checkpoint-dir ckpts
     python -m repro run tachyon --checkpoint-dir ckpts --resume
@@ -25,12 +23,18 @@ disables it; ``--jobs 1 --no-cache`` is the original serial code
 path).  ``all`` additionally writes each table to ``results/<name>.txt``
 — or, at reduced ``--scale``, into the cache tree so scaled output
 never clobbers the committed full-scale artefacts.
+
+Numeric options are validated while parsing: a non-positive or
+non-finite ``--scale``, or a count below 1, exits 2 with a usage
+message before any work starts.  Host-time benchmarking lives outside
+the package, in ``perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,11 +46,29 @@ from repro.faults.presets import FAULT_MODES, default_supervisor_config, fault_c
 from repro.workloads.alpbench import APP_NAMES
 
 
+def _positive_float(text: str) -> float:
+    """argparse ``type=``: a finite float > 0 (every ``--scale``)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an int >= 1 (job, member and tick counts)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """The engine flags shared by every artefact command and ``all``."""
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the experiment grid (default 1: serial)",
     )
@@ -72,7 +94,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-job-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="attempts per job before it is recorded as failed (default 3)",
@@ -87,7 +109,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="TICKS",
         help="snapshot each job's full simulation state every TICKS ticks",
@@ -118,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         artefact = sub.add_parser(name, help=f"regenerate {name}")
         artefact.add_argument(
             "--scale",
-            type=float,
+            type=_positive_float,
             default=1.0,
             help="application-length scale (default 1.0)",
         )
@@ -130,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     everything.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="application-length scale (non-1.0 output goes to the cache tree)",
     )
@@ -158,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("app", choices=APP_NAMES)
     run.add_argument("--dataset", default=None)
     run.add_argument("--policy", default="proposed", choices=POLICIES)
-    run.add_argument("--scale", type=float, default=1.0)
+    run.add_argument("--scale", type=_positive_float, default=1.0)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument(
         "--faults",
@@ -194,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="TICKS",
         help="snapshot the full simulation state every TICKS ticks",
@@ -234,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_prune.add_argument("dir", help="checkpoint directory")
     ckpt_prune.add_argument(
         "--keep",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="valid checkpoints to retain (default 3)",
@@ -255,49 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         "result.json's embedded trace summary",
     )
 
-    bench = sub.add_parser(
-        "bench", help="benchmark the tick loop and write BENCH_PR3.json"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: fewer ticks and repeats",
-    )
-    bench.add_argument(
-        "--ticks", type=int, default=None, help="measured ticks per run"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None, help="timed runs per workload"
-    )
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument(
-        "--output",
-        default="BENCH_PR3.json",
-        help="where to write the JSON report (default BENCH_PR3.json)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="print per-workload speedup deltas vs this committed "
-        "baseline and fail (exit 1) past --max-regression",
-    )
-    bench.add_argument(
-        "--check-against",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="like --compare without the delta table (older spelling)",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="allowed fractional slowdown vs the baseline (default 0.30)",
-    )
-
     ensemble = sub.add_parser(
         "ensemble",
-        help="vectorized many-member execution (ensemble run / bench)",
+        help="vectorized many-member execution (ensemble run)",
     )
     ensemble_sub = ensemble.add_subparsers(dest="ensemble_command", required=True)
     ens_run = ensemble_sub.add_parser(
@@ -309,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     ens_run.add_argument("--policy", default="proposed", choices=POLICIES)
     ens_run.add_argument(
         "--members",
-        type=int,
+        type=_positive_int,
         default=8,
         help="ensemble size; members get seeds seed..seed+members-1 "
         "(default 8)",
     )
     ens_run.add_argument("--seed", type=int, default=1)
-    ens_run.add_argument("--scale", type=float, default=1.0)
+    ens_run.add_argument("--scale", type=_positive_float, default=1.0)
     ens_run.add_argument(
         "--max-time",
         type=float,
@@ -336,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ens_run.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes; members are split into this many "
         "deterministic shards (results are bit-identical at any "
@@ -351,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ens_run.add_argument(
         "--max-job-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         help="attempts per shard before recording a failure (default 3)",
     )
@@ -362,73 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="base of the recorded exponential retry backoff "
         "(default 0.5)",
-    )
-    ens_bench = ensemble_sub.add_parser(
-        "bench",
-        help="trajectories/sec benchmark and write BENCH_PR8.json",
-    )
-    ens_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: fewer ticks and repeats (same member count)",
-    )
-    ens_bench.add_argument(
-        "--members",
-        type=int,
-        default=None,
-        help="ensemble width (default 256)",
-    )
-    ens_bench.add_argument(
-        "--ticks", type=int, default=None, help="measured ensemble ticks per run"
-    )
-    ens_bench.add_argument(
-        "--repeats", type=int, default=None, help="timed runs per workload"
-    )
-    ens_bench.add_argument(
-        "--scalar-ticks",
-        type=int,
-        default=None,
-        help="measured ticks for the serial scalar baseline",
-    )
-    ens_bench.add_argument("--seed", type=int, default=1)
-    ens_bench.add_argument(
-        "--grids",
-        action="store_true",
-        help="also measure the grid planner (scalar serial vs "
-        "--ensemble engine on a seed-replicated grid) and label the "
-        "report BENCH_PR9",
-    )
-    ens_bench.add_argument(
-        "--min-grid-speedup",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="with --grids: fail (exit 1) when the jobs=1 ensemble grid "
-        "run is not at least FACTOR x faster than the scalar serial grid",
-    )
-    ens_bench.add_argument(
-        "--output",
-        default="BENCH_PR8.json",
-        help="where to write the JSON report (default BENCH_PR8.json)",
-    )
-    ens_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="print per-workload speedup deltas vs this committed "
-        "baseline and fail (exit 1) past --max-regression",
-    )
-    ens_bench.add_argument(
-        "--check-against",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="like --compare without the delta table (older spelling)",
-    )
-    ens_bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="allowed fractional slowdown vs the baseline (default 0.30)",
     )
 
     lint = sub.add_parser(
@@ -790,9 +705,6 @@ def _command_ckpt(args: argparse.Namespace) -> int:
         )
         return 0 if bad == 0 else 1
     if args.ckpt_command == "prune":
-        if args.keep < 1:
-            print("--keep must be >= 1")
-            return 2
         removed = store.prune(args.keep)
         for record in removed:
             print(f"removed {record.file} (tick {record.tick})")
@@ -841,108 +753,12 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gate_bench_report(args: argparse.Namespace, report, baseline) -> int:
-    """Shared ``--compare``/``--check-against`` epilogue of both benches.
-
-    With ``--compare`` the per-workload speedup deltas are printed
-    before the gate; either flag fails (exit 1) on a regression past
-    ``--max-regression``.
-    """
-    from repro.perf import bench
-
-    baseline_path = (
-        args.compare if args.compare is not None else args.check_against
-    )
-    if args.compare is not None:
-        print(f"comparison vs {baseline_path}:")
-        for line in bench.compare_reports(report, baseline):
-            print(f"  {line}")
-    failures = bench.check_regression(
-        report, baseline, max_regression=args.max_regression
-    )
-    if failures:
-        print(f"REGRESSION vs {baseline_path}:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(
-        f"no regression vs {baseline_path} "
-        f"(tolerance {args.max_regression:.0%})"
-    )
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.perf import bench
-
-    baseline_path = (
-        args.compare if args.compare is not None else args.check_against
-    )
-    baseline = (
-        bench.load_report(baseline_path) if baseline_path is not None else None
-    )
-    report = bench.run_bench(
-        quick=args.quick,
-        ticks=args.ticks,
-        repeats=args.repeats,
-        seed=args.seed,
-        progress=print,
-    )
-    bench.write_report(report, args.output)
-    print()
-    print(bench.format_report(report))
-    print(f"report written to {args.output}")
-    if baseline is not None:
-        return _gate_bench_report(args, report, baseline)
-    return 0
-
-
-def _command_ensemble_bench(args: argparse.Namespace) -> int:
-    from repro.perf import bench
-
-    baseline_path = (
-        args.compare if args.compare is not None else args.check_against
-    )
-    baseline = (
-        bench.load_report(baseline_path) if baseline_path is not None else None
-    )
-    report = bench.run_ensemble_bench(
-        quick=args.quick,
-        members=args.members,
-        ticks=args.ticks,
-        repeats=args.repeats,
-        scalar_ticks=args.scalar_ticks,
-        seed=args.seed,
-        grids=args.grids,
-        progress=print,
-    )
-    bench.write_report(report, args.output)
-    print()
-    print(bench.format_ensemble_report(report))
-    print(f"report written to {args.output}")
-    if args.min_grid_speedup is not None:
-        failures = bench.check_grid_speedup(report, args.min_grid_speedup)
-        for line in failures:
-            print(f"GRID SPEEDUP FAILURE: {line}")
-        if failures:
-            return 1
-    if baseline is not None:
-        return _gate_bench_report(args, report, baseline)
-    return 0
-
-
 def _command_ensemble_run(args: argparse.Namespace) -> int:
     from repro.ensemble.shard import run_sharded_ensemble_job
     from repro.experiments.engine.cache import ResultCache, default_cache_root
     from repro.experiments.engine.scheduler import ExperimentEngine
     from repro.experiments.engine.spec import EnsembleJobSpec, workload_job
 
-    if args.members < 1:
-        print("--members must be at least 1")
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be at least 1")
-        return 2
     faults = fault_config_for(args.faults)
     spec = EnsembleJobSpec(
         members=tuple(
@@ -1013,12 +829,6 @@ def _command_ensemble_run(args: argparse.Namespace) -> int:
             f"{failure.duration_s:.1f} s{suffix})"
         )
     return 0 if report.ok else 1
-
-
-def _command_ensemble(args: argparse.Namespace) -> int:
-    if args.ensemble_command == "bench":
-        return _command_ensemble_bench(args)
-    return _command_ensemble_run(args)
 
 
 def _command_lint(args: argparse.Namespace) -> int:
@@ -1147,10 +957,8 @@ def main(argv=None) -> int:
         return _command_ckpt(args)
     if args.command == "trace":
         return _command_trace(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "ensemble":
-        return _command_ensemble(args)
+        return _command_ensemble_run(args)
     if args.command == "lint":
         return _command_lint(args)
     if args.command == "audit":

@@ -1,21 +1,12 @@
 """Performance instrumentation for the simulation's tick loop.
 
-Two complementary tools:
-
-* :mod:`repro.perf.timer` — a :class:`~repro.perf.timer.SectionTimer`
-  the engine (and chip) feed per-phase wall-clock accounting into, so a
-  run can report where its tick time goes
-  (schedule/app/governor/power/thermal/sensors/manager);
-* :mod:`repro.perf.bench` — the shared ``repro bench`` / ``repro
-  ensemble bench`` harness: runs the representative workload mix,
-  measures scalar ticks/sec (and the instrumented per-phase split) for
-  ``BENCH_PR3.json``, and ensemble trajectory-ticks/sec against the
-  serial baseline for ``BENCH_PR7.json``, through one timed-loop and
-  regression-gate implementation.
-
-Only the timer is re-exported here: the bench module imports the whole
-simulation stack (which itself imports the timer), so it must be pulled
-in explicitly as ``repro.perf.bench`` to keep imports acyclic.
+:mod:`repro.perf.timer` provides the
+:class:`~repro.perf.timer.SectionTimer` the engine (and chip) feed
+per-phase wall-clock accounting into, so a run can report where its
+tick time goes (schedule/app/governor/power/thermal/sensors/manager).
+Host-time benchmarking of whole runs and grids lives outside the
+package, in ``perfbench/run.py`` (see ``perfbench/README.md``), which
+builds on this timer.
 
 This is wall-clock tooling about the *simulator*; the simulated
 platform's own counters live in :mod:`repro.sched.perf`.

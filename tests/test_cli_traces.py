@@ -25,6 +25,8 @@ def test_parser_run_command():
     args = parser.parse_args(["run", "tachyon", "--policy", "ge", "--dataset", "set 2"])
     assert args.app == "tachyon"
     assert args.policy == "ge"
+    assert not args.profile
+    assert parser.parse_args(["run", "tachyon", "--profile"]).profile
 
 
 def test_parser_rejects_unknown_app():

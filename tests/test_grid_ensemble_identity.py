@@ -21,7 +21,6 @@ not merely within one process.
 """
 
 import difflib
-import json
 from pathlib import Path
 
 import pytest
@@ -166,61 +165,3 @@ def test_ensemble_path_reproduces_committed_goldens(name, ensemble_engine):
         pytest.fail(
             f"ensemble-routed {name!r} drifted from the committed golden:\n{diff}"
         )
-
-
-# ----------------------------------------------------------------------
-# Grid-speedup bench: committed report and gate semantics
-# ----------------------------------------------------------------------
-
-
-class TestGridSpeedupGate:
-    def test_committed_bench_pr9_meets_the_2x_floor(self):
-        """The acceptance bar: the committed full-mode BENCH_PR9.json
-        must show the ensemble-routed grid at least 2x faster than the
-        scalar serial sweep of the same cells."""
-        from repro.perf.bench import check_grid_speedup
-
-        path = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
-        report = json.loads(path.read_text())
-        assert report["label"] == "BENCH_PR9"
-        grid = report["grid_speedup"]
-        assert grid["members"] == grid["seeds_per_cell"] * len(grid["cells"])
-        assert grid["cpu_count"] >= 1
-        assert check_grid_speedup(report, 2.0) == []
-
-    def test_gate_semantics(self):
-        from repro.perf.bench import check_grid_speedup
-
-        report = {
-            "grid_speedup": {
-                "scalar_elapsed_s": 10.0,
-                "runs": [{"jobs": 1, "elapsed_s": 4.0, "speedup_vs_scalar": 2.5}],
-            }
-        }
-        assert check_grid_speedup(report, 2.0) == []
-        failures = check_grid_speedup(report, 3.0)
-        assert len(failures) == 1 and "2.5" in failures[0]
-        # Reports without a grid section pass vacuously.
-        assert check_grid_speedup({}, 2.0) == []
-        with pytest.raises(ValueError):
-            check_grid_speedup(report, 0.0)
-
-    def test_measure_grid_speedup_report_shape(self):
-        """A tiny real measurement: both engines run the same grid to
-        completion and the report carries the gated fields."""
-        from repro.perf.bench import check_grid_speedup, measure_grid_speedup
-
-        report_section = measure_grid_speedup(
-            cells=(("tachyon", "linux"),),
-            seeds_per_cell=2,
-            iteration_scale=0.05,
-            jobs_list=(1,),
-        )
-        assert report_section["cells"] == ["tachyon/linux"]
-        assert report_section["members"] == 2
-        assert report_section["scalar_elapsed_s"] > 0
-        (run,) = report_section["runs"]
-        assert run["jobs"] == 1
-        assert run["speedup_vs_scalar"] > 0
-        wrapped = {"grid_speedup": report_section}
-        assert check_grid_speedup(wrapped, 0.01) == []

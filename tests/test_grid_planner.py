@@ -338,3 +338,36 @@ def test_planned_groups_vary_only_along_declared_axes(name):
         assert not undeclared, (
             f"{name}: group varies along undeclared axes {sorted(undeclared)}"
         )
+
+
+# ----------------------------------------------------------------------
+# Routing: an ensemble grid never falls back to scalar jobs
+# ----------------------------------------------------------------------
+
+
+def test_montecarlo_grid_executes_only_as_planned_ensemble_groups(monkeypatch):
+    """The Monte Carlo grid shares one platform closure, so the
+    ensemble-routed engine must hand ``execute_job`` exactly one
+    ``EnsembleJobSpec`` per planned group and no scalar member at all.
+    Counting calls, not timing them, catches a quiet fallback to scalar
+    jobs deterministically."""
+    recorder = _RecordingEngine(jobs=1)
+    with pytest.raises(_Captured):
+        montecarlo.run_montecarlo(iteration_scale=SCALE, engine=recorder)
+    submitted = recorder.captured
+    plan = plan_grid(submitted)
+
+    received = []
+
+    def recording_execute(spec, *args, **kwargs):
+        received.append(spec)
+        return _REAL_EXECUTE(spec, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "execute_job", recording_execute)
+    engine = ExperimentEngine(ensemble=True, jobs=1, cache=None)
+    montecarlo.run_montecarlo(iteration_scale=SCALE, engine=engine)
+
+    assert all(isinstance(spec, EnsembleJobSpec) for spec in received)
+    assert len(received) == len(plan.groups)
+    executed = [member for spec in received for member in spec.members]
+    assert sorted(map(job_key, executed)) == sorted(map(job_key, submitted))

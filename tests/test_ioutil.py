@@ -1,8 +1,8 @@
 """Tests for the shared atomic-write helpers.
 
-The one property every artefact writer (result cache, ``BENCH_*.json``,
-manifests, checkpoints) leans on: readers observe either the old content
-or the new content, never a prefix — and a failed write leaves neither a
+The one property every artefact writer (result cache, manifests,
+checkpoints) leans on: readers observe either the old content or the
+new content, never a prefix — and a failed write leaves neither a
 damaged target nor temp-file litter behind.
 """
 

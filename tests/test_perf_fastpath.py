@@ -1,8 +1,9 @@
 """Fast-path building blocks: power table, thermal buffers, profile
-storage, the SectionTimer/bench harness and the satellite APIs.
+storage, observation-only SectionTimer attachment and the satellite APIs.
 
-Everything here guards the PR's core claim — the optimized tick loop is
-*bit-identical* to the seed arithmetic — plus the new perf tooling.
+Everything here guards one claim: the optimized tick loop is
+*bit-identical* to the seed arithmetic.  The SectionTimer's own
+accounting is unit-tested in ``tests/test_perf_timer.py``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import PlatformConfig
-from repro.perf import SectionTimer, bench
+from repro.perf import SectionTimer
 from repro.power.dynamic import dynamic_power_w
 from repro.power.leakage import leakage_power_w
 from repro.power.opp import OppLadder
@@ -149,81 +150,6 @@ class TestThermalProfile:
         assert window.core_series(0)[0] == 10.0
         # The seed's `lst[-0:]` quirk: num_samples=0 means "everything".
         assert len(profile.tail(0)) == 300
-
-
-# ----------------------------------------------------------------------
-# SectionTimer + bench harness
-# ----------------------------------------------------------------------
-
-
-class TestSectionTimer:
-    def test_lap_accumulates_and_orders_sections(self):
-        timer = SectionTimer()
-        mark = timer.now()
-        timer.add("slow", 0.5)
-        timer.add("fast", 0.1)
-        mark = timer.lap("fast", mark)
-        timer.count_tick()
-        totals = timer.totals()
-        assert list(totals)[0] == "slow"  # sorted descending by cost
-        assert totals["fast"] >= 0.1
-        assert timer.ticks == 1
-
-    def test_fractions_sum_to_one(self):
-        timer = SectionTimer()
-        timer.add("a", 3.0)
-        timer.add("b", 1.0)
-        fractions = timer.fractions()
-        assert fractions["a"] == pytest.approx(0.75)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_reset(self):
-        timer = SectionTimer()
-        timer.add("a", 1.0)
-        timer.count_tick()
-        timer.reset()
-        assert timer.totals() == {}
-        assert timer.ticks == 0
-
-
-class TestBenchHarness:
-    def test_run_bench_report_shape(self):
-        report = bench.run_bench(quick=True, ticks=40, repeats=1)
-        assert report["label"] == "BENCH_PR3"
-        assert set(report["workloads"]) == {w.key for w in bench.WORKLOADS}
-        for entry in report["workloads"].values():
-            assert entry["ticks_per_s"] > 0
-            assert entry["speedup_vs_seed"] is not None
-            assert "schedule" in entry["phase_seconds"]
-        assert report["geomean_speedup_vs_seed"] is not None
-        assert bench.format_report(report)  # renders without error
-
-    def test_write_and_load_roundtrip(self, tmp_path):
-        report = {"label": "BENCH_PR3", "workloads": {}}
-        path = tmp_path / "bench.json"
-        bench.write_report(report, str(path))
-        assert bench.load_report(str(path)) == report
-
-    def test_check_regression(self):
-        baseline = {"workloads": {"a": {"ticks_per_s": 1000.0}}}
-        fine = {"workloads": {"a": {"ticks_per_s": 800.0}}}
-        slow = {"workloads": {"a": {"ticks_per_s": 600.0}}}
-        missing = {"workloads": {"b": {"ticks_per_s": 1.0}}}
-        assert bench.check_regression(fine, baseline) == []
-        assert len(bench.check_regression(slow, baseline)) == 1
-        # Benchmark-set drift is not a regression.
-        assert bench.check_regression(missing, baseline) == []
-        with pytest.raises(ValueError):
-            bench.check_regression(fine, baseline, max_regression=1.0)
-
-    def test_cli_flags_parse(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["bench", "--quick", "--check-against", "x.json"])
-        assert args.quick and args.check_against == "x.json"
-        args = parser.parse_args(["run", "tachyon", "--profile"])
-        assert args.profile
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Fast-path building blocks: power table, thermal buffers, profile
-storage, observation-only SectionTimer attachment and the satellite APIs.
+storage, the SectionTimer and its observation-only attachment, the CLI
+profiling flag and the satellite APIs.
 
 Everything here guards one claim: the optimized tick loop is
-*bit-identical* to the seed arithmetic.  The SectionTimer's own
-accounting is unit-tested in ``tests/test_perf_timer.py``.
+*bit-identical* to the seed arithmetic.  ``tests/test_perf_timer.py``
+covers the SectionTimer's accounting in more depth.
 """
 
 from __future__ import annotations
@@ -150,6 +151,53 @@ class TestThermalProfile:
         assert window.core_series(0)[0] == 10.0
         # The seed's `lst[-0:]` quirk: num_samples=0 means "everything".
         assert len(profile.tail(0)) == 300
+
+
+# ----------------------------------------------------------------------
+# SectionTimer + CLI profiling flags
+# ----------------------------------------------------------------------
+
+
+class TestSectionTimer:
+    def test_lap_accumulates_and_orders_sections(self):
+        timer = SectionTimer()
+        mark = timer.now()
+        timer.add("slow", 0.5)
+        timer.add("fast", 0.1)
+        mark = timer.lap("fast", mark)
+        timer.count_tick()
+        totals = timer.totals()
+        assert list(totals)[0] == "slow"  # sorted descending by cost
+        assert totals["fast"] >= 0.1
+        assert timer.ticks == 1
+
+    def test_fractions_sum_to_one(self):
+        timer = SectionTimer()
+        timer.add("a", 3.0)
+        timer.add("b", 1.0)
+        fractions = timer.fractions()
+        assert fractions["a"] == pytest.approx(0.75)
+        assert sum(fractions.values()) == pytest.approx(1.0)
+
+    def test_reset(self):
+        timer = SectionTimer()
+        timer.add("a", 1.0)
+        timer.count_tick()
+        timer.reset()
+        assert timer.totals() == {}
+        assert timer.ticks == 0
+
+
+class TestBenchHarness:
+    def test_cli_flags_parse(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        # The legacy `bench` subcommand is retired; perfbench/ replaces it.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", "--quick", "--check-against", "x.json"])
+        args = parser.parse_args(["run", "tachyon", "--profile"])
+        assert args.profile
 
 
 # ----------------------------------------------------------------------

@@ -64,13 +64,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine flags shared by every artefact command and ``all``."""
+def _non_negative_float(text: str) -> float:
+    """argparse ``type=``: a finite float >= 0 (``--retry-backoff``)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
+    """Worker-pool and cache flags of every command that runs a batch."""
     parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for the experiment grid (default 1: serial)",
+        help="worker processes; an ensemble group is split into this many "
+        "deterministic shards (default 1: serial)",
     )
     parser.add_argument(
         "--no-cache",
@@ -78,19 +89,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="bypass the content-addressed result cache under .repro-cache/",
     )
     parser.add_argument(
-        "--ensemble",
-        action="store_true",
-        help="batch grid cells sharing a platform closure through the "
-        "vectorized ensemble engine (bit-identical results, sharded "
-        "across --jobs worker processes)",
-    )
-    parser.add_argument(
         "--job-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="kill any single job attempt running longer than this "
-        "(parallel mode only; default: no timeout)",
+        help="kill and retry any single job attempt running longer than "
+        "this (parallel mode only; default: no timeout)",
     )
     parser.add_argument(
         "--max-job-attempts",
@@ -101,11 +105,23 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retry-backoff",
-        type=float,
+        type=_non_negative_float,
         default=0.5,
         metavar="SECONDS",
         help="base of the deterministic retry backoff accounting "
         "(default 0.5)",
+    )
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine flags shared by every artefact command and ``all``."""
+    _add_pool_flags(parser)
+    parser.add_argument(
+        "--ensemble",
+        action="store_true",
+        help="batch grid cells sharing a platform closure through the "
+        "vectorized ensemble engine (bit-identical results, sharded "
+        "across --jobs worker processes)",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     ens_run.add_argument("--scale", type=_positive_float, default=1.0)
     ens_run.add_argument(
         "--max-time",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="per-member wall-clock cap in simulated seconds",
@@ -311,39 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FAULT_MODES,
         help="inject faults into every member's sensor/actuation paths",
     )
-    ens_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the content-addressed result cache",
-    )
-    ens_run.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes; members are split into this many "
-        "deterministic shards (results are bit-identical at any "
-        "shard count; default 1)",
-    )
-    ens_run.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a shard running longer than this",
-    )
-    ens_run.add_argument(
-        "--max-job-attempts",
-        type=_positive_int,
-        default=3,
-        help="attempts per shard before recording a failure (default 3)",
-    )
-    ens_run.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="base of the recorded exponential retry backoff "
-        "(default 0.5)",
+    _add_pool_flags(ens_run)
+    # The seed grid runs as an ``--ensemble`` batch; ensemble shards
+    # keep no disk checkpoints.
+    ens_run.set_defaults(
+        ensemble=True, checkpoint_every=None, checkpoint_dir=None, resume=False
     )
 
     lint = sub.add_parser(
@@ -456,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
-    """Build the engine an artefact command asked for."""
+    """Build the engine an artefact command or ``ensemble run`` asked for."""
     return ExperimentEngine.from_config(
         EngineConfig(
             jobs=args.jobs,
@@ -467,7 +455,7 @@ def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             resume=bool(args.resume),
-            ensemble=bool(getattr(args, "ensemble", False)),
+            ensemble=args.ensemble,
         )
     )
 
@@ -754,44 +742,34 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_ensemble_run(args: argparse.Namespace) -> int:
-    from repro.ensemble.shard import run_sharded_ensemble_job
-    from repro.experiments.engine.cache import ResultCache, default_cache_root
-    from repro.experiments.engine.scheduler import ExperimentEngine
-    from repro.experiments.engine.spec import EnsembleJobSpec, workload_job
+    from repro.experiments.engine.scheduler import EngineJobError
+    from repro.experiments.engine.spec import workload_job
 
     faults = fault_config_for(args.faults)
-    spec = EnsembleJobSpec(
-        members=tuple(
-            workload_job(
-                args.app,
-                dataset=args.dataset,
-                policy=args.policy,
-                seed=args.seed + offset,
-                iteration_scale=args.scale,
-                max_time_s=args.max_time,
-                faults=faults,
-            )
-            for offset in range(args.members)
+    members = [
+        workload_job(
+            args.app,
+            dataset=args.dataset,
+            policy=args.policy,
+            seed=args.seed + offset,
+            iteration_scale=args.scale,
+            max_time_s=args.max_time,
+            faults=faults,
         )
-    )
-    cache = None if args.no_cache else ResultCache(default_cache_root())
-    # Member-level caching happens in the sharding layer under scalar
-    # keys; the engine itself stays uncached (a shard's composite
-    # result is not one cacheable summary).
-    engine = ExperimentEngine(
-        jobs=args.jobs,
-        cache=None,
-        job_timeout_s=args.job_timeout,
-        max_job_attempts=args.max_job_attempts,
-        retry_backoff_s=args.retry_backoff,
-    )
-    report = run_sharded_ensemble_job(spec, engine, cache=cache)
+        for offset in range(args.members)
+    ]
+    engine = _engine_from(args)
+    failures = []
+    try:
+        summaries = engine.run(members)
+    except EngineJobError as error:
+        summaries, failures = error.results, error.failures
     print(
         f"{'seed':>6} {'avg C':>8} {'peak C':>8} {'aging yr':>9} "
         f"{'cyc yr':>9} {'thr/s':>9} {'done':>5}"
     )
     completed = []
-    for member, summary in zip(spec.members, report.summaries):
+    for member, summary in zip(members, summaries):
         if summary is None:
             print(f"{member.seed:6d} {'-- shard failed; see below --':>48}")
             continue
@@ -811,16 +789,15 @@ def _command_ensemble_run(args: argparse.Namespace) -> int:
             f"mean aging MTTF "
             f"{sum(s.aging_mttf_years for s in completed) / count:.2f} yr"
         )
-    stats = engine.stats.as_dict()
+    stats = engine.stats
     print(
-        f"{report.cache_hits} member(s) from cache, "
-        f"{report.executed_members} executed across "
-        f"{report.shards} shard(s); "
-        f"recovered: {stats.get('retried', 0)} retried attempt(s), "
-        f"{stats.get('timeouts', 0)} timeout(s), "
-        f"{stats.get('pool_restarts', 0)} pool restart(s)"
+        f"{stats.cache_hits} member(s) from cache, "
+        f"{stats.executed - stats.failed} executed; "
+        f"recovered: {stats.retried} retried attempt(s), "
+        f"{stats.timeouts} timeout(s), "
+        f"{stats.pool_restarts} pool restart(s)"
     )
-    for failure in report.failures:
+    for failure in failures:
         suffix = ", timed out" if failure.timed_out else ""
         print(
             f"FAILED {failure.label} [{failure.key[:12]}] "
@@ -828,7 +805,7 @@ def _command_ensemble_run(args: argparse.Namespace) -> int:
             f"({failure.attempts} attempts, "
             f"{failure.duration_s:.1f} s{suffix})"
         )
-    return 0 if report.ok else 1
+    return 1 if failures else 0
 
 
 def _command_lint(args: argparse.Namespace) -> int:

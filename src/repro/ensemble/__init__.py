@@ -12,10 +12,9 @@ by ``tests/test_ensemble_equivalence.py``.
 """
 
 from repro.ensemble.engine import EnsembleSimulation
-from repro.ensemble.runner import run_ensemble_job, run_ensemble_workloads
+from repro.ensemble.runner import run_ensemble_workloads
 
 __all__ = [
     "EnsembleSimulation",
-    "run_ensemble_job",
     "run_ensemble_workloads",
 ]

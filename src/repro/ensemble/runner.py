@@ -12,11 +12,11 @@ content-addressed result cache with scalar runs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.config import default_reliability_config
 from repro.ensemble.engine import EnsembleSimulation
-from repro.experiments.engine.spec import EnsembleJobSpec, JobSpec
+from repro.experiments.engine.spec import JobSpec
 from repro.experiments.runner import (
     RunSummary,
     _build_workload_setup,
@@ -95,41 +95,3 @@ def run_ensemble_workloads(specs: Sequence[JobSpec]) -> List[RunSummary]:
         )
     return summaries
 
-
-def run_ensemble_job(
-    spec: EnsembleJobSpec, cache=None
-) -> List[RunSummary]:
-    """Execute an ensemble job, sharing the per-member result cache.
-
-    Each member is cached under its *own* scalar
-    :func:`~repro.experiments.engine.spec.job_key` — bit-faithfulness
-    makes the vectorized and scalar paths interchangeable cache
-    producers.  Cached members are skipped; the remainder run as one
-    (smaller) ensemble.
-
-    Parameters
-    ----------
-    spec:
-        The ensemble job.
-    cache:
-        Optional :class:`~repro.experiments.engine.cache.ResultCache`.
-    """
-    members = list(spec.members)
-    summaries: List[Optional[RunSummary]] = [None] * len(members)
-    pending: List[int] = []
-    if cache is not None:
-        for index, member in enumerate(members):
-            hit = cache.get(member)
-            if hit is not None:
-                summaries[index] = hit
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(members)))
-    if pending:
-        fresh = run_ensemble_workloads([members[i] for i in pending])
-        for index, summary in zip(pending, fresh):
-            summaries[index] = summary
-            if cache is not None:
-                cache.put(members[index], summary)
-    return summaries

@@ -1,10 +1,13 @@
 """Process sharding of ensemble jobs.
 
 Splits one :class:`~repro.experiments.engine.spec.EnsembleJobSpec` into
-per-process member shards and runs each shard — itself a smaller
-ensemble job — under the hardened experiment engine, so sharded
-execution inherits the engine's per-job timeouts, bounded retries and
-worker-pool recovery.
+per-process member shards, executes them through the experiment
+engine's dispatcher — so sharded execution inherits the engine's
+per-job timeouts, bounded retries and worker-pool recovery — and
+expands the shard outcomes back into per-member summaries.  It is a
+pure split → execute → expand step: the engine resolves the cache
+before planning, stores each member under its scalar key as its shard
+lands, counts the stats and records the failures.
 
 Correctness rests on two already-established invariants:
 
@@ -17,12 +20,11 @@ Correctness rests on two already-established invariants:
   hence their content hashes and failure records — are deterministic
   for a given ``(spec, shards)`` pair.
 * **Scalar/vector cache equivalence** — every member summary is
-  bit-identical to what the scalar runner would produce, so members are
-  cached under their own scalar
-  :func:`~repro.experiments.engine.spec.job_key`, exactly like
-  :func:`~repro.ensemble.runner.run_ensemble_job`.  Shards therefore
+  bit-identical to what the scalar runner would produce, so the engine
+  caches members under their own scalar
+  :func:`~repro.experiments.engine.spec.job_key`.  Shards therefore
   expand to the same per-seed cache keys as serial and unsharded runs,
-  and all three populate one shared cache.
+  and all of them populate one shared cache.
 
 Checkpointing note: ensemble state snapshots live in process memory
 (:meth:`~repro.ensemble.engine.EnsembleSimulation.capture`), so the
@@ -35,7 +37,7 @@ from the engine's retry machinery re-running a failed shard whole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.experiments.engine.scheduler import ExperimentEngine, JobFailure
 from repro.experiments.engine.spec import EnsembleJobSpec, ensemble_job
@@ -80,90 +82,31 @@ class ShardedRunReport:
     summaries: List[Optional[RunSummary]] = field(default_factory=list)
     failures: List[JobFailure] = field(default_factory=list)
     shards: int = 0
-    cache_hits: int = 0
-    executed_members: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """Whether every member produced a summary."""
-        return not self.failures and all(
-            summary is not None for summary in self.summaries
-        )
 
 
 def run_sharded_ensemble_job(
-    spec: EnsembleJobSpec,
-    engine: ExperimentEngine,
-    cache=None,
-    resolve_cache: bool = True,
-    charge_stats: bool = True,
+    spec: EnsembleJobSpec, engine: ExperimentEngine
 ) -> ShardedRunReport:
     """Execute an ensemble job as ``engine.jobs`` member shards.
 
-    Cache hits are resolved per member *before* sharding (so shard
-    boundaries depend only on the pending set, and a warm cache runs
-    nothing at all); fresh member summaries are stored per member as
-    shards complete.  With ``engine.jobs == 1`` the single shard runs
-    inline through the engine's serial path — still with bounded
-    retries — and is call-for-call identical to
-    :func:`~repro.ensemble.runner.run_ensemble_job` on a cold cache.
-
-    Parameters
-    ----------
-    spec:
-        The ensemble job to execute.
-    engine:
-        Hardened engine supplying parallelism (``jobs``), per-shard
-        timeouts and bounded retries.  The engine's own result cache is
-        not consulted — composite shard results are never cached as
-        such; pass the member-level cache separately.
-    cache:
-        Optional :class:`~repro.experiments.engine.cache.ResultCache`
-        holding per-member scalar summaries.
-    resolve_cache:
-        Look members up in ``cache`` before sharding.  The engine's
-        grid planner passes ``False`` because it only ever plans over
-        specs that already missed the cache; fresh results are still
-        stored per member either way.
-    charge_stats:
-        Forwarded to :meth:`ExperimentEngine.run_collect`; ``False`` is
-        the planner's reentrant mode where the outer ``run()`` already
-        accounted the members and records the failures itself.
+    Every member of ``spec`` runs: cache resolution is the engine's job
+    and happens before planning.  The shards go through the engine's
+    dispatcher, which stores each shard's members in the engine's cache
+    as the shard lands; with ``engine.jobs == 1`` the single shard runs
+    inline, still with bounded retries.  Failures are returned in the
+    report; :meth:`ExperimentEngine.run` records and counts them.
     """
     members = list(spec.members)
-    report = ShardedRunReport(summaries=[None] * len(members))
-    pending: List[int] = []
-    if cache is not None and resolve_cache:
-        for index, member in enumerate(members):
-            hit = cache.get(member)
-            if hit is not None:
-                report.summaries[index] = hit
-                report.cache_hits += 1
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(members)))
-    if not pending:
-        return report
-
-    pending_specs = [members[index] for index in pending]
-    parts = shard_members(len(pending), max(1, engine.jobs))
-    shard_specs: Sequence[EnsembleJobSpec] = [
-        ensemble_job([pending_specs[local] for local in part])
-        for part in parts
-    ]
-    report.shards = len(shard_specs)
-    outcomes, failures = engine.run_collect(shard_specs, charge_stats=charge_stats)
-    report.failures.extend(failures)
-    for shard_index, part in enumerate(parts):
-        shard_summaries = outcomes.get(shard_index)
-        if shard_summaries is None:
-            continue
-        for offset, local in enumerate(part):
-            index = pending[local]
-            summary = shard_summaries[offset]
-            report.summaries[index] = summary
-            report.executed_members += 1
-            if cache is not None:
-                cache.put(members[index], summary)
+    parts = shard_members(len(members), engine.jobs)
+    shard_specs = {
+        index: ensemble_job(members[member] for member in part)
+        for index, part in enumerate(parts)
+    }
+    outcomes, failures = engine._dispatch(shard_specs)
+    report = ShardedRunReport(
+        summaries=[None] * len(members), failures=failures, shards=len(parts)
+    )
+    for index, part in enumerate(parts):
+        for member, summary in zip(part, outcomes.get(index, ())):
+            report.summaries[member] = summary
     return report

@@ -3,14 +3,23 @@
 :class:`ExperimentEngine` takes a batch of :class:`JobSpec` objects and
 returns their :class:`~repro.experiments.runner.RunSummary` results *in
 submission order*, regardless of how many worker processes executed them
-or which came back from the cache.  The pipeline per batch is:
+or which came back from the cache.  :meth:`ExperimentEngine.run` is the
+only way a batch executes; the pipeline per batch is:
 
 1. deduplicate equal specs (deterministic simulations make duplicates
    free to share);
 2. resolve cache hits;
-3. execute the misses — inline when ``jobs == 1``, else fanned out over
-   a ``ProcessPoolExecutor``;
-4. store fresh results back into the cache.
+3. with ``ensemble=True``, plan the misses into ensemble groups, each
+   split into member shards by :mod:`repro.ensemble.shard`;
+4. dispatch the jobs — inline when ``jobs == 1`` or there is one job,
+   else fanned out over a ``ProcessPoolExecutor``;
+5. store each fresh result in the cache as it lands (an ensemble shard
+   stores one entry per member, under the member's scalar key);
+6. fold the batch into the attached metrics registry.
+
+Only the engine resolves the cache, counts :class:`EngineStats` and
+records failures; the shard layer is a pure split → execute → expand
+step over the engine's dispatcher.
 
 With ``jobs=1`` and no cache the engine degenerates to calling the
 runner directly in a loop — the exact serial code path the experiments
@@ -26,7 +35,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import EngineConfig
 from repro.experiments.engine.cache import ResultCache
@@ -117,10 +126,20 @@ class JobFailure:
 
 
 class EngineJobError(RuntimeError):
-    """A batch had jobs that failed after exhausting their retries."""
+    """A batch had jobs that failed after exhausting their retries.
 
-    def __init__(self, failures: Sequence[JobFailure]) -> None:
+    ``failures`` holds one :class:`JobFailure` per failed cell;
+    ``results`` aligns with the submitted batch and holds ``None`` for
+    every failed cell, so callers can still report the cells that ran.
+    """
+
+    def __init__(
+        self,
+        failures: Sequence[JobFailure],
+        results: Sequence[Optional[RunSummary]] = (),
+    ) -> None:
         self.failures = list(failures)
+        self.results = list(results)
         lines = [f"{len(self.failures)} job(s) failed after retries:"]
         for failure in self.failures:
             suffix = " (timed out)" if failure.timed_out else ""
@@ -238,57 +257,19 @@ class ExperimentEngine:
             jobs = {index: unique[index] for index in pending}
             if self.ensemble:
                 outcomes, failures = self._execute_ensemble(jobs)
-            elif self.jobs == 1 or len(pending) == 1:
-                outcomes, failures = self._execute_serial(jobs)
             else:
-                outcomes, failures = self._execute_parallel(jobs)
+                outcomes, failures = self._dispatch(jobs)
             for index, summary in sorted(outcomes.items()):
                 results[index] = summary
 
+        ordered = [results[slot] for slot in placement]
         if failures:
             self.failures.extend(failures)
-            raise EngineJobError(failures)
+            raise EngineJobError(failures, ordered)
 
-        ordered = [results[slot] for slot in placement]
         if self.metrics is not None:
             self._fold_metrics(len(specs), len(pending), ordered)
         return ordered
-
-    def run_collect(
-        self, specs: Sequence[JobSpec], charge_stats: bool = True
-    ) -> Tuple[Dict[int, RunSummary], List[JobFailure]]:
-        """Execute specs through the hardened paths, collecting failures.
-
-        Unlike :meth:`run` this never raises on exhausted jobs — the
-        caller receives the outcomes that did complete (keyed by spec
-        index) alongside the structured failures — and it skips
-        deduplication, cache lookup and metrics folding.  Callers that
-        manage their own result granularity (per-member caching of
-        ensemble shards in :mod:`repro.ensemble.shard`) use it to get
-        timeouts, retries and pool recovery without the engine treating
-        a composite result as one cacheable summary.  Failures still
-        accumulate in :attr:`failures` and count in :attr:`stats`.
-
-        ``charge_stats=False`` is the planner's reentrant mode: when
-        :meth:`run` routes a batch through ensemble shards, the batch's
-        members were already counted as submitted/executed (and its
-        failures are recorded by :meth:`run` itself), so the inner
-        shard-level call must not double-charge them.
-        """
-        jobs = dict(enumerate(specs))
-        if charge_stats:
-            self.stats.submitted += len(jobs)
-        if not jobs:
-            return {}, []
-        if charge_stats:
-            self.stats.executed += len(jobs)
-        if self.jobs == 1 or len(jobs) == 1:
-            outcomes, failures = self._execute_serial(jobs)
-        else:
-            outcomes, failures = self._execute_parallel(jobs)
-        if failures and charge_stats:
-            self.failures.extend(failures)
-        return outcomes, failures
 
     # ------------------------------------------------------------------
     # Hardened execution paths
@@ -298,18 +279,24 @@ class ExperimentEngine:
         """Checkpoint settings forwarded to every ``execute_job`` call."""
         return (self.checkpoint_every, self.checkpoint_dir, self.resume)
 
-    def _store(self, spec: JobSpec, summary: RunSummary) -> None:
-        """Persist one fresh result the moment it exists.
+    def _store(
+        self, spec: JobSpec, outcome: Union[RunSummary, List[RunSummary]]
+    ) -> None:
+        """Persist one fresh result the moment it lands.
 
-        Caching per-arrival (instead of per-batch) means a crash of the
-        driver process loses at most the jobs still in flight.
-
-        Composite outcomes (an ensemble shard's list of member
-        summaries) are not cached here — their members are cached
-        individually, under scalar keys, by the sharding layer.
+        Caching per arrival (instead of per batch) means a crash of the
+        driver process loses at most the jobs still in flight.  An
+        :class:`EnsembleJobSpec` outcome is one summary per member; each
+        is stored under its member's scalar :func:`job_key`, so shards,
+        serial runs and sweeps share one cache.
         """
-        if self.cache is not None and isinstance(summary, RunSummary):
-            self.cache.put(spec, summary)
+        if self.cache is None:
+            return
+        if isinstance(spec, EnsembleJobSpec):
+            for member, summary in zip(spec.members, outcome):
+                self.cache.put(member, summary)
+        else:
+            self.cache.put(spec, outcome)
 
     def _failures_for(
         self,
@@ -358,22 +345,33 @@ class ExperimentEngine:
         """
         return self.retry_backoff_s * 2 ** (attempt - 1)
 
+    def _dispatch(
+        self, jobs: Dict[int, JobSpec]
+    ) -> Tuple[Dict[int, RunSummary], List[JobFailure]]:
+        """Execute ``jobs`` with retries: inline when ``jobs == 1`` or
+        there is one job, else over the worker pool.  Every result is
+        stored as it lands; failures are returned, not recorded."""
+        if self.jobs == 1 or len(jobs) == 1:
+            return self._execute_serial(jobs)
+        return self._execute_parallel(jobs)
+
     def _execute_ensemble(
         self, jobs: Dict[int, JobSpec]
     ) -> Tuple[Dict[int, RunSummary], List[JobFailure]]:
         """Route one pending batch through the ensemble grid planner.
 
         The planner partitions the (already cache-missed, deduplicated)
-        batch into platform-uniform member groups plus scalar leftovers;
-        each group runs as a sharded ensemble job over this same engine
-        (``jobs`` worker processes, timeouts, bounded retries), which
-        caches fresh members under their scalar keys as shards land.
-        Leftovers take the ordinary serial/parallel path.  Every member
-        summary is bit-identical to scalar execution, so this changes
-        *throughput only* — never bytes.
+        batch into platform-uniform member groups plus scalar leftovers.
+        Each group runs as one sharded ensemble job over this engine's
+        :meth:`_dispatch`, whose :meth:`_store` caches every member
+        under its scalar key as its shard lands; the leftovers take
+        :meth:`_dispatch` directly.  Every member summary is
+        bit-identical to scalar execution, so this changes *throughput
+        only* — never bytes.
 
-        Imports lazily: the shard layer sits above the scheduler in the
-        module graph, so a top-level import would be cyclic.
+        Imports lazily and at call time: the shard layer sits above the
+        scheduler in the module graph, so a top-level import would be
+        cyclic.
         """
         from repro.ensemble.shard import run_sharded_ensemble_job
         from repro.experiments.engine.planner import plan_grid
@@ -386,27 +384,15 @@ class ExperimentEngine:
         failures: List[JobFailure] = []
         for group in plan.groups:
             group_spec = ensemble_job(specs[local] for local in group)
-            # The batch's cache misses were resolved by run() already,
-            # so the shard layer skips its per-member pre-resolution;
-            # it still stores fresh members under their scalar keys.
-            report = run_sharded_ensemble_job(
-                group_spec,
-                self,
-                cache=self.cache,
-                resolve_cache=False,
-                charge_stats=False,
-            )
+            report = run_sharded_ensemble_job(group_spec, self)
             failures.extend(report.failures)
-            for offset, local in enumerate(group):
-                summary = report.summaries[offset]
+            for local, summary in zip(group, report.summaries):
                 if summary is not None:
                     outcomes[indices[local]] = summary
         if plan.scalar:
-            leftovers = {indices[local]: specs[local] for local in plan.scalar}
-            if self.jobs == 1 or len(leftovers) == 1:
-                extra_outcomes, extra_failures = self._execute_serial(leftovers)
-            else:
-                extra_outcomes, extra_failures = self._execute_parallel(leftovers)
+            extra_outcomes, extra_failures = self._dispatch(
+                {indices[local]: specs[local] for local in plan.scalar}
+            )
             outcomes.update(extra_outcomes)
             failures.extend(extra_failures)
         return outcomes, failures

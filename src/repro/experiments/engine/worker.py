@@ -1,6 +1,8 @@
 """Job execution: the function a worker process actually runs.
 
-Kept in its own module (no engine/scheduler imports) so
+:func:`execute_job` is the one entry point for every job the engine
+dispatches — a scalar cell or an ensemble shard; caching, retries and
+failure records stay with the engine.  Kept in its own module (no engine/scheduler imports) so
 ``ProcessPoolExecutor`` can pickle the callable cheaply and a worker
 process only imports what one simulation needs.
 """
@@ -48,7 +50,8 @@ def execute_job(
         Ensemble shards are exempt: their snapshots live in process
         memory (``EnsembleSimulation.capture``), so disk checkpoint
         settings are ignored for :class:`EnsembleJobSpec` jobs — crash
-        recovery for those comes from member-level result caching.
+        recovery for those comes from the engine caching each member
+        as its shard lands.
     """
     if isinstance(spec, EnsembleJobSpec):
         # Lazy import: workers running scalar jobs never pay for the
@@ -64,19 +67,6 @@ def execute_job(
         # The job finished; its checkpoints have served their purpose.
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
     return summary
-
-
-def execute_ensemble_job(spec: EnsembleJobSpec, cache=None):
-    """Execute an ensemble job through the vectorized engine.
-
-    Imported lazily so workers running ordinary scalar jobs never pay
-    for the ensemble machinery.  Returns one ``RunSummary`` per member,
-    in member order; with a cache, members hit in the cache are not
-    re-simulated.
-    """
-    from repro.ensemble.runner import run_ensemble_job
-
-    return run_ensemble_job(spec, cache=cache)
 
 
 def _execute(

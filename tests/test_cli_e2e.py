@@ -192,14 +192,14 @@ class TestReproEnsembleRun:
         # header + 4 member rows + ensemble mean line
         head = serial.stdout.splitlines()[:6]
         assert head == sharded.stdout.splitlines()[:6]
-        assert "executed across 2 shard(s)" in sharded.stdout
+        assert "0 member(s) from cache, 4 executed" in sharded.stdout
 
     def test_sharded_run_populates_the_member_cache(self, tmp_path):
         env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
         cold = _repro([*ENS_RUN_ARGS, "--jobs", "2"], cwd=tmp_path,
                       env_extra=env)
         assert cold.returncode == 0, cold.stderr
-        assert "4 executed across 2 shard(s)" in cold.stdout
+        assert "0 member(s) from cache, 4 executed" in cold.stdout
         warm = _repro([*ENS_RUN_ARGS, "--jobs", "2"], cwd=tmp_path,
                       env_extra=env)
         assert warm.returncode == 0, warm.stderr
@@ -239,6 +239,12 @@ _BAD_NUMERIC_OPTIONS = [
     (["ensemble", "run", "tachyon"], ["--max-job-attempts", "0"]),
     (["ensemble", "run", "tachyon"], ["--scale", "abc"]),
     (["ckpt", "prune", "ckpts"], ["--keep", "0"]),
+    (["fig1"], ["--job-timeout", "-1"]),
+    (["all", "--only", "fig1"], ["--retry-backoff", "nan"]),
+    (["ensemble", "run", "tachyon"], ["--job-timeout", "0"]),
+    (["ensemble", "run", "tachyon"], ["--job-timeout", "nan"]),
+    (["ensemble", "run", "tachyon"], ["--retry-backoff", "-3"]),
+    (["ensemble", "run", "tachyon"], ["--max-time", "-5"]),
 ]
 
 

@@ -13,14 +13,9 @@ import pickle
 
 import pytest
 
-from repro.ensemble.runner import run_ensemble_job
-from repro.ensemble.shard import (
-    ShardedRunReport,
-    run_sharded_ensemble_job,
-    shard_members,
-)
+from repro.ensemble.shard import run_sharded_ensemble_job, shard_members
 from repro.experiments.engine.cache import ResultCache
-from repro.experiments.engine.scheduler import ExperimentEngine
+from repro.experiments.engine.scheduler import EngineJobError, ExperimentEngine
 from repro.experiments.engine.spec import EnsembleJobSpec, job_key, workload_job
 from repro.experiments.engine.worker import execute_job
 
@@ -77,16 +72,16 @@ class TestShardMembers:
 # Sharded == unsharded == serial
 # ----------------------------------------------------------------------
 def test_sharded_equals_unsharded_equals_serial():
-    """The same job at jobs 1/2/3 and through ``run_ensemble_job`` and
-    the scalar worker path produces byte-identical member summaries."""
+    """The same job at jobs 1/2/3, unsharded through ``execute_job`` and
+    through the scalar worker path produces byte-identical member
+    summaries."""
     spec = _spec(5)
-    unsharded = _pickles(run_ensemble_job(spec, cache=None))
+    unsharded = _pickles(execute_job(spec))
     for jobs in (1, 2, 3):
         engine = ExperimentEngine(jobs=jobs, cache=None)
-        report = run_sharded_ensemble_job(spec, engine, cache=None)
-        assert report.ok
+        report = run_sharded_ensemble_job(spec, engine)
+        assert not report.failures
         assert report.shards == min(jobs, 5)
-        assert report.executed_members == 5
         assert _pickles(report.summaries) == unsharded, f"jobs={jobs}"
     # Serial scalar execution of one member — the path a cache producer
     # takes — yields the same bytes as the sharded member summary.
@@ -95,34 +90,31 @@ def test_sharded_equals_unsharded_equals_serial():
 
 
 def test_shards_share_the_member_level_cache(tmp_path):
-    """A sharded run populates per-member scalar keys; a subsequent
-    unsharded run (and a wider sharded one) hits them."""
+    """A sharded run populates per-member scalar keys; a wider sharded
+    run through another engine hits them."""
     cache = ResultCache(root=tmp_path / "cache")
-    spec = _spec(4)
-    engine = ExperimentEngine(jobs=2, cache=None)
-    first = run_sharded_ensemble_job(spec, engine, cache=cache)
-    assert first.ok and first.executed_members == 4 and first.cache_hits == 0
+    members = list(_spec(4).members)
+    engine = ExperimentEngine(jobs=2, cache=cache, ensemble=True)
+    first = engine.run(members)
+    assert engine.stats.executed == 4 and engine.stats.cache_hits == 0
 
-    # Unsharded consumer: every member resolves from the cache.
-    warm = run_ensemble_job(spec, cache=cache)
-    assert _pickles(warm) == _pickles(first.summaries)
+    # Every member landed under its own scalar key.
+    assert _pickles(cache.get(member) for member in members) == _pickles(first)
     # Wider job: the overlapping seeds hit, only the new members run.
-    wider = _spec(6)
-    engine2 = ExperimentEngine(jobs=2, cache=None)
-    second = run_sharded_ensemble_job(wider, engine2, cache=cache)
-    assert second.ok
-    assert second.cache_hits == 4
-    assert second.executed_members == 2
-    assert _pickles(second.summaries[:4]) == _pickles(first.summaries)
+    wider = list(_spec(6).members)
+    engine2 = ExperimentEngine(jobs=2, cache=cache, ensemble=True)
+    second = engine2.run(wider)
+    assert engine2.stats.cache_hits == 4
+    assert engine2.stats.executed == 2
+    assert _pickles(second[:4]) == _pickles(first)
 
 
 # ----------------------------------------------------------------------
 # Failure surfacing
 # ----------------------------------------------------------------------
 def test_failed_shard_surfaces_jobfailure_and_partial_results(monkeypatch):
-    """One shard exhausting its retries yields None summaries for its
-    members plus a structured JobFailure; the other shards' results
-    survive."""
+    """One shard exhausting its retries yields None results for its
+    members plus one structured JobFailure per member."""
     import repro.experiments.engine.scheduler as scheduler_module
 
     real_execute = scheduler_module.execute_job
@@ -136,47 +128,25 @@ def test_failed_shard_surfaces_jobfailure_and_partial_results(monkeypatch):
 
     monkeypatch.setattr(scheduler_module, "execute_job", flaky)
     spec = _spec(4)
-    engine = ExperimentEngine(jobs=1, cache=None, max_job_attempts=2)
-    report = run_sharded_ensemble_job(spec, engine, cache=None)
-    assert not report.ok
+    engine = ExperimentEngine(
+        jobs=1, cache=None, max_job_attempts=2, ensemble=True
+    )
+    with pytest.raises(EngineJobError) as excinfo:
+        engine.run(spec.members)
+    error = excinfo.value
     assert calls["n"] == 2  # bounded retries were attempted
     # Failures are member-granular: the single failed 4-member shard
     # surfaces one JobFailure per member, keyed by the member's scalar
     # job key and labelled with the member's label.
-    assert len(report.failures) == 4
+    assert len(error.failures) == 4
     member_keys = [job_key(member) for member in spec.members]
-    assert [failure.key for failure in report.failures] == member_keys
-    assert [failure.label for failure in report.failures] == [
+    assert [failure.key for failure in error.failures] == member_keys
+    assert [failure.label for failure in error.failures] == [
         member.label for member in spec.members
     ]
-    for failure in report.failures:
+    for failure in error.failures:
         assert failure.error_type == "RuntimeError"
         assert failure.attempts == 2
-    assert engine.failures == report.failures
+    assert engine.failures == error.failures
     # jobs=1 -> a single shard holds every member; all of them are None.
-    assert report.summaries == [None] * 4
-
-
-def test_engine_run_collect_does_not_raise(monkeypatch):
-    """run_collect returns (outcomes, failures) instead of raising
-    EngineJobError, and leaves the cache out of the loop."""
-    import repro.experiments.engine.scheduler as scheduler_module
-
-    def always_fail(spec, *args, **kwargs):
-        raise ValueError("nope")
-
-    monkeypatch.setattr(scheduler_module, "execute_job", always_fail)
-    engine = ExperimentEngine(jobs=1, cache=None, max_job_attempts=1)
-    outcomes, failures = engine.run_collect([_spec(2)])
-    assert outcomes == {}
-    # One failure per member of the two-member ensemble spec.
-    assert len(failures) == 2
-    assert all(failure.error_type == "ValueError" for failure in failures)
-    assert engine.run_collect([]) == ({}, [])
-
-
-def test_report_ok_requires_every_member():
-    report = ShardedRunReport(summaries=[None])
-    assert not report.ok
-    report = ShardedRunReport(summaries=[])
-    assert report.ok
+    assert error.results == [None] * 4

@@ -12,7 +12,8 @@ and the engine's ``ensemble=True`` execution path:
 * **Cache discipline** (Hypothesis) — routing a batch through
   ``ExperimentEngine(ensemble=True)`` never executes a member that the
   cache (or deduplication) already resolved, and never executes any
-  member twice.
+  member twice; each shard's members reach the cache as that shard
+  lands, while its siblings still run.
 * **Failure granularity** (regression) — a failed shard inside a real
   sweep grid degrades exactly its members' cells; a re-run against the
   same cache re-executes only the members that actually failed.
@@ -23,7 +24,9 @@ and the engine's ``ensemble=True`` execution path:
 
 import dataclasses
 import tempfile
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -221,13 +224,58 @@ class TestNoDoubleExecution:
                 assert executions[job_key(spec)] == expected, spec.seed
             # Warm members stay cached; cold members that formed an
             # ensemble group (>= MIN_GROUP of them — all these specs
-            # share one platform) are cached by the shard layer.  (A
-            # lone scalar leftover is only cached for real RunSummary
-            # results, which this counting stub does not produce.)
+            # share one platform) are stored per member as their shard
+            # lands.
             cold = [spec for spec in unique if spec not in warm]
             cached_after = warm if len(cold) < MIN_GROUP else unique
             for spec in cached_after:
                 assert cache.get(spec) is not None
+
+
+class TestMembersCachedAsShardsLand:
+    def test_first_shard_is_cached_while_its_sibling_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """At jobs=2 a 4-member group runs as two concurrent shards.
+        The first shard's members must reach the cache as soon as that
+        shard lands, while the second is still running — so a driver
+        crash loses only the shards in flight.  Threads stand in for
+        worker processes so the stub can wait on the driver's puts."""
+        members = [
+            workload_job("tachyon", policy="linux", seed=seed, iteration_scale=SCALE)
+            for seed in (1, 2, 3, 4)
+        ]
+        first_shard = {job_key(member) for member in members[:2]}
+        stored = set()
+        first_shard_cached = threading.Event()
+        real_put = ResultCache.put
+
+        def recording_put(cache, spec, summary):
+            key = real_put(cache, spec, summary)
+            stored.add(job_key(spec))
+            if first_shard <= stored:
+                first_shard_cached.set()
+            return key
+
+        waited = []
+
+        def fake_execute(spec, *args, **kwargs):
+            if spec.members[0].seed == 3:
+                waited.append(first_shard_cached.wait(timeout=5.0))
+            return [_FakeSummary(job_key(member)) for member in spec.members]
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(scheduler_module, "execute_job", fake_execute)
+        monkeypatch.setattr(ResultCache, "put", recording_put)
+        cache = ResultCache(root=tmp_path / "cache")
+        engine = ExperimentEngine(jobs=2, cache=cache, ensemble=True)
+        results = engine.run(members)
+
+        assert waited == [True]
+        assert [result.key for result in results] == [
+            job_key(member) for member in members
+        ]
+        assert stored == {job_key(member) for member in members}
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,11 @@
 * :mod:`repro.analysis.autocorrelation` — the Figure 6 autocorrelation;
 * :mod:`repro.analysis.tables` — plain-text table rendering so every
   benchmark prints rows directly comparable to the paper's artefacts;
-* :mod:`repro.analysis.lint` — the determinism-aware AST lint pass
-  behind the ``repro lint`` CLI subcommand (imported lazily: linting a
-  tree never drags the simulator in, and vice versa).
+* :mod:`repro.analysis.lint` — the static analysis behind the
+  ``repro lint`` CLI subcommand (module and project rules over one
+  AST project model) and the behavior-closure digest that keys the
+  result cache (imported lazily: linting a tree never drags the
+  simulator in, and vice versa).
 """
 
 from repro.analysis.autocorrelation import autocorrelation, decimate

@@ -1,41 +1,85 @@
-"""The committed lint baseline: known findings that don't fail the build.
+"""The committed baseline: known findings plus the state rules compare against.
 
-The baseline is a small JSON document mapping finding fingerprints (see
-:meth:`~repro.analysis.lint.findings.Finding.fingerprint`) to a human
-description of the recorded finding.  ``repro lint --fix-baseline``
-rewrites it from the current findings; an entry disappears from the
-file as soon as the violation it records is fixed, so the baseline only
-ever shrinks under normal development.  The repo ships an **empty**
-baseline — every invariant violation is either fixed or carries an
-explicit reasoned ``noqa``.
+One JSON document (``.repro-lint-baseline.json``) records:
+
+* **findings** — fingerprints (see
+  :meth:`~repro.analysis.lint.findings.Finding.fingerprint`) of known
+  findings that do not fail the build, each with a human description.
+  The repo ships it empty: every violation is either fixed or carries
+  an explicit reasoned ``noqa``;
+* the **closure digest** at the time the baseline was written —
+  ``repro lint --check-drift`` fails on drift without a matching
+  baseline update, so every behavior-relevant edit is acknowledged;
+* the **pairing fingerprints** of every scalar fast-path module and its
+  vectorized ensemble twin — what EQV001 diffs to catch a scalar-only
+  edit;
+* the interpreter's ``major.minor`` tag — ``ast.dump`` output differs
+  across Python minors, so fingerprints recorded under one interpreter
+  are only compared under the same one (drift and pairing checks are
+  skipped otherwise).
+
+``repro lint --fix-baseline`` rewrites the file from the current tree.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
+from repro.analysis.lint.closure import python_tag
 from repro.analysis.lint.findings import Finding
 
 #: Default filename, looked up in the working directory.
 BASELINE_FILENAME = ".repro-lint-baseline.json"
 
 #: Version of the baseline document layout.
-BASELINE_SCHEMA_VERSION = 1
+BASELINE_SCHEMA_VERSION = 2
+
+#: Required top-level fields of a baseline document and their JSON types.
+_FIELDS = (
+    ("python", str),
+    ("closure_digest", str),
+    ("pairs", dict),
+    ("findings", dict),
+)
 
 
 class BaselineError(ValueError):
     """A baseline file is malformed."""
 
 
-def load_baseline(path: Union[str, Path]) -> Dict[str, str]:
-    """Fingerprint -> description map of one baseline file.
+@dataclass(frozen=True)
+class PairRecord:
+    """Recorded fingerprints of one scalar/ensemble module pair."""
+
+    scalar: str
+    ensemble: str
+
+
+@dataclass
+class Baseline:
+    """Parsed baseline (an empty one when no file exists)."""
+
+    python: str = ""
+    closure_digest: str = ""
+    pairs: Dict[str, PairRecord] = field(default_factory=dict)
+    findings: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def comparable(self) -> bool:
+        """Whether recorded fingerprints compare against this interpreter."""
+        return self.python == python_tag()
+
+
+def load_baseline(path: Union[str, Path]) -> Baseline:
+    """Parse one baseline file.
 
     Raises
     ------
     BaselineError
-        If the file is not a valid baseline document.
+        If the file is not a valid schema-2 baseline document.
     """
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -43,28 +87,67 @@ def load_baseline(path: Union[str, Path]) -> Dict[str, str]:
         raise BaselineError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise BaselineError(f"{path}: baseline must be a JSON object")
-    if document.get("schema") != BASELINE_SCHEMA_VERSION:
+    schema = document.get("schema")
+    if schema != BASELINE_SCHEMA_VERSION:
         raise BaselineError(
-            f"{path}: unsupported baseline schema {document.get('schema')!r}"
+            f"{path}: unsupported baseline schema {schema!r} (expected "
+            f"{BASELINE_SCHEMA_VERSION}; re-record it with "
+            "`repro lint --fix-baseline`)"
         )
-    findings = document.get("findings")
-    if not isinstance(findings, dict):
-        raise BaselineError(f"{path}: baseline field 'findings' missing")
-    for fingerprint, description in findings.items():
-        if not isinstance(fingerprint, str) or not isinstance(description, str):
+    for name, kind in _FIELDS:
+        if not isinstance(document.get(name), kind):
+            raise BaselineError(
+                f"{path}: baseline field {name!r} missing or malformed"
+            )
+    pairs: Dict[str, PairRecord] = {}
+    for pair_id, record in sorted(document["pairs"].items()):
+        if (
+            not isinstance(record, dict)
+            or not isinstance(record.get("scalar"), str)
+            or not isinstance(record.get("ensemble"), str)
+        ):
+            raise BaselineError(f"{path}: malformed pair entry {pair_id!r}")
+        pairs[pair_id] = PairRecord(
+            scalar=record["scalar"], ensemble=record["ensemble"]
+        )
+    findings: Dict[str, str] = {}
+    for fingerprint, description in sorted(document["findings"].items()):
+        if not isinstance(description, str):
             raise BaselineError(f"{path}: malformed entry {fingerprint!r}")
-    return dict(findings)
+        findings[fingerprint] = description
+    return Baseline(
+        python=document["python"],
+        closure_digest=document["closure_digest"],
+        pairs=pairs,
+        findings=findings,
+    )
 
 
-def save_baseline(path: Union[str, Path], findings: Iterable[Finding]) -> int:
-    """Write ``findings`` as the new baseline; returns the entry count."""
+def save_baseline(
+    path: Union[str, Path],
+    findings: Iterable[Finding],
+    *,
+    closure_digest: str = "",
+    pairs: Optional[Mapping[str, PairRecord]] = None,
+) -> int:
+    """Write the baseline for the current tree; returns the finding count."""
     entries = {
         finding.fingerprint(): f"{finding.rule} {finding.location()}: "
         f"{finding.message}"
         for finding in findings
     }
+    recorded = pairs or {}
     document = {
         "schema": BASELINE_SCHEMA_VERSION,
+        "python": python_tag(),
+        "closure_digest": closure_digest,
+        "pairs": {
+            pair_id: {
+                "scalar": recorded[pair_id].scalar,
+                "ensemble": recorded[pair_id].ensemble,
+            }
+            for pair_id in sorted(recorded)
+        },
         "findings": dict(sorted(entries.items())),
     }
     Path(path).write_text(

@@ -14,12 +14,12 @@ into every job key, which is what makes the content-addressed result
 cache *statically* sound: stale results are unreachable by construction
 instead of by a remembered ``repro.__version__`` bump.
 
-The analysis tooling itself (``repro.analysis.lint``,
-``repro.analysis.audit``) is excluded from the closure — it measures
-behavior, it does not produce it — and the digest document carries the
-fingerprint schema version and the interpreter's ``major.minor`` tag,
-so algorithm revisions and interpreter upgrades (whose ASTs and pickles
-differ) re-key the cache too.
+The analysis tooling itself (``repro.analysis.lint``) is excluded from
+the closure — it measures behavior, it does not produce it — and the
+digest document carries the fingerprint schema version and the
+interpreter's ``major.minor`` tag, so algorithm revisions and
+interpreter upgrades (whose ASTs and pickles differ) re-key the cache
+too.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.audit.fingerprint import FINGERPRINT_SCHEMA_VERSION
-from repro.analysis.audit.project import ProjectModel
+from repro.analysis.lint.fingerprint import FINGERPRINT_SCHEMA_VERSION
+from repro.analysis.lint.project import ProjectModel
 
 #: The job executors whose transitive imports define the closure.
 CLOSURE_ROOTS: Tuple[str, ...] = (
@@ -43,10 +43,7 @@ CLOSURE_ROOTS: Tuple[str, ...] = (
 )
 
 #: Tooling packages never included in the closure.
-CLOSURE_EXCLUDES: Tuple[str, ...] = (
-    "repro.analysis.audit",
-    "repro.analysis.lint",
-)
+CLOSURE_EXCLUDES: Tuple[str, ...] = ("repro.analysis.lint",)
 
 
 def python_tag() -> str:
@@ -109,11 +106,20 @@ def closure_report(root: Optional[Path] = None) -> ClosureReport:
     milliseconds, and job-key derivation calls this for every spec, so
     the report is computed once per (process, root).  Tests that edit a
     tree in place must call :func:`clear_closure_cache` between edits.
+
+    Raises
+    ------
+    SyntaxError
+        If any file of the tree fails to parse: a digest that silently
+        skipped a module could serve results of code that cannot run.
     """
     key = str(Path(root).resolve()) if root is not None else ""
     cached = _CLOSURE_CACHE.get(key)
     if cached is None:
-        cached = compute_closure(ProjectModel.build(root))
+        model = ProjectModel.build(root)
+        if model.unparsed:
+            raise model.unparsed[0][1]
+        cached = compute_closure(model)
         _CLOSURE_CACHE[key] = cached
     return cached
 

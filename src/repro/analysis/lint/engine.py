@@ -1,31 +1,45 @@
-"""The lint engine: walk files, run rules, apply suppressions + baseline.
+"""The lint engine: one project model, both rule kinds, one binning pass.
 
-The engine turns paths into :class:`ModuleContext` objects, runs every
-selected rule over each, then sorts the raw findings into three bins:
+:func:`lint_package` parses a package tree into a
+:class:`~repro.analysis.lint.project.ProjectModel` once, runs every
+selected module rule over each module's context and every selected
+project rule over the model, then sorts the raw findings into three
+bins:
 
 * **active** — unsuppressed, non-baselined; these fail the build;
 * **suppressed** — carried a valid reasoned noqa comment;
 * **baselined** — fingerprint present in the committed baseline.
 
-A ``repro: noqa`` comment *without* the mandatory ``reason=`` clause
-suppresses nothing and yields an extra active finding under the engine
-code ``NOQA001``.
+Two engine codes sit outside the registry: a ``repro: noqa`` comment
+without the mandatory ``reason=`` clause suppresses nothing and is
+itself an active ``NOQA001`` finding, and a file that does not parse is
+an active ``PARSE`` finding.  The report also carries the
+behavior-closure digest, its drift against the baseline, and the
+current scalar/ensemble pairing fingerprints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.analysis.lint.context import ModuleContext
+from repro.analysis.lint.baseline import Baseline, PairRecord
+from repro.analysis.lint.closure import ClosureReport, compute_closure
+from repro.analysis.lint.context import ModuleContext, module_for_path
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import Rule, build_rules
+from repro.analysis.lint.project import ProjectModel
+from repro.analysis.lint.registry import ModuleRule, ProjectRule, Rule, build_rules
+from repro.analysis.lint.rules.graph import current_pairs
 from repro.analysis.lint.suppress import (
     MALFORMED_SUPPRESSION_CODE,
+    Suppression,
     parse_suppressions,
     suppresses,
 )
+
+#: Engine-level code for a source file that does not parse.
+PARSE_ERROR_CODE = "PARSE"
 
 
 @dataclass
@@ -37,15 +51,35 @@ class LintReport:
     active: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     baselined: List[Finding] = field(default_factory=list)
+    #: The behavior closure (None for single-snippet fixture runs).
+    closure: Optional[ClosureReport] = None
+    #: Current fingerprints of every registered scalar/ensemble pair.
+    pairs: Dict[str, PairRecord] = field(default_factory=dict)
+    #: Digest recorded in the baseline ('' without one).
+    baseline_digest: str = ""
+    #: Whether the baseline's fingerprints compare on this interpreter.
+    baseline_comparable: bool = False
+
+    @property
+    def drift(self) -> bool:
+        """Closure digest drifted from a comparable recorded baseline."""
+        return (
+            self.baseline_comparable
+            and self.closure is not None
+            and bool(self.baseline_digest)
+            and self.closure.digest != self.baseline_digest
+        )
 
     @property
     def clean(self) -> bool:
-        """True when nothing fails the build."""
+        """True when no finding fails the build."""
         return not self.active
 
-    def exit_code(self) -> int:
-        """Process exit code: 0 clean, 1 otherwise."""
-        return 0 if self.clean else 1
+    def exit_code(self, check_drift: bool = False) -> int:
+        """Process exit code: 0 clean (and drift-free when checked), else 1."""
+        if not self.clean or (check_drift and self.drift):
+            return 1
+        return 0
 
     def sort(self) -> None:
         """Deterministic ordering: path, line, column, rule."""
@@ -53,70 +87,67 @@ class LintReport:
             bucket.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def _check_module(ctx: ModuleContext, rules: Sequence[Rule]) -> List[Finding]:
-    """Raw findings of every rule over one module, plus NOQA001s."""
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(ctx))
-    for suppression in parse_suppressions(ctx.lines).values():
+def _malformed_suppressions(
+    ctx: ModuleContext, suppressions: Dict[int, Suppression]
+) -> Iterator[Finding]:
+    """NOQA001 findings for one module's reasonless noqa comments."""
+    for line, suppression in sorted(suppressions.items()):
         if not suppression.valid:
-            findings.append(
-                Finding(
-                    rule=MALFORMED_SUPPRESSION_CODE,
-                    severity=Severity.ERROR,
-                    path=ctx.path,
-                    module=ctx.module,
-                    line=suppression.line,
-                    col=0,
-                    message=(
-                        "suppression is missing its mandatory reason= clause "
-                        f"(codes: {', '.join(suppression.codes)})"
-                    ),
-                    source_line=ctx.source_line(suppression.line),
-                )
+            yield Finding(
+                rule=MALFORMED_SUPPRESSION_CODE,
+                severity=Severity.ERROR,
+                path=ctx.path,
+                module=ctx.module,
+                line=line,
+                col=0,
+                message=(
+                    "suppression is missing its mandatory reason= clause "
+                    f"(codes: {', '.join(suppression.codes)})"
+                ),
+                source_line=ctx.source_line(line),
             )
-    return findings
 
 
-def _bin_findings(
-    ctx: ModuleContext,
-    findings: Iterable[Finding],
-    baseline: Dict[str, str],
+def _parse_error(path: Path, exc: SyntaxError) -> Finding:
+    return Finding(
+        rule=PARSE_ERROR_CODE,
+        severity=Severity.ERROR,
+        path=str(path),
+        module=module_for_path(path),
+        line=exc.lineno or 1,
+        col=exc.offset or 0,
+        message=f"file does not parse: {exc.msg}",
+        source_line="",
+    )
+
+
+def _check(
     report: LintReport,
+    contexts: Sequence[ModuleContext],
+    model: Optional[ProjectModel],
+    baseline: Baseline,
 ) -> None:
-    """Sort one module's raw findings into the report's three bins."""
-    suppressions = parse_suppressions(ctx.lines)
-    for finding in findings:
-        suppression = suppressions.get(finding.line)
+    """Run the report's rules and bin every raw finding exactly once."""
+    suppressions = {ctx.module: parse_suppressions(ctx.lines) for ctx in contexts}
+    raw: List[Finding] = []
+    for ctx in contexts:
+        for rule in report.rules:
+            if isinstance(rule, ModuleRule):
+                raw.extend(rule.check(ctx))
+        raw.extend(_malformed_suppressions(ctx, suppressions[ctx.module]))
+    if model is not None:
+        for rule in report.rules:
+            if isinstance(rule, ProjectRule):
+                raw.extend(rule.check(model, baseline))
+    for finding in raw:
+        suppression = suppressions.get(finding.module, {}).get(finding.line)
         if suppression is not None and suppresses(suppression, finding.rule):
             report.suppressed.append(finding)
-        elif finding.fingerprint() in baseline:
+        elif finding.fingerprint() in baseline.findings:
             report.baselined.append(finding)
         else:
             report.active.append(finding)
-
-
-def iter_source_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
-    """Every ``*.py`` under ``paths`` (files pass through), sorted."""
-    files: List[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(
-                p
-                for p in path.rglob("*.py")
-                if "__pycache__" not in p.parts
-            )
-        else:
-            files.append(path)
-    return sorted(set(files))
-
-
-def default_target() -> Path:
-    """What ``repro lint`` audits when given no paths: the package itself."""
-    import repro
-
-    return Path(repro.__file__).resolve().parent
+    report.sort()
 
 
 def lint_source(
@@ -125,56 +156,50 @@ def lint_source(
     module: str,
     path: str = "<fixture>",
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Dict[str, str]] = None,
+    baseline: Optional[Baseline] = None,
 ) -> LintReport:
-    """Lint an in-memory snippet as if it were module ``module``.
+    """Run the module rules over an in-memory snippet as module ``module``.
 
-    The fixture entry point the rule unit tests drive: the snippet is
-    attributed to an arbitrary dotted module name, so scope-sensitive
-    rules (DET001's package list, CFG001's ``repro.config`` pin) can be
-    exercised without touching the real tree.
+    The fixture entry point the module-rule unit tests drive: the
+    snippet is attributed to an arbitrary dotted module name, so
+    scope-sensitive rules (DET001's package list, CFG001's
+    ``repro.config`` pin) can be exercised without touching the real
+    tree.  Project rules need a whole tree and are skipped.
     """
-    report = LintReport(rules=build_rules(rules))
+    selected: List[Rule] = [
+        rule for rule in build_rules(rules) if isinstance(rule, ModuleRule)
+    ]
+    report = LintReport(rules=selected, files=1)
     ctx = ModuleContext.from_source(source, path=path, module=module)
-    report.files = 1
-    _bin_findings(ctx, _check_module(ctx, report.rules), baseline or {}, report)
-    report.sort()
+    _check(report, [ctx], None, baseline if baseline is not None else Baseline())
     return report
 
 
-def lint_paths(
-    paths: Optional[Sequence[Union[str, Path]]] = None,
+def lint_package(
+    root: Optional[Path] = None,
     *,
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Dict[str, str]] = None,
+    baseline: Optional[Baseline] = None,
 ) -> LintReport:
-    """Lint files/directories (default: the installed ``repro`` package).
+    """Lint a package tree (default: the installed ``repro`` package).
 
-    Files that fail to parse are reported as an active ``PARSE`` error
-    rather than aborting the run.
+    Builds the project model once and shares it between the module
+    rules, the project rules, the closure digest and the pairing table.
+
+    Raises
+    ------
+    KeyError
+        If ``rules`` names an unregistered code.
     """
+    resolved = baseline if baseline is not None else Baseline()
     report = LintReport(rules=build_rules(rules))
-    targets = iter_source_files(list(paths) if paths else [default_target()])
-    for path in targets:
-        report.files += 1
-        try:
-            ctx = ModuleContext.from_file(path)
-        except SyntaxError as exc:
-            report.active.append(
-                Finding(
-                    rule="PARSE",
-                    severity=Severity.ERROR,
-                    path=str(path),
-                    module=path.stem,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                    source_line="",
-                )
-            )
-            continue
-        _bin_findings(
-            ctx, _check_module(ctx, report.rules), baseline or {}, report
-        )
-    report.sort()
+    model = ProjectModel.build(root)
+    report.files = len(model.modules) + len(model.unparsed)
+    report.closure = compute_closure(model)
+    report.pairs = current_pairs(model)
+    report.baseline_digest = resolved.closure_digest
+    report.baseline_comparable = resolved.comparable
+    report.active.extend(_parse_error(path, exc) for path, exc in model.unparsed)
+    contexts = [model.modules[name].ctx for name in sorted(model.modules)]
+    _check(report, contexts, model, resolved)
     return report

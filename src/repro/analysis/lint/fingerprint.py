@@ -12,9 +12,8 @@ A definition can opt out of fingerprinting with a marker comment on its
 
     def label(self) -> str:  # repro: behavior-irrelevant reason=display only
 
-The ``reason=`` clause is mandatory, exactly like the lint suppressions
-from PR 5: a reasonless marker opts nothing out and is reported as an
-active :data:`MALFORMED_MARKER_CODE` finding.
+The ``reason=`` clause is mandatory, exactly like ``noqa`` suppressions:
+a reasonless marker opts nothing out and is reported by the IRR001 rule.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ import hashlib
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Union
-
-#: Engine-level code for a marker comment missing its reason clause.
-MALFORMED_MARKER_CODE = "IRR001"
 
 #: Version of the normalization algorithm; bump on any change to how
 #: fingerprints are derived so closure digests can never silently

@@ -1,9 +1,9 @@
 """The AST-driven project model: modules, symbols, import/call graph.
 
 A :class:`ProjectModel` parses every source file of a package tree into
-the lint layer's :class:`~repro.analysis.lint.context.ModuleContext`,
-computes normalized behavior fingerprints (see
-:mod:`repro.analysis.audit.fingerprint`) per module and per top-level
+a :class:`~repro.analysis.lint.context.ModuleContext`, computes
+normalized behavior fingerprints (see
+:mod:`repro.analysis.lint.fingerprint`) per module and per top-level
 definition, and resolves a module-level dependency graph:
 
 * every ``import``/``from ... import`` — including lazy imports inside
@@ -14,10 +14,11 @@ definition, and resolves a module-level dependency graph:
   context's import aliases) to a name under the package adds an edge to
   the longest matching module prefix.
 
-The graph is what :mod:`repro.analysis.audit.closure` walks to derive
-the behavior-closure digest, and what the audit rules use to decide
+The graph is what :mod:`repro.analysis.lint.closure` walks to derive
+the behavior-closure digest, and what the project rules use to decide
 which modules are reachable from the experiment engine's worker
-processes.
+processes.  ``repro lint`` builds the model once per run and hands each
+module's context to the per-module rules as well.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.audit.fingerprint import (
-    Marker,
+from repro.analysis.lint.context import ModuleContext
+from repro.analysis.lint.fingerprint import (
     fingerprint_module,
     fingerprint_node,
     marker_for,
     parse_markers,
     strip_docstrings,
 )
-from repro.analysis.lint.context import ModuleContext, module_for_path
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,38 @@ def _ancestors(module: str, package: str) -> List[str]:
 class ProjectModel:
     """Parsed project: fingerprinted modules plus their dependency graph."""
 
-    def __init__(self, root: Path, package: str, modules: Dict[str, ModuleInfo]):
+    def __init__(
+        self,
+        root: Path,
+        package: str,
+        modules: Dict[str, ModuleInfo],
+        unparsed: Tuple[Tuple[Path, SyntaxError], ...] = (),
+    ):
         self.root = root
         self.package = package
         self.modules = modules
+        #: Source files that failed to parse, with their errors.
+        self.unparsed = unparsed
 
     @classmethod
     def build(cls, root: Optional[Path] = None) -> "ProjectModel":
-        """Parse the package tree at ``root`` (default: installed repro)."""
+        """Parse the package tree at ``root`` (default: installed repro).
+
+        A file that does not parse is left out of the model and recorded
+        in :attr:`unparsed`, so one broken file never hides the others.
+        """
         resolved = Path(root).resolve() if root is not None else _package_root()
         package = resolved.name
         modules: Dict[str, ModuleInfo] = {}
+        unparsed: List[Tuple[Path, SyntaxError]] = []
         for path in _iter_sources(resolved):
-            ctx = ModuleContext.from_file(path)
+            try:
+                ctx = ModuleContext.from_file(path)
+            except SyntaxError as exc:
+                unparsed.append((path, exc))
+                continue
             modules[ctx.module] = _build_module(ctx)
-        model = cls(resolved, package, modules)
+        model = cls(resolved, package, modules, tuple(unparsed))
         for name in sorted(modules):
             info = modules[name]
             info.imports = tuple(sorted(model._resolve_edges(info)))
@@ -217,8 +234,8 @@ class ProjectModel:
 def _build_module(ctx: ModuleContext) -> ModuleInfo:
     # The model's trees are normalized in place: docstrings are removed
     # once here so every fingerprint below can hash without deep-copying.
-    # Audit rules only inspect executable statements, so they are
-    # unaffected; anything needing original source has ``ctx.lines``.
+    # Rules only inspect executable statements, so they are unaffected;
+    # anything needing original source has ``ctx.lines``.
     strip_docstrings(ctx.tree)
     markers = parse_markers(ctx.lines)
     symbols: Dict[str, SymbolInfo] = {}
@@ -249,7 +266,3 @@ def _build_module(ctx: ModuleContext) -> ModuleInfo:
         malformed_markers=malformed,
     )
 
-
-def project_module_for_path(path: Path) -> str:
-    """Dotted module name of ``path`` (re-exported lint helper)."""
-    return module_for_path(path)

@@ -1,20 +1,31 @@
-"""The rule registry: every lint rule declares itself here.
+"""The rule registry: every ``repro lint`` rule declares itself here.
 
-A rule is a class with a :class:`RuleMeta` and a ``check`` method that
-yields :class:`~repro.analysis.lint.findings.Finding` objects for one
-:class:`~repro.analysis.lint.context.ModuleContext`.  Registration is a
-decorator, so adding a rule is: write the class, decorate it, import
-the module from :mod:`repro.analysis.lint.rules`.
+A rule is a class with a :class:`RuleMeta` and a ``check`` method.  It
+comes in one of two kinds:
+
+* a :class:`ModuleRule` checks one
+  :class:`~repro.analysis.lint.context.ModuleContext` at a time
+  (DET/OBS/FP/CFG/API — anything visible in a single file);
+* a :class:`ProjectRule` checks the whole
+  :class:`~repro.analysis.lint.project.ProjectModel` against the
+  committed :class:`~repro.analysis.lint.baseline.Baseline`
+  (EQV/MUT/RED/IRR — pairing drift, worker reachability, markers).
+
+Registration is a decorator, so adding a rule is: write the class,
+decorate it, import the module from :mod:`repro.analysis.lint.rules`.
 """
 
 from __future__ import annotations
 
 import abc
+import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
+from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
+from repro.analysis.lint.project import ProjectModel
 
 
 @dataclass(frozen=True)
@@ -31,20 +42,33 @@ class RuleMeta:
 
 
 class Rule(abc.ABC):
-    """Base class of every lint rule."""
+    """What both rule kinds share: metadata and finding construction."""
 
     meta: RuleMeta
+
+    def finding(self, ctx: ModuleContext, node: ast.AST, message: str) -> Finding:
+        """Shorthand: a finding of this rule at ``node``.
+
+        Passing ``ctx.tree`` anchors the finding at the module's first
+        line.
+        """
+        return ctx.finding(self.meta.code, self.meta.severity, node, message)
+
+
+class ModuleRule(Rule):
+    """A rule over one module at a time."""
 
     @abc.abstractmethod
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield every violation found in one module."""
 
-    def finding(self, ctx: ModuleContext, node: object, message: str) -> Finding:
-        """Shorthand: a finding of this rule at ``node``."""
-        import ast
 
-        assert isinstance(node, ast.AST)
-        return ctx.finding(self.meta.code, self.meta.severity, node, message)
+class ProjectRule(Rule):
+    """A rule over the whole project model and the committed baseline."""
+
+    @abc.abstractmethod
+    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+        """Yield every violation found in the project."""
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -78,7 +102,7 @@ def build_rules(codes: Optional[Sequence[str]] = None) -> List[Rule]:
     """
     available = all_rule_classes()
     if codes is None:
-        return [cls() for cls in available.values()]
+        return [available[code]() for code in sorted(available)]
     selected: List[Rule] = []
     for code in codes:
         if code not in available:
@@ -88,13 +112,7 @@ def build_rules(codes: Optional[Sequence[str]] = None) -> List[Rule]:
     return selected
 
 
-class DescribedRule(Protocol):
-    """Anything carrying a :class:`RuleMeta` (lint and audit rules)."""
-
-    meta: RuleMeta
-
-
-def rule_descriptions(rules: Iterable[DescribedRule]) -> List[Dict[str, str]]:
+def rule_descriptions(rules: Iterable[Rule]) -> List[Dict[str, str]]:
     """JSON-ready ``{code, name, severity, rationale}`` rows."""
     return [
         {

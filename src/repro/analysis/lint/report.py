@@ -1,10 +1,10 @@
-"""Audit output: human report, lint-contract JSON, and key explanations.
+"""Lint output: console report, JSON document, closure table, key lookups.
 
-The JSON document deliberately shares its top-level layout with the
-lint reporter (``schema``/``tool``/``rules``/``findings``/``summary``,
-same per-finding fields) so CI and downstream automation consume both
-through one contract; the audit adds a ``closure`` section carrying the
-digest, drift status and pairing table.
+The JSON document is the machine interface CI consumes (``repro lint
+--json``): ``schema``/``tool``/``rules``/``findings``/``summary`` plus a
+``closure`` section (digest, drift status) and the ``pairs`` table.  Its
+shape is frozen by a golden under ``tests/golden/`` so downstream
+automation can rely on it.
 """
 
 from __future__ import annotations
@@ -15,15 +15,19 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import repro
-from repro.analysis.audit.engine import AuditReport
+from repro.analysis.lint.engine import LintReport
 from repro.analysis.lint.findings import Severity
 from repro.analysis.lint.registry import rule_descriptions
 
-#: Version of the audit JSON report layout.
-AUDIT_REPORT_SCHEMA_VERSION = 1
+#: Version of the JSON report layout.
+REPORT_SCHEMA_VERSION = 2
 
 
-def render_audit_json(report: AuditReport) -> str:
+def _plural(count: int, noun: str) -> str:
+    return f"{count} {noun}{'s' if count != 1 else ''}"
+
+
+def render_json(report: LintReport) -> str:
     """The machine-readable report (one JSON document, sorted keys)."""
     closure: Dict[str, Any] = {}
     if report.closure is not None:
@@ -37,8 +41,8 @@ def render_audit_json(report: AuditReport) -> str:
             "drift": report.drift,
         }
     document: Dict[str, Any] = {
-        "schema": AUDIT_REPORT_SCHEMA_VERSION,
-        "tool": "repro-audit",
+        "schema": REPORT_SCHEMA_VERSION,
+        "tool": "repro-lint",
         "rules": rule_descriptions(report.rules),
         "findings": [finding.as_dict() for finding in report.active],
         "summary": {
@@ -65,8 +69,8 @@ def render_audit_json(report: AuditReport) -> str:
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-def render_audit_human(report: AuditReport, verbose: bool = False) -> str:
-    """The console report: findings, then the closure/drift summary."""
+def render_human(report: LintReport, verbose: bool = False) -> str:
+    """The console report: findings, closure and drift status, summary."""
     lines: List[str] = []
     for finding in report.active:
         lines.append(
@@ -92,21 +96,21 @@ def render_audit_human(report: AuditReport, verbose: bool = False) -> str:
             elif report.drift:
                 lines.append(
                     f"baseline: closure drifted from {report.baseline_digest[:16]} "
-                    "(behavior changed; refresh with `repro audit --fix-baseline`)"
+                    "(behavior changed; refresh with `repro lint --fix-baseline`)"
                 )
             else:
                 lines.append("baseline: closure digest matches")
     lines.append(
-        f"audited {report.files} module{'s' if report.files != 1 else ''}: "
-        f"{len(report.active)} finding{'s' if len(report.active) != 1 else ''}"
-        f" ({len(report.suppressed)} suppressed, "
+        f"checked {_plural(report.files, 'file')}: "
+        f"{_plural(len(report.active), 'finding')} "
+        f"({len(report.suppressed)} suppressed, "
         f"{len(report.baselined)} baselined)"
     )
     return "\n".join(lines)
 
 
-def render_closure_table(report: AuditReport) -> str:
-    """Per-module fingerprint table (``repro audit --show-closure``).
+def render_closure_table(report: LintReport) -> str:
+    """Per-module fingerprint table (``repro lint --show-closure``).
 
     Diffing this table between two trees names the exact module whose
     behavior change caused a closure-digest drift.
@@ -127,7 +131,7 @@ def explain_job_key(
     current_digest: str,
     version: Optional[str] = None,
 ) -> str:
-    """Explain a cached result's identity (``repro audit --explain KEY``).
+    """Explain a cached result's identity (``repro lint --explain KEY``).
 
     Looks the key (or an unambiguous prefix, >= 8 hex chars) up in the
     result cache and reports whether the entry would still be served:

@@ -14,7 +14,7 @@ from typing import Iterator, List
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import Rule, RuleMeta, register
+from repro.analysis.lint.registry import ModuleRule, RuleMeta, register
 
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
 
@@ -32,7 +32,7 @@ def _is_mutable_default(node: ast.expr) -> bool:
 
 
 @register
-class ApiHygiene(Rule):
+class ApiHygiene(ModuleRule):
     """API001: no mutable defaults on public functions, no bare excepts."""
 
     meta = RuleMeta(

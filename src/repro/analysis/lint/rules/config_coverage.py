@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import Rule, RuleMeta, register
+from repro.analysis.lint.registry import ModuleRule, RuleMeta, register
 
 #: The module whose dataclasses the rule audits.
 CONFIG_MODULE = "repro.config"
@@ -77,7 +77,7 @@ def _covered_names(post_init: ast.FunctionDef) -> Set[str]:
 
 
 @register
-class ConfigValidationCoverage(Rule):
+class ConfigValidationCoverage(ModuleRule):
     """CFG001: config dataclass fields are all validated."""
 
     meta = RuleMeta(

@@ -21,7 +21,7 @@ from typing import Iterator, List, Set, Tuple
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import Rule, RuleMeta, register
+from repro.analysis.lint.registry import ModuleRule, RuleMeta, register
 
 #: Packages whose modules must be entropy-free (dotted-prefix match).
 DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
@@ -32,10 +32,10 @@ DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro.checkpoint",
     "repro.ensemble",
     # The planner derives job orderings that feed content addressing,
-    # and the audit derives the closure digest those addresses embed —
-    # both must be as entropy-free as the decision loop itself.
+    # and the lint package derives the closure digest those addresses
+    # embed — both must be as entropy-free as the decision loop itself.
     "repro.experiments.engine.planner",
-    "repro.analysis.audit",
+    "repro.analysis.lint",
 )
 
 #: Exact canonical names that are nondeterminism sources.
@@ -93,7 +93,7 @@ def _is_banned(qualified: str) -> bool:
 
 
 @register
-class NoEntropySources(Rule):
+class NoEntropySources(ModuleRule):
     """DET001: decision-loop code draws randomness only from seeded RNGs."""
 
     meta = RuleMeta(
@@ -185,8 +185,8 @@ ORDER_SENSITIVE_MODULES: Tuple[str, ...] = (
     "repro.experiments.engine",
     "repro.obs.manifest",
     # Fingerprints and the closure digest are content addresses: any
-    # unordered fold here would make `repro audit` itself flaky.
-    "repro.analysis.audit",
+    # unordered fold here would make the digest itself flaky.
+    "repro.analysis.lint",
 )
 
 _DICT_VIEWS = frozenset({"keys", "values", "items"})
@@ -211,7 +211,7 @@ def _unordered_iterable(node: ast.expr) -> str:
 
 
 @register
-class OrderedFoldsOnly(Rule):
+class OrderedFoldsOnly(ModuleRule):
     """DET002: hashing/caching/result-folding paths iterate sorted."""
 
     meta = RuleMeta(

@@ -18,7 +18,7 @@ from typing import Iterator, Tuple
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import Rule, RuleMeta, register
+from repro.analysis.lint.registry import ModuleRule, RuleMeta, register
 
 #: The PR-3 fast-path modules where exact FP op order is load-bearing.
 FAST_PATH_MODULES: Tuple[str, ...] = (
@@ -43,7 +43,7 @@ FAST_PATH_MODULES: Tuple[str, ...] = (
 
 
 @register
-class ExactFloatReductions(Rule):
+class ExactFloatReductions(ModuleRule):
     """FP001: no reassociation-prone reductions on the fast path."""
 
     meta = RuleMeta(

@@ -1,4 +1,7 @@
-"""The audit ruleset: EQV001, MUT001, RED001.
+"""The project rules: EQV001, MUT001, RED001, IRR001.
+
+Each checks a property of the whole project model, which no per-module
+rule can see:
 
 * **EQV001** — every scalar fast-path module is registered against its
   vectorized ensemble twin; a scalar edit whose twin is untouched
@@ -11,20 +14,21 @@
 * **RED001** — reductions over unordered iterables in the FP-exact
   fast-path modules produce order-dependent floating-point results,
   breaking the bit-identity guarantee the fingerprints protect.
+* **IRR001** — every behavior-irrelevant marker comment carries a
+  ``reason=``; a reasonless one opts nothing out of the fingerprints.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
-from repro.analysis.audit.baseline import AuditBaseline
-from repro.analysis.audit.closure import CLOSURE_EXCLUDES, CLOSURE_ROOTS
-from repro.analysis.audit.project import ProjectModel
-from repro.analysis.audit.registry import AuditRule, register
+from repro.analysis.lint.baseline import Baseline, PairRecord
+from repro.analysis.lint.closure import CLOSURE_EXCLUDES, CLOSURE_ROOTS
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import RuleMeta
+from repro.analysis.lint.project import ProjectModel
+from repro.analysis.lint.registry import ProjectRule, RuleMeta, register
 from repro.analysis.lint.rules.floating_point import FAST_PATH_MODULES
 
 #: Scalar fast-path module <-> vectorized ensemble twin pairings.
@@ -41,8 +45,22 @@ def pair_id(scalar: str, ensemble: str) -> str:
     return f"{scalar}|{ensemble}"
 
 
+def current_pairs(model: ProjectModel) -> Dict[str, PairRecord]:
+    """Fingerprints of every registered pair present in the tree."""
+    pairs: Dict[str, PairRecord] = {}
+    for scalar, ensemble in TWIN_MODULES:
+        scalar_info = model.modules.get(scalar)
+        twin_info = model.modules.get(ensemble)
+        if scalar_info is None or twin_info is None:
+            continue
+        pairs[pair_id(scalar, ensemble)] = PairRecord(
+            scalar=scalar_info.fingerprint, ensemble=twin_info.fingerprint
+        )
+    return pairs
+
+
 @register
-class ScalarEnsembleTwins(AuditRule):
+class ScalarEnsembleTwins(ProjectRule):
     """EQV001: scalar fast-path edits must touch their ensemble twin."""
 
     meta = RuleMeta(
@@ -58,9 +76,7 @@ class ScalarEnsembleTwins(AuditRule):
         ),
     )
 
-    def check(
-        self, project: ProjectModel, baseline: AuditBaseline
-    ) -> Iterator[Finding]:
+    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
         if not baseline.comparable:
             # Fingerprints recorded under a different interpreter (or no
             # baseline at all) are not diffable against this tree.
@@ -69,20 +85,21 @@ class ScalarEnsembleTwins(AuditRule):
             recorded = baseline.pairs.get(pair_id(scalar, ensemble))
             if recorded is None:
                 continue
-            scalar_info = project.modules.get(scalar)
-            twin_info = project.modules.get(ensemble)
+            scalar_info = model.modules.get(scalar)
+            twin_info = model.modules.get(ensemble)
             if scalar_info is None or twin_info is None:
                 continue
             if (
                 scalar_info.fingerprint != recorded.scalar
                 and twin_info.fingerprint == recorded.ensemble
             ):
-                yield self.module_finding(
-                    scalar_info,
+                yield self.finding(
+                    scalar_info.ctx,
+                    scalar_info.ctx.tree,
                     f"behavior fingerprint of {scalar} changed but its "
                     f"ensemble twin {ensemble} is untouched; mirror the "
                     "edit (or verify equivalence) and refresh the pairing "
-                    "baseline with `repro audit --fix-baseline`",
+                    "baseline with `repro lint --fix-baseline`",
                 )
 
 
@@ -121,7 +138,7 @@ def _mutable_value_kind(ctx: ModuleContext, node: ast.expr) -> str:
 
 
 @register
-class NoWorkerSharedMutableState(AuditRule):
+class NoWorkerSharedMutableState(ProjectRule):
     """MUT001: no module-level mutable state in the worker closure."""
 
     meta = RuleMeta(
@@ -138,12 +155,10 @@ class NoWorkerSharedMutableState(AuditRule):
         ),
     )
 
-    def check(
-        self, project: ProjectModel, baseline: AuditBaseline
-    ) -> Iterator[Finding]:
-        members = project.reachable(CLOSURE_ROOTS, exclude_prefixes=CLOSURE_EXCLUDES)
+    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+        members = model.reachable(CLOSURE_ROOTS, exclude_prefixes=CLOSURE_EXCLUDES)
         for name in members:
-            info = project.modules[name]
+            info = model.modules[name]
             for stmt in info.ctx.tree.body:
                 if isinstance(stmt, ast.Assign):
                     targets = stmt.targets
@@ -160,8 +175,8 @@ class NoWorkerSharedMutableState(AuditRule):
                     continue
                 kind = _mutable_value_kind(info.ctx, value)
                 if kind:
-                    yield self.finding_at(
-                        info,
+                    yield self.finding(
+                        info.ctx,
                         stmt,
                         f"module-level mutable {kind} {', '.join(names)} "
                         "is reachable from engine worker processes; make "
@@ -188,7 +203,7 @@ def _unordered_arg(node: ast.expr) -> str:
 
 
 @register
-class OrderedReductionsOnly(AuditRule):
+class OrderedReductionsOnly(ProjectRule):
     """RED001: FP-exact modules never reduce over unordered iterables."""
 
     meta = RuleMeta(
@@ -203,13 +218,11 @@ class OrderedReductionsOnly(AuditRule):
         ),
     )
 
-    def check(
-        self, project: ProjectModel, baseline: AuditBaseline
-    ) -> Iterator[Finding]:
-        for name in sorted(project.modules):
+    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+        for name in sorted(model.modules):
             if name not in FAST_PATH_MODULES:
                 continue
-            info = project.modules[name]
+            info = model.modules[name]
             for node in ast.walk(info.ctx.tree):
                 if not isinstance(node, ast.Call) or not node.args:
                     continue
@@ -224,10 +237,44 @@ class OrderedReductionsOnly(AuditRule):
                     continue
                 why = _unordered_arg(node.args[0])
                 if why:
-                    yield self.finding_at(
-                        info,
+                    yield self.finding(
+                        info.ctx,
                         node,
                         f"{reducer}() over {why} folds in hash order in an "
                         "FP-exact module; wrap the operand in sorted(...) "
                         "to pin the reduction order",
                     )
+
+
+@register
+class ReasonedMarkers(ProjectRule):
+    """IRR001: every behavior-irrelevant marker states its reason."""
+
+    meta = RuleMeta(
+        code="IRR001",
+        name="behavior-irrelevant marker without a reason",
+        severity=Severity.ERROR,
+        rationale=(
+            "every fingerprint opt-out must say why it cannot change "
+            "behavior; a reasonless marker opts nothing out, so the "
+            "definition stays in the closure digest"
+        ),
+    )
+
+    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+        for name in sorted(model.modules):
+            info = model.modules[name]
+            for line in info.malformed_markers:
+                yield Finding(
+                    rule=self.meta.code,
+                    severity=self.meta.severity,
+                    path=info.path,
+                    module=info.name,
+                    line=line,
+                    col=0,
+                    message=(
+                        "behavior-irrelevant marker is missing its mandatory "
+                        "reason= clause; the definition stays fingerprinted"
+                    ),
+                    source_line=info.ctx.source_line(line),
+                )

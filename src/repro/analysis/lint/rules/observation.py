@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Set
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import Rule, RuleMeta, register
+from repro.analysis.lint.registry import ModuleRule, RuleMeta, register
 
 #: Method names that mutate simulation/agent/scheduler state.
 MUTATING_APIS = frozenset(
@@ -62,7 +62,7 @@ def _parameters(func: ast.AST) -> Set[str]:
 
 
 @register
-class ObservationOnly(Rule):
+class ObservationOnly(ModuleRule):
     """OBS001: obs modules never mutate what they observe."""
 
     meta = RuleMeta(

@@ -74,6 +74,14 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _package_dir(text: str) -> Path:
+    """argparse ``type=``: an existing directory (``repro lint DIR``)."""
+    path = Path(text)
+    if not path.is_dir():
+        raise argparse.ArgumentTypeError(f"not an existing directory: {text!r}")
+    return path
+
+
 def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
     """Worker-pool and cache flags of every command that runs a batch."""
     parser.add_argument(
@@ -336,12 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the determinism-aware static analysis over the package",
+        help="run the static analysis (module + project rules, closure digest)",
     )
     lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the repro package)",
+        "root",
+        nargs="?",
+        type=_package_dir,
+        default=None,
+        metavar="DIR",
+        help="package directory to lint (default: the installed repro package)",
     )
     lint.add_argument(
         "--json",
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--fix-baseline",
         action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        help="rewrite the baseline (findings, closure digest, pairs) and exit 0",
     )
     lint.add_argument(
         "--list-rules",
@@ -377,66 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also list suppressed and baselined findings",
     )
-
-    audit = sub.add_parser(
-        "audit",
-        help="run the project-level repro audit (call graph, closure digest)",
-    )
-    audit.add_argument(
-        "--root",
-        default=None,
-        metavar="DIR",
-        help="package tree to audit (default: the installed repro package)",
-    )
-    audit.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the schema-versioned JSON report instead of text",
-    )
-    audit.add_argument(
-        "--rule",
-        action="append",
-        dest="rules",
-        metavar="CODE",
-        default=None,
-        help="run only this audit rule (repeatable; default: all rules)",
-    )
-    audit.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file (default: ./.repro-audit-baseline.json if present)",
-    )
-    audit.add_argument(
-        "--fix-baseline",
-        action="store_true",
-        help="rewrite the baseline (closure digest, pairs, findings) and exit 0",
-    )
-    audit.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="describe every registered audit rule and exit",
-    )
-    audit.add_argument(
+    lint.add_argument(
         "--check-drift",
         action="store_true",
         help="also fail when the closure digest drifted from the baseline",
     )
-    audit.add_argument(
+    lint.add_argument(
         "--show-closure",
         action="store_true",
         help="print the per-module fingerprint table behind the digest",
     )
-    audit.add_argument(
+    lint.add_argument(
         "--explain",
         default=None,
         metavar="JOB_KEY",
         help="explain whether a cached entry (key or >=8-char prefix) is stale",
-    )
-    audit.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list suppressed and baselined findings",
     )
 
     sub.add_parser("list", help="list artefacts, applications and policies")
@@ -811,13 +777,20 @@ def _command_ensemble_run(args: argparse.Namespace) -> int:
 def _command_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import (
         BASELINE_FILENAME,
+        Baseline,
+        BaselineError,
         all_rule_classes,
-        lint_paths,
+        closure_digest,
+        explain_job_key,
+        lint_package,
         load_baseline,
+        render_closure_table,
         render_human,
         render_json,
         save_baseline,
     )
+    from repro.experiments.engine.cache import default_cache_root
+    from repro.experiments.engine.spec import behavior_digest
 
     if args.list_rules:
         for code, cls in all_rule_classes().items():
@@ -825,79 +798,30 @@ def _command_lint(args: argparse.Namespace) -> int:
             print(f"{code} [{meta.severity}] {meta.name}")
             print(f"    {meta.rationale}")
         return 0
-    baseline_path = Path(args.baseline) if args.baseline else Path(BASELINE_FILENAME)
-    baseline = {}
-    if not args.fix_baseline and baseline_path.exists():
-        baseline = load_baseline(baseline_path)
-    try:
-        report = lint_paths(
-            args.paths or None, rules=args.rules, baseline=baseline
-        )
-    except KeyError as exc:
-        print(exc.args[0])
-        return 2
-    if args.fix_baseline:
-        count = save_baseline(baseline_path, report.active)
-        print(f"baseline {baseline_path} rewritten with {count} finding(s)")
-        return 0
-    if args.json:
-        print(render_json(report))
-    else:
-        print(render_human(report, verbose=args.verbose))
-    return report.exit_code()
-
-
-def _command_audit(args: argparse.Namespace) -> int:
-    from repro.analysis.audit import (
-        AUDIT_BASELINE_FILENAME,
-        AuditBaseline,
-        MALFORMED_MARKER_CODE,
-        all_audit_rule_classes,
-        audit_project,
-        closure_digest,
-        explain_job_key,
-        load_audit_baseline,
-        render_audit_human,
-        render_audit_json,
-        render_closure_table,
-        save_audit_baseline,
-    )
-    from repro.experiments.engine.cache import default_cache_root
-    from repro.experiments.engine.spec import behavior_digest
-
-    if args.list_rules:
-        for code, cls in all_audit_rule_classes().items():
-            meta = cls.meta
-            print(f"{code} [{meta.severity}] {meta.name}")
-            print(f"    {meta.rationale}")
-        print(f"{MALFORMED_MARKER_CODE} [error] behavior-irrelevant marker "
-              "without a reason")
-        print("    every fingerprint opt-out must say why it cannot change "
-              "behavior")
-        return 0
-    root = Path(args.root) if args.root else None
     if args.explain:
-        digest = closure_digest(root) if root is not None else behavior_digest()
+        digest = closure_digest(args.root) if args.root else behavior_digest()
         print(explain_job_key(args.explain, default_cache_root(), digest))
         return 0
-    baseline_path = (
-        Path(args.baseline) if args.baseline else Path(AUDIT_BASELINE_FILENAME)
-    )
-    baseline = AuditBaseline()
+    baseline_path = Path(args.baseline) if args.baseline else Path(BASELINE_FILENAME)
+    baseline = Baseline()
     if not args.fix_baseline and baseline_path.exists():
-        baseline = load_audit_baseline(baseline_path)
+        try:
+            baseline = load_baseline(baseline_path)
+        except BaselineError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
-        report = audit_project(root, rules=args.rules, baseline=baseline)
+        report = lint_package(args.root, rules=args.rules, baseline=baseline)
     except KeyError as exc:
         print(exc.args[0])
         return 2
     if args.fix_baseline:
         assert report.closure is not None
-        count = save_audit_baseline(
+        count = save_baseline(
             baseline_path,
+            report.active,
             closure_digest=report.closure.digest,
             pairs=report.pairs,
-            findings=report.active,
         )
         print(
             f"baseline {baseline_path} rewritten: closure "
@@ -909,9 +833,9 @@ def _command_audit(args: argparse.Namespace) -> int:
         print(render_closure_table(report))
         return 0
     if args.json:
-        print(render_audit_json(report))
+        print(render_json(report))
     else:
-        print(render_audit_human(report, verbose=args.verbose))
+        print(render_human(report, verbose=args.verbose))
     return report.exit_code(check_drift=args.check_drift)
 
 
@@ -938,8 +862,6 @@ def main(argv=None) -> int:
         return _command_ensemble_run(args)
     if args.command == "lint":
         return _command_lint(args)
-    if args.command == "audit":
-        return _command_audit(args)
     if args.command == "all":
         return _command_all(args)
     experiment = ARTEFACTS[args.command]

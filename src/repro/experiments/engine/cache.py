@@ -9,13 +9,13 @@ the job.
 
 Invalidation is **closure-digest-driven**: the digest fingerprints every
 module transitively reachable from the job executors (see
-:mod:`repro.analysis.audit.closure`), so editing simulation code
+:mod:`repro.analysis.lint.closure`), so editing simulation code
 cold-misses stale entries automatically — no manual cache clearing —
 while doc-only edits keep the cache warm.  ``repro.__version__`` still
 participates in the key, but bumping it is for cut releases, not the
 edit-run-edit loop.  Each stored payload records the version and digest
-it was keyed under; :func:`repro.analysis.audit.report.explain_job_key`
-(``repro audit --explain KEY``) decodes why any entry is fresh or stale.
+it was keyed under; :func:`repro.analysis.lint.report.explain_job_key`
+(``repro lint --explain KEY``) decodes why any entry is fresh or stale.
 
 The cache also owns the *artifact routing* policy: formatted artefact
 tables regenerated at full scale belong in the repository's committed

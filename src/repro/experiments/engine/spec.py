@@ -15,7 +15,7 @@ plus the package version plus the **behavior-closure digest**
 field and tags each with its qualified class name, so *any* config-field
 change — a new default, a renamed field, a tweaked probability — changes
 the key.  The closure digest (:func:`behavior_digest`, computed by
-:mod:`repro.analysis.audit.closure`) fingerprints every module
+:mod:`repro.analysis.lint.closure`) fingerprints every module
 transitively reachable from the job executors, so editing simulation
 *code* re-keys the cache automatically too, while doc-only edits leave
 keys — and therefore warm caches — untouched.
@@ -247,9 +247,9 @@ def behavior_digest() -> str:
     pinned = os.environ.get(CLOSURE_DIGEST_ENV)
     if pinned:
         return pinned
-    # Imported lazily: the audit subpackage is excluded from the closure
+    # Imported lazily: the lint package is excluded from the closure
     # itself, and most spec consumers never need it resolved at import.
-    from repro.analysis.audit.closure import closure_digest
+    from repro.analysis.lint.closure import closure_digest
 
     root = os.environ.get(CLOSURE_ROOT_ENV)
     return closure_digest(Path(root) if root else None)

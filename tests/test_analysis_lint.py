@@ -1,8 +1,9 @@
-"""Tests for the `repro lint` static-analysis framework.
+"""Tests for the `repro lint` engine and its module rules.
 
 Covers the engine (registry, suppression parsing, baseline round-trip,
-JSON reporter schema) and, for every rule of the opening ruleset, one
-fixture that must fire and one that must stay silent.
+JSON reporter schema) and, for every module rule, one fixture that must
+fire and one that must stay silent.  The project rules are covered by
+``test_audit_rules.py``.
 """
 
 import json
@@ -14,10 +15,11 @@ import pytest
 from repro.analysis.lint import (
     BaselineError,
     MALFORMED_SUPPRESSION_CODE,
+    ModuleRule,
     Severity,
     all_rule_classes,
     build_rules,
-    lint_paths,
+    lint_package,
     lint_source,
     load_baseline,
     module_for_path,
@@ -28,7 +30,9 @@ from repro.analysis.lint import (
 )
 from repro.cli import main
 
-RULE_CODES = ("API001", "CFG001", "DET001", "DET002", "FP001", "OBS001")
+MODULE_RULE_CODES = ("API001", "CFG001", "DET001", "DET002", "FP001", "OBS001")
+PROJECT_RULE_CODES = ("EQV001", "IRR001", "MUT001", "RED001")
+RULE_CODES = tuple(sorted(MODULE_RULE_CODES + PROJECT_RULE_CODES))
 
 
 def codes(report):
@@ -47,6 +51,12 @@ def lint_fixture(source, module, rules=None):
 class TestRegistry:
     def test_opening_ruleset_registered(self):
         assert tuple(all_rule_classes()) == RULE_CODES
+        module_rules = [
+            code
+            for code, cls in all_rule_classes().items()
+            if issubclass(cls, ModuleRule)
+        ]
+        assert tuple(module_rules) == MODULE_RULE_CODES
 
     def test_build_rules_filters(self):
         rules = build_rules(["DET001", "FP001"])
@@ -135,7 +145,7 @@ class TestBaseline:
         count = save_baseline(path, self.findings())
         assert count == len(self.findings()) > 0
         baseline = load_baseline(path)
-        assert set(baseline) == {f.fingerprint() for f in self.findings()}
+        assert set(baseline.findings) == {f.fingerprint() for f in self.findings()}
 
     def test_baselined_findings_do_not_fail(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -186,9 +196,10 @@ class TestReporters:
 
     def test_json_schema(self):
         document = json.loads(render_json(self.report()))
-        assert document["schema"] == 1
+        assert document["schema"] == 2
         assert document["tool"] == "repro-lint"
-        assert {r["code"] for r in document["rules"]} == set(RULE_CODES)
+        # A snippet has no project model: only the module rules run.
+        assert {r["code"] for r in document["rules"]} == set(MODULE_RULE_CODES)
         for finding in document["findings"]:
             assert set(finding) == {
                 "rule",
@@ -274,10 +285,10 @@ class TestDET001:
         from repro.analysis.lint.rules.determinism import DETERMINISTIC_PACKAGES
 
         assert "repro.experiments.engine.planner" in DETERMINISTIC_PACKAGES
-        assert "repro.analysis.audit" in DETERMINISTIC_PACKAGES
+        assert "repro.analysis.lint" in DETERMINISTIC_PACKAGES
         for module in (
             "repro.experiments.engine.planner",
-            "repro.analysis.audit.fixture",
+            "repro.analysis.lint.fixture",
         ):
             report = lint_fixture(
                 "import time\nNOW = time.time()\n",
@@ -285,6 +296,16 @@ class TestDET001:
                 rules=["DET001"],
             )
             assert codes(report) == ["DET001"], module
+
+    def test_closure_module_is_in_scope(self):
+        # The closure digest keys the result cache: a wall clock there
+        # would make every job key irreproducible.
+        report = lint_fixture(
+            "import time\nNOW = time.time()\n",
+            module="repro.analysis.lint.closure",
+            rules=["DET001"],
+        )
+        assert codes(report) == ["DET001"]
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +369,28 @@ class TestDET002:
     def test_audit_package_is_in_scope(self):
         from repro.analysis.lint.rules.determinism import ORDER_SENSITIVE_MODULES
 
-        assert "repro.analysis.audit" in ORDER_SENSITIVE_MODULES
+        assert "repro.analysis.lint" in ORDER_SENSITIVE_MODULES
         report = lint_fixture(
             """
             def fold(entries):
                 for key in entries.keys():
                     yield key
             """,
-            module="repro.analysis.audit.fixture",
+            module="repro.analysis.lint.fixture",
+            rules=["DET002"],
+        )
+        assert codes(report) == ["DET002"]
+
+    def test_fingerprint_module_is_in_scope(self):
+        # Fingerprints are content addresses: a set fold there would
+        # make the closure digest depend on hash order.
+        report = lint_fixture(
+            """
+            def fold(names):
+                for name in set(names):
+                    yield name
+            """,
+            module="repro.analysis.lint.fingerprint",
             rules=["DET002"],
         )
         assert codes(report) == ["DET002"]
@@ -544,10 +579,8 @@ class TestCFG001:
         assert report.clean
 
     def test_repo_config_is_fully_covered(self):
-        import repro.config
-
-        report = lint_paths([Path(repro.config.__file__)], rules=["CFG001"])
-        assert report.clean
+        # The default package, which includes repro.config.
+        assert main(["lint", "--rule", "CFG001"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +648,18 @@ class TestEngine:
         bad = tmp_path / "repro" / "soc" / "broken.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("def broken(:\n")
-        report = lint_paths([bad])
+        (bad.parent / "fine.py").write_text("def fine():\n    return 1\n")
+        # The broken file is an active finding, not a crash, and the
+        # rest of the directory is still linted.
+        report = lint_package(tmp_path / "repro")
         assert codes(report) == ["PARSE"]
+        assert report.active[0].module == "repro.soc.broken"
+        assert report.files == 2
 
     def test_whole_package_is_clean(self):
         # The acceptance criterion: the shipped tree has zero active
         # findings against an empty baseline.
-        report = lint_paths()
+        report = lint_package()
         assert report.clean, render_human(report)
         # The one reasoned exemption in the tree is visible as suppressed.
         assert any(f.rule == "FP001" for f in report.suppressed)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.audit import clear_closure_cache
+from repro.analysis.lint import clear_closure_cache
 from repro.experiments.engine import (
     CLOSURE_DIGEST_ENV,
     CLOSURE_ROOT_ENV,

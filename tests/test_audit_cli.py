@@ -1,9 +1,11 @@
-"""CLI tests for ``repro audit`` plus the JSON report schema goldens.
+"""CLI tests for ``repro lint`` on package trees, plus the JSON schema golden.
 
-The schema goldens freeze the *shape* (keys and value types, not
-values) of the ``repro lint --json`` and ``repro audit --json``
-documents, so accidental contract changes fail loudly.  Regenerate them
-after an intentional schema change with::
+These drive the project-level surface of the command: project rules,
+the closure digest and its drift check, ``--show-closure``,
+``--explain``, baseline handling and target validation.  The schema
+golden freezes the *shape* (keys and value types, not values) of the
+``repro lint --json`` document, so accidental contract changes fail
+loudly.  Regenerate it after an intentional schema change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_audit_cli.py
 
@@ -28,7 +30,7 @@ from repro.experiments.engine import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-AUDIT_RULE_CODES = ("EQV001", "MUT001", "RED001", "IRR001")
+PROJECT_RULE_CODES = ("EQV001", "MUT001", "RED001", "IRR001")
 
 #: One registered twin pair plus one MUT001 violation reachable from the
 #: job executors — enough to exercise every CLI surface.
@@ -62,35 +64,35 @@ def write_fixture(root, files=AUDIT_FIXTURE):
 class TestAuditCommand:
     def test_exits_zero_on_the_committed_tree(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["audit"]) == 0
+        assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "closure:" in out
         assert "0 findings" in out
 
     def test_check_drift_passes_on_the_committed_tree(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert main(["audit", "--check-drift"]) == 0
+        assert main(["lint", "--check-drift"]) == 0
 
     def test_list_rules(self, capsys):
-        assert main(["audit", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in AUDIT_RULE_CODES:
+        for code in PROJECT_RULE_CODES:
             assert code in out
 
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         package = write_fixture(tmp_path)
-        assert main(["audit", "--root", str(package), "--rule", "NOPE999"]) == 2
+        assert main(["lint", str(package), "--rule", "NOPE999"]) == 2
         assert "NOPE999" in capsys.readouterr().out
 
     def test_findings_fail_then_fix_baseline_round_trip(self, tmp_path, capsys):
         package = write_fixture(tmp_path)
         baseline = tmp_path / "baseline.json"
-        argv = ["audit", "--root", str(package), "--baseline", str(baseline)]
+        argv = ["lint", str(package), "--baseline", str(baseline)]
         assert main(argv) == 1
         assert "MUT001" in capsys.readouterr().out
         assert main(argv + ["--fix-baseline"]) == 0
         assert "rewritten" in capsys.readouterr().out
-        # With the finding recorded, the same tree now audits clean.
+        # With the finding recorded, the same tree now lints clean.
         assert main(argv) == 0
         assert main(argv + ["--verbose"]) == 0
         assert "baselined" in capsys.readouterr().out
@@ -98,7 +100,7 @@ class TestAuditCommand:
     def test_scalar_only_edit_is_caught_end_to_end(self, tmp_path, capsys):
         package = write_fixture(tmp_path)
         baseline = tmp_path / "baseline.json"
-        argv = ["audit", "--root", str(package), "--baseline", str(baseline)]
+        argv = ["lint", str(package), "--baseline", str(baseline)]
         assert main(argv + ["--fix-baseline"]) == 0
         capsys.readouterr()
         (package / "sched" / "scheduler.py").write_text(
@@ -112,7 +114,7 @@ class TestAuditCommand:
     def test_check_drift_fails_after_behavior_edit(self, tmp_path, capsys):
         package = write_fixture(tmp_path)
         baseline = tmp_path / "baseline.json"
-        argv = ["audit", "--root", str(package), "--baseline", str(baseline)]
+        argv = ["lint", str(package), "--baseline", str(baseline)]
         assert main(argv + ["--fix-baseline"]) == 0
         capsys.readouterr()
         # An immutable rewrite: the MUT001 finding disappears, but the
@@ -129,8 +131,7 @@ class TestAuditCommand:
         assert (
             main(
                 [
-                    "audit",
-                    "--root",
+                    "lint",
                     str(package),
                     "--baseline",
                     str(baseline),
@@ -142,6 +143,86 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "repro.util" in out
         assert "digest:" in out
+
+
+#: A tree whose only defect is a reasonless behavior-irrelevant marker.
+MARKER_FIXTURE = {
+    "m.py": """
+    # repro: behavior-irrelevant
+    def label():
+        return "v1"
+    """,
+}
+
+
+class TestRuleSelection:
+    def argv(self, tmp_path, rule):
+        package = write_fixture(tmp_path, MARKER_FIXTURE)
+        baseline = tmp_path / "absent.json"
+        return ["lint", str(package), "--baseline", str(baseline), "--rule", rule]
+
+    def test_irr001_is_selectable(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, "IRR001")) == 1
+        out = capsys.readouterr().out
+        assert "IRR001" in out
+        assert ": 1 finding " in out
+
+    def test_other_rule_filters_irr001_out(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, "EQV001")) == 0
+        assert "IRR001" not in capsys.readouterr().out
+
+
+class TestTargetValidation:
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("missing", []), ("missing", ["--check-drift"]), ("file", [])],
+        ids=["missing", "missing-check-drift", "file"],
+    )
+    def test_target_must_be_an_existing_directory(
+        self, tmp_path, capsys, kind, extra
+    ):
+        target = tmp_path / "nope"
+        if kind == "file":
+            target.write_text("X = 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(target)] + extra)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "not an existing directory" in err
+
+    def test_audit_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestMalformedBaseline:
+    @pytest.mark.parametrize(
+        "content, needle",
+        [
+            ("{bad", "not valid JSON"),
+            ('{"findings": {}, "schema": 1}', "schema 1"),
+            (
+                '{"closure_digest": "", "findings": {}, "python": "3.11", '
+                '"schema": 2}',
+                "'pairs'",
+            ),
+        ],
+        ids=["invalid-json", "schema-1", "missing-pairs"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, content, needle):
+        package = write_fixture(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        assert main(["lint", str(package), "--baseline", str(bad)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+        assert needle in lines[0]
+        assert captured.out == ""
 
 
 class TestExplain:
@@ -158,7 +239,7 @@ class TestExplain:
     def test_fresh_entry(self, cache, spec, capsys):
         cache.put(spec, {"ok": True})
         key = cache.key_for(spec)
-        assert main(["audit", "--explain", key[:12]]) == 0
+        assert main(["lint", "--explain", key[:12]]) == 0
         out = capsys.readouterr().out
         assert "FRESH" in out
         assert key in out
@@ -167,7 +248,7 @@ class TestExplain:
         cache.put(spec, {"ok": True})
         key = cache.key_for(spec)
         monkeypatch.setenv(CLOSURE_DIGEST_ENV, "b" * 64)
-        assert main(["audit", "--explain", key[:12]]) == 0
+        assert main(["lint", "--explain", key[:12]]) == 0
         out = capsys.readouterr().out
         assert "STALE" in out
         assert "behavior closure changed" in out
@@ -177,15 +258,15 @@ class TestExplain:
         monkeypatch.setenv(CLOSURE_DIGEST_ENV, "a" * 64)
         old = ResultCache(version="0.0.0-ancient")
         old.put(spec, {"ok": True})
-        assert main(["audit", "--explain", old.key_for(spec)[:12]]) == 0
+        assert main(["lint", "--explain", old.key_for(spec)[:12]]) == 0
         out = capsys.readouterr().out
         assert "STALE" in out
         assert "version changed" in out
 
     def test_short_prefix_and_no_match(self, cache, spec, capsys):
-        assert main(["audit", "--explain", "abc"]) == 0
+        assert main(["lint", "--explain", "abc"]) == 0
         assert "too short" in capsys.readouterr().out
-        assert main(["audit", "--explain", "0" * 16]) == 0
+        assert main(["lint", "--explain", "0" * 16]) == 0
         assert "no cache entry" in capsys.readouterr().out
 
 
@@ -252,23 +333,14 @@ def check_schema_golden(name, document):
 
 class TestJsonSchemas:
     def test_lint_json_schema(self, tmp_path, capsys):
-        # A tree with a real finding, so the per-finding shape is frozen
-        # too (an empty findings list would freeze nothing).
-        root = tmp_path / "repro" / "soc"
-        root.mkdir(parents=True)
-        (root / "bad.py").write_text("import time\nNOW = time.time()\n")
-        assert main(["lint", str(tmp_path / "repro"), "--json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["findings"]
-        check_schema_golden("lint_json_schema.json", document)
-
-    def test_audit_json_schema(self, tmp_path, capsys):
+        # A tree with a real finding and a registered twin pair, so the
+        # per-finding and per-pair shapes are frozen too (empty sections
+        # would freeze nothing).
         package = write_fixture(tmp_path)
         assert (
             main(
                 [
-                    "audit",
-                    "--root",
+                    "lint",
                     str(package),
                     "--baseline",
                     str(tmp_path / "absent.json"),
@@ -280,4 +352,5 @@ class TestJsonSchemas:
         document = json.loads(capsys.readouterr().out)
         assert document["findings"]
         assert document["pairs"]
-        check_schema_golden("audit_json_schema.json", document)
+        assert document["closure"]["modules"] > 0
+        check_schema_golden("lint_json_schema.json", document)

@@ -1,4 +1,4 @@
-"""Tests for the audit project model: fingerprints, graph, closure.
+"""Tests for the lint project model: fingerprints, graph, closure.
 
 Fixture trees are written under ``<tmp>/repro/...`` so that
 ``module_for_path`` derives real dotted module names, exactly as it does
@@ -7,7 +7,7 @@ for the installed package.
 
 import textwrap
 
-from repro.analysis.audit import (
+from repro.analysis.lint import (
     Marker,
     ProjectModel,
     clear_closure_cache,
@@ -297,7 +297,7 @@ CLOSURE_TREE = {
     "soc/__init__.py": "",
     "soc/chip.py": "AMBIENT_C = 45.0\n\n\ndef temp():\n    return AMBIENT_C\n",
     "analysis/__init__.py": "",
-    "analysis/audit/__init__.py": "TOOLING = True\n",
+    "analysis/lint/__init__.py": "TOOLING = True\n",
 }
 
 
@@ -313,7 +313,7 @@ class TestClosure:
     def test_tooling_is_excluded_from_the_closure(self, tmp_path):
         package = write_tree(tmp_path, CLOSURE_TREE)
         report = compute_closure(ProjectModel.build(package))
-        assert "repro.analysis.audit" not in report.modules
+        assert "repro.analysis.lint" not in report.modules
 
     def test_behavior_edit_moves_digest_doc_edit_does_not(self, tmp_path):
         package = write_tree(tmp_path, CLOSURE_TREE)

@@ -1,4 +1,4 @@
-"""Tests for the audit ruleset: EQV001, MUT001, RED001, IRR001.
+"""Tests for the project rules: EQV001, MUT001, RED001, IRR001.
 
 Each rule gets a fixture tree that must fire and one that must stay
 silent, plus the engine-level binning (noqa suppression, baselined
@@ -8,13 +8,13 @@ findings) and the shipped tree's own cleanliness.
 import textwrap
 from pathlib import Path
 
-from repro.analysis.audit import (
-    AuditBaseline,
-    audit_project,
-    load_audit_baseline,
+from repro.analysis.lint import (
+    Baseline,
+    lint_package,
+    load_baseline,
     pair_id,
-    render_audit_human,
-    save_audit_baseline,
+    render_human,
+    save_baseline,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,18 +53,18 @@ TWIN_TREE = {
 
 class TestEQV001:
     def baseline_for(self, package, path):
-        report = audit_project(package)
-        save_audit_baseline(
+        report = lint_package(package)
+        save_baseline(
             path,
+            [],
             closure_digest=report.closure.digest,
             pairs=report.pairs,
-            findings=[],
         )
-        return load_audit_baseline(path)
+        return load_baseline(path)
 
     def test_pairing_table_built_from_present_twins(self, tmp_path):
         package = write_tree(tmp_path, TWIN_TREE)
-        report = audit_project(package)
+        report = lint_package(package)
         key = pair_id("repro.sched.scheduler", "repro.ensemble.sched")
         assert key in report.pairs
         assert report.pairs[key].scalar
@@ -76,7 +76,7 @@ class TestEQV001:
         (package / "sched" / "scheduler.py").write_text(
             "def pick(queue):\n    return queue[-1]\n", encoding="utf-8"
         )
-        report = audit_project(package, baseline=baseline)
+        report = lint_package(package, baseline=baseline)
         assert codes(report) == ["EQV001"]
         finding = report.active[0]
         assert finding.module == "repro.sched.scheduler"
@@ -93,7 +93,7 @@ class TestEQV001:
             "def pick_batch(queues):\n    return [q[-1] for q in queues]\n",
             encoding="utf-8",
         )
-        report = audit_project(package, baseline=baseline)
+        report = lint_package(package, baseline=baseline)
         assert report.clean
 
     def test_doc_only_scalar_edit_is_silent(self, tmp_path):
@@ -104,7 +104,7 @@ class TestEQV001:
             '"""Scheduler doc."""\n# comment\n' + scheduler.read_text(),
             encoding="utf-8",
         )
-        report = audit_project(package, baseline=baseline)
+        report = lint_package(package, baseline=baseline)
         assert report.clean
 
     def test_skipped_without_comparable_baseline(self, tmp_path):
@@ -115,13 +115,13 @@ class TestEQV001:
         )
         # Same fingerprints, recorded under a fictional interpreter:
         # EQV001 must not diff apples against oranges.
-        foreign = AuditBaseline(
+        foreign = Baseline(
             python="0.0",
             closure_digest=baseline.closure_digest,
             pairs=baseline.pairs,
             findings={},
         )
-        report = audit_project(package, baseline=foreign)
+        report = lint_package(package, baseline=foreign)
         assert report.clean
         assert not report.baseline_comparable
 
@@ -137,7 +137,7 @@ MUTABLE_TREE = {
 class TestMUT001:
     def test_fires_on_reachable_module_level_dict(self, tmp_path):
         package = write_tree(tmp_path, MUTABLE_TREE)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         assert codes(report) == ["MUT001"]
         assert "REGISTRY" in report.active[0].message
 
@@ -151,7 +151,7 @@ class TestMUT001:
         INDEX = {name: 0 for name in ("a", "b")}
         """
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         assert codes(report) == ["MUT001", "MUT001", "MUT001"]
 
     def test_silent_on_immutable_forms(self, tmp_path):
@@ -164,21 +164,21 @@ class TestMUT001:
         TABLE = MappingProxyType({"a": 1})
         """
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         assert report.clean
 
     def test_unreachable_module_is_ignored(self, tmp_path):
         files = dict(MUTABLE_TREE)
         files["experiments/runner.py"] = "X = 1\n"
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         assert report.clean
 
     def test_dunder_assignments_are_exempt(self, tmp_path):
         files = dict(MUTABLE_TREE)
         files["util.py"] = "__all__ = [\"helper\"]\n\n\ndef helper():\n    return 1\n"
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         assert report.clean
 
     def test_noqa_with_reason_suppresses(self, tmp_path):
@@ -188,7 +188,7 @@ class TestMUT001:
             "# repro: noqa[MUT001] reason=populated once at import, then frozen\n"
         )
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         assert report.clean
         assert [f.rule for f in report.suppressed] == ["MUT001"]
 
@@ -216,7 +216,7 @@ class TestRED001:
             return a + b + c
         """
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["RED001"])
+        report = lint_package(package, rules=["RED001"])
         assert codes(report) == ["RED001", "RED001", "RED001"]
 
     def test_silent_when_sorted_first(self, tmp_path):
@@ -226,7 +226,7 @@ class TestRED001:
             return sum(sorted(per_core.values()))
         """
         package = write_tree(tmp_path, files)
-        report = audit_project(package, rules=["RED001"])
+        report = lint_package(package, rules=["RED001"])
         assert report.clean
 
     def test_non_fast_path_module_is_ignored(self, tmp_path):
@@ -234,7 +234,7 @@ class TestRED001:
             tmp_path,
             {"helpers.py": "def load(d):\n    return sum(d.values())\n"},
         )
-        report = audit_project(package, rules=["RED001"])
+        report = lint_package(package, rules=["RED001"])
         assert report.clean
 
 
@@ -250,7 +250,7 @@ class TestIRR001:
                 """,
             },
         )
-        report = audit_project(package)
+        report = lint_package(package)
         assert "IRR001" in codes(report)
         assert "reason=" in report.active[0].message
 
@@ -265,43 +265,43 @@ class TestIRR001:
                 """,
             },
         )
-        report = audit_project(package)
+        report = lint_package(package)
         assert report.clean
 
 
 class TestEngineBinning:
     def test_baselined_findings_do_not_fail(self, tmp_path):
         package = write_tree(tmp_path, MUTABLE_TREE)
-        report = audit_project(package, rules=["MUT001"])
+        report = lint_package(package, rules=["MUT001"])
         baseline_path = tmp_path / "baseline.json"
-        save_audit_baseline(
+        save_baseline(
             baseline_path,
+            report.active,
             closure_digest=report.closure.digest,
             pairs=report.pairs,
-            findings=report.active,
         )
-        rerun = audit_project(
+        rerun = lint_package(
             package,
             rules=["MUT001"],
-            baseline=load_audit_baseline(baseline_path),
+            baseline=load_baseline(baseline_path),
         )
         assert rerun.clean
         assert [f.rule for f in rerun.baselined] == ["MUT001"]
 
     def test_drift_detection_against_recorded_digest(self, tmp_path):
         package = write_tree(tmp_path, MUTABLE_TREE)
-        report = audit_project(package)
+        report = lint_package(package)
         baseline_path = tmp_path / "baseline.json"
-        save_audit_baseline(
+        save_baseline(
             baseline_path,
+            report.active,
             closure_digest=report.closure.digest,
             pairs=report.pairs,
-            findings=report.active,
         )
-        baseline = load_audit_baseline(baseline_path)
-        assert not audit_project(package, baseline=baseline).drift
+        baseline = load_baseline(baseline_path)
+        assert not lint_package(package, baseline=baseline).drift
         (package / "util.py").write_text("REGISTRY = ()\n", encoding="utf-8")
-        drifted = audit_project(package, baseline=baseline)
+        drifted = lint_package(package, baseline=baseline)
         assert drifted.drift
         assert drifted.exit_code(check_drift=True) == 1
         assert drifted.exit_code() == 0
@@ -309,14 +309,14 @@ class TestEngineBinning:
 
 class TestShippedTree:
     def test_committed_tree_audits_clean_against_its_baseline(self):
-        # The acceptance criterion: `repro audit` exits 0 on the
+        # The acceptance criterion: `repro lint` exits 0 on the
         # committed tree.  On the interpreter the baseline was recorded
         # under there must be no drift either.
-        baseline = load_audit_baseline(REPO_ROOT / ".repro-audit-baseline.json")
-        report = audit_project(baseline=baseline)
-        assert report.clean, render_audit_human(report)
+        baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
+        report = lint_package(baseline=baseline)
+        assert report.clean, render_human(report)
         if baseline.comparable:
             assert not report.drift, (
                 "closure digest drifted from the committed baseline; "
-                "refresh with `repro audit --fix-baseline`"
+                "refresh with `repro lint --fix-baseline`"
             )

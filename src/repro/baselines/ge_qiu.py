@@ -41,6 +41,20 @@ class GeQiuThermalManager(ThermalManagerBase):
         an explicit application-switch signal.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "_rng",
+        "_qtable",
+        "_next_sample_s",
+        "_prev_state",
+        "_prev_action",
+        "_steps",
+        "_switch_resets",
+        "_last_temp_c",
+    )
+    #: Construction values; ``attach`` re-reads the OPP frequencies.
+    DERIVED_FIELDS = ("config", "react_to_app_switch", "_frequencies")
+
     def __init__(
         self, config: Optional[GeQiuConfig] = None, react_to_app_switch: bool = False
     ) -> None:

@@ -29,6 +29,11 @@ class StaticPolicyManager(ThermalManagerBase):
         Affinity mapping to pin, or None for the OS default.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_applied",)
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("governor", "userspace_frequency_hz", "mapping")
+
     def __init__(
         self,
         governor: Optional[str] = None,

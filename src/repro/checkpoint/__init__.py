@@ -2,23 +2,17 @@
 
 See :mod:`repro.checkpoint.store` for the on-disk format (canonical
 JSON, SHA-256 digests, manifest chain), :mod:`repro.checkpoint.state`
-for the capture/restore of the simulation closure, and
-:mod:`repro.checkpoint.runtime` for the run-loop hook and resume entry
-point.
+for the codec that captures and restores every class's declared state,
+and :mod:`repro.checkpoint.runtime` for the run-loop hook and resume
+entry point.
 """
 
 from repro.checkpoint.runtime import Checkpointer, resume_simulation
 from repro.checkpoint.state import (
-    capture_agent,
-    capture_chip,
-    capture_fault_injector,
-    capture_rng_state,
     capture_simulation,
-    restore_agent,
-    restore_chip,
-    restore_fault_injector,
-    restore_rng_state,
+    capture_state,
     restore_simulation,
+    restore_state,
 )
 from repro.checkpoint.store import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -40,18 +34,12 @@ __all__ = [
     "CheckpointStore",
     "Checkpointer",
     "LoadedCheckpoint",
-    "capture_agent",
-    "capture_chip",
-    "capture_fault_injector",
-    "capture_rng_state",
     "capture_simulation",
+    "capture_state",
     "checkpoint_digest",
     "load_checkpoint_file",
-    "restore_agent",
-    "restore_chip",
-    "restore_fault_injector",
-    "restore_rng_state",
     "restore_simulation",
+    "restore_state",
     "resume_simulation",
     "serialize_checkpoint",
 ]

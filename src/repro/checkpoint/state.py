@@ -1,709 +1,358 @@
 """Deterministic capture/restore of the full simulation closure.
 
-A snapshot captures every piece of mutable state that influences the
-rest of a run — chip thermal/energy state, scheduler placement, governor
-frequencies, dual Q-tables and the agent's learning-rate schedule, fault
-injector and supervisor machinery, every RNG stream, and the attached
-observability sinks (trace events and metric instruments, so the
-artefacts written at the end of a resumed run are byte-identical to an
-uninterrupted run's).
+Every stateful class in the job closure declares its state once, as two
+class attributes:
 
-Everything is rendered as JSON-ready primitives:
+* ``STATE_FIELDS`` — the attributes a snapshot carries, in restore order;
+* ``DERIVED_FIELDS`` — everything else the class assigns: construction
+  values and per-tick caches that the constructor or ``prepare()``
+  rebuilds (a fresh value recomputes identically on the first resumed
+  tick).
 
-* ``numpy`` arrays via ``tolist()`` (float ``repr`` round-trips IEEE
-  doubles exactly);
-* ``numpy`` generators via ``bit_generator.state`` (a plain dict of
-  ints, restorable by assignment);
-* threads by their index within the owning application (thread objects
-  are rebuilt by the fresh simulation; indices re-key the scheduler's
-  identity-based dicts against them);
-* non-finite floats (``-inf`` stuck timers, ``NaN`` stuck references)
-  ride on Python's non-strict JSON encoding — both ends of the
-  round-trip are this module, so the extension is safe.
+:func:`capture_state` and :func:`restore_state` derive a snapshot from
+``STATE_FIELDS`` alone, for the scalar
+:class:`~repro.soc.simulator.Simulation` and the vectorized
+:class:`~repro.ensemble.engine.EnsembleSimulation` alike.  A class whose
+caches must be re-derived from restored fields defines
+``_after_restore()``.  ``tests/test_state_declarations.py`` checks that
+every attribute a stateful class assigns is in exactly one of its lists,
+so a new field cannot silently drop out of snapshots.
+
+Values are rendered as JSON-ready primitives:
+
+* ``None``, bools, ints, floats and strings as themselves (numpy scalars
+  via ``item()``; non-finite floats ride on Python's non-strict JSON
+  encoding — both ends of the round-trip are this package);
+* lists as lists;
+* ndarrays (dtype and shape kept), tuples, dicts, sets, deques, enums and
+  plain dataclasses as one-key dicts tagged ``#ndarray``, ``#tuple``, …;
+  enum and dataclass tags name their ``repro`` type;
+* declared objects as a dict of their state fields, restored *in place*
+  into the fresh object at the same position;
+* numpy generators via ``bit_generator.state``, also restored in place.
+
+Identity is kept by a memo, as in :mod:`pickle`: a declared object or
+generator met a second time is written as ``{"#ref": n}``.  That is what
+re-keys the scheduler's thread-keyed dicts against the restored threads,
+and what keeps an RNG shared by reference (an application and its
+threads, a batched draw buffer and its members' generators) shared.
+
+Three value kinds keep named encoders: governors (rebuilt against the
+owning simulation's OPP ladder, since a run may switch governor type),
+the actuation supervisor's ``_UNSET`` sentinel, and attached
+instrumentation (trace events and metric instruments, restored only when
+both ends have it — observability only observes).
+
+A declared object present on one side only (a snapshot with fault
+injector state restored into a simulation built without faults, or the
+reverse) raises :class:`~repro.checkpoint.store.CheckpointStateError`.
 
 The restore protocol is *prepare-then-overwrite*: the fresh simulation
 runs its normal :meth:`~repro.soc.simulator.Simulation.prepare` (so all
 attach-time side effects — manager binding, first-application adoption,
 lazily-built baseline Q-tables — happen exactly once), after which every
-mutable field is overwritten wholesale from the snapshot.  Transient
-per-tick caches (run queues, dt-derived EWMA constants) are deliberately
-not captured: a fresh ``None`` forces the identical recompute on the
-first resumed tick.
+state field is overwritten from the snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import dataclasses
+import enum
+import importlib
+from collections import deque
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Dict, List
 
 import numpy as np
 
-from repro.baselines.ge_qiu import GeQiuThermalManager
-from repro.baselines.static_policy import StaticPolicyManager
 from repro.checkpoint.store import CheckpointStateError
-from repro.core.manager import ProposedThermalManager
-from repro.faults.supervisor import _PendingActuation, _UNSET
+from repro.faults.supervisor import _UNSET
+from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.power.energy import EnergyMeter
-from repro.sched.affinity import AffinityMapping
 from repro.sched.governors import Governor, UserspaceGovernor, make_governor
-from repro.soc.simulator import AppRecord, Simulation
-from repro.workloads.application import Application
-from repro.workloads.thread_model import ThreadPhase
 
-# ----------------------------------------------------------------------
-# Primitive helpers
-# ----------------------------------------------------------------------
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.soc.simulator import Simulation
+
+_PRIMITIVES = (bool, int, float, str)
 
 
-def capture_rng_state(generator: np.random.Generator) -> dict:
-    """The generator's bit-generator state (a JSON-ready dict of ints)."""
-    return generator.bit_generator.state
+def _declared(value: Any) -> bool:
+    return hasattr(type(value), "STATE_FIELDS")
 
 
-def restore_rng_state(generator: np.random.Generator, state: dict) -> None:
-    """Overwrite a generator's stream position from a captured state."""
-    generator.bit_generator.state = state
+def _type_name(cls: type) -> str:
+    return f"{cls.__module__}:{cls.__qualname__}"
 
 
-def _opt_list(array: Optional[np.ndarray]) -> Optional[list]:
-    return None if array is None else np.asarray(array).tolist()
-
-
-def _opt_array(values: Optional[list], dtype=float) -> Optional[np.ndarray]:
-    return None if values is None else np.asarray(values, dtype=dtype)
-
-
-# ----------------------------------------------------------------------
-# Energy / perf / profile
-# ----------------------------------------------------------------------
-
-
-def _capture_energy(meter: EnergyMeter) -> dict:
-    return {
-        "dynamic_j": meter.dynamic_j,
-        "static_j": meter.static_j,
-        "elapsed_s": meter.elapsed_s,
-    }
-
-
-def _energy_from(state: dict) -> EnergyMeter:
-    return EnergyMeter(
-        dynamic_j=float(state["dynamic_j"]),
-        static_j=float(state["static_j"]),
-        elapsed_s=float(state["elapsed_s"]),
-    )
-
-
-def _restore_energy_into(meter: EnergyMeter, state: dict) -> None:
-    meter.dynamic_j = float(state["dynamic_j"])
-    meter.static_j = float(state["static_j"])
-    meter.elapsed_s = float(state["elapsed_s"])
-
-
-_PERF_FIELDS = (
-    "cache_misses",
-    "page_faults",
-    "migrations",
-    "sample_events",
-    "decision_events",
-    "executed_cycles",
-)
-
-
-def _capture_perf(perf) -> dict:
-    return {name: getattr(perf, name) for name in _PERF_FIELDS}
-
-
-def _restore_perf(perf, state: dict) -> None:
-    for name in _PERF_FIELDS:
-        setattr(perf, name, state[name])
-
-
-def _capture_profile(profile) -> List[List[float]]:
-    return profile._data[:, : profile._len].tolist()
-
-
-def _restore_profile(profile, rows: List[List[float]]) -> None:
-    block = np.asarray(rows, dtype=float)
-    if block.ndim != 2:
-        block = block.reshape(profile.num_cores, 0)
-    profile._adopt(block)
+@lru_cache(maxsize=None)
+def _named_type(name: str) -> type:
+    """The ``repro`` class a ``#enum``/``#dataclass`` tag names."""
+    module, _, qualname = name.partition(":")
+    if module != "repro" and not module.startswith("repro."):
+        raise CheckpointStateError(f"snapshot names a non-repro type {name!r}")
+    try:
+        found: Any = importlib.import_module(module)
+        for part in qualname.split("."):
+            found = getattr(found, part)
+    except (ImportError, AttributeError) as exc:
+        raise CheckpointStateError(f"snapshot names unknown type {name!r}") from exc
+    if not isinstance(found, type):
+        raise CheckpointStateError(f"snapshot type {name!r} is not a class")
+    return found
 
 
 # ----------------------------------------------------------------------
-# Chip (thermal network, sensors, energy, drift)
+# Encoding
 # ----------------------------------------------------------------------
 
 
-def _capture_sensor_bank(bank) -> dict:
-    return {
-        "rng": capture_rng_state(bank._rng),
-        "ema": _opt_list(bank._ema),
-    }
+class _Encoder:
+    def __init__(self, root: Any) -> None:
+        # id -> memo index; ``keep`` pins every memoized object so no id
+        # can be recycled while the snapshot is being built.
+        self.memo: Dict[int, int] = {id(root): 0}
+        self.keep: List[Any] = [root]
 
+    def fields(self, obj: Any) -> Dict[str, Any]:
+        return {name: self.value(getattr(obj, name)) for name in type(obj).STATE_FIELDS}
 
-def _restore_sensor_bank(bank, state: dict) -> None:
-    restore_rng_state(bank._rng, state["rng"])
-    bank._ema = _opt_array(state["ema"])
+    def _remember(self, value: Any) -> None:
+        self.memo[id(value)] = len(self.keep)
+        self.keep.append(value)
 
+    def value(self, value: Any) -> Any:
+        if value is None or type(value) in _PRIMITIVES:
+            return value
+        if type(value) is list:
+            return [
+                item if item is None or type(item) in _PRIMITIVES else self.value(item)
+                for item in value
+            ]
+        if isinstance(value, np.ndarray):
+            return {"#ndarray": [value.dtype.str, list(value.shape), value.tolist()]}
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, enum.Enum):
+            return {"#enum": [_type_name(type(value)), value.value]}
+        if value is _UNSET:
+            return {"#unset": None}
+        if isinstance(value, Governor):
+            return {"#governor": _encode_governor(self, value)}
+        if isinstance(value, Instrumentation):
+            return {"#instrumentation": _encode_instrumentation(value)}
+        ref = self.memo.get(id(value))
+        if ref is not None:
+            return {"#ref": ref}
+        if _declared(value):
+            self._remember(value)
+            return self.fields(value)
+        if isinstance(value, np.random.Generator):
+            self._remember(value)
+            return {"#rng": value.bit_generator.state}
+        if isinstance(value, tuple):
+            return {"#tuple": [self.value(item) for item in value]}
+        if isinstance(value, dict):
+            return {"#dict": [[self.value(k), self.value(v)] for k, v in value.items()]}
+        if isinstance(value, (set, frozenset)):
+            return {f"#{type(value).__name__}": self._members(value)}
+        if isinstance(value, deque):
+            return {"#deque": [value.maxlen, [self.value(item) for item in value]]}
+        if dataclasses.is_dataclass(value):
+            fields = {
+                field.name: self.value(getattr(value, field.name))
+                for field in dataclasses.fields(value)
+            }
+            return {"#dataclass": [_type_name(type(value)), fields]}
+        raise CheckpointStateError(f"cannot checkpoint a {type(value).__name__} value")
 
-def capture_chip(chip) -> dict:
-    """Thermal network, sensor bank, energy meter and drift RNG."""
-    return {
-        "node_temps_c": chip.thermal.node_temps_c().tolist(),
-        "ambient_c": chip.thermal.ambient_c,
-        "sensors": _capture_sensor_bank(chip.sensors),
-        "energy": _capture_energy(chip.energy),
-        "last_dynamic": list(chip._last_dynamic),
-        "last_static": list(chip._last_static),
-        "drift_rng": capture_rng_state(chip._drift_rng),
-    }
-
-
-def restore_chip(chip, state: dict) -> None:
-    """Overwrite a chip's mutable state from a captured snapshot."""
-    chip.thermal.set_state(state["node_temps_c"])
-    chip.thermal.set_ambient_c(float(state["ambient_c"]))
-    _restore_sensor_bank(chip.sensors, state["sensors"])
-    _restore_energy_into(chip.energy, state["energy"])
-    chip._last_dynamic = [float(v) for v in state["last_dynamic"]]
-    chip._last_static = [float(v) for v in state["last_static"]]
-    restore_rng_state(chip._drift_rng, state["drift_rng"])
-    # _drift_dt / _drift_pull_gain / _drift_kick_scale are dt-derived
-    # caches: a fresh None triggers the identical recompute on the next
-    # step, so they are deliberately not part of the snapshot.
-
-
-# ----------------------------------------------------------------------
-# Applications and threads
-# ----------------------------------------------------------------------
-
-
-def _capture_thread(thread) -> dict:
-    return {
-        "phase": thread.phase.value,
-        "iteration": thread.iteration,
-        "remaining_cycles": thread.remaining_cycles,
-        "last_core": thread.last_core,
-        "core": thread.core,
-    }
-
-
-def _restore_thread(thread, state: dict) -> None:
-    thread.phase = ThreadPhase(state["phase"])
-    thread.iteration = int(state["iteration"])
-    thread.remaining_cycles = float(state["remaining_cycles"])
-    thread.last_core = state["last_core"]
-    thread.core = state["core"]
-
-
-def capture_application(app: Application) -> dict:
-    """Barrier/queue coordination state plus every thread's progress."""
-    return {
-        # The jitter RNG is shared by reference with the threads, so one
-        # captured stream position covers the whole application.
-        "rng": capture_rng_state(app._rng),
-        "sync_remaining_s": app._sync_remaining_s,
-        "thread_sync_s": [[tid, value] for tid, value in app._thread_sync_s.items()],
-        "thread_completions": app._thread_completions,
-        "completion_times_s": list(app._completion_times_s),
-        "elapsed_s": app._elapsed_s,
-        "queue_remaining": app._queue_remaining,
-        "threads": [_capture_thread(thread) for thread in app.threads],
-    }
-
-
-def restore_application(app: Application, state: dict) -> None:
-    """Overwrite an application's run-time state from a snapshot."""
-    if len(state["threads"]) != len(app.threads):
-        raise CheckpointStateError(
-            f"snapshot has {len(state['threads'])} threads for "
-            f"{app.spec.name!r}, simulation has {len(app.threads)}"
-        )
-    restore_rng_state(app._rng, state["rng"])
-    app._sync_remaining_s = state["sync_remaining_s"]
-    app._thread_sync_s = {int(tid): float(v) for tid, v in state["thread_sync_s"]}
-    app._thread_completions = int(state["thread_completions"])
-    app._completion_times_s = [float(t) for t in state["completion_times_s"]]
-    app._elapsed_s = float(state["elapsed_s"])
-    app._queue_remaining = int(state["queue_remaining"])
-    for thread, thread_state in zip(app.threads, state["threads"]):
-        _restore_thread(thread, thread_state)
+    def _members(self, values: Any) -> List[Any]:
+        """A set's members, sorted so the encoding is deterministic."""
+        known = len(self.keep)
+        encoded = [self.value(item) for item in values]
+        if len(self.keep) != known:
+            # Iteration order of a set is not reproducible, so a first
+            # sighting inside one would number the memo differently on
+            # restore.  Sets may hold values and already-seen objects only.
+            raise CheckpointStateError("a checkpointed set holds an unseen object")
+        return sorted(encoded, key=repr)
 
 
 # ----------------------------------------------------------------------
-# Scheduler (threads re-keyed by index into the current application)
+# Decoding
 # ----------------------------------------------------------------------
 
 
-def _capture_scheduler(scheduler) -> dict:
-    index_of = {thread: i for i, thread in enumerate(scheduler._threads)}
-    return {
-        "core_of": [
-            [index_of[thread], core] for thread, core in scheduler._core_of.items()
-        ],
-        "prev_runnable": [
-            [index_of[thread], runnable]
-            for thread, runnable in scheduler._prev_runnable.items()
-        ],
-        "stalled": sorted(index_of[thread] for thread in scheduler._stalled),
-        "stall_s": list(scheduler._stall_s),
-        "idle_for_s": list(scheduler._idle_for_s),
-        "busy_ewma": scheduler._busy_ewma,
-        "since_rebalance_s": scheduler._since_rebalance_s,
-        "runnable_per_core": list(scheduler._runnable_per_core),
-    }
+class _Decoder:
+    def __init__(self, root: Any) -> None:
+        self.memo: List[Any] = [root]
+
+    def fields(self, obj: Any, state: Dict[str, Any]) -> None:
+        names = type(obj).STATE_FIELDS
+        owner = type(obj).__name__
+        if len(state) != len(names) or any(name not in state for name in names):
+            raise CheckpointStateError(
+                f"{owner} snapshot has fields {sorted(state)}, expected {sorted(names)}"
+            )
+        for name in names:
+            template = getattr(obj, name, None)
+            setattr(obj, name, self.value(state[name], template, obj, f"{owner}.{name}"))
+        after_restore = getattr(obj, "_after_restore", None)
+        if after_restore is not None:
+            after_restore()
+
+    def value(self, encoded: Any, template: Any, owner: Any, where: str) -> Any:
+        if type(encoded) is list:
+            return self._sequence(encoded, template, owner, where)
+        if type(encoded) is dict:
+            if len(encoded) == 1:
+                tag = next(iter(encoded))
+                if tag[0] == "#":
+                    return self._tagged(tag, encoded[tag], template, owner, where)
+            if template is None or not _declared(template):
+                raise CheckpointStateError(
+                    f"{where}: the snapshot carries its state but the restored "
+                    "object was built without one"
+                )
+            self.memo.append(template)
+            self.fields(template, encoded)
+            return template
+        if encoded is None and template is not None and _declared(template):
+            raise CheckpointStateError(
+                f"{where}: the snapshot has none but the restored object was "
+                "built with one"
+            )
+        return encoded
+
+    def _sequence(self, encoded: list, template: Any, owner: Any, where: str) -> list:
+        if isinstance(template, (list, tuple)) and len(template) == len(encoded):
+            return [
+                self.value(item, slot, owner, where)
+                for item, slot in zip(encoded, template)
+            ]
+        if isinstance(template, (list, tuple)) and any(map(_declared, template)):
+            raise CheckpointStateError(
+                f"{where}: the snapshot has {len(encoded)} entries, the restored "
+                f"object has {len(template)}"
+            )
+        return [self.value(item, None, owner, where) for item in encoded]
+
+    def _tagged(self, tag: str, payload: Any, template: Any, owner: Any, where: str) -> Any:
+        if tag == "#ref":
+            return self.memo[payload]
+        if tag == "#ndarray":
+            dtype, shape, data = payload
+            return np.asarray(data, dtype=np.dtype(dtype)).reshape(shape)
+        if tag == "#rng":
+            if not isinstance(template, np.random.Generator):
+                raise CheckpointStateError(f"{where}: no generator to restore into")
+            template.bit_generator.state = payload
+            self.memo.append(template)
+            return template
+        if tag == "#tuple":
+            return tuple(self._sequence(payload, template, owner, where))
+        if tag == "#dict":
+            return {
+                self.value(key, None, owner, where): self.value(item, None, owner, where)
+                for key, item in payload
+            }
+        if tag == "#set":
+            return {self.value(item, None, owner, where) for item in payload}
+        if tag == "#frozenset":
+            return frozenset(self.value(item, None, owner, where) for item in payload)
+        if tag == "#deque":
+            maxlen, items = payload
+            return deque((self.value(item, None, owner, where) for item in items), maxlen)
+        if tag == "#enum":
+            name, raw = payload
+            return _named_type(name)(raw)
+        if tag == "#dataclass":
+            name, fields = payload
+            cls = _named_type(name)
+            if not dataclasses.is_dataclass(cls):
+                raise CheckpointStateError(f"snapshot type {name!r} is not a dataclass")
+            return cls(
+                **{key: self.value(item, None, owner, where) for key, item in fields.items()}
+            )
+        if tag == "#unset":
+            return _UNSET
+        if tag == "#governor":
+            return _decode_governor(self, payload, owner)
+        if tag == "#instrumentation":
+            if template is not None:
+                _restore_instrumentation(template, payload)
+            return template
+        raise CheckpointStateError(f"{where}: unknown snapshot tag {tag!r}")
 
 
-def _restore_scheduler(scheduler, state: dict, threads, mapping) -> None:
-    # Adopt the restored current application's threads directly: calling
-    # set_threads/set_mapping would re-place and re-charge migrations.
-    scheduler._threads = list(threads)
-    scheduler._mapping = mapping
-    scheduler._core_of = {threads[i]: core for i, core in state["core_of"]}
-    scheduler._prev_runnable = {
-        threads[i]: bool(flag) for i, flag in state["prev_runnable"]
-    }
-    scheduler._stalled = {threads[i] for i in state["stalled"]}
-    scheduler._stall_s = [float(v) for v in state["stall_s"]]
-    scheduler._idle_for_s = [float(v) for v in state["idle_for_s"]]
-    scheduler._busy_ewma = float(state["busy_ewma"])
-    scheduler._since_rebalance_s = float(state["since_rebalance_s"])
-    scheduler._runnable_per_core = [int(v) for v in state["runnable_per_core"]]
-    # _ewma_dt/_ewma_weight and the per-tick run queues are transient:
-    # left at their freshly-constructed values they recompute identically
-    # on the first resumed tick.
+def capture_state(obj: Any) -> Dict[str, Any]:
+    """JSON-ready snapshot of a declared object's ``STATE_FIELDS``."""
+    return _Encoder(obj).fields(obj)
+
+
+def restore_state(obj: Any, state: Dict[str, Any]) -> None:
+    """Overwrite a declared object's state from :func:`capture_state`."""
+    _Decoder(obj).fields(obj, state)
 
 
 # ----------------------------------------------------------------------
-# Governors and affinity mappings
+# Named encoders
 # ----------------------------------------------------------------------
 
 
-def _encode_governor(governor: Optional[Governor]) -> Optional[dict]:
-    if governor is None:
-        return None
+def _encode_governor(encoder: _Encoder, governor: Governor) -> list:
+    fields = encoder.fields(governor)
     if isinstance(governor, UserspaceGovernor):
-        return {
-            "kind": "userspace",
-            "target_hz": governor.target_frequency_hz,
-            "frequencies": governor.frequencies(),
-        }
-    return {
-        "kind": governor.name,
-        "target_hz": None,
-        "frequencies": governor.frequencies(),
-    }
+        return ["userspace", governor.target_frequency_hz, fields]
+    return [governor.name, None, fields]
 
 
-def _decode_governor(state: Optional[dict], ladder, num_cores: int):
-    if state is None:
-        return None
+def _decode_governor(decoder: _Decoder, payload: list, owner: Any) -> Governor:
+    # Governors belong to a Simulation; a run may have switched type, so
+    # the snapshot's kind is rebuilt against the owner's OPP ladder.
+    kind, target_hz, fields = payload
     governor = make_governor(
-        state["kind"], ladder, num_cores, state["target_hz"]
+        kind, owner.chip.ladder, owner.platform.num_cores, target_hz
     )
-    governor._frequencies = [float(v) for v in state["frequencies"]]
+    decoder.fields(governor, fields)
     return governor
 
 
-def _encode_mapping(mapping: Optional[AffinityMapping]) -> Optional[dict]:
-    if mapping is None:
-        return None
-    return {
-        "name": mapping.name,
-        "masks": [
-            sorted(mask) if mask is not None else None for mask in mapping.masks
-        ],
-    }
-
-
-def _decode_mapping(state: Optional[dict]) -> Optional[AffinityMapping]:
-    if state is None:
-        return None
-    masks = tuple(
-        frozenset(mask) if mask is not None else None for mask in state["masks"]
-    )
-    return AffinityMapping(state["name"], masks)
-
-
-# ----------------------------------------------------------------------
-# Agent (dual Q-tables, alpha schedule, variation detector)
-# ----------------------------------------------------------------------
-
-
-def _capture_qtable(qtable) -> dict:
-    return {
-        "q": qtable._q.tolist(),
-        "visits": qtable._visits.tolist(),
-        "exploration_snapshot": _opt_list(qtable._exploration_snapshot),
-    }
-
-
-def _restore_qtable(qtable, state: dict) -> None:
-    qtable._q = np.asarray(state["q"], dtype=float)
-    qtable._visits = np.asarray(state["visits"], dtype=int)
-    qtable._exploration_snapshot = _opt_array(state["exploration_snapshot"])
-
-
-def capture_agent(agent) -> dict:
-    """The learning agent's complete mutable state."""
-    stats = agent.stats
-    return {
-        "qtable": _capture_qtable(agent.qtable),
-        "schedule": {
-            "alpha": agent.schedule._alpha,
-            "epoch": agent.schedule._epoch,
-            "exploration_captured": agent.schedule._exploration_captured,
-        },
-        "detector": {
-            "stress": list(agent.detector._stress),
-            "aging": list(agent.detector._aging),
-            "pending_stress_sign": agent.detector._pending_stress_sign,
-            "pending_aging_sign": agent.detector._pending_aging_sign,
-        },
-        "rng": capture_rng_state(agent._rng),
-        "trec": [sample.tolist() for sample in agent._trec],
-        "prev_epoch_series": agent._prev_epoch_series,
-        "prev_state": agent._prev_state,
-        "prev_action": agent._prev_action,
-        "prev_prev_action": agent._prev_prev_action,
-        "same_action_count": agent._same_action_count,
-        "policy_stable_for": agent._policy_stable_for,
-        "last_policy": _opt_list(agent._last_policy),
-        "last_intra_epoch": agent._last_intra_epoch,
-        "last_inter_epoch": agent._last_inter_epoch,
-        "stats": {
-            "epochs": stats.epochs,
-            "intra_events": stats.intra_events,
-            "inter_events": stats.inter_events,
-            "unsafe_epochs": stats.unsafe_epochs,
-            "reward_sum": stats.reward_sum,
-            "convergence_epoch": stats.convergence_epoch,
-            "last_policy_change_epoch": stats.last_policy_change_epoch,
-            "exploration_end_epoch": stats.exploration_end_epoch,
-            "exploitation_entry_epoch": stats.exploitation_entry_epoch,
-            "last_action_label": stats.last_action_label,
-            "action_counts": [
-                [label, count] for label, count in stats.action_counts.items()
-            ],
-        },
-    }
-
-
-def restore_agent(agent, state: dict) -> None:
-    """Overwrite an agent's learning state from a snapshot."""
-    _restore_qtable(agent.qtable, state["qtable"])
-    agent.schedule._alpha = float(state["schedule"]["alpha"])
-    agent.schedule._epoch = int(state["schedule"]["epoch"])
-    agent.schedule._exploration_captured = bool(
-        state["schedule"]["exploration_captured"]
-    )
-    detector = agent.detector
-    detector._stress.clear()
-    detector._stress.extend(float(v) for v in state["detector"]["stress"])
-    detector._aging.clear()
-    detector._aging.extend(float(v) for v in state["detector"]["aging"])
-    detector._pending_stress_sign = state["detector"]["pending_stress_sign"]
-    detector._pending_aging_sign = state["detector"]["pending_aging_sign"]
-    restore_rng_state(agent._rng, state["rng"])
-    agent._trec = [np.asarray(sample, dtype=float) for sample in state["trec"]]
-    agent._prev_epoch_series = state["prev_epoch_series"]
-    agent._prev_state = state["prev_state"]
-    agent._prev_action = state["prev_action"]
-    agent._prev_prev_action = state["prev_prev_action"]
-    agent._same_action_count = int(state["same_action_count"])
-    agent._policy_stable_for = int(state["policy_stable_for"])
-    agent._last_policy = _opt_array(state["last_policy"], dtype=int)
-    agent._last_intra_epoch = int(state["last_intra_epoch"])
-    agent._last_inter_epoch = int(state["last_inter_epoch"])
-    stats = agent.stats
-    captured = state["stats"]
-    stats.epochs = int(captured["epochs"])
-    stats.intra_events = int(captured["intra_events"])
-    stats.inter_events = int(captured["inter_events"])
-    stats.unsafe_epochs = int(captured["unsafe_epochs"])
-    stats.reward_sum = float(captured["reward_sum"])
-    stats.convergence_epoch = captured["convergence_epoch"]
-    stats.last_policy_change_epoch = int(captured["last_policy_change_epoch"])
-    stats.exploration_end_epoch = captured["exploration_end_epoch"]
-    stats.exploitation_entry_epoch = captured["exploitation_entry_epoch"]
-    stats.last_action_label = captured["last_action_label"]
-    stats.action_counts = {
-        label: int(count) for label, count in captured["action_counts"]
-    }
-    # last_observation is diagnostic-only (nothing on the decide path
-    # reads it back); the next full epoch rebuilds it.
-    agent.last_observation = None
-
-
-# ----------------------------------------------------------------------
-# Thermal managers
-# ----------------------------------------------------------------------
-
-
-def _capture_manager(manager) -> dict:
-    if manager is None:
-        return {"kind": "none"}
-    if isinstance(manager, ProposedThermalManager):
-        action = manager._current_action
-        action_index = None
-        if action is not None:
-            action_index = next(
-                i
-                for i, candidate in enumerate(manager.agent.actions)
-                if candidate.label == action.label
-            )
-        return {
-            "kind": "proposed",
-            "next_sample_s": manager._next_sample_s,
-            "current_action": action_index,
-            "agent": capture_agent(manager.agent),
+def _encode_instrumentation(obs: Instrumentation) -> Dict[str, Any]:
+    captured: Dict[str, Any] = {}
+    if obs.tracer is not None:
+        captured["trace"] = {
+            "seq": obs.tracer._seq,
+            "events": [dict(event) for event in obs.tracer.events],
         }
-    if isinstance(manager, GeQiuThermalManager):
-        return {
-            "kind": "ge_qiu",
-            "rng": capture_rng_state(manager._rng),
-            "qtable": (
-                _capture_qtable(manager._qtable)
-                if manager._qtable is not None
-                else None
-            ),
-            "next_sample_s": manager._next_sample_s,
-            "prev_state": manager._prev_state,
-            "prev_action": manager._prev_action,
-            "steps": manager._steps,
-            "switch_resets": manager._switch_resets,
-            "last_temp_c": manager._last_temp_c,
-        }
-    if isinstance(manager, StaticPolicyManager):
-        return {"kind": "static", "applied": manager._applied}
-    raise CheckpointStateError(
-        f"cannot checkpoint unknown manager type {type(manager).__name__}"
-    )
+    if obs.registry is not None:
+        entries: List[dict] = []
+        for name, instrument in obs.registry._instruments.items():
+            entry: Dict[str, Any] = {
+                "name": name,
+                "kind": instrument.kind,
+                "help": instrument.help,
+            }
+            if isinstance(instrument, Histogram):
+                entry["buckets"] = list(instrument.buckets)
+                entry["bucket_counts"] = list(instrument.bucket_counts)
+                entry["sum"] = instrument.sum
+                entry["count"] = instrument.count
+            else:
+                entry["value"] = instrument.value
+            entries.append(entry)
+        captured["metrics"] = entries
+    return captured
 
 
-def _restore_manager(manager, state: dict) -> None:
-    kind = state["kind"]
-    if kind == "none":
-        if manager is not None:
-            raise CheckpointStateError(
-                "snapshot has no manager state but the simulation has one"
-            )
-        return
-    if manager is None:
-        raise CheckpointStateError(
-            f"snapshot expects a {kind!r} manager, simulation has none"
-        )
-    if kind == "proposed":
-        if not isinstance(manager, ProposedThermalManager):
-            raise CheckpointStateError(
-                f"snapshot expects a proposed manager, got {type(manager).__name__}"
-            )
-        manager._next_sample_s = float(state["next_sample_s"])
-        index = state["current_action"]
-        manager._current_action = (
-            manager.agent.actions[index] if index is not None else None
-        )
-        restore_agent(manager.agent, state["agent"])
-        return
-    if kind == "ge_qiu":
-        if not isinstance(manager, GeQiuThermalManager):
-            raise CheckpointStateError(
-                f"snapshot expects a ge_qiu manager, got {type(manager).__name__}"
-            )
-        restore_rng_state(manager._rng, state["rng"])
-        if state["qtable"] is not None:
-            if manager._qtable is None:
-                raise CheckpointStateError(
-                    "snapshot carries a Ge&Qiu Q-table but none was built"
-                )
-            _restore_qtable(manager._qtable, state["qtable"])
-        manager._next_sample_s = float(state["next_sample_s"])
-        manager._prev_state = state["prev_state"]
-        manager._prev_action = state["prev_action"]
-        manager._steps = int(state["steps"])
-        manager._switch_resets = int(state["switch_resets"])
-        manager._last_temp_c = float(state["last_temp_c"])
-        return
-    if kind == "static":
-        if not isinstance(manager, StaticPolicyManager):
-            raise CheckpointStateError(
-                f"snapshot expects a static manager, got {type(manager).__name__}"
-            )
-        manager._applied = bool(state["applied"])
-        return
-    raise CheckpointStateError(f"unknown manager kind {kind!r} in snapshot")
-
-
-# ----------------------------------------------------------------------
-# Fault injector and supervisors
-# ----------------------------------------------------------------------
-
-_FAULT_STAT_FIELDS = (
-    "sensor_reads",
-    "dropouts",
-    "spikes",
-    "stuck_events",
-    "stuck_reads",
-    "governor_calls",
-    "governor_failures",
-    "governor_noops",
-    "mapping_calls",
-    "mapping_failures",
-    "mapping_noops",
-)
-
-
-def capture_fault_injector(injector) -> dict:
-    """RNG stream, stuck-at latches and every fault counter."""
-    return {
-        "rng": capture_rng_state(injector._rng),
-        "stuck_until": injector._stuck_until.tolist(),
-        "stuck_value": injector._stuck_value.tolist(),
-        "stats": {
-            name: getattr(injector.stats, name) for name in _FAULT_STAT_FIELDS
-        },
-    }
-
-
-def restore_fault_injector(injector, state: dict) -> None:
-    """Overwrite a fault injector's state from a snapshot."""
-    restore_rng_state(injector._rng, state["rng"])
-    injector._stuck_until = np.asarray(state["stuck_until"], dtype=float)
-    injector._stuck_value = np.asarray(state["stuck_value"], dtype=float)
-    for name in _FAULT_STAT_FIELDS:
-        setattr(injector.stats, name, int(state["stats"][name]))
-
-
-_SENSOR_SUP_COUNTERS = (
-    "reads",
-    "dropouts_blocked",
-    "range_blocked",
-    "rate_blocked",
-    "stuck_blocked",
-    "median_fallbacks",
-    "hold_fallbacks",
-    "failsafe_fallbacks",
-)
-
-
-def _capture_sensor_supervisor(supervisor) -> dict:
-    return {
-        "last_good": _opt_list(supervisor._last_good),
-        "last_time": supervisor._last_time,
-        "stuck_ref": supervisor._stuck_ref.tolist(),
-        "stuck_run": supervisor._stuck_run.tolist(),
-        "last_max_c": supervisor.last_max_c,
-        "counters": {
-            name: getattr(supervisor, name) for name in _SENSOR_SUP_COUNTERS
-        },
-    }
-
-
-def _restore_sensor_supervisor(supervisor, state: dict) -> None:
-    supervisor._last_good = _opt_array(state["last_good"])
-    supervisor._last_time = state["last_time"]
-    supervisor._stuck_ref = np.asarray(state["stuck_ref"], dtype=float)
-    supervisor._stuck_run = np.asarray(state["stuck_run"], dtype=int)
-    supervisor.last_max_c = state["last_max_c"]
-    for name in _SENSOR_SUP_COUNTERS:
-        setattr(supervisor, name, int(state["counters"][name]))
-
-
-_ACTUATION_SUP_COUNTERS = (
-    "requests",
-    "deferred",
-    "failures_detected",
-    "retries",
-    "abandoned",
-    "emergencies",
-)
-
-
-def _capture_actuation_supervisor(supervisor) -> dict:
-    desired_mapping: dict
-    if supervisor._desired_mapping is _UNSET:
-        desired_mapping = {"state": "unset"}
-    else:
-        desired_mapping = {
-            "state": "set",
-            "mapping": _encode_mapping(supervisor._desired_mapping),
-        }
-    return {
-        "desired_governor": (
-            list(supervisor._desired_governor)
-            if supervisor._desired_governor is not None
-            else None
-        ),
-        "desired_mapping": desired_mapping,
-        "pending": [
-            [
-                kind,
-                {
-                    "first_requested_s": pending.first_requested_s,
-                    "attempts": pending.attempts,
-                    "next_retry_s": pending.next_retry_s,
-                    "abandoned": pending.abandoned,
-                },
-            ]
-            for kind, pending in supervisor._pending.items()
-        ],
-        "emergency_active": supervisor.emergency_active,
-        "engaged_at_s": supervisor._engaged_at_s,
-        "counters": {
-            name: getattr(supervisor, name) for name in _ACTUATION_SUP_COUNTERS
-        },
-        "emergency_time_s": supervisor._emergency_time_s,
-    }
-
-
-def _restore_actuation_supervisor(supervisor, state: dict) -> None:
-    desired = state["desired_governor"]
-    supervisor._desired_governor = tuple(desired) if desired is not None else None
-    if state["desired_mapping"]["state"] == "unset":
-        supervisor._desired_mapping = _UNSET
-    else:
-        supervisor._desired_mapping = _decode_mapping(
-            state["desired_mapping"]["mapping"]
-        )
-    supervisor._pending = {
-        kind: _PendingActuation(
-            first_requested_s=float(entry["first_requested_s"]),
-            attempts=int(entry["attempts"]),
-            next_retry_s=float(entry["next_retry_s"]),
-            abandoned=bool(entry["abandoned"]),
-        )
-        for kind, entry in state["pending"]
-    }
-    supervisor.emergency_active = bool(state["emergency_active"])
-    supervisor._engaged_at_s = state["engaged_at_s"]
-    for name in _ACTUATION_SUP_COUNTERS:
-        setattr(supervisor, name, int(state["counters"][name]))
-    supervisor._emergency_time_s = float(state["emergency_time_s"])
-
-
-# ----------------------------------------------------------------------
-# Observability (trace events + metric instruments)
-# ----------------------------------------------------------------------
-
-
-def _capture_metrics(registry: MetricsRegistry) -> List[dict]:
-    entries: List[dict] = []
-    for name, instrument in registry._instruments.items():
-        entry: Dict[str, Any] = {
-            "name": name,
-            "kind": instrument.kind,
-            "help": instrument.help,
-        }
-        if isinstance(instrument, Histogram):
-            entry["buckets"] = list(instrument.buckets)
-            entry["bucket_counts"] = list(instrument.bucket_counts)
-            entry["sum"] = instrument.sum
-            entry["count"] = instrument.count
-        else:
-            entry["value"] = instrument.value
-        entries.append(entry)
-    return entries
+def _restore_instrumentation(obs: Instrumentation, state: Dict[str, Any]) -> None:
+    trace = state.get("trace")
+    if trace is not None and obs.tracer is not None:
+        obs.tracer.events = [dict(event) for event in trace["events"]]
+        obs.tracer._seq = int(trace["seq"])
+    metrics = state.get("metrics")
+    if metrics is not None and obs.registry is not None:
+        _restore_metrics(obs.registry, metrics)
 
 
 def _restore_metrics(registry: MetricsRegistry, entries: List[dict]) -> None:
@@ -729,103 +378,26 @@ def _restore_metrics(registry: MetricsRegistry, entries: List[dict]) -> None:
             raise CheckpointStateError(f"unknown metric kind {kind!r} in snapshot")
 
 
-def _capture_observability(sim: Simulation) -> Optional[dict]:
-    if sim.obs is None:
-        return None
-    captured: Dict[str, Any] = {}
-    if sim.obs.tracer is not None:
-        captured["trace"] = {
-            "seq": sim.obs.tracer._seq,
-            "events": [dict(event) for event in sim.obs.tracer.events],
-        }
-    if sim.obs.registry is not None:
-        captured["metrics"] = _capture_metrics(sim.obs.registry)
-    return captured
-
-
-def _restore_observability(sim: Simulation, state: Optional[dict]) -> None:
-    if state is None or sim.obs is None:
-        return
-    trace = state.get("trace")
-    if trace is not None and sim.obs.tracer is not None:
-        sim.obs.tracer.events = [dict(event) for event in trace["events"]]
-        sim.obs.tracer._seq = int(trace["seq"])
-    metrics = state.get("metrics")
-    if metrics is not None and sim.obs.registry is not None:
-        _restore_metrics(sim.obs.registry, metrics)
-
-
 # ----------------------------------------------------------------------
 # Full-simulation capture / restore
 # ----------------------------------------------------------------------
 
-_RECORD_FIELDS = (
-    "name",
-    "dataset",
-    "start_s",
-    "end_s",
-    "completed_iterations",
-    "completed",
-    "dynamic_energy_j",
-    "static_energy_j",
-)
 
-
-def capture_simulation(sim: Simulation) -> Dict[str, Any]:
+def capture_simulation(sim: "Simulation") -> Dict[str, Any]:
     """Snapshot everything a tick boundary needs to continue from.
 
     Must be called at a tick boundary of a prepared, running simulation
-    (i.e. from the run loop, after ``step``); the snapshot references
-    live arrays only transiently — callers serialize it immediately.
+    (i.e. from the run loop, after ``step``).
     """
     if sim._app_index < 0 or sim._app_index >= len(sim.applications):
         raise CheckpointStateError(
             "can only checkpoint a running simulation (after prepare, "
             "before the last application finished)"
         )
-    return {
-        "now": sim.now,
-        "app_index": sim._app_index,
-        "app_start_s": sim._app_start_s,
-        "next_eval_s": sim._next_eval_s,
-        "next_watchdog_s": sim._next_watchdog_s,
-        "app_switched_flag": sim._app_switched_flag,
-        "app_energy_snapshot": _capture_energy(sim._app_energy_snapshot),
-        "records": [
-            {name: getattr(record, name) for name in _RECORD_FIELDS}
-            for record in sim._records
-        ],
-        "chip": capture_chip(sim.chip),
-        "perf": _capture_perf(sim.perf),
-        "scheduler": _capture_scheduler(sim.scheduler),
-        "governor": _encode_governor(sim._governor),
-        "pre_emergency_governor": _encode_governor(sim._pre_emergency_governor),
-        "mapping": _encode_mapping(sim._mapping),
-        "manager_sensors": _capture_sensor_bank(sim._manager_sensors),
-        "eval_sensors": _capture_sensor_bank(sim._eval_sensors),
-        "profile": _capture_profile(sim._profile),
-        "applications": [capture_application(app) for app in sim.applications],
-        "manager": _capture_manager(sim.manager),
-        "fault_injector": (
-            capture_fault_injector(sim._fault_injector)
-            if sim._fault_injector is not None
-            else None
-        ),
-        "sensor_supervisor": (
-            _capture_sensor_supervisor(sim._sensor_supervisor)
-            if sim._sensor_supervisor is not None
-            else None
-        ),
-        "actuation_supervisor": (
-            _capture_actuation_supervisor(sim._actuation_supervisor)
-            if sim._actuation_supervisor is not None
-            else None
-        ),
-        "observability": _capture_observability(sim),
-    }
+    return capture_state(sim)
 
 
-def restore_simulation(sim: Simulation, state: Dict[str, Any]) -> None:
+def restore_simulation(sim: "Simulation", state: Dict[str, Any]) -> None:
     """Rebuild a snapshot's exact state inside a fresh simulation.
 
     The simulation must have been constructed with the same arguments as
@@ -836,75 +408,5 @@ def restore_simulation(sim: Simulation, state: Dict[str, Any]) -> None:
     (the restore arms the simulation's resume flag).
     """
     sim.prepare()
-    apps_state = state["applications"]
-    if len(apps_state) != len(sim.applications):
-        raise CheckpointStateError(
-            f"snapshot has {len(apps_state)} applications, "
-            f"simulation has {len(sim.applications)}"
-        )
-    for app, app_state in zip(sim.applications, apps_state):
-        restore_application(app, app_state)
-
-    sim.now = float(state["now"])
-    sim._app_index = int(state["app_index"])
-    sim._app_start_s = float(state["app_start_s"])
-    sim._next_eval_s = float(state["next_eval_s"])
-    sim._next_watchdog_s = float(state["next_watchdog_s"])
-    sim._app_switched_flag = bool(state["app_switched_flag"])
-    sim._app_energy_snapshot = _energy_from(state["app_energy_snapshot"])
-    sim._records = [
-        AppRecord(**{name: record[name] for name in _RECORD_FIELDS})
-        for record in state["records"]
-    ]
-
-    restore_chip(sim.chip, state["chip"])
-    _restore_perf(sim.perf, state["perf"])
-
-    mapping = _decode_mapping(state["mapping"])
-    sim._mapping = mapping
-    _restore_scheduler(
-        sim.scheduler,
-        state["scheduler"],
-        sim.applications[sim._app_index].threads,
-        mapping,
-    )
-
-    ladder = sim.chip.ladder
-    num_cores = sim.platform.num_cores
-    sim._governor = _decode_governor(state["governor"], ladder, num_cores)
-    sim._pre_emergency_governor = _decode_governor(
-        state["pre_emergency_governor"], ladder, num_cores
-    )
-
-    _restore_sensor_bank(sim._manager_sensors, state["manager_sensors"])
-    _restore_sensor_bank(sim._eval_sensors, state["eval_sensors"])
-    _restore_profile(sim._profile, state["profile"])
-    _restore_manager(sim.manager, state["manager"])
-
-    if state["fault_injector"] is not None:
-        if sim._fault_injector is None:
-            raise CheckpointStateError(
-                "snapshot carries fault-injector state but the simulation "
-                "was built without faults"
-            )
-        restore_fault_injector(sim._fault_injector, state["fault_injector"])
-    if state["sensor_supervisor"] is not None:
-        if sim._sensor_supervisor is None:
-            raise CheckpointStateError(
-                "snapshot carries supervisor state but the simulation "
-                "was built without one"
-            )
-        _restore_sensor_supervisor(
-            sim._sensor_supervisor, state["sensor_supervisor"]
-        )
-    if state["actuation_supervisor"] is not None:
-        if sim._actuation_supervisor is None:
-            raise CheckpointStateError(
-                "snapshot carries actuation-supervisor state but the "
-                "simulation was built without one"
-            )
-        _restore_actuation_supervisor(
-            sim._actuation_supervisor, state["actuation_supervisor"]
-        )
-    _restore_observability(sim, state["observability"])
+    restore_state(sim, state)
     sim._resume_armed = True

@@ -113,6 +113,37 @@ class QLearningThermalAgent:
         The action space; built from ``config.num_actions`` when omitted.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "qtable",
+        "schedule",
+        "detector",
+        "_rng",
+        "_trec",
+        "_prev_epoch_series",
+        "_prev_state",
+        "_prev_action",
+        "_prev_prev_action",
+        "_same_action_count",
+        "_policy_stable_for",
+        "_last_policy",
+        "_last_intra_epoch",
+        "_last_inter_epoch",
+        "stats",
+    )
+    #: Construction values and attach-time hooks; ``last_observation`` is
+    #: diagnostic only (nothing on the decide path reads it back) and the
+    #: next full epoch rebuilds it.
+    DERIVED_FIELDS = (
+        "config",
+        "actions",
+        "states",
+        "reward_fn",
+        "samples_per_epoch",
+        "last_observation",
+        "obs",
+    )
+
     def __init__(
         self,
         config: AgentConfig,

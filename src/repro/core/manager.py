@@ -33,6 +33,11 @@ class ProposedThermalManager(ThermalManagerBase):
         spaces); defaults to ``config.num_actions`` menu entries.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_next_sample_s", "_current_action", "agent")
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("config",)
+
     def __init__(
         self,
         config: AgentConfig,

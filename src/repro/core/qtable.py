@@ -26,6 +26,11 @@ class QTable:
         Number of actions.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_q", "_visits", "_exploration_snapshot")
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("num_states", "num_actions")
+
     def __init__(self, num_states: int, num_actions: int) -> None:
         if num_states <= 0 or num_actions <= 0:
             raise ValueError("table dimensions must be positive")

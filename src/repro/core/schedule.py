@@ -57,6 +57,11 @@ class AlphaSchedule:
         Alpha restored on intra-application variation (Section 5.4).
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_alpha", "_epoch", "_exploration_captured")
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("tau", "exploit_threshold", "alpha_intra")
+
     def __init__(
         self,
         decay_epochs: float,

@@ -76,6 +76,16 @@ class StateSpace:
         sensor samples.
     """
 
+    #: No checkpointed state: the memo tables only cache pure functions.
+    STATE_FIELDS = ()
+    DERIVED_FIELDS = (
+        "num_stress_bins",
+        "num_aging_bins",
+        "reliability",
+        "_aging_rate_cache",
+        "_cycle_stress_cache",
+    )
+
     def __init__(
         self,
         num_stress_bins: int,

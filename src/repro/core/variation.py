@@ -67,6 +67,11 @@ class VariationDetector:
         Agent hyper-parameters (window length and the four thresholds).
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_stress", "_aging", "_pending_stress_sign", "_pending_aging_sign")
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("config",)
+
     def __init__(self, config: AgentConfig) -> None:
         if config.ma_window < 1:
             raise ValueError("moving-average window must be >= 1")

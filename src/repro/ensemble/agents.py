@@ -28,8 +28,8 @@ Bit-faithfulness contract (the same one the data plane obeys):
 
 The scalar ``agent.qtable`` / ``agent._trec`` attributes go stale while
 the stacked arrays are live; :meth:`BatchedAgents.sync_out` writes them
-back (and :meth:`sync_in` re-adopts them) so the checkpoint helpers in
-:mod:`repro.checkpoint.state` keep reading the scalar facade unchanged.
+back (and :meth:`sync_in` re-adopts them) so a checkpoint of the ensemble reads
+and writes the scalar agents' declared state unchanged.
 """
 
 from __future__ import annotations
@@ -61,6 +61,24 @@ class BatchedAgents:
     num_cores:
         Width of a sensor sample (the TRec buffer's last axis).
     """
+
+    #: No checkpointed state of its own: :meth:`sync_out` writes the
+    #: stacked arrays onto the scalar agents, which the members'
+    #: managers checkpoint, and :meth:`sync_in` re-adopts them.
+    STATE_FIELDS = ()
+    DERIVED_FIELDS = (
+        "agents",
+        "num_states",
+        "num_actions",
+        "samples_per_epoch",
+        "q3",
+        "visits3",
+        "snap3",
+        "has_snap",
+        "trec",
+        "trec_len",
+        "gamma",
+    )
 
     def __init__(
         self, agents: Sequence[QLearningThermalAgent], num_cores: int
@@ -104,9 +122,8 @@ class BatchedAgents:
     def sync_out(self) -> None:
         """Write the stacked state back onto the scalar agents.
 
-        After this call every attribute the checkpoint layer's
-        ``capture_agent`` reads agrees with what the member's scalar
-        twin would hold at the same tick.
+        After this call every state field of the scalar agents agrees
+        with what the member's scalar twin would hold at the same tick.
         """
         for slot, agent in enumerate(self.agents):
             table = agent.qtable

@@ -39,16 +39,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-# Reuses the checkpoint layer's per-object capture/restore helpers so a
-# manager/sensor/injector snapshot has exactly one implementation.
-from repro.checkpoint.state import (
-    _capture_manager,
-    _capture_sensor_bank,
-    _restore_manager,
-    _restore_sensor_bank,
-    capture_fault_injector,
-    restore_fault_injector,
-)
+from repro.checkpoint.state import capture_state, restore_state
 from repro.ensemble.governors import BatchedGovernors
 from repro.ensemble.managers import BatchedControlPlane
 from repro.ensemble.member_view import MemberView
@@ -104,6 +95,17 @@ def _manager_next_fire(manager: Optional[ThermalManagerBase]) -> float:
 class MemberState:
     """The scalar (control-plane) objects one member keeps."""
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  The
+    #: applications carry the generators the batched workloads draw from.
+    STATE_FIELDS = (
+        "applications",
+        "manager",
+        "manager_sensors",
+        "fault_injector",
+        "mapping",
+    )
+    DERIVED_FIELDS = ("max_time_s", "seed")
+
     applications: List[Application]
     manager: Optional[ThermalManagerBase]
     manager_sensors: SensorBank
@@ -124,6 +126,54 @@ class EnsembleSimulation:
         ensemble *adopts* their state (thermal arrays, governors, RNGs,
         managers); the adopted simulations must not be used afterwards.
     """
+
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  The
+    #: members come first: the batched workloads' generators refer back
+    #: to their applications.
+    STATE_FIELDS = (
+        "members",
+        "now",
+        "_next_eval_s",
+        "_eval_samples",
+        "active",
+        "run_completed",
+        "app_index",
+        "app_start_s",
+        "_snap_dynamic_j",
+        "_snap_static_j",
+        "mgr_next",
+        "total_time_s",
+        "profile_len",
+        "records",
+        "_final_perf",
+        "_final_energy",
+        "workloads",
+        "scheduler",
+        "governors",
+        "chip",
+        "eval_sensors",
+        "perf",
+    )
+    #: Construction values, the sample buffer ``_eval_samples`` stands
+    #: for, the lazily recomputed run-loop bounds and the control plane
+    #: (which syncs with the members' scalar agents).
+    DERIVED_FIELDS = (
+        "platform",
+        "num_members",
+        "num_cores",
+        "dt",
+        "eval_sample_period_s",
+        "chip_template",
+        "views",
+        "_eval_count",
+        "_profile_buf",
+        "_mgr_min",
+        "_max_time_vec",
+        "_min_max_time",
+        "_prepared",
+        "_control",
+        "_timer",
+    )
 
     def __init__(self, members: Sequence[Simulation]) -> None:
         if not members:
@@ -403,16 +453,18 @@ class EnsembleSimulation:
             timer.count_tick()
 
     def _append_eval(self, reading: np.ndarray) -> None:
-        capacity = self._profile_buf.shape[2]
-        if self._eval_count == capacity:
-            grown = np.empty(
-                (self.num_members, self.num_cores, capacity * 2),
-                dtype=np.float64,
-            )
-            grown[:, :, :capacity] = self._profile_buf
-            self._profile_buf = grown
+        if self._eval_count == self._profile_buf.shape[2]:
+            self._grow_profile()
         self._profile_buf[:, :, self._eval_count] = reading
         self._eval_count += 1
+
+    def _grow_profile(self) -> None:
+        capacity = self._profile_buf.shape[2]
+        grown = np.empty(
+            (self.num_members, self.num_cores, capacity * 2), dtype=np.float64
+        )
+        grown[:, :, :capacity] = self._profile_buf
+        self._profile_buf = grown
 
     def advance(self) -> None:
         """Mirror of the scalar run loop's bookkeeping after one step."""
@@ -524,57 +576,26 @@ class EnsembleSimulation:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    @property
+    def _eval_samples(self) -> np.ndarray:
+        """The filled prefix of the eval-sample buffer (checkpointed)."""
+        return self._profile_buf[:, :, : self._eval_count]
+
+    @_eval_samples.setter
+    def _eval_samples(self, samples: np.ndarray) -> None:
+        count = samples.shape[2]
+        while self._profile_buf.shape[2] < count:
+            self._grow_profile()
+        self._profile_buf[:, :, :count] = samples
+        self._eval_count = count
+
     def capture(self) -> dict:
-        """In-memory snapshot of the whole ensemble at a tick boundary."""
+        """JSON-ready snapshot of the whole ensemble at a tick boundary."""
         if self._control is not None:
             # Flush the stacked control-plane state onto the scalar
-            # facade the checkpoint helpers read.
+            # agents whose declared state the snapshot reads.
             self._control.sync_out()
-        return {
-            "now": self.now,
-            "next_eval_s": self._next_eval_s,
-            "eval_count": self._eval_count,
-            "active": self.active.copy(),
-            "run_completed": self.run_completed.copy(),
-            "app_index": self.app_index.copy(),
-            "app_start_s": self.app_start_s.copy(),
-            "snap_dynamic_j": self._snap_dynamic_j.copy(),
-            "snap_static_j": self._snap_static_j.copy(),
-            "mgr_next": self.mgr_next.copy(),
-            "total_time_s": self.total_time_s.copy(),
-            "profile_len": self.profile_len.copy(),
-            "profile_buf": self._profile_buf[:, :, : self._eval_count].copy(),
-            "records": [list(r) for r in self.records],
-            "final_perf": [
-                dict(d) if d is not None else None for d in self._final_perf
-            ],
-            "final_energy": list(self._final_energy),
-            "workloads": self.workloads.capture(),
-            "scheduler": self.scheduler.capture(),
-            "governors": self.governors.capture(),
-            "chip": self.chip.capture(),
-            "eval_sensors": self.eval_sensors.capture(),
-            "perf": self.perf.capture(),
-            "member_states": [
-                {
-                    "manager": (
-                        _capture_manager(state.manager)
-                        if state.manager is not None
-                        else None
-                    ),
-                    "manager_sensors": _capture_sensor_bank(
-                        state.manager_sensors
-                    ),
-                    "fault_injector": (
-                        capture_fault_injector(state.fault_injector)
-                        if state.fault_injector is not None
-                        else None
-                    ),
-                    "mapping": state.mapping,
-                }
-                for state in self.members
-            ],
-        }
+        return capture_state(self)
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`capture` snapshot into this (fresh) ensemble.
@@ -586,57 +607,10 @@ class EnsembleSimulation:
         """
         if not self._prepared:
             self.prepare()
-        self.now = state["now"]
-        self._next_eval_s = state["next_eval_s"]
-        self._eval_count = state["eval_count"]
-        self.active[...] = state["active"]
-        self.run_completed[...] = state["run_completed"]
-        self.app_index[...] = state["app_index"]
-        self.app_start_s[...] = state["app_start_s"]
-        self._snap_dynamic_j[...] = state["snap_dynamic_j"]
-        self._snap_static_j[...] = state["snap_static_j"]
-        self.total_time_s[...] = state["total_time_s"]
-        self.profile_len[...] = state["profile_len"]
-        while self._profile_buf.shape[2] < self._eval_count:
-            self._append_capacity()
-        self._profile_buf[:, :, : self._eval_count] = state["profile_buf"]
-        self.records = [list(r) for r in state["records"]]
-        self._final_perf = [
-            dict(d) if d is not None else None for d in state["final_perf"]
-        ]
-        self._final_energy = list(state["final_energy"])
-        for member, mstate in enumerate(state["member_states"]):
-            mem = self.members[member]
-            if mstate["manager"] is not None:
-                _restore_manager(mem.manager, mstate["manager"])
-            _restore_sensor_bank(mem.manager_sensors, mstate["manager_sensors"])
-            if mstate["fault_injector"] is not None:
-                restore_fault_injector(
-                    mem.fault_injector, mstate["fault_injector"]
-                )
-            mem.mapping = mstate["mapping"]
-            # The workload RNG list must point at the app the snapshot
-            # had in flight before its bit state is overwritten below.
-            index = min(
-                int(self.app_index[member]), len(mem.applications) - 1
-            )
-            self.workloads._rngs[member] = mem.applications[index]._rng
+        restore_state(self, state)
+
+    def _after_restore(self) -> None:
         if self._control is not None:
             # Re-adopt the restored scalar agents into the stacked arrays.
             self._control.sync_in()
-        self.workloads.restore(state["workloads"])
-        self.scheduler.restore(state["scheduler"])
-        self.governors.restore(state["governors"])
-        self.chip.restore(state["chip"])
-        self.eval_sensors.restore(state["eval_sensors"])
-        self.perf.restore(state["perf"])
-        self.mgr_next[...] = state["mgr_next"]
         self._mgr_min = -math.inf  # restored fire times: recompute lazily
-
-    def _append_capacity(self) -> None:
-        capacity = self._profile_buf.shape[2]
-        grown = np.empty(
-            (self.num_members, self.num_cores, capacity * 2), dtype=np.float64
-        )
-        grown[:, :, :capacity] = self._profile_buf
-        self._profile_buf = grown

@@ -67,6 +67,23 @@ def _kind_of(governor: Governor) -> int:
 class BatchedGovernors:
     """All members' governor state as kind codes + a frequency matrix."""
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("kinds", "freq", "user_target", "up_threshold", "down_threshold")
+    #: Ladder constants, the threshold column views and the lazily
+    #: recomputed uniform-kind shortcut.
+    DERIVED_FIELDS = (
+        "ladder",
+        "num_members",
+        "num_cores",
+        "ascending",
+        "f_min",
+        "f_max",
+        "_up_col",
+        "_down_col",
+        "_uniform_kind",
+        "_kinds_dirty",
+    )
+
     def __init__(self, ladder: OppLadder, num_members: int, num_cores: int) -> None:
         self.ladder = ladder
         self.num_members = num_members
@@ -212,22 +229,7 @@ class BatchedGovernors:
             new_freq = np.where(user[:, None], self.user_target[:, None], new_freq)
         self.freq = new_freq
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def capture(self) -> dict:
-        return {
-            name: getattr(self, name).copy()
-            for name in (
-                "kinds",
-                "freq",
-                "user_target",
-                "up_threshold",
-                "down_threshold",
-            )
-        }
-
-    def restore(self, state: dict) -> None:
-        for name, value in state.items():
-            getattr(self, name)[...] = value
+    def _after_restore(self) -> None:
+        self._up_col = self.up_threshold[:, None]
+        self._down_col = self.down_threshold[:, None]
         self._kinds_dirty = True

@@ -60,6 +60,20 @@ class BatchedControlPlane:
     differ freely per member.
     """
 
+    #: No checkpointed state of its own (the batched agents sync with
+    #: the members' scalar agents); rebuilt by ``prepare()``.
+    STATE_FIELDS = ()
+    DERIVED_FIELDS = (
+        "_engine",
+        "_is_batched",
+        "_slot_of",
+        "agents",
+        "_members",
+        "_sensor_config",
+        "_sampling_interval_s",
+        "_decision_epoch_s",
+    )
+
     def __init__(self, engine: "EnsembleSimulation") -> None:
         self._engine = engine
         m = engine.num_members

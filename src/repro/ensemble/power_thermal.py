@@ -32,6 +32,42 @@ _DRIFT_CHUNK = 256
 class BatchedChip:
     """All members' die state, stepped in one vectorized tick."""
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "node_temps",
+        "ambient_c",
+        "ambient_injection",
+        "dynamic_j",
+        "static_j",
+        "energy_elapsed_s",
+        "_drift_rngs",
+        "_drift_chunk",
+        "_drift_cursor",
+    )
+    #: Shared platform constants and per-tick scratch buffers.
+    DERIVED_FIELDS = (
+        "num_members",
+        "num_cores",
+        "num_nodes",
+        "propagator",
+        "input_matrix",
+        "ambient_unit",
+        "c_eff",
+        "t_leak",
+        "freqs_asc",
+        "voltage_by_idx",
+        "leak_scale_by_idx",
+        "idle_package_power_w",
+        "uncore_per_active_w",
+        "drift_enabled",
+        "ambient_target_c",
+        "drift_tau_s",
+        "drift_sigma_c",
+        "_injection",
+        "_mv_state",
+        "_mv_input",
+    )
+
     def __init__(self, template: Chip, num_members: int) -> None:
         config = template.config
         self.num_members = num_members
@@ -165,34 +201,3 @@ class BatchedChip:
         np.add(
             self._mv_state[:, :, 0], self._mv_input[:, :, 0], out=self.node_temps
         )
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def capture(self) -> dict:
-        state = {
-            name: getattr(self, name).copy()
-            for name in (
-                "node_temps",
-                "ambient_c",
-                "ambient_injection",
-                "dynamic_j",
-                "static_j",
-                "energy_elapsed_s",
-                "_drift_chunk",
-            )
-        }
-        state["_drift_cursor"] = self._drift_cursor
-        state["drift_rng_states"] = [
-            rng.bit_generator.state for rng in self._drift_rngs
-        ]
-        return state
-
-    def restore(self, state: dict) -> None:
-        for name, value in state.items():
-            if name in ("drift_rng_states", "_drift_cursor"):
-                continue
-            getattr(self, name)[...] = value
-        self._drift_cursor = state["_drift_cursor"]
-        for rng, rng_state in zip(self._drift_rngs, state["drift_rng_states"]):
-            rng.bit_generator.state = rng_state

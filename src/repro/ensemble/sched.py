@@ -59,6 +59,17 @@ class BatchedPerf:
     scalar counters that simply are not called.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "executed_cycles",
+        "cache_misses",
+        "page_faults",
+        "migrations",
+        "sample_events",
+        "decision_events",
+    )
+    DERIVED_FIELDS = ()
+
     def __init__(self, num_members: int) -> None:
         self.executed_cycles = np.zeros(num_members, dtype=np.float64)
         self.cache_misses = np.zeros(num_members, dtype=np.float64)
@@ -104,26 +115,56 @@ class BatchedPerf:
         self.decision_events[rows] += 1
         self.cache_misses[rows] = self.cache_misses[rows] + _MISSES_PER_DECISION
 
-    def capture(self) -> dict:
-        return {
-            name: getattr(self, name).copy()
-            for name in (
-                "executed_cycles",
-                "cache_misses",
-                "page_faults",
-                "migrations",
-                "sample_events",
-                "decision_events",
-            )
-        }
-
-    def restore(self, state: dict) -> None:
-        for name, value in state.items():
-            getattr(self, name)[...] = value
-
 
 class BatchedScheduler:
     """All members' scheduler state, stepped in one vectorized tick."""
+
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "core",
+        "last_core",
+        "prev_runnable",
+        "stalled",
+        "counts",
+        "allowed",
+        "num_allowed",
+        "has_mapping",
+        "mapping_objs",
+        "stall_s",
+        "idle_for_s",
+        "busy_ewma",
+        "since_rebalance_s",
+    )
+    #: Tuning knobs, index ranges, Python-list mirrors and the shortcut
+    #: flags re-derived after a restore.
+    DERIVED_FIELDS = (
+        "w",
+        "perf",
+        "num_members",
+        "num_cores",
+        "rebalance_period_s",
+        "idle_pull_delay_s",
+        "packing_threshold",
+        "pack_cap",
+        "idle_activity",
+        "pull_ok",
+        "_any_mapping",
+        "_core_range",
+        "_member_range",
+        "_member_col",
+        "_slot_range",
+        "_all_cores",
+        "_place_scalar_max",
+        "_packing_list",
+        "_pack_cap_list",
+        "_busy_list",
+        "_has_mapping_list",
+        "_extern_dirty",
+        "_idle_nonzero",
+        "_zero_delay",
+        "_stall_dirty",
+        "_rebal_slack",
+    )
 
     def __init__(
         self,
@@ -875,36 +916,7 @@ class BatchedScheduler:
             self._stall_dirty = False
         return util, activity
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def capture(self) -> dict:
-        state = {
-            name: getattr(self, name).copy()
-            for name in (
-                "core",
-                "last_core",
-                "prev_runnable",
-                "stalled",
-                "counts",
-                "allowed",
-                "num_allowed",
-                "has_mapping",
-                "stall_s",
-                "idle_for_s",
-                "busy_ewma",
-                "since_rebalance_s",
-            )
-        }
-        state["mapping_objs"] = list(self.mapping_objs)
-        return state
-
-    def restore(self, state: dict) -> None:
-        for name, value in state.items():
-            if name == "mapping_objs":
-                continue
-            getattr(self, name)[...] = value
-        self.mapping_objs = list(state["mapping_objs"])
+    def _after_restore(self) -> None:
         self.pull_ok = self.allowed.any(axis=1)
         self._any_mapping = bool(self.has_mapping.any())
         self._has_mapping_list = [bool(x) for x in self.has_mapping.tolist()]

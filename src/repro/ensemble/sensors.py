@@ -27,6 +27,11 @@ _CHUNK = 64
 class BatchedEvalSensors:
     """All members' evaluation sensors, read in one vectorized call."""
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_rngs", "_chunk", "_cursor")
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("config", "num_members", "num_cores")
+
     def __init__(
         self, config: SensorConfig, num_members: int, num_cores: int
     ) -> None:
@@ -67,19 +72,3 @@ class BatchedEvalSensors:
             np.round(readings, out=readings)
             readings *= step
         return np.clip(readings, config.min_c, config.max_c, out=readings)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def capture(self) -> dict:
-        return {
-            "chunk": self._chunk.copy(),
-            "cursor": self._cursor,
-            "rng_states": [rng.bit_generator.state for rng in self._rngs],
-        }
-
-    def restore(self, state: dict) -> None:
-        self._chunk[...] = state["chunk"]
-        self._cursor = state["cursor"]
-        for rng, rng_state in zip(self._rngs, state["rng_states"]):
-            rng.bit_generator.state = rng_state

@@ -48,6 +48,48 @@ _CHUNK = 128
 class BatchedWorkloads:
     """Structure-of-arrays state for every member's *current* app."""
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  ``_rngs``
+    #: resolves to the restored members' application generators.
+    STATE_FIELDS = (
+        "phase",
+        "remaining",
+        "iteration",
+        "in_sync",
+        "sync_s",
+        "num_threads",
+        "iterations",
+        "work_cycles",
+        "sigma",
+        "sync_time",
+        "barrier",
+        "act_high",
+        "act_low",
+        "elapsed",
+        "barrier_sync_active",
+        "barrier_sync_s",
+        "queue_remaining",
+        "thread_completions",
+        "completions",
+        "_rngs",
+        "_chunk",
+        "_cursor",
+    )
+    #: Sizes plus the shortcut flags and liveness masks re-derived after
+    #: a restore.
+    DERIVED_FIELDS = (
+        "num_members",
+        "max_slots",
+        "_all_rows",
+        "_any_barrier",
+        "_any_queue",
+        "_sync_window_open",
+        "compute_dirty",
+        "done_dirty",
+        "live_slots",
+        "live_members",
+        "_live_dirty",
+    )
+
     def __init__(self, num_members: int, max_slots: int) -> None:
         m, t = num_members, max_slots
         self.num_members = m
@@ -382,51 +424,7 @@ class BatchedWorkloads:
                 recent += 1
         return recent / window
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def capture(self) -> dict:
-        state = {
-            name: getattr(self, name).copy()
-            for name in (
-                "phase",
-                "remaining",
-                "iteration",
-                "in_sync",
-                "sync_s",
-                "num_threads",
-                "iterations",
-                "work_cycles",
-                "sigma",
-                "sync_time",
-                "barrier",
-                "act_high",
-                "act_low",
-                "elapsed",
-                "barrier_sync_active",
-                "barrier_sync_s",
-                "queue_remaining",
-                "thread_completions",
-                "_chunk",
-                "_cursor",
-            )
-        }
-        state["completions"] = [list(c) for c in self.completions]
-        state["rng_states"] = [
-            rng.bit_generator.state if rng is not None else None
-            for rng in self._rngs
-        ]
-        return state
-
-    def restore(self, state: dict) -> None:
-        for name, value in state.items():
-            if name in ("completions", "rng_states"):
-                continue
-            getattr(self, name)[...] = value
-        self.completions = [list(c) for c in state["completions"]]
-        for rng, rng_state in zip(self._rngs, state["rng_states"]):
-            if rng is not None and rng_state is not None:
-                rng.bit_generator.state = rng_state
+    def _after_restore(self) -> None:
         self._any_barrier = bool(self.barrier.any())
         self._any_queue = bool((~self.barrier).any())
         self._sync_window_open = bool(self.barrier_sync_active.any())

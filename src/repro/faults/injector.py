@@ -84,6 +84,11 @@ class FaultInjector:
         distinct fault schedules while staying reproducible.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_rng", "_stuck_until", "_stuck_value", "stats")
+    #: Construction values and the attach-time observability hook.
+    DERIVED_FIELDS = ("config", "num_cores", "obs")
+
     def __init__(self, config: FaultConfig, num_cores: int, seed: int = 0) -> None:
         self.config = config
         self.num_cores = num_cores

@@ -58,6 +58,25 @@ class SensorSupervisor:
         Number of per-core sensors.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "_last_good",
+        "_last_time",
+        "_stuck_ref",
+        "_stuck_run",
+        "last_max_c",
+        "reads",
+        "dropouts_blocked",
+        "range_blocked",
+        "rate_blocked",
+        "stuck_blocked",
+        "median_fallbacks",
+        "hold_fallbacks",
+        "failsafe_fallbacks",
+    )
+    #: Construction values and the attach-time observability hook.
+    DERIVED_FIELDS = ("config", "sensor", "num_cores", "obs")
+
     def __init__(
         self, config: SupervisorConfig, sensor: SensorConfig, num_cores: int
     ) -> None:
@@ -215,6 +234,24 @@ class ActuationSupervisor:
         The sensor supervisor whose sanitised readings drive the
         thermal-emergency decisions.
     """
+
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "_desired_governor",
+        "_desired_mapping",
+        "_pending",
+        "emergency_active",
+        "_engaged_at_s",
+        "requests",
+        "deferred",
+        "failures_detected",
+        "retries",
+        "abandoned",
+        "emergencies",
+        "_emergency_time_s",
+    )
+    #: Construction values (the sensor supervisor is the simulation's).
+    DERIVED_FIELDS = ("config", "sensors")
 
     def __init__(self, config: SupervisorConfig, sensors: SensorSupervisor) -> None:
         self.config = config

@@ -18,6 +18,10 @@ class EnergyMeter:
     All values are chip totals (sum over cores plus uncore).
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("dynamic_j", "static_j", "elapsed_s")
+    DERIVED_FIELDS = ()
+
     dynamic_j: float = 0.0
     static_j: float = 0.0
     elapsed_s: float = 0.0

@@ -34,6 +34,12 @@ class Governor:
     #: previous state by definition.
     adaptive = False
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`, whose
+    #: governor encoder also records the kind and userspace target).
+    STATE_FIELDS = ("_frequencies",)
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("ladder", "num_cores")
+
     def __init__(self, ladder: OppLadder, num_cores: int) -> None:
         self.ladder = ladder
         self.num_cores = num_cores
@@ -101,6 +107,8 @@ class UserspaceGovernor(Governor):
         as ``cpufreq-set -f`` does.
     """
 
+    DERIVED_FIELDS = Governor.DERIVED_FIELDS + ("_target",)
+
     def __init__(self, ladder: OppLadder, num_cores: int, frequency_hz: float) -> None:
         super().__init__(ladder, num_cores)
         self._target = ladder.nearest(frequency_hz).frequency_hz
@@ -131,6 +139,7 @@ class OndemandGovernor(Governor):
 
     name = "ondemand"
     adaptive = True
+    DERIVED_FIELDS = Governor.DERIVED_FIELDS + ("up_threshold", "_ascending_hz", "_f_max")
 
     def __init__(
         self, ladder: OppLadder, num_cores: int, up_threshold: float = 0.80
@@ -178,6 +187,12 @@ class ConservativeGovernor(Governor):
 
     name = "conservative"
     adaptive = True
+    DERIVED_FIELDS = Governor.DERIVED_FIELDS + (
+        "up_threshold",
+        "down_threshold",
+        "_index_of_hz",
+        "_ascending_hz",
+    )
 
     def __init__(
         self,

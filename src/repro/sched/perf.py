@@ -16,6 +16,25 @@ from dataclasses import dataclass, field
 class PerfCounters:
     """Accumulating event counters for one simulation run."""
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "cache_misses",
+        "page_faults",
+        "migrations",
+        "sample_events",
+        "decision_events",
+        "executed_cycles",
+    )
+    #: The per-event costs (construction values).
+    DERIVED_FIELDS = (
+        "misses_per_sample",
+        "faults_per_sample",
+        "misses_per_migration",
+        "faults_per_migration",
+        "misses_per_decision",
+        "misses_per_cycle",
+    )
+
     #: Cache misses charged per sensor-sampling event.
     misses_per_sample: float = 5.0e4
     #: Page faults charged per sensor-sampling event.

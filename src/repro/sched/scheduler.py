@@ -86,6 +86,37 @@ class Scheduler:
         Activity factor contributed by a waiting (non-runnable) thread.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  Thread
+    #: references resolve to the simulation's restored thread objects.
+    STATE_FIELDS = (
+        "_threads",
+        "_mapping",
+        "_core_of",
+        "_prev_runnable",
+        "_stalled",
+        "_stall_s",
+        "_idle_for_s",
+        "_busy_ewma",
+        "_since_rebalance_s",
+        "_runnable_per_core",
+    )
+    #: Construction values and per-tick caches (run queues, the
+    #: dt-keyed EWMA weight, the in-tick migration flag).
+    DERIVED_FIELDS = (
+        "num_cores",
+        "perf",
+        "rebalance_period_s",
+        "idle_pull_delay_s",
+        "packing_threshold",
+        "pack_cap",
+        "idle_activity",
+        "_all_cores",
+        "_run_queues",
+        "_ewma_dt",
+        "_ewma_weight",
+        "_cores_moved",
+    )
+
     def __init__(
         self,
         num_cores: int,

@@ -42,6 +42,31 @@ class Chip:
         Seed for the sensor noise RNG.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = (
+        "thermal",
+        "sensors",
+        "energy",
+        "_last_dynamic",
+        "_last_static",
+        "_drift_rng",
+    )
+    #: Construction values and the dt-keyed drift constants (a fresh
+    #: ``_drift_dt`` of None recomputes them on the next step).
+    DERIVED_FIELDS = (
+        "config",
+        "ladder",
+        "power_table",
+        "floorplan",
+        "_drift_enabled",
+        "_drift_dt",
+        "_drift_pull_gain",
+        "_drift_kick_scale",
+        "_idle_package_power_w",
+        "_uncore_per_active_w",
+        "_timer",
+    )
+
     def __init__(self, config: PlatformConfig, seed: int = 0) -> None:
         self.config = config
         self.ladder = OppLadder(config.opp_table)

@@ -192,6 +192,48 @@ class Simulation:
         engine already computed and draws no randomness.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  The
+    #: applications come first: their threads are what the scheduler's
+    #: thread-keyed state refers back to.
+    STATE_FIELDS = (
+        "applications",
+        "now",
+        "_app_index",
+        "_app_start_s",
+        "_next_eval_s",
+        "_next_watchdog_s",
+        "_app_switched_flag",
+        "_app_energy_snapshot",
+        "_records",
+        "chip",
+        "perf",
+        "_mapping",
+        "scheduler",
+        "_governor",
+        "_pre_emergency_governor",
+        "_manager_sensors",
+        "_eval_sensors",
+        "_profile",
+        "manager",
+        "_fault_injector",
+        "_sensor_supervisor",
+        "_actuation_supervisor",
+        "obs",
+    )
+    #: Construction values and run-loop hooks, never checkpointed.
+    DERIVED_FIELDS = (
+        "platform",
+        "eval_sample_period_s",
+        "max_time_s",
+        "_seed",
+        "_dt",
+        "faults",
+        "supervisor",
+        "_timer",
+        "_checkpointer",
+        "_resume_armed",
+    )
+
     def __init__(
         self,
         applications: Sequence[Application],

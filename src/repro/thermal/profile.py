@@ -37,6 +37,12 @@ class ThermalProfile:
         Spacing of the samples in seconds.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`): the
+    #: filled prefix of the sample block, not its spare capacity.
+    STATE_FIELDS = ("samples",)
+    #: Construction values plus the block that ``samples`` stands for.
+    DERIVED_FIELDS = ("num_cores", "sample_period_s", "_data", "_len")
+
     def __init__(self, num_cores: int, sample_period_s: float) -> None:
         if num_cores <= 0:
             raise ValueError("need at least one core")
@@ -92,6 +98,15 @@ class ThermalProfile:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The recorded ``(num_cores, num_samples)`` block (a view)."""
+        return self._data[:, : self._len]
+
+    @samples.setter
+    def samples(self, block: np.ndarray) -> None:
+        self._adopt(block)
 
     def __len__(self) -> int:
         """Number of samples recorded per core."""

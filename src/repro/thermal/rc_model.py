@@ -48,6 +48,25 @@ class RCThermalModel:
         everywhere (a cold start).
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_temps", "_ambient_c")
+    #: Network matrices, scratch buffers and the ambient injection
+    #: (re-derived from ``_ambient_c`` after a restore).
+    DERIVED_FIELDS = (
+        "floorplan",
+        "config",
+        "dt",
+        "_num_nodes",
+        "_ambient_unit",
+        "_ambient_injection",
+        "_propagator",
+        "_input_matrix",
+        "_g",
+        "_injection",
+        "_mv_state",
+        "_mv_input",
+    )
+
     def __init__(
         self,
         floorplan: Floorplan,
@@ -186,6 +205,9 @@ class RCThermalModel:
         """Update the effective ambient temperature (airflow drift)."""
         self._ambient_c = ambient_c
         self._ambient_injection = self._ambient_unit * ambient_c
+
+    def _after_restore(self) -> None:
+        self.set_ambient_c(self._ambient_c)
 
     @property
     def ambient_c(self) -> float:

@@ -30,6 +30,11 @@ class SensorBank:
         Seed of the sensor-noise RNG, so any run is reproducible.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("_rng", "_ema")
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("num_cores", "config", "_ema_alpha")
+
     def __init__(
         self,
         num_cores: int,

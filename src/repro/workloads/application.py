@@ -45,6 +45,22 @@ class Application:
         Seed of the jitter RNG; fixed per run for reproducibility.
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  The
+    #: jitter RNG is shared by reference with the threads, so this one
+    #: stream position covers the whole application.
+    STATE_FIELDS = (
+        "_rng",
+        "_sync_remaining_s",
+        "_thread_sync_s",
+        "_thread_completions",
+        "_completion_times_s",
+        "_elapsed_s",
+        "_queue_remaining",
+        "threads",
+    )
+    #: Construction values, never checkpointed.
+    DERIVED_FIELDS = ("spec", "metric")
+
     def __init__(
         self,
         spec: WorkloadSpec,

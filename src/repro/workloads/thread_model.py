@@ -106,6 +106,11 @@ class SimThread:
         RNG shared by the application (drives the per-iteration jitter).
     """
 
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).
+    STATE_FIELDS = ("phase", "iteration", "remaining_cycles", "last_core", "core")
+    #: Construction values; ``_rng`` is the application's (checkpointed there).
+    DERIVED_FIELDS = ("spec", "thread_id", "_rng")
+
     def __init__(self, spec: WorkloadSpec, thread_id: int, rng: np.random.Generator) -> None:
         self.spec = spec
         self.thread_id = thread_id

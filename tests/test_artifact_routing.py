@@ -1,15 +1,12 @@
 """Artefact routing: reduced-scale output never lands in ``results/``.
 
-``benchmarks.conftest.save_artifact`` historically wrote every artefact
-into the committed ``results/`` directory, so a quick
-``REPRO_BENCH_SCALE=0.2`` sweep would silently clobber the full-scale
-tables.  Scaled output is now routed through the experiment-engine
-cache tree instead; only scale 1.0 may touch ``results/``.
+Only scale 1.0 may touch the committed ``results/`` directory; scaled
+sweeps are routed through the experiment-engine cache tree instead, so a
+quick reduced-scale run can never clobber the full-scale tables.
 """
 
 from pathlib import Path
 
-import benchmarks.conftest as bench
 from repro.experiments.engine import artifact_dir, default_cache_root
 
 
@@ -22,26 +19,3 @@ def test_artifact_dir_scaled_lands_in_cache_tree(tmp_path, monkeypatch):
     target = artifact_dir(0.2, Path("results"))
     assert target == tmp_path / "results-scale-0.2"
     assert default_cache_root() == tmp_path
-
-
-def test_save_artifact_scaled_routes_into_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-    bench.save_artifact("routing_probe", "scaled table")
-    written = tmp_path / "results-scale-0.25" / "routing_probe.txt"
-    assert written.read_text() == "scaled table\n"
-    assert not (bench.RESULTS_DIR / "routing_probe.txt").exists()
-
-
-def test_save_artifact_full_scale_writes_results_dir(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "RESULTS_DIR", tmp_path / "results")
-    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-    bench.save_artifact("routing_probe", "full table")
-    assert (tmp_path / "results" / "routing_probe.txt").read_text() == "full table\n"
-
-
-def test_save_artifact_explicit_scale_overrides_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "1.0")
-    bench.save_artifact("routing_probe", "explicit", scale=0.5)
-    assert (tmp_path / "results-scale-0.5" / "routing_probe.txt").exists()

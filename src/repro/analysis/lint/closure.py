@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.lint.fingerprint import FINGERPRINT_SCHEMA_VERSION
-from repro.analysis.lint.project import ProjectModel
+from repro.analysis.lint.project import ProjectModel, package_root
 
 #: The job executors whose transitive imports define the closure.
 CLOSURE_ROOTS: Tuple[str, ...] = (
@@ -76,9 +76,17 @@ def compute_closure(
     roots: Tuple[str, ...] = CLOSURE_ROOTS,
     excludes: Tuple[str, ...] = CLOSURE_EXCLUDES,
 ) -> ClosureReport:
-    """Closure membership and digest of an already-built project model."""
+    """Closure membership and digest of a project model.
+
+    Parses only the closure's members (see :meth:`ProjectModel.reachable`).
+
+    Raises
+    ------
+    SyntaxError
+        If a closure member does not parse.
+    """
     members = model.reachable(roots, exclude_prefixes=excludes)
-    modules = {name: model.modules[name].fingerprint for name in members}
+    modules = {name: model.module(name).fingerprint for name in members}
     payload = {
         "schema": FINGERPRINT_SCHEMA_VERSION,
         "python": python_tag(),
@@ -96,30 +104,31 @@ def compute_closure(
     )
 
 
-_CLOSURE_CACHE: Dict[str, ClosureReport] = {}
+_CLOSURE_CACHE: Dict[Path, ClosureReport] = {}
 
 
 def closure_report(root: Optional[Path] = None) -> ClosureReport:
     """The closure report for a package tree, memoised per resolved root.
 
-    Parsing and fingerprinting the whole package costs a few hundred
-    milliseconds, and job-key derivation calls this for every spec, so
-    the report is computed once per (process, root).  Tests that edit a
-    tree in place must call :func:`clear_closure_cache` between edits.
+    Job-key derivation calls this for every spec, so the report is
+    computed once per (process, package root): ``root=None`` and an
+    explicit path to the installed package share one entry.  Computing
+    it parses and fingerprints only the closure's members, never the
+    rest of the tree.  Tests that edit a tree in place must call
+    :func:`clear_closure_cache` between edits.
 
     Raises
     ------
     SyntaxError
-        If any file of the tree fails to parse: a digest that silently
+        If a closure member fails to parse: a digest that silently
         skipped a module could serve results of code that cannot run.
+        Files outside the closure are never parsed (``repro lint``
+        reports every file that does not parse).
     """
-    key = str(Path(root).resolve()) if root is not None else ""
+    key = Path(root).resolve() if root is not None else package_root()
     cached = _CLOSURE_CACHE.get(key)
     if cached is None:
-        model = ProjectModel.build(root)
-        if model.unparsed:
-            raise model.unparsed[0][1]
-        cached = compute_closure(model)
+        cached = compute_closure(ProjectModel.build(key))
         _CLOSURE_CACHE[key] = cached
     return cached
 

@@ -5,7 +5,9 @@ context owns the AST, knows the module's dotted name (how rules decide
 whether they are in scope) and resolves import aliases so a rule can ask
 for the *canonical* dotted name of any ``Name``/``Attribute`` chain —
 ``rng.random()`` after ``import numpy.random as rng`` resolves to
-``numpy.random.random``.
+``numpy.random.random``.  Parsing walks the tree once into a
+:class:`TreeIndex`; the aliases here and the project model's edges and
+docstring stripping are all read from that index.
 """
 
 from __future__ import annotations
@@ -13,16 +15,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.analysis.lint.findings import Finding, Severity
+from repro.analysis.lint.fingerprint import DOCSTRING_OWNERS, DocstringOwner
 
 
 def module_for_path(path: Path) -> str:
     """Dotted module name of a source file inside the ``repro`` package.
 
     Falls back to the bare stem for files outside any ``repro`` package
-    directory (fixtures, scratch files).
+    directory (fixtures, scratch files).  The project model does not use
+    this: it names each file from its path relative to the tree root.
     """
     parts = list(path.resolve().parts)
     if "repro" in parts:
@@ -35,16 +39,49 @@ def module_for_path(path: Path) -> str:
     return path.stem
 
 
-def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
+ImportNode = Union[ast.Import, ast.ImportFrom]
+ReferenceNode = Union[ast.Call, ast.Attribute]
+
+
+@dataclass
+class TreeIndex:
+    """What one ``ast.walk`` over a module collects for the model.
+
+    Aliases, dependency edges and docstring stripping are all derived
+    from these lists, so the project model never walks a tree twice.
+    """
+
+    #: Every ``import``/``from ... import`` node, lazy ones included.
+    imports: List[ImportNode] = field(default_factory=list)
+    #: Every call and attribute access (candidate dotted references).
+    references: List[ReferenceNode] = field(default_factory=list)
+    #: Every node whose body may open with a docstring.
+    docstring_owners: List[DocstringOwner] = field(default_factory=list)
+
+
+def index_tree(tree: ast.Module) -> TreeIndex:
+    """Index ``tree`` in a single walk."""
+    index = TreeIndex()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            index.imports.append(node)
+        elif isinstance(node, (ast.Call, ast.Attribute)):
+            index.references.append(node)
+        elif isinstance(node, DOCSTRING_OWNERS):
+            index.docstring_owners.append(node)
+    return index
+
+
+def _collect_aliases(imports: List[ImportNode]) -> Dict[str, str]:
     """Local name -> canonical dotted module/object name."""
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for item in node.names:
                 aliases[item.asname or item.name.split(".")[0]] = (
                     item.name if item.asname else item.name.split(".")[0]
                 )
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+        elif node.module and node.level == 0:
             for item in node.names:
                 if item.name == "*":
                     continue
@@ -62,6 +99,7 @@ class ModuleContext:
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
     aliases: Dict[str, str] = field(default_factory=dict)
+    index: TreeIndex = field(default_factory=TreeIndex)
 
     @classmethod
     def from_source(
@@ -70,22 +108,22 @@ class ModuleContext:
         """Parse ``source``; ``module`` defaults from ``path``."""
         tree = ast.parse(source, filename=path)
         resolved = module or module_for_path(Path(path))
+        index = index_tree(tree)
         return cls(
             path=path,
             module=resolved,
             source=source,
             tree=tree,
             lines=source.splitlines(),
-            aliases=_collect_aliases(tree),
+            aliases=_collect_aliases(index.imports),
+            index=index,
         )
 
     @classmethod
-    def from_file(cls, path: Path) -> "ModuleContext":
-        """Read and parse one file."""
+    def from_file(cls, path: Path, module: Optional[str] = None) -> "ModuleContext":
+        """Read and parse one file; ``module`` defaults from ``path``."""
         return cls.from_source(
-            path.read_text(encoding="utf-8"),
-            path=str(path),
-            module=module_for_path(path),
+            path.read_text(encoding="utf-8"), path=str(path), module=module
         )
 
     # ------------------------------------------------------------------

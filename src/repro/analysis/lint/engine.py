@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis.lint.baseline import Baseline, PairRecord
 from repro.analysis.lint.closure import ClosureReport, compute_closure
-from repro.analysis.lint.context import ModuleContext, module_for_path
+from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.project import ProjectModel
 from repro.analysis.lint.registry import ModuleRule, ProjectRule, Rule, build_rules
@@ -51,7 +51,8 @@ class LintReport:
     active: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     baselined: List[Finding] = field(default_factory=list)
-    #: The behavior closure (None for single-snippet fixture runs).
+    #: The behavior closure (None for single-snippet fixture runs and
+    #: when a closure member does not parse).
     closure: Optional[ClosureReport] = None
     #: Current fingerprints of every registered scalar/ensemble pair.
     pairs: Dict[str, PairRecord] = field(default_factory=dict)
@@ -108,12 +109,12 @@ def _malformed_suppressions(
             )
 
 
-def _parse_error(path: Path, exc: SyntaxError) -> Finding:
+def _parse_error(module: str, path: Path, exc: SyntaxError) -> Finding:
     return Finding(
         rule=PARSE_ERROR_CODE,
         severity=Severity.ERROR,
         path=str(path),
-        module=module_for_path(path),
+        module=module,
         line=exc.lineno or 1,
         col=exc.offset or 0,
         message=f"file does not parse: {exc.msg}",
@@ -183,8 +184,10 @@ def lint_package(
 ) -> LintReport:
     """Lint a package tree (default: the installed ``repro`` package).
 
-    Builds the project model once and shares it between the module
-    rules, the project rules, the closure digest and the pairing table.
+    Builds the project model once, parses every file of the tree and
+    shares the model between the module rules, the project rules, the
+    closure digest and the pairing table.  The report carries no closure
+    when a closure member does not parse.
 
     Raises
     ------
@@ -194,12 +197,22 @@ def lint_package(
     resolved = baseline if baseline is not None else Baseline()
     report = LintReport(rules=build_rules(rules))
     model = ProjectModel.build(root)
-    report.files = len(model.modules) + len(model.unparsed)
-    report.closure = compute_closure(model)
+    report.files = len(model.sources)
+    try:
+        report.closure = compute_closure(model)
+    except SyntaxError:
+        # A closure member does not parse: its PARSE finding below fails
+        # the run, and no digest is claimed for a partial closure.
+        report.closure = None
     report.pairs = current_pairs(model)
     report.baseline_digest = resolved.closure_digest
     report.baseline_comparable = resolved.comparable
-    report.active.extend(_parse_error(path, exc) for path, exc in model.unparsed)
-    contexts = [model.modules[name].ctx for name in sorted(model.modules)]
+    unparsed = model.unparsed
+    report.active.extend(
+        _parse_error(name, model.sources[name], unparsed[name])
+        for name in sorted(unparsed)
+    )
+    modules = model.modules
+    contexts = [modules[name].ctx for name in sorted(modules)]
     _check(report, contexts, model, resolved)
     return report

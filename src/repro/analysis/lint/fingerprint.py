@@ -73,35 +73,42 @@ def marker_for(node: ast.stmt, markers: Dict[int, Marker]) -> Union[Marker, None
     return None
 
 
-_DOCSTRING_OWNERS = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: Node types whose body may open with a docstring.
+DOCSTRING_OWNERS = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+DocstringOwner = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+
+
+def strip_docstring(owner: DocstringOwner) -> None:
+    """Remove the docstring opening one owner's body, in place."""
+    body = owner.body
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        del body[0]
 
 
 def strip_docstrings(node: ast.AST) -> None:
     """Remove every docstring expression from ``node``'s subtree, in place.
 
-    Applied once per parsed module by the project model, so the
-    fingerprint helpers below can ``ast.dump`` without deep-copying
-    (which dominates whole-package fingerprinting time otherwise).
+    The project model strips the owners its single indexing walk
+    collected (see :class:`~repro.analysis.lint.context.TreeIndex`)
+    instead of walking again; this helper serves detached trees.
     """
     for child in ast.walk(node):
-        if not isinstance(child, _DOCSTRING_OWNERS):
-            continue
-        body = child.body
-        if (
-            body
-            and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)
-        ):
-            del body[0]
+        if isinstance(child, DOCSTRING_OWNERS):
+            strip_docstring(child)
 
 
 def normalized_dump(node: ast.AST) -> str:
     """``ast.dump`` of ``node`` with docstrings and locations stripped.
 
     Deep-copies first, so the caller's AST is untouched; the project
-    model uses the in-place :func:`strip_docstrings` +
-    :func:`fingerprint_node` path instead to avoid the copy.
+    model strips its trees in place once and hashes with
+    :func:`fingerprint_node` instead, to avoid the copy.
     """
     clone = copy.deepcopy(node)
     strip_docstrings(clone)
@@ -112,7 +119,7 @@ def fingerprint_node(node: ast.AST) -> str:
     """Behavior fingerprint of one already-normalized AST node.
 
     The node must have had its docstrings stripped (see
-    :func:`strip_docstrings`); line/column info is excluded by the dump
+    :func:`strip_docstring`); line/column info is excluded by the dump
     itself.
     """
     return hashlib.sha256(

@@ -1,10 +1,24 @@
 """The AST-driven project model: modules, symbols, import/call graph.
 
-A :class:`ProjectModel` parses every source file of a package tree into
-a :class:`~repro.analysis.lint.context.ModuleContext`, computes
-normalized behavior fingerprints (see
-:mod:`repro.analysis.lint.fingerprint`) per module and per top-level
-definition, and resolves a module-level dependency graph:
+:meth:`ProjectModel.build` only *lists* a package tree: every source
+file is named from its path relative to the tree root
+(``<root>/soc/chip.py`` becomes ``<root.name>.soc.chip``), and that
+listing alone answers whether a module exists.  A module is parsed the
+first time something asks for it (:meth:`ProjectModel.module`): one
+``ast.walk`` indexes its imports, dotted references and docstring owners
+(:class:`~repro.analysis.lint.context.TreeIndex`), the docstrings are
+stripped in place and the dependency edges are resolved from that index.
+Following edges from a set of roots (:meth:`ProjectModel.reachable`)
+therefore parses only the modules it reaches; the closure digest never
+touches the rest of the tree, while ``repro lint``, which visits every
+module (:attr:`ProjectModel.modules`), parses them all.
+
+Fingerprints (see :mod:`repro.analysis.lint.fingerprint`) are computed
+on first read and cached: the whole-module fingerprint the digest
+hashes, and the per-definition symbol fingerprints and marker data that
+only the project rules read.
+
+The dependency graph:
 
 * every ``import``/``from ... import`` — including lazy imports inside
   function bodies — adds an edge to the imported module *and* to each
@@ -24,18 +38,23 @@ module's context to the per-module rules as well.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.fingerprint import (
+    Marker,
     fingerprint_module,
     fingerprint_node,
     marker_for,
     parse_markers,
-    strip_docstrings,
+    strip_docstring,
 )
+
+Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
 
 
 @dataclass(frozen=True)
@@ -48,37 +67,94 @@ class SymbolInfo:
     fingerprint: str
 
 
+def _definitions(tree: ast.Module) -> Iterator[Definition]:
+    """Top-level ``def``/``class`` statements of a module."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt
+
+
 @dataclass
 class ModuleInfo:
-    """One parsed, fingerprinted module of the project."""
+    """One parsed module of the project.
+
+    The tree in :attr:`ctx` is normalized in place (docstrings removed)
+    so every fingerprint below can hash without deep-copying.  Rules
+    only inspect executable statements, so they are unaffected; anything
+    needing original source has ``ctx.lines``.  Each fingerprint is
+    computed on first read and cached.
+    """
 
     name: str
     path: str
     ctx: ModuleContext
     #: Resolved in-package dependency edges (sorted module names).
     imports: Tuple[str, ...] = ()
-    #: Normalized whole-module fingerprint (opt-outs excluded).
-    fingerprint: str = ""
-    #: Fingerprints of every top-level ``def``/``class``, by name.
-    symbols: Dict[str, SymbolInfo] = field(default_factory=dict)
-    #: Symbol name -> reason for every valid behavior-irrelevant marker.
-    irrelevant: Dict[str, str] = field(default_factory=dict)
-    #: Line numbers of reasonless behavior-irrelevant markers.
-    malformed_markers: Tuple[int, ...] = ()
+
+    @cached_property
+    def markers(self) -> Dict[int, Marker]:
+        """Behavior-irrelevant markers of the file, keyed by line."""
+        return parse_markers(self.ctx.lines)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Normalized whole-module fingerprint (opt-outs excluded)."""
+        return fingerprint_module(self.ctx.tree, self.markers)
+
+    @cached_property
+    def symbols(self) -> Dict[str, SymbolInfo]:
+        """Fingerprints of every top-level ``def``/``class``, by name."""
+        return {
+            stmt.name: SymbolInfo(
+                name=stmt.name,
+                kind="class" if isinstance(stmt, ast.ClassDef) else "function",
+                line=stmt.lineno,
+                fingerprint=fingerprint_node(stmt),
+            )
+            for stmt in _definitions(self.ctx.tree)
+        }
+
+    @cached_property
+    def irrelevant(self) -> Dict[str, str]:
+        """Symbol name -> reason for every valid behavior-irrelevant marker."""
+        irrelevant: Dict[str, str] = {}
+        for stmt in _definitions(self.ctx.tree):
+            marker = marker_for(stmt, self.markers)
+            if marker is not None:
+                irrelevant[stmt.name] = marker.reason
+        return irrelevant
+
+    @cached_property
+    def malformed_markers(self) -> Tuple[int, ...]:
+        """Line numbers of reasonless behavior-irrelevant markers."""
+        return tuple(
+            line for line in sorted(self.markers) if not self.markers[line].valid
+        )
 
 
-def _package_root() -> Path:
+def package_root() -> Path:
     """Source directory of the installed ``repro`` package."""
     import repro
 
     return Path(repro.__file__).resolve().parent
 
 
-def _iter_sources(root: Path) -> List[Path]:
-    """Every ``*.py`` under ``root``, sorted for determinism."""
-    return sorted(
-        path for path in root.rglob("*.py") if "__pycache__" not in path.parts
-    )
+def _list_sources(root: Path) -> Dict[str, Path]:
+    """Module name -> file for every ``*.py`` under ``root``, sorted.
+
+    Names come from the path relative to ``root``, prefixed with the
+    root directory's own name, so two same-named files in different
+    subpackages never collide.
+    """
+    sources: Dict[str, Path] = {}
+    for path in sorted(root.rglob("*.py")):
+        if "__pycache__" in path.parts:
+            continue
+        parts = [root.name, *path.relative_to(root).with_suffix("").parts]
+        if parts[-1] == "__init__":
+            parts.pop()
+        sources[".".join(parts)] = path
+    return sources
 
 
 def _ancestors(module: str, package: str) -> List[str]:
@@ -93,81 +169,112 @@ def _ancestors(module: str, package: str) -> List[str]:
 
 
 class ProjectModel:
-    """Parsed project: fingerprinted modules plus their dependency graph."""
+    """A listed package tree whose modules are parsed on first request."""
 
-    def __init__(
-        self,
-        root: Path,
-        package: str,
-        modules: Dict[str, ModuleInfo],
-        unparsed: Tuple[Tuple[Path, SyntaxError], ...] = (),
-    ):
+    def __init__(self, root: Path, package: str, sources: Dict[str, Path]):
         self.root = root
         self.package = package
-        self.modules = modules
-        #: Source files that failed to parse, with their errors.
-        self.unparsed = unparsed
+        #: Every listed module, parsed or not: dotted name -> source file.
+        self.sources = sources
+        self._parsed: Dict[str, ModuleInfo] = {}
+        self._errors: Dict[str, SyntaxError] = {}
 
     @classmethod
     def build(cls, root: Optional[Path] = None) -> "ProjectModel":
-        """Parse the package tree at ``root`` (default: installed repro).
+        """List the package tree at ``root`` (default: installed repro).
 
-        A file that does not parse is left out of the model and recorded
-        in :attr:`unparsed`, so one broken file never hides the others.
+        Nothing is parsed yet; see :meth:`module`.
         """
-        resolved = Path(root).resolve() if root is not None else _package_root()
-        package = resolved.name
-        modules: Dict[str, ModuleInfo] = {}
-        unparsed: List[Tuple[Path, SyntaxError]] = []
-        for path in _iter_sources(resolved):
-            try:
-                ctx = ModuleContext.from_file(path)
-            except SyntaxError as exc:
-                unparsed.append((path, exc))
-                continue
-            modules[ctx.module] = _build_module(ctx)
-        model = cls(resolved, package, modules, tuple(unparsed))
-        for name in sorted(modules):
-            info = modules[name]
-            info.imports = tuple(sorted(model._resolve_edges(info)))
-        return model
+        resolved = Path(root).resolve() if root is not None else package_root()
+        return cls(resolved, resolved.name, _list_sources(resolved))
+
+    def module(self, name: str) -> ModuleInfo:
+        """The listed module ``name``, parsed and resolved on first request.
+
+        Raises
+        ------
+        KeyError
+            If no file of the tree is named ``name``.
+        SyntaxError
+            If the module's file does not parse (raised again on every
+            later request).
+        """
+        info = self._parsed.get(name)
+        if info is not None:
+            return info
+        error = self._errors.get(name)
+        if error is not None:
+            raise error
+        try:
+            ctx = ModuleContext.from_file(self.sources[name], module=name)
+        except SyntaxError as exc:
+            self._errors[name] = exc
+            raise
+        for owner in ctx.index.docstring_owners:
+            strip_docstring(owner)
+        info = ModuleInfo(
+            name=name,
+            path=ctx.path,
+            ctx=ctx,
+            imports=tuple(sorted(self._resolve_edges(ctx))),
+        )
+        self._parsed[name] = info
+        return info
+
+    def _parse_all(self) -> None:
+        for name in self.sources:
+            with suppress(SyntaxError):
+                self.module(name)
+
+    @cached_property
+    def modules(self) -> Dict[str, ModuleInfo]:
+        """Every module that parses, by name (parses the whole tree).
+
+        A file that does not parse is left out and listed in
+        :attr:`unparsed`, so one broken file never hides the others.
+        """
+        self._parse_all()
+        return dict(self._parsed)
+
+    @cached_property
+    def unparsed(self) -> Dict[str, SyntaxError]:
+        """Every module whose file does not parse, with its error."""
+        self._parse_all()
+        return dict(self._errors)
 
     # ------------------------------------------------------------------
     # Graph resolution
     # ------------------------------------------------------------------
-
-    def _known(self, module: str) -> bool:
-        return module in self.modules
 
     def _edge_targets(self, module: str) -> List[str]:
         """Known modules an import of ``module`` executes (with ancestors)."""
         return [
             name
             for name in _ancestors(module, self.package)
-            if self._known(name)
+            if name in self.sources
         ]
 
-    def _resolve_edges(self, info: ModuleInfo) -> Set[str]:
+    def _resolve_edges(self, ctx: ModuleContext) -> Set[str]:
         edges: Set[str] = set()
-        package_parts = info.name.split(".")
-        for node in ast.walk(info.ctx.tree):
+        package_parts = ctx.module.split(".")
+        for node in ctx.index.imports:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     edges.update(self._edge_targets(item.name))
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_from_base(node, package_parts)
-                if base is None:
-                    continue
-                edges.update(self._edge_targets(base))
-                for item in node.names:
-                    if item.name != "*":
-                        edges.update(self._edge_targets(f"{base}.{item.name}"))
-            elif isinstance(node, (ast.Call, ast.Attribute)):
-                target = node.func if isinstance(node, ast.Call) else node
-                qualified = info.ctx.qualified_name(target)
-                if qualified is not None:
-                    edges.add(self._longest_module_prefix(qualified))
-        edges.discard(info.name)
+                continue
+            base = self._import_from_base(node, package_parts)
+            if base is None:
+                continue
+            edges.update(self._edge_targets(base))
+            for item in node.names:
+                if item.name != "*":
+                    edges.update(self._edge_targets(f"{base}.{item.name}"))
+        for ref in ctx.index.references:
+            target = ref.func if isinstance(ref, ast.Call) else ref
+            qualified = ctx.qualified_name(target)
+            if qualified is not None:
+                edges.add(self._longest_module_prefix(qualified))
+        edges.discard(ctx.module)
         edges.discard("")
         return edges
 
@@ -189,7 +296,7 @@ class ProjectModel:
         parts = qualified.split(".")
         for depth in range(len(parts), 0, -1):
             candidate = ".".join(parts[:depth])
-            if self._known(candidate):
+            if candidate in self.sources:
                 return candidate
         return ""
 
@@ -207,7 +314,12 @@ class ProjectModel:
         Roots that are not present in the tree are ignored (a fixture
         tree need not mirror the full package).  ``exclude_prefixes``
         prunes both membership and traversal — an excluded module's own
-        imports are never followed.
+        imports are never followed.  Only the modules reached are parsed.
+
+        Raises
+        ------
+        SyntaxError
+            If a reached module does not parse: its edges are unknown.
         """
 
         def excluded(name: str) -> bool:
@@ -218,51 +330,14 @@ class ProjectModel:
 
         seen: Set[str] = set()
         frontier: List[str] = sorted(
-            name for name in roots if self._known(name) and not excluded(name)
+            name for name in roots if name in self.sources and not excluded(name)
         )
         while frontier:
             name = frontier.pop()
             if name in seen:
                 continue
             seen.add(name)
-            for edge in self.modules[name].imports:
+            for edge in self.module(name).imports:
                 if edge not in seen and not excluded(edge):
                     frontier.append(edge)
         return sorted(seen)
-
-
-def _build_module(ctx: ModuleContext) -> ModuleInfo:
-    # The model's trees are normalized in place: docstrings are removed
-    # once here so every fingerprint below can hash without deep-copying.
-    # Rules only inspect executable statements, so they are unaffected;
-    # anything needing original source has ``ctx.lines``.
-    strip_docstrings(ctx.tree)
-    markers = parse_markers(ctx.lines)
-    symbols: Dict[str, SymbolInfo] = {}
-    irrelevant: Dict[str, str] = {}
-    for stmt in ctx.tree.body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        kind = "class" if isinstance(stmt, ast.ClassDef) else "function"
-        symbols[stmt.name] = SymbolInfo(
-            name=stmt.name,
-            kind=kind,
-            line=stmt.lineno,
-            fingerprint=fingerprint_node(stmt),
-        )
-        marker = marker_for(stmt, markers)
-        if marker is not None:
-            irrelevant[stmt.name] = marker.reason
-    malformed = tuple(
-        line for line in sorted(markers) if not markers[line].valid
-    )
-    return ModuleInfo(
-        name=ctx.module,
-        path=ctx.path,
-        ctx=ctx,
-        fingerprint=fingerprint_module(ctx.tree, markers),
-        symbols=symbols,
-        irrelevant=irrelevant,
-        malformed_markers=malformed,
-    )
-

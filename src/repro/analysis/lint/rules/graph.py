@@ -156,9 +156,16 @@ class NoWorkerSharedMutableState(ProjectRule):
     )
 
     def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
-        members = model.reachable(CLOSURE_ROOTS, exclude_prefixes=CLOSURE_EXCLUDES)
+        try:
+            members = model.reachable(
+                CLOSURE_ROOTS, exclude_prefixes=CLOSURE_EXCLUDES
+            )
+        except SyntaxError:
+            # A closure member does not parse; its PARSE finding fails
+            # the run and the membership is unknown.
+            return
         for name in members:
-            info = model.modules[name]
+            info = model.module(name)
             for stmt in info.ctx.tree.body:
                 if isinstance(stmt, ast.Assign):
                     targets = stmt.targets

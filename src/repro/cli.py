@@ -816,7 +816,13 @@ def _command_lint(args: argparse.Namespace) -> int:
         print(exc.args[0])
         return 2
     if args.fix_baseline:
-        assert report.closure is not None
+        if report.closure is None:
+            print(
+                "error: a closure member does not parse; "
+                "fix its PARSE finding before recording a baseline",
+                file=sys.stderr,
+            )
+            return 1
         count = save_baseline(
             baseline_path,
             report.active,

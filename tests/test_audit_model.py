@@ -1,19 +1,26 @@
 """Tests for the lint project model: fingerprints, graph, closure.
 
-Fixture trees are written under ``<tmp>/repro/...`` so that
-``module_for_path`` derives real dotted module names, exactly as it does
-for the installed package.
+Fixture trees are written under ``<tmp>/repro/...`` so that the model,
+which names each file from its path relative to the tree root, derives
+the same dotted module names as it does for the installed package.
 """
 
+import ast
 import textwrap
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.analysis.lint import (
     Marker,
     ProjectModel,
     clear_closure_cache,
     closure_digest,
+    closure_report,
     compute_closure,
     fingerprint_node,
+    lint_package,
     normalized_dump,
     parse_markers,
     python_tag,
@@ -346,5 +353,71 @@ class TestClosure:
             assert closure_digest(package) == first
             clear_closure_cache()
             assert closure_digest(package) != first
+            # The default root and an explicit path to the installed
+            # package share one memo entry.
+            assert closure_report(Path(repro.__file__).parent) is closure_report()
         finally:
             clear_closure_cache()
+
+    def test_closure_report_and_lint_model_agree_on_the_real_tree(self):
+        report = closure_report()
+        linted = compute_closure(ProjectModel.build())
+        assert linted.digest == report.digest
+        assert sorted(linted.modules) == sorted(report.modules)
+
+    def test_digest_parses_only_closure_members(self, tmp_path, monkeypatch):
+        package = write_tree(
+            tmp_path, {**CLOSURE_TREE, "tools/broken.py": "def broken(:\n"}
+        )
+        walked = []
+        real_walk = ast.walk
+
+        def counting_walk(node):
+            walked.append(node)
+            return real_walk(node)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        clear_closure_cache()
+        try:
+            report = closure_report(package)
+        finally:
+            clear_closure_cache()
+        assert "repro.soc.chip" in report.modules
+        # One walk per parsed module, and only members are parsed.
+        assert len(walked) == len(report.modules)
+        monkeypatch.undo()
+        linted = lint_package(package)
+        assert [(f.rule, f.module) for f in linted.active] == [
+            ("PARSE", "repro.tools.broken")
+        ]
+        assert linted.closure is not None
+        assert linted.closure.digest == report.digest
+
+    def test_closure_member_that_does_not_parse_raises(self, tmp_path):
+        package = write_tree(
+            tmp_path, {**CLOSURE_TREE, "soc/chip.py": "def temp(:\n"}
+        )
+        clear_closure_cache()
+        try:
+            with pytest.raises(SyntaxError):
+                closure_report(package)
+        finally:
+            clear_closure_cache()
+        linted = lint_package(package)
+        assert [f.rule for f in linted.active] == ["PARSE"]
+        assert linted.closure is None
+
+    def test_same_named_files_in_different_packages_stay_apart(self, tmp_path):
+        package = tmp_path / "pkg"
+        for sub, source in (("a", "def f(x=[]):\n"), ("b", "def g(y={}):\n")):
+            (package / sub).mkdir(parents=True)
+            (package / sub / "util.py").write_text(
+                source + "    return 0\n", encoding="utf-8"
+            )
+        model = ProjectModel.build(package)
+        assert sorted(model.modules) == ["pkg.a.util", "pkg.b.util"]
+        report = lint_package(package)
+        assert [(f.rule, f.module) for f in report.active] == [
+            ("API001", "pkg.a.util"),
+            ("API001", "pkg.b.util"),
+        ]

@@ -139,7 +139,7 @@ def closure_classes(
     """
     found: Dict[str, Tuple[type, ast.ClassDef]] = {}
     for module in model.reachable(tuple(roots), exclude_prefixes=excludes):
-        for node in model.modules[module].ctx.tree.body:
+        for node in model.module(module).ctx.tree.body:
             if isinstance(node, ast.ClassDef):
                 found[f"{module}.{node.name}"] = (resolve(module, node.name), node)
     return found

@@ -8,7 +8,7 @@ the scalar engine on its own.
 
 The scalar loop stays untouched as the reference (the same pattern as
 ``tests/_reference_scheduler.py``); the equivalence contract is enforced
-by ``tests/test_ensemble_equivalence.py``.
+by the ensemble axes of ``tests/test_differential.py``.
 """
 
 from repro.ensemble.engine import EnsembleSimulation

@@ -6,8 +6,8 @@ together, one vectorized NumPy tick for the whole ensemble.  The
 contract is **bit-faithfulness**: every member's results (thermal
 profile, energy, perf counters, app records, manager statistics) are
 bit-for-bit identical to what its scalar ``Simulation.run()`` would have
-produced — verified member-by-member in
-``tests/test_ensemble_equivalence.py``.
+produced — verified member-by-member by the ensemble axes of
+``tests/test_differential.py``.
 
 The engine splits the system into two planes:
 

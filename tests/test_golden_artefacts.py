@@ -6,13 +6,20 @@ and compares the formatted table byte-for-byte against a committed
 golden file under ``tests/golden/``.  Any drift fails with a readable
 unified diff.
 
+Every case runs twice: through the scalar engine that generated the
+goldens, and through an ensemble-routed engine.  The second pass
+proves scalar/ensemble interchangeability against a fixed on-disk
+reference, not merely within one process.
+
 The simulations are fully deterministic, so these goldens are stable
 across machines and worker counts; they only change when the model
 itself changes.  When that happens intentionally, regenerate them with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_artefacts.py
 
-and commit the refreshed files together with the model change.
+and commit the refreshed files together with the model change.  Only
+the scalar engine writes them; the ensemble cases then compare against
+the fresh files.
 """
 
 import difflib
@@ -64,28 +71,55 @@ def test_every_artefact_has_a_golden_case():
 
 
 @pytest.fixture(scope="module")
-def engine(tmp_path_factory):
-    """One shared engine so overlapping grids resolve from the cache.
+def engine(request, tmp_path_factory):
+    """One shared engine per path so overlapping grids resolve from the cache.
 
-    A metrics registry is attached so the goldens are regenerated with
-    observability enabled — the golden comparison itself then doubles as
-    the proof that metric collection never perturbs the outputs.
+    The scalar engine has a metrics registry attached, so the goldens
+    are regenerated with observability enabled; the golden comparison
+    itself then doubles as the proof that metric collection never
+    perturbs the outputs.
     """
-    root = tmp_path_factory.mktemp("golden-cache")
+    root = tmp_path_factory.mktemp(f"golden-{request.param}-cache")
+    if request.param == "ensemble":
+        return ExperimentEngine(jobs=2, cache=ResultCache(root=root), ensemble=True)
     return ExperimentEngine(
         jobs=1, cache=ResultCache(root=root), metrics=MetricsRegistry()
     )
 
 
-@pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+def _regenerate(name, text, engine) -> bool:
+    """Under ``REPRO_REGEN_GOLDEN``, write ``text`` as ``name``'s golden.
+
+    Only the scalar engine that defines the goldens writes them.
+    """
+    if not os.environ.get("REPRO_REGEN_GOLDEN") or engine.ensemble:
+        return False
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    (GOLDEN_DIR / f"{name}.txt").write_text(text)
+    return True
+
+
+def test_ensemble_engine_never_writes_goldens(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_REGEN_GOLDEN", "1")
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path / "golden")
+    assert not _regenerate("fig1", "table\n", ExperimentEngine(ensemble=True))
+    assert not (tmp_path / "golden").exists()
+    assert _regenerate("fig1", "table\n", ExperimentEngine())
+    assert (tmp_path / "golden" / "fig1.txt").read_text() == "table\n"
+
+
+@pytest.mark.parametrize(
+    "name,engine",
+    [(name, "scalar") for name in CASES] + [(name, "ensemble") for name in CASES],
+    ids=list(CASES) + [f"ensemble-{name}" for name in CASES],
+    indirect=["engine"],
+)
 def test_artefact_matches_golden(name, engine):
     result = ARTEFACTS[name](iteration_scale=SCALE, seed=1, engine=engine, **CASES[name])
     text = result.format_table() + "\n"
     golden_path = GOLDEN_DIR / f"{name}.txt"
 
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        golden_path.write_text(text)
+    if _regenerate(name, text, engine):
         pytest.skip(f"regenerated {golden_path}")
 
     assert golden_path.exists(), (
@@ -99,7 +133,7 @@ def test_artefact_matches_golden(name, engine):
                 golden.splitlines(keepends=True),
                 text.splitlines(keepends=True),
                 fromfile=f"golden/{name}.txt",
-                tofile=f"regenerated {name}",
+                tofile=f"regenerated {name}" + (" (ensemble)" if engine.ensemble else ""),
             )
         )
         pytest.fail(

@@ -17,14 +17,14 @@ from repro.ensemble.engine import EnsembleSimulation
 from repro.sched.affinity import AffinityMapping
 from repro.soc.simulator import KNOWN_GOVERNORS
 
-from tests.test_ensemble_equivalence import HALF, build_sim
+from tests.test_differential import FAULTS, HALF, build_sim, member
 
 
 def _lockstep_pair(app="mpeg_dec", policy="proposed", seed=21, **kwargs):
     """A scalar sim and an adopted single-member ensemble, both fresh."""
-    scalar = build_sim(app, policy, seed, **kwargs)
+    scalar = build_sim(member(app, policy, seed, **kwargs))
     scalar.prepare()
-    ensemble = EnsembleSimulation([build_sim(app, policy, seed, **kwargs)])
+    ensemble = EnsembleSimulation([build_sim(member(app, policy, seed, **kwargs))])
     ensemble.prepare()
     return scalar, ensemble
 
@@ -82,11 +82,7 @@ class TestObservationParity:
         assert view.now == scalar.now
 
     def test_read_sensors_matches_under_faults(self):
-        from tests.test_ensemble_equivalence import FAULTS
-
-        scalar, ensemble = _lockstep_pair(
-            app="tachyon", policy="linux", faults=FAULTS
-        )
+        scalar, ensemble = _lockstep_pair(app="tachyon", policy="linux", faults=FAULTS)
         view = ensemble.views[0]
         _step_both(scalar, ensemble, 40)
         for _ in range(5):

@@ -56,3 +56,48 @@ def small_app():
 
     app = make_application("mpeg_dec", "clip 1", seed=7)
     return Application(replace(app.spec, iterations=12), metric=app.metric, seed=7)
+
+
+#: Sweep scale: the smallest at which every app clears the 60 s warm-up
+#: skip.
+SWEEP_SCALE = 0.12
+
+
+@pytest.fixture(scope="session")
+def sweeps(tmp_path_factory):
+    """Every engine axis of one ``repro all`` sweep, each run once.
+
+    ``reference`` is the scalar ``--jobs 1 --no-cache`` sweep that the
+    others are compared with: ``parallel`` (``--jobs 2``, cold cache),
+    ``ensemble_serial`` and ``ensemble_sharded`` (``--ensemble`` at
+    jobs 1 and 2, cold caches), and ``warm`` and ``ensemble_warm``,
+    which rerun the parallel and the sharded sweep on their now-warm
+    caches.  Each cache tree is a temporary ``REPRO_CACHE_DIR``, so the
+    committed ``results/`` are never touched.  Session-scoped so that
+    tier-1 runs the reference sweep once.
+    """
+    from repro.experiments.engine import ExperimentEngine, ResultCache
+    from repro.experiments.engine.sweep import regenerate_all
+    from repro.obs.metrics import MetricsRegistry
+
+    def sweep(root, jobs, cached=True, ensemble=False, metrics=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_CACHE_DIR", str(root))
+            # The cache is built inside the patched environment so it
+            # lands in the temporary root, exactly as the CLI's would.
+            engine = ExperimentEngine(
+                jobs=jobs, cache=ResultCache() if cached else None,
+                ensemble=ensemble, metrics=metrics,
+            )
+            return regenerate_all(iteration_scale=SWEEP_SCALE, seed=1, engine=engine)
+
+    mktemp = tmp_path_factory.mktemp
+    parallel, sharded = mktemp("parallel"), mktemp("ensemble-sharded")
+    return {
+        "reference": sweep(mktemp("reference"), 1, cached=False, metrics=MetricsRegistry()),
+        "parallel": sweep(parallel, 2, metrics=MetricsRegistry()),
+        "warm": sweep(parallel, 2),
+        "ensemble_serial": sweep(mktemp("ensemble-serial"), 1, ensemble=True),
+        "ensemble_sharded": sweep(sharded, 2, ensemble=True),
+        "ensemble_warm": sweep(sharded, 2, ensemble=True),
+    }

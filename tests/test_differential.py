@@ -2,13 +2,13 @@
 
 Every number in the paper's tables comes from a simulated trajectory,
 and the repo can produce one trajectory five ways.  This module checks
-that all five give the same bytes, at two layers.
+that all five give the same bytes.
 
-**Run layer.**  One Hypothesis property draws a batch of member jobs
-(an app or a two-app scenario, a policy, faults, affinity, platform,
-supervisor, seed and an early ``max_time_s`` freeze), a checkpoint
-tick, a checkpoint damage level and a worker count.  Each member's
-:func:`digest` must agree across every axis:
+:func:`check_every_axis` takes a batch of member jobs (an app or a
+two-app scenario, a policy, faults, affinity, platform, supervisor, seed
+and an early ``max_time_s`` freeze), a checkpoint tick, a checkpoint
+damage level and a worker count.  Each member's :func:`digest` must
+agree across every axis:
 
 * ``scalar`` — the member's own ``Simulation.run()``, the reference;
 * ``ensemble`` — every ensemble-eligible member in one
@@ -26,13 +26,13 @@ tick, a checkpoint damage level and a worker count.  Each member's
   (or rerun with ``resume=False`` over the intact chain).  Its trace
   events and metric registry must equal the traced run's.
 
-Eligibility is the planner's own :func:`ensemble_eligible`.  Every
-corner the earlier per-axis suites pinned is an explicit ``@example``.
-
-**Sweep layer.**  One module-scoped scalar ``repro all`` sweep is the
-reference.  Every other engine axis runs once and must write the same
-artefact bytes: parallel, ensemble at jobs 1 and 2, and a warm rerun
-that executes nothing.
+Eligibility is the planner's own :func:`ensemble_eligible`.  The
+Hypothesis property below draws batches from the whole space; the
+corners the per-axis suites pin are named cases there
+(``test_ensemble_equivalence``, ``test_checkpoint_resume``,
+``test_obs_identity``) that call the same functions.  The sweep layer,
+one scalar ``repro all`` reference sweep that every other engine axis is
+compared with, is the session fixture ``sweeps`` in ``conftest.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -59,10 +58,10 @@ from repro.config import (
 )
 from repro.ensemble.engine import EnsembleSimulation
 from repro.ensemble.runner import _member_simulation
-from repro.experiments.engine import ExperimentEngine, ResultCache
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.engine.planner import ensemble_eligible
 from repro.experiments.engine.spec import scenario_job, workload_job
-from repro.experiments.engine.sweep import ARTEFACTS, regenerate_all
+from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.runner import (
     WARMUP_SKIP_S,
     _make_app,
@@ -79,10 +78,6 @@ from repro.thermal.profile import ThermalProfile
 
 #: Run-layer iteration scale; most apps floor at 10 iterations per pass.
 SCALE = 0.05
-
-#: Sweep-layer scale: the smallest at which every app clears the 60 s
-#: warm-up skip.
-SWEEP_SCALE = 0.12
 
 #: Checkpoint cadence (ticks) of the traced and resumed runs.
 CHECKPOINT_EVERY = 150
@@ -222,24 +217,30 @@ def run(spec, instrumentation=None, checkpoint_dir=None, resume=False):
     return result, summarise(spec, sim, result)
 
 
-def traced_and_resumed(spec, tick, damage, root: Path):
-    """The ``traced`` and ``resumed`` outcomes of one member."""
-    ref, cut = root / "ref", root / "cut"
-    first, second = (
-        Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        for _ in range(2)
-    )
-    traced = run(spec, first, checkpoint_dir=ref)
-    chain = CheckpointStore(ref).entries()
+def traced(spec, chain_dir: Path):
+    """The ``traced`` outcome of ``spec``: instrumented and checkpointed
+    every :data:`CHECKPOINT_EVERY` ticks into ``chain_dir``."""
+    obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
+    outcome = run(spec, obs, checkpoint_dir=chain_dir)
+    chain = CheckpointStore(chain_dir).entries()
     assert [entry.tick for entry in chain] == [
         CHECKPOINT_EVERY * (k + 1) for k in range(len(chain))
     ]
-    # What a process killed right after its last checkpoint at or
-    # before ``tick`` leaves on disk, then damaged.
-    kept = [entry for entry in chain if entry.tick <= tick]
+    return outcome, obs
+
+
+def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
+    """The ``resumed`` outcome of ``spec`` from the chain in ``chain_dir``.
+
+    ``cut`` receives what a process killed right after its last
+    checkpoint at or before ``tick`` leaves on disk, damaged at the
+    ``damage`` level; the run resumes from it (or, for ``ignored``,
+    reruns over it with ``resume=False``).
+    """
+    kept = [entry for entry in CheckpointStore(chain_dir).entries() if entry.tick <= tick]
     cut.mkdir(parents=True)
     for entry in kept:
-        shutil.copy(ref / entry.file, cut / entry.file)
+        shutil.copy(chain_dir / entry.file, cut / entry.file)
     CheckpointStore(cut)._write_chain(kept)
     damaged = {"newest": kept[-1:], "all": kept}.get(damage, [])
     for entry in damaged:
@@ -248,10 +249,18 @@ def traced_and_resumed(spec, tick, damage, root: Path):
     survivors = [entry.tick for entry in kept if entry not in damaged]
     latest = CheckpointStore(cut).latest_valid()
     assert (latest.tick if latest else None) == (survivors[-1] if survivors else None)
-    resumed = run(spec, second, checkpoint_dir=cut, resume=damage != "ignored")
+    obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
+    return run(spec, obs, checkpoint_dir=cut, resume=damage != "ignored"), obs
+
+
+def traced_and_resumed(spec, tick, damage, root: Path):
+    """The ``traced`` and ``resumed`` outcomes of one member, whose
+    trace events and metric registries must agree."""
+    traced_outcome, first = traced(spec, root / "ref")
+    resumed_outcome, second = resumed(spec, root / "ref", tick, damage, root / "cut")
     assert second.tracer.events == first.tracer.events, "resumed trace differs"
     assert second.registry.as_dict() == first.registry.as_dict()
-    return traced, resumed
+    return traced_outcome, resumed_outcome
 
 
 def ensemble_axes(specs, tick):
@@ -276,6 +285,44 @@ def ensemble_axes(specs, tick):
     return ensemble, restored
 
 
+def check_every_axis(batch, tick, damage, jobs):
+    """Assert every member of ``batch`` has one digest on every axis.
+
+    Returns each distinct member's scalar ``(result, summary)``, so a
+    caller can check what the batch exercised.
+    """
+    # Scalar-side axes run each distinct member once.
+    scalar = {spec: run(spec) for spec in dict.fromkeys(batch)}
+    axes = {"traced": [], "resumed": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, spec in enumerate(scalar):
+            traced_outcome, resumed_outcome = traced_and_resumed(
+                spec, tick, damage, Path(tmp) / str(index)
+            )
+            axes["traced"].append((spec, traced_outcome))
+            axes["resumed"].append((spec, resumed_outcome))
+
+    eligible = [spec for spec in batch if ensemble_eligible(spec)]
+    if eligible:
+        ensemble, restored = ensemble_axes(eligible, tick)
+        axes["ensemble"] = list(zip(eligible, ensemble))
+        axes["restored"] = list(zip(eligible, restored))
+
+    # The engine names policies the runner's way, and none of those
+    # starts under the conservative governor.
+    runnable = [spec for spec in batch if spec.policy != CONSERVATIVE]
+    summaries = ExperimentEngine(jobs=jobs, cache=None, ensemble=True).run(runnable)
+    axes["sharded"] = [(spec, (None, summary)) for spec, summary in zip(runnable, summaries)]
+
+    reference = {spec: digest(*outcome) for spec, outcome in scalar.items()}
+    for axis, outcomes in axes.items():
+        for spec, outcome in outcomes:
+            got, want = digest(*outcome), reference[spec]
+            assert got[1] == want[1], f"{axis} axis, {spec}: summary differs"
+            assert got[0] in (None, want[0]), f"{axis} axis, {spec}: result differs"
+    return scalar
+
+
 @settings(max_examples=4, deadline=None)
 @given(
     batch=st.lists(
@@ -297,153 +344,26 @@ def ensemble_axes(specs, tick):
     damage=st.sampled_from(DAMAGE),
     jobs=st.sampled_from([1, 2]),
 )
-# The four headline app/policy pairs, split into two shards.
-@example(
-    batch=[member("tachyon", "linux", 11), member("mpeg_dec", "proposed", 14),
-           member("sphinx", "ge", 17), member("face_rec", "powersave", 20)],
-    tick=1200, damage="none", jobs=2,
-)
-# Faults plus the HALF affinity mapping; resumed from the first checkpoint.
-@example(
-    batch=[member(app, policy, 7 + 5 * k, faults=FAULTS, mapping=HALF)
-           for k, (app, policy) in enumerate((("tachyon", "linux"), ("sphinx", "powersave")))],
-    tick=300, damage="newest", jobs=1,
-)
-# The vectorized RL control plane under faults.
-@example(
-    batch=[member("face_rec", "proposed", seed, faults=FAULTS) for seed in (17, 24)],
-    tick=700, damage="all", jobs=2,
-)
-# Mixed workloads and lengths, one member frozen early by max_time_s.
-@example(
-    batch=[member("tachyon", "linux", 31), member("sphinx", "ge_modified", 33),
-           member("face_rec", "performance", 34),
-           member("face_rec", "proposed", 35, faults=FAULTS),
-           member("sphinx", "performance", 36, max_time_s=FREEZE_S)],
-    tick=600, damage="newest", jobs=1,
-)
-# A single-member ensemble under the conservative governor.
-@example(batch=[member("tachyon", CONSERVATIVE, 5)], tick=200, damage="ignored", jobs=1)
-# A supervised, faulty RL run resumed after its newest checkpoint broke.
-@example(
-    batch=[member("tachyon", "proposed", 5, faults=FAULTS, supervisor=SUPERVISED)],
-    tick=450, damage="newest", jobs=1,
-)
-# An inter-application scenario resumed mid-run.
-@example(batch=[member(("tachyon", "mpeg_dec"), "ge", 3)], tick=900, damage="none", jobs=1)
 # Wide and in lockstep: more than 16 members place a thread in one
 # column at once, the only way into BatchedScheduler._place_vec.
 @example(batch=[member("tachyon", policy, 1) for policy in ("linux", "proposed")] * 12,
          tick=300, damage="all", jobs=2)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
-    # Scalar-side axes run each distinct member once.
-    distinct = list(dict.fromkeys(batch))
-    reference = {spec: digest(*run(spec)) for spec in distinct}
-    axes = {"traced": [], "resumed": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        for index, spec in enumerate(distinct):
-            traced, resumed = traced_and_resumed(spec, tick, damage, Path(tmp) / str(index))
-            axes["traced"].append((spec, traced))
-            axes["resumed"].append((spec, resumed))
-
-    eligible = [spec for spec in batch if ensemble_eligible(spec)]
-    if eligible:
-        ensemble, restored = ensemble_axes(eligible, tick)
-        axes["ensemble"] = list(zip(eligible, ensemble))
-        axes["restored"] = list(zip(eligible, restored))
-
-    # The engine names policies the runner's way, and none of those
-    # starts under the conservative governor.
-    runnable = [spec for spec in batch if spec.policy != CONSERVATIVE]
-    summaries = ExperimentEngine(jobs=jobs, cache=None, ensemble=True).run(runnable)
-    axes["sharded"] = [(spec, (None, summary)) for spec, summary in zip(runnable, summaries)]
-
-    for axis, outcomes in axes.items():
-        for spec, outcome in outcomes:
-            got, want = digest(*outcome), reference[spec]
-            assert got[1] == want[1], f"{axis} axis, {spec}: summary differs"
-            assert got[0] in (None, want[0]), f"{axis} axis, {spec}: result differs"
+    check_every_axis(batch, tick, damage, jobs)
 
 
-def test_empty_ensemble_rejected():
-    with pytest.raises(ValueError, match="at least one member"):
-        EnsembleSimulation([])
-
-
-# ----------------------------------------------------------------------
-# Sweep layer
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def sweeps(tmp_path_factory):
-    """The scalar reference sweep and every other engine axis, once each."""
-
-    def sweep(root, jobs, cached=True, ensemble=False, metrics=None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_CACHE_DIR", str(root))
-            engine = ExperimentEngine(
-                jobs=jobs, cache=ResultCache() if cached else None,
-                ensemble=ensemble, metrics=metrics,
-            )
-            return regenerate_all(iteration_scale=SWEEP_SCALE, seed=1, engine=engine)
-
-    mktemp = tmp_path_factory.mktemp
-    sharded = mktemp("ensemble-sharded")
-    return {
-        "reference": sweep(mktemp("reference"), 1, cached=False, metrics=MetricsRegistry()),
-        "parallel": sweep(mktemp("parallel"), 2, metrics=MetricsRegistry()),
-        "ensemble_serial": sweep(mktemp("ensemble-serial"), 1, ensemble=True),
-        "ensemble_sharded": sweep(sharded, 2, ensemble=True),
-        "warm": sweep(sharded, 2, ensemble=True),
-    }
-
-
-def test_scaled_sweeps_never_touch_committed_results(sweeps):
-    committed = (Path(__file__).resolve().parent.parent / "results").resolve()
-    for report in sweeps.values():
-        assert report.ok
-        assert [run.name for run in report.runs] == list(ARTEFACTS)
-        assert all(run.path.exists() for run in report.runs)
-        assert report.output_dir.resolve() != committed
-        assert committed not in report.output_dir.resolve().parents
-
-
-@pytest.mark.parametrize("axis", ["parallel", "ensemble_serial", "ensemble_sharded", "warm"])
-def test_sweep_axis_is_byte_identical_to_the_reference(sweeps, axis):
-    reference, candidate = sweeps["reference"], sweeps[axis]
+def assert_same_artefacts(reference, candidate, label):
+    """Two ``repro all`` sweeps wrote byte-identical artefact files."""
     assert reference.output_dir != candidate.output_dir
     for name in ARTEFACTS:
         assert (candidate.output_dir / f"{name}.txt").read_bytes() == (
             reference.output_dir / f"{name}.txt"
-        ).read_bytes(), f"{name}: {axis} sweep diverged from the reference"
-    stats = candidate.stats.as_dict()
-    assert stats["failed"] == 0
-    if axis == "warm":
-        # The ensemble shards cached every member under its scalar key.
-        assert stats["executed"] == 0 and stats["cache_misses"] == 0
-        assert stats["cache_hits"] > 0
-    else:
-        assert stats["executed"] > 0 and stats["cache_misses"] > 0
+        ).read_bytes(), f"{name}: {label} sweep diverged from the reference"
 
 
-def test_parallel_metrics_equal_the_reference(sweeps):
-    """Metrics fold in submission order, so the deterministic subset
-    matches.  The cache gauges and executed-job counter differ: the
-    uncached reference re-executes cross-batch duplicates."""
-    reference = sweeps["reference"]
-    stats = reference.stats.as_dict()
-    assert stats["cache_hits"] == 0 and stats["executed"] > 0
-    serial = reference.metrics.as_dict()
-    parallel = sweeps["parallel"].metrics.as_dict()
-    for name in (
-        "repro_engine_jobs_submitted_total",
-        "repro_artefacts_regenerated_total",
-        "repro_job_avg_temp_c",
-        "repro_job_execution_time_s",
-    ):
-        assert serial[name] == parallel[name], f"metric {name} differs"
-    assert serial["repro_artefacts_regenerated_total"]["value"] == len(ARTEFACTS)
-    # Per-job rollups cover every submitted job exactly once.
-    assert (
-        serial["repro_job_avg_temp_c"]["count"]
-        == serial["repro_engine_jobs_submitted_total"]["value"]
-    )
+def assert_sweeps_stay_out_of_results(reports):
+    """No report of a scaled sweep wrote into the committed ``results/``."""
+    committed = (Path(__file__).resolve().parent.parent / "results").resolve()
+    for report in reports:
+        assert report.output_dir.resolve() != committed
+        assert committed not in report.output_dir.resolve().parents

@@ -1,23 +1,25 @@
-"""Process sharding of ensemble jobs: partition, member cache, hardening.
+"""Process sharding of ensemble jobs: partition, identity, hardening.
 
-The contract under test (``repro.ensemble.shard``): an
-:class:`EnsembleJobSpec` splits into deterministic per-process member
-shards that populate the member-level cache, and a failed shard
-surfaces as the engine's structured :class:`JobFailure` records instead
-of aborting the whole job.  That sharding changes nothing about the
-results is one axis of ``tests/test_differential.py``.
+The contract under test (``repro.ensemble.shard``): splitting an
+:class:`EnsembleJobSpec` into per-process member shards changes
+*nothing* about the results — sharded == unsharded == serial, member
+for member, bit for bit (compared through each summary's pickle, the
+same bytes the result cache stores) — while failures of a shard are
+surfaced as the engine's structured :class:`JobFailure` records instead
+of aborting the whole job.
 """
 
 import pickle
 
 import pytest
 
-from repro.ensemble.shard import shard_members
+from repro.ensemble.shard import run_sharded_ensemble_job, shard_members
 from repro.experiments.engine.cache import ResultCache
 from repro.experiments.engine.scheduler import EngineJobError, ExperimentEngine
 from repro.experiments.engine.spec import EnsembleJobSpec, job_key, workload_job
+from repro.experiments.engine.worker import execute_job
 
-#: Small-but-real member grid shared by the tests below.
+#: Small-but-real member grid shared by the identity tests.
 SCALE = 0.05
 
 
@@ -67,8 +69,26 @@ class TestShardMembers:
 
 
 # ----------------------------------------------------------------------
-# Member-level cache
+# Sharded == unsharded == serial
 # ----------------------------------------------------------------------
+def test_sharded_equals_unsharded_equals_serial():
+    """The same job at jobs 1/2/3, unsharded through ``execute_job`` and
+    through the scalar worker path produces byte-identical member
+    summaries."""
+    spec = _spec(5)
+    unsharded = _pickles(execute_job(spec))
+    for jobs in (1, 2, 3):
+        engine = ExperimentEngine(jobs=jobs, cache=None)
+        report = run_sharded_ensemble_job(spec, engine)
+        assert not report.failures
+        assert report.shards == min(jobs, 5)
+        assert _pickles(report.summaries) == unsharded, f"jobs={jobs}"
+    # Serial scalar execution of one member — the path a cache producer
+    # takes — yields the same bytes as the sharded member summary.
+    scalar = pickle.dumps(execute_job(spec.members[2]))
+    assert scalar == unsharded[2]
+
+
 def test_shards_share_the_member_level_cache(tmp_path):
     """A sharded run populates per-member scalar keys; a wider sharded
     run through another engine hits them."""

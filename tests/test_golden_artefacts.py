@@ -6,10 +6,10 @@ and compares the formatted table byte-for-byte against a committed
 golden file under ``tests/golden/``.  Any drift fails with a readable
 unified diff.
 
-Every case runs twice: through the scalar engine that generated the
-goldens, and through an ensemble-routed engine.  The second pass
-proves scalar/ensemble interchangeability against a fixed on-disk
-reference, not merely within one process.
+``tests/test_grid_ensemble_identity.py`` replays every case through an
+ensemble-routed engine with the same :func:`assert_matches_golden`,
+which proves scalar/ensemble interchangeability against a fixed
+on-disk reference, not merely within one process.
 
 The simulations are fully deterministic, so these goldens are stable
 across machines and worker counts; they only change when the model
@@ -71,17 +71,14 @@ def test_every_artefact_has_a_golden_case():
 
 
 @pytest.fixture(scope="module")
-def engine(request, tmp_path_factory):
-    """One shared engine per path so overlapping grids resolve from the cache.
+def engine(tmp_path_factory):
+    """One shared engine so overlapping grids resolve from the cache.
 
-    The scalar engine has a metrics registry attached, so the goldens
-    are regenerated with observability enabled; the golden comparison
-    itself then doubles as the proof that metric collection never
-    perturbs the outputs.
+    A metrics registry is attached so the goldens are regenerated with
+    observability enabled — the golden comparison itself then doubles as
+    the proof that metric collection never perturbs the outputs.
     """
-    root = tmp_path_factory.mktemp(f"golden-{request.param}-cache")
-    if request.param == "ensemble":
-        return ExperimentEngine(jobs=2, cache=ResultCache(root=root), ensemble=True)
+    root = tmp_path_factory.mktemp("golden-cache")
     return ExperimentEngine(
         jobs=1, cache=ResultCache(root=root), metrics=MetricsRegistry()
     )
@@ -108,13 +105,9 @@ def test_ensemble_engine_never_writes_goldens(monkeypatch, tmp_path):
     assert (tmp_path / "golden" / "fig1.txt").read_text() == "table\n"
 
 
-@pytest.mark.parametrize(
-    "name,engine",
-    [(name, "scalar") for name in CASES] + [(name, "ensemble") for name in CASES],
-    ids=list(CASES) + [f"ensemble-{name}" for name in CASES],
-    indirect=["engine"],
-)
-def test_artefact_matches_golden(name, engine):
+def assert_matches_golden(name, engine):
+    """``name``'s reduced grid through ``engine`` reproduces its golden
+    (or, under ``REPRO_REGEN_GOLDEN`` on the scalar engine, rewrites it)."""
     result = ARTEFACTS[name](iteration_scale=SCALE, seed=1, engine=engine, **CASES[name])
     text = result.format_table() + "\n"
     golden_path = GOLDEN_DIR / f"{name}.txt"
@@ -141,3 +134,8 @@ def test_artefact_matches_golden(name, engine):
             "If the change is intentional, regenerate the goldens with "
             "REPRO_REGEN_GOLDEN=1 and commit them with the model change."
         )
+
+
+@pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
+def test_artefact_matches_golden(name, engine):
+    assert_matches_golden(name, engine)

@@ -1,17 +1,10 @@
-"""JSONL tracing and run manifests (`repro.obs`), and the trace a real run emits."""
+"""Unit tests for JSONL tracing and run manifests (`repro.obs`)."""
 
 import io
 import json
 
-import numpy as np
 import pytest
 
-from repro.experiments.runner import run_workload
-from repro.faults.presets import (
-    combined_fault_config,
-    default_supervisor_config,
-)
-from repro.obs.instrument import Instrumentation
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
     ManifestError,
@@ -23,7 +16,6 @@ from repro.obs.manifest import (
     validate_manifest,
     verify_artefacts,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     EVENT_FIELDS,
     SCHEMA_VERSION,
@@ -311,76 +303,3 @@ class TestRunManifest:
         assert entry["bytes"] == 3000
         assert len(entry["sha256"]) == 64
         assert entry == file_digest(path)
-
-
-def _run(instrumentation=None, faults=None, supervisor=None):
-    """A short traced-run workload: long enough to cross several
-    decision epochs."""
-    return run_workload(
-        "mpeg_dec",
-        policy="proposed",
-        seed=7,
-        iteration_scale=0.02,
-        faults=faults,
-        supervisor=supervisor,
-        instrumentation=instrumentation,
-    )
-
-
-class TestEmittedTraceContract:
-    @pytest.fixture(scope="class")
-    def traced(self):
-        obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        summary = _run(
-            instrumentation=obs,
-            faults=combined_fault_config(),
-            supervisor=default_supervisor_config(),
-        )
-        return obs, summary
-
-    def test_every_event_validates(self, traced):
-        obs, _ = traced
-        for event in obs.tracer.events:
-            validate_event(event)
-
-    def test_sequence_numbers_monotone(self, traced):
-        obs, _ = traced
-        assert [e["seq"] for e in obs.tracer.events] == list(
-            range(len(obs.tracer.events))
-        )
-
-    def test_core_event_types_present(self, traced):
-        obs, _ = traced
-        types = {e["type"] for e in obs.tracer.events}
-        for required in ("run_start", "tick", "decision", "q_update",
-                         "governor_change", "app_switch", "run_end"):
-            assert required in types, f"no {required} event in traced run"
-
-    def test_trace_headlines_match_run_summary(self, traced):
-        # The tick events replay the eval-sensor profile sample-for-
-        # sample; the run summary covers only the measurement window, so
-        # that window must appear as a contiguous slice of the trace and
-        # re-summarising exactly it reproduces the summary's headline
-        # temperatures.
-        obs, summary = traced
-        tick_events = [e for e in obs.tracer.events if e["type"] == "tick"]
-        ticks = np.array([e["temps_c"] for e in tick_events])
-        window = summary.profile.as_array()
-        length = len(window)
-        offsets = [
-            k
-            for k in range(len(ticks) - length + 1)
-            if np.array_equal(ticks[k : k + length], window)
-        ]
-        assert offsets, "measurement-window profile absent from tick events"
-        windowed = summarize_events(tick_events[offsets[0] : offsets[0] + length])
-        assert windowed.avg_temp_c == pytest.approx(summary.average_temp_c)
-        assert windowed.peak_temp_c == pytest.approx(summary.peak_temp_c)
-
-    def test_metrics_agree_with_trace(self, traced):
-        obs, _ = traced
-        ticks = sum(1 for e in obs.tracer.events if e["type"] == "tick")
-        decisions = sum(1 for e in obs.tracer.events if e["type"] == "decision")
-        assert obs.registry.get("repro_eval_samples_total").value == ticks
-        assert obs.registry.get("repro_decisions_total").value == decisions
-        assert obs.registry.get("repro_runs_total").value == 1

@@ -1,9 +1,8 @@
 """OBS001: the observation-only contract of the obs layer.
 
 ``repro.obs`` exists to *watch* the simulation — an instrumented run
-must be tick-for-tick identical to an uninstrumented one (the
-instrumented axis of ``tests/test_differential.py`` checks this at
-runtime).  Statically,
+must be tick-for-tick identical to an uninstrumented one
+(``tests/test_obs_identity.py`` checks this at runtime).  Statically,
 that means obs code may never assign to attributes of the objects it is
 handed, and may never call their state-mutating APIs.  The rule flags
 both on any object that reached the obs function as a parameter, the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.config import (
@@ -65,39 +67,49 @@ SWEEP_SCALE = 0.12
 
 @pytest.fixture(scope="session")
 def sweeps(tmp_path_factory):
-    """Every engine axis of one ``repro all`` sweep, each run once.
+    """``sweeps(axis)``: the report of one ``repro all`` sweep axis.
 
     ``reference`` is the scalar ``--jobs 1 --no-cache`` sweep that the
     others are compared with: ``parallel`` (``--jobs 2``, cold cache),
     ``ensemble_serial`` and ``ensemble_sharded`` (``--ensemble`` at
     jobs 1 and 2, cold caches), and ``warm`` and ``ensemble_warm``,
     which rerun the parallel and the sharded sweep on their now-warm
-    caches.  Each cache tree is a temporary ``REPRO_CACHE_DIR``, so the
-    committed ``results/`` are never touched.  Session-scoped so that
-    tier-1 runs the reference sweep once.
+    caches.  Each axis runs on first request and once per session, so
+    tier-1 runs the reference sweep once and a module pays only for the
+    axes it reads.  Each cache tree is a temporary ``REPRO_CACHE_DIR``,
+    so the committed ``results/`` are never touched.
     """
     from repro.experiments.engine import ExperimentEngine, ResultCache
     from repro.experiments.engine.sweep import regenerate_all
     from repro.obs.metrics import MetricsRegistry
 
-    def sweep(root, jobs, cached=True, ensemble=False, metrics=None):
+    # axis -> (cache tree, jobs, cached, ensemble, the axis whose cache it rereads)
+    axes = {
+        "reference": ("reference", 1, False, False, None),
+        "parallel": ("parallel", 2, True, False, None),
+        "warm": ("parallel", 2, True, False, "parallel"),
+        "ensemble_serial": ("ensemble-serial", 1, True, True, None),
+        "ensemble_sharded": ("ensemble-sharded", 2, True, True, None),
+        "ensemble_warm": ("ensemble-sharded", 2, True, True, "ensemble_sharded"),
+    }
+
+    @functools.cache
+    def root(name):
+        return tmp_path_factory.mktemp(name)
+
+    @functools.cache
+    def sweep(axis):
+        name, jobs, cached, ensemble, after = axes[axis]
+        if after is not None:
+            sweep(after)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_CACHE_DIR", str(root))
+            mp.setenv("REPRO_CACHE_DIR", str(root(name)))
             # The cache is built inside the patched environment so it
             # lands in the temporary root, exactly as the CLI's would.
             engine = ExperimentEngine(
-                jobs=jobs, cache=ResultCache() if cached else None,
-                ensemble=ensemble, metrics=metrics,
+                jobs=jobs, cache=ResultCache() if cached else None, ensemble=ensemble,
+                metrics=MetricsRegistry() if axis in ("reference", "parallel") else None,
             )
             return regenerate_all(iteration_scale=SWEEP_SCALE, seed=1, engine=engine)
 
-    mktemp = tmp_path_factory.mktemp
-    parallel, sharded = mktemp("parallel"), mktemp("ensemble-sharded")
-    return {
-        "reference": sweep(mktemp("reference"), 1, cached=False, metrics=MetricsRegistry()),
-        "parallel": sweep(parallel, 2, metrics=MetricsRegistry()),
-        "warm": sweep(parallel, 2),
-        "ensemble_serial": sweep(mktemp("ensemble-serial"), 1, ensemble=True),
-        "ensemble_sharded": sweep(sharded, 2, ensemble=True),
-        "ensemble_warm": sweep(sharded, 2, ensemble=True),
-    }
+    return sweep

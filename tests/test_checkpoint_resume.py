@@ -2,174 +2,93 @@
 
 A run interrupted at an arbitrary checkpoint and resumed must be
 **byte-identical** to an uninterrupted run: same summary (pickle bytes),
-same trace events, same everything.  These tests simulate the
-interruption by truncating a completed run's checkpoint chain to a
-mid-run prefix — content-addressed snapshots make that state
-indistinguishable from a process killed right after that checkpoint —
-and then resume through the ordinary runner entry points.
+same trace events, same metrics.  These tests simulate the interruption
+by truncating a completed run's checkpoint chain to a mid-run prefix —
+content-addressed snapshots make that state indistinguishable from a
+process killed right after that checkpoint — and then resume through the
+ordinary runner entry points, ``run_workload`` and ``run_scenario``.
+The chain surgery is the ``traced`` and ``resumed`` axes of
+:mod:`tests.test_differential`.
 """
-
-import pickle
-import shutil
 
 import pytest
 
-from repro.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointStore,
-    serialize_checkpoint,
-)
-from repro.checkpoint.store import CHAIN_FILENAME
-from repro.config import FaultConfig, SupervisorConfig
-from repro.experiments.runner import run_scenario, run_workload
-from repro.ioutil import atomic_write_bytes
+from repro.checkpoint import CheckpointStore
+from repro.config import FaultConfig
 
-#: Cheap but representative: the RL policy with faults and supervision
-#: exercises every stateful subsystem the snapshot must close over.
-WORKLOAD = dict(
-    app="tachyon",
-    dataset=None,
-    policy="proposed",
-    seed=5,
-    iteration_scale=0.05,
-    faults=FaultConfig(enabled=True),
-    supervisor=SupervisorConfig(enabled=True),
+from tests.test_differential import (
+    SUPERVISED,
+    assert_same_digests,
+    member,
+    resumed,
+    scalar,
+    traced,
+    traced_and_resumed,
 )
 
-EVERY = 150
-
-
-def _traced():
-    from repro.obs import Instrumentation, TraceEmitter
-
-    tracer = TraceEmitter()
-    return Instrumentation(tracer=tracer), tracer
-
-
-def _truncate_chain(source_dir, target_dir, keep):
-    """Clone ``source_dir``'s first ``keep`` checkpoints into
-    ``target_dir`` — exactly the on-disk state of a run killed right
-    after its ``keep``-th checkpoint."""
-    entries = CheckpointStore(source_dir).entries()
-    assert len(entries) > keep, "reference run produced too few checkpoints"
-    prefix = entries[:keep]
-    target_dir.mkdir(parents=True, exist_ok=True)
-    for entry in prefix:
-        shutil.copy(source_dir / entry.file, target_dir / entry.file)
-    atomic_write_bytes(
-        target_dir / CHAIN_FILENAME,
-        serialize_checkpoint(
-            {
-                "schema": CHECKPOINT_SCHEMA_VERSION,
-                "entries": [entry.as_dict() for entry in prefix],
-            }
-        ),
-    )
-    return prefix
+#: The RL policy with faults and supervision exercises every stateful
+#: subsystem the snapshot must close over.
+SPEC = member("tachyon", "proposed", 5, faults=FaultConfig(enabled=True), supervisor=SUPERVISED)
 
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """One uninterrupted, checkpointed, traced reference run."""
-    ckpt_dir = tmp_path_factory.mktemp("ckpt-ref")
-    instrumentation, tracer = _traced()
-    summary = run_workload(
-        instrumentation=instrumentation,
-        checkpoint_every=EVERY,
-        checkpoint_dir=ckpt_dir,
-        **WORKLOAD,
-    )
+    chain_dir = tmp_path_factory.mktemp("ckpt-ref")
+    outcome, obs = traced(SPEC, chain_dir)
+    assert_same_digests({SPEC: scalar(SPEC)}, {"traced": [(SPEC, outcome)]})
     return {
-        "ckpt_dir": ckpt_dir,
-        "summary_bytes": pickle.dumps(summary),
-        "events": list(tracer.events),
+        "chain_dir": chain_dir,
+        "ticks": [entry.tick for entry in CheckpointStore(chain_dir).entries()],
+        "outcome": outcome,
+        "obs": obs,
     }
 
 
-def _resume_and_compare(reference, ckpt_dir, resume=True):
-    instrumentation, tracer = _traced()
-    summary = run_workload(
-        instrumentation=instrumentation,
-        checkpoint_every=EVERY,
-        checkpoint_dir=ckpt_dir,
-        resume=resume,
-        **WORKLOAD,
-    )
-    assert pickle.dumps(summary) == reference["summary_bytes"], (
-        "resumed summary diverged from the uninterrupted run"
-    )
-    assert list(tracer.events) == reference["events"], (
+def _resume_and_compare(reference, tmp_path, tick, damage):
+    outcome, obs = resumed(SPEC, reference["chain_dir"], tick, damage, tmp_path / "cut")
+    assert_same_digests({SPEC: reference["outcome"]}, {"resumed": [(SPEC, outcome)]})
+    assert obs.tracer.events == reference["obs"].tracer.events, (
         "resumed trace diverged from the uninterrupted run"
     )
+    assert obs.registry.as_dict() == reference["obs"].registry.as_dict()
 
 
 def test_reference_run_left_a_chain(reference):
-    entries = CheckpointStore(reference["ckpt_dir"]).entries()
-    assert len(entries) >= 2
-    ticks = [entry.tick for entry in entries]
-    assert ticks == sorted(ticks)
-    assert all(tick % EVERY == 0 for tick in ticks)
+    # ``traced`` already checked the ticks are consecutive multiples of
+    # the checkpoint cadence.
+    assert len(reference["ticks"]) >= 2
 
 
 def test_resume_mid_chain_is_byte_identical(reference, tmp_path):
-    interrupted = tmp_path / "interrupted"
-    entries = CheckpointStore(reference["ckpt_dir"]).entries()
-    _truncate_chain(reference["ckpt_dir"], interrupted, keep=len(entries) // 2 or 1)
-    _resume_and_compare(reference, interrupted)
+    ticks = reference["ticks"]
+    _resume_and_compare(reference, tmp_path, ticks[len(ticks) // 2], "none")
 
 
 def test_resume_from_first_checkpoint_is_byte_identical(reference, tmp_path):
-    interrupted = tmp_path / "interrupted"
-    _truncate_chain(reference["ckpt_dir"], interrupted, keep=1)
-    _resume_and_compare(reference, interrupted)
+    _resume_and_compare(reference, tmp_path, reference["ticks"][0], "none")
 
 
 def test_corrupt_newest_falls_back_and_stays_identical(reference, tmp_path):
-    """A damaged newest checkpoint degrades to the previous valid one —
-    and the resumed run is still byte-identical."""
-    interrupted = tmp_path / "interrupted"
-    prefix = _truncate_chain(reference["ckpt_dir"], interrupted, keep=2)
-    newest = interrupted / prefix[-1].file
-    newest.write_bytes(newest.read_bytes()[: len(newest.read_bytes()) // 2])
-    assert CheckpointStore(interrupted).latest_valid().tick == prefix[0].tick
-    _resume_and_compare(reference, interrupted)
+    """A damaged newest checkpoint degrades to the previous valid one
+    (``resumed`` asserts which) and the resumed run is still identical."""
+    _resume_and_compare(reference, tmp_path, reference["ticks"][1], "newest")
 
 
 def test_everything_corrupt_restarts_from_scratch(reference, tmp_path):
     """With no valid checkpoint at all the run silently starts over —
     graceful degradation, never a crash — and still matches."""
-    interrupted = tmp_path / "interrupted"
-    prefix = _truncate_chain(reference["ckpt_dir"], interrupted, keep=2)
-    for entry in prefix:
-        (interrupted / entry.file).write_bytes(b"garbage")
-    _resume_and_compare(reference, interrupted)
+    _resume_and_compare(reference, tmp_path, reference["ticks"][1], "all")
 
 
 def test_resume_false_ignores_existing_checkpoints(reference, tmp_path):
-    interrupted = tmp_path / "interrupted"
-    _truncate_chain(reference["ckpt_dir"], interrupted, keep=1)
-    _resume_and_compare(reference, interrupted, resume=False)
+    _resume_and_compare(reference, tmp_path, reference["ticks"][0], "ignored")
 
 
 def test_scenario_resume_is_byte_identical(tmp_path):
     """Inter-application scenarios (app switches mid-run) resume too."""
-    kwargs = dict(
-        apps=("tachyon", "mpeg_dec"),
-        policy="ge",
-        seed=3,
-        iteration_scale=0.05,
+    spec = member(("tachyon", "mpeg_dec"), "ge", 3)
+    traced_outcome, resumed_outcome = traced_and_resumed(spec, 900, "none", tmp_path)
+    assert_same_digests(
+        {spec: scalar(spec)}, {"traced": [(spec, traced_outcome)], "resumed": [(spec, resumed_outcome)]}
     )
-    ref_dir = tmp_path / "ref"
-    reference = run_scenario(
-        checkpoint_every=EVERY, checkpoint_dir=ref_dir, **kwargs
-    )
-    interrupted = tmp_path / "interrupted"
-    entries = CheckpointStore(ref_dir).entries()
-    _truncate_chain(ref_dir, interrupted, keep=max(1, len(entries) - 1))
-    resumed = run_scenario(
-        checkpoint_every=EVERY,
-        checkpoint_dir=interrupted,
-        resume=True,
-        **kwargs,
-    )
-    assert pickle.dumps(resumed) == pickle.dumps(reference)

@@ -4,35 +4,36 @@ Every number in the paper's tables comes from a simulated trajectory,
 and the repo can produce one trajectory five ways.  This module checks
 that all five give the same bytes.
 
-:func:`check_every_axis` takes a batch of member jobs (an app or a
-two-app scenario, a policy, faults, affinity, platform, supervisor, seed
-and an early ``max_time_s`` freeze), a checkpoint tick, a checkpoint
-damage level and a worker count.  Each member's :func:`digest` must
-agree across every axis:
+A member is a job spec (:func:`member`).  Its reference outcome is
+:func:`scalar`, its own ``Simulation.run()``, and every other way of
+running it is an *axis* that must reproduce the reference's
+:func:`digest`:
 
-* ``scalar`` — the member's own ``Simulation.run()``, the reference;
 * ``ensemble`` — every ensemble-eligible member in one
   :class:`EnsembleSimulation`;
-* ``restored`` — that ensemble captured at the drawn tick, restored
-  into a fresh engine and run to the end;
+* ``restored`` — that ensemble captured at a tick, restored into a
+  fresh engine and run to the end (both in :func:`ensemble_axes`);
 * ``sharded`` — the batch through ``ExperimentEngine(ensemble=True)``
-  at the drawn ``jobs``: planner, member shards, worker pool and the
-  scalar ``run_workload``/``run_scenario`` leftovers.  Workers return
-  summaries only, so this axis compares the summary half of the digest;
-* ``traced`` — instrumented, and checkpointed every
-  :data:`CHECKPOINT_EVERY` ticks;
-* ``resumed`` — instrumented again and resumed from the traced run's
-  chain, truncated at the drawn tick and damaged at the drawn level
-  (or rerun with ``resume=False`` over the intact chain).  Its trace
-  events and metric registry must equal the traced run's.
+  at a worker count: planner, member shards, worker pool and the scalar
+  leftovers;
+* ``traced`` — ``run_workload``/``run_scenario`` instrumented and
+  checkpointed every :data:`CHECKPOINT_EVERY` ticks (:func:`traced`);
+* ``resumed`` — the same entry point instrumented again and resumed
+  from the traced run's chain, truncated at a tick and damaged at a
+  level (:func:`resumed`).  Its trace events and metric registry must
+  equal the traced run's.
 
-Eligibility is the planner's own :func:`ensemble_eligible`.  The
-Hypothesis property below draws batches from the whole space; the
-corners the per-axis suites pin are named cases there
+The runner entry points and the workers return summaries only, so the
+last three axes compare the summary half of the digest.
+
+:func:`check_every_axis` runs every axis, and the Hypothesis property
+below drives it over random batches.  The per-axis suites
 (``test_ensemble_equivalence``, ``test_checkpoint_resume``,
-``test_obs_identity``) that call the same functions.  The sweep layer,
-one scalar ``repro all`` reference sweep that every other engine axis is
-compared with, is the session fixture ``sweeps`` in ``conftest.py``.
+``test_obs_identity``) pin their corners with the one axis each is
+named for.  Ensemble eligibility is the planner's own
+:func:`ensemble_eligible`.  The sweep layer, one scalar ``repro all``
+reference sweep that every other engine axis is compared with, is the
+session fixture ``sweeps`` in ``conftest.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,18 +59,16 @@ from repro.config import (
     default_reliability_config,
 )
 from repro.ensemble.engine import EnsembleSimulation
-from repro.ensemble.runner import _member_simulation
+from repro.ensemble.runner import _DEFAULT_MAX_TIME_S, _member_simulation
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.engine.planner import ensemble_eligible
 from repro.experiments.engine.spec import scenario_job, workload_job
 from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.runner import (
-    WARMUP_SKIP_S,
-    _make_app,
-    _setup_checkpointing,
-    _summarise,
     _summarise_workload,
     build_manager,
+    run_scenario,
+    run_workload,
 )
 from repro.obs import Instrumentation, TraceEmitter
 from repro.obs.metrics import MetricsRegistry
@@ -79,6 +79,9 @@ from repro.thermal.profile import ThermalProfile
 #: Run-layer iteration scale; most apps floor at 10 iterations per pass.
 SCALE = 0.05
 
+#: Iteration scales a batch mixes, so its members end at different ticks.
+SCALES = (0.03, SCALE, 0.08)
+
 #: Checkpoint cadence (ticks) of the traced and resumed runs.
 CHECKPOINT_EVERY = 150
 
@@ -87,6 +90,9 @@ FREEZE_S = 12.0
 
 #: No runner policy starts under this governor; the harness builds it.
 CONSERVATIVE = "conservative"
+
+#: The runner policies whose managers take an affinity mapping.
+MAPPED_POLICIES = ("linux", "powersave", "performance")
 
 FAULTS = FaultConfig(
     enabled=True,
@@ -124,40 +130,54 @@ DAMAGE = ("none", "newest", "all", "ignored")
 def member(target, policy, seed=1, **fields):
     """One run-layer job: a workload, or a scenario when ``target`` is a pair.
 
-    ``fields`` are :class:`JobSpec` fields.  Scenarios take no affinity
-    mapping and never freeze: a frozen scenario has no measurement window.
+    ``fields`` are :class:`JobSpec` fields.  Scenarios run at
+    :data:`SCALE`, take no affinity mapping and never freeze: a frozen
+    or shorter scenario has no measurement window.
     """
     if isinstance(target, tuple):
-        fields.pop("mapping", None)
-        fields.pop("max_time_s", None)
+        for name in ("mapping", "max_time_s", "iteration_scale"):
+            fields.pop(name, None)
         return scenario_job(target, policy, seed=seed, iteration_scale=SCALE, **fields)
-    return workload_job(target, policy=policy, seed=seed, iteration_scale=SCALE, **fields)
+    fields.setdefault("iteration_scale", SCALE)
+    return workload_job(target, policy=policy, seed=seed, **fields)
+
+
+def runner_runs(spec) -> bool:
+    """Whether the runner's entry points run ``spec`` as :func:`build_sim` does.
+
+    No runner policy starts under the conservative governor, and the
+    runner hands an affinity mapping to the static policies' managers
+    only.
+    """
+    return spec.policy != CONSERVATIVE and (
+        spec.mapping is None or spec.policy in MAPPED_POLICIES
+    )
 
 
 def build_sim(spec, instrumentation=None) -> Simulation:
-    """A member's unrun simulation, built the way its runner builds it."""
-    if spec.kind == "workload" and spec.policy != CONSERVATIVE:
+    """A workload member's unrun simulation.
+
+    The runner's own construction builds it when :func:`runner_runs`.
+    Otherwise the runner's applications run under the conservative
+    governor, or under a dynamic policy with the affinity mapping set on
+    the simulation from the start.
+    """
+    if runner_runs(spec):
         sim = _member_simulation(spec)
     else:
-        # run_scenario's construction; a conservative workload is the
-        # one-app case of it, started under that governor unmanaged.
+        applications = _member_simulation(replace(spec, policy="linux", mapping=None)).applications
         manager, governor, userspace_hz = (
-            (None, CONSERVATIVE, None)
-            if spec.policy == CONSERVATIVE
-            else build_manager(spec.policy)
+            (None, CONSERVATIVE, None) if spec.policy == CONSERVATIVE else build_manager(spec.policy)
         )
         sim = Simulation(
-            [
-                _make_app(app, None, seed=spec.seed + 7 * index + 1, scale=spec.iteration_scale)
-                for index, app in enumerate(spec.apps or (spec.app,))
-            ],
+            applications,
             platform=spec.platform,
             governor=governor,
             userspace_frequency_hz=userspace_hz,
             manager=manager,
             mapping=spec.mapping,
             seed=spec.seed,
-            max_time_s=spec.max_time_s or 30000.0,
+            max_time_s=spec.max_time_s or _DEFAULT_MAX_TIME_S,
             faults=spec.faults,
             supervisor=spec.supervisor,
         )
@@ -165,32 +185,76 @@ def build_sim(spec, instrumentation=None) -> Simulation:
     return sim
 
 
-def summarise(spec, sim, result):
-    """The RunSummary the member's runner reduces ``result`` to."""
-    reliability = default_reliability_config()
+def outcomes(specs, sims, results):
+    """``(spec, (result, summary))`` per member, summarised the runner's way.
+
+    A single-pass member (``train_passes=0``), which keeps the ensemble
+    suite's runs short, has no summary: most apps end such a pass inside
+    the warm-up skip its measurement window drops.  It is compared by
+    its result alone.
+    """
+    return [
+        (spec, (result, _summarise_workload(
+            result, spec.app, sim.applications[-1].spec.dataset, spec.policy,
+            spec.train_passes, default_reliability_config(),
+        ) if spec.train_passes else None))
+        for spec, sim, result in zip(specs, sims, results)
+    ]
+
+
+def run_entry(spec, **hooks):
+    """``spec``'s summary from ``run_workload`` or ``run_scenario``.
+
+    ``hooks`` are the entry points' ``instrumentation`` and
+    ``checkpoint_every``/``checkpoint_dir``/``resume`` keywords.
+    """
+    fields = dict(
+        policy=spec.policy, seed=spec.seed, iteration_scale=spec.iteration_scale,
+        platform=spec.platform, faults=spec.faults, supervisor=spec.supervisor, **hooks,
+    )
+    if spec.max_time_s is not None:
+        fields["max_time_s"] = spec.max_time_s
     if spec.kind == "scenario":
-        window = result.profile.window(WARMUP_SKIP_S, result.total_time_s)
-        return _summarise(result, window, result.app_records, "-".join(spec.apps),
-                          "scenario", spec.policy, reliability)
-    return _summarise_workload(result, spec.app, sim.applications[-1].spec.dataset,
-                               spec.policy, spec.train_passes, reliability)
+        return run_scenario(spec.apps, **fields)
+    return run_workload(spec.app, train_passes=spec.train_passes, mapping=spec.mapping, **fields)
+
+
+def scalar(spec, instrumentation=None):
+    """The reference outcome ``(result, summary)`` of one member.
+
+    A workload's own ``Simulation.run()``; a scenario's runner entry
+    point, which returns no result.
+    """
+    if spec.kind == "scenario":
+        return None, run_entry(spec, instrumentation=instrumentation)
+    sim = build_sim(spec, instrumentation)
+    return outcomes([spec], [sim], [sim.run()])[0][1]
+
+
+def unfilled(profile: ThermalProfile) -> np.ndarray:
+    """The columns of ``profile``'s sample block past its last sample."""
+    return profile._data[:, len(profile):]
 
 
 def digest(result, summary):
-    """The canonical member digest: ``(result hash, summary pickle)``.
+    """The canonical member digest: ``(result hash, cached summary bytes)``.
 
     The hash covers every :class:`SimulationResult` field (profile
     samples, energy, perf counters, app records, time, completion,
-    manager, fault and supervisor statistics).  The pickle is the bytes
-    the result cache stores, with the summary's profile cut to its
-    filled samples first: a profile pickles its spare capacity too, and
-    when the window is the whole run (a member frozen before its
-    measured pass) that capacity is uninitialised memory.  Sharded
-    outcomes carry no result.
+    manager, fault and supervisor statistics); it is ``None`` for an
+    outcome that carries no result.  The bytes are the pickle the result
+    cache stores (``None`` without a summary), with one known exception:
+    a workload frozen before its measured pass reports its whole profile,
+    whose unfilled capacity is uninitialised memory (ROADMAP item 7), so
+    its bytes are taken with the filled samples only.  The strict xfail
+    ``test_cached_bytes_ignore_unfilled_capacity`` keeps that defect in
+    view.
     """
-    window = ThermalProfile(summary.profile.num_cores, summary.profile.sample_period_s)
-    window.samples = summary.profile.samples
-    summary_bytes = pickle.dumps(replace(summary, profile=window))
+    if summary is not None and unfilled(summary.profile).size:
+        window = ThermalProfile(summary.profile.num_cores, summary.profile.sample_period_s)
+        window.samples = summary.profile.samples
+        summary = replace(summary, profile=window)
+    summary_bytes = None if summary is None else pickle.dumps(summary)
     if result is None:
         return None, summary_bytes
     perf, energy, profile = result.perf, result.energy, result.profile
@@ -208,25 +272,71 @@ def digest(result, summary):
     return sha.hexdigest(), summary_bytes
 
 
-def run(spec, instrumentation=None, checkpoint_dir=None, resume=False):
-    """One scalar run of ``spec``, optionally checkpointed or resumed."""
-    sim = build_sim(spec, instrumentation)
-    every = CHECKPOINT_EVERY if checkpoint_dir is not None else None
-    _setup_checkpointing(sim, every, checkpoint_dir, resume)
-    result = sim.run()
-    return result, summarise(spec, sim, result)
+def assert_same_digests(reference, axes):
+    """Every ``(spec, outcome)`` of every axis has its spec's reference digest.
+
+    ``reference`` maps each spec to its :func:`scalar` outcome, and
+    ``axes`` maps an axis name to its ``(spec, outcome)`` pairs.
+    """
+    want = {spec: digest(*outcome) for spec, outcome in reference.items()}
+    for axis, pairs in axes.items():
+        for spec, outcome in pairs:
+            got = digest(*outcome)
+            assert got[1] == want[spec][1], f"{axis} axis, {spec.label}: summary differs"
+            assert got[0] in (None, want[spec][0]), f"{axis} axis, {spec.label}: result differs"
+
+
+def check_axes(batch, axes):
+    """Assert ``axes`` reproduce ``batch``'s scalar digests; returns each
+    distinct member's scalar outcome, so a caller can check what the
+    batch exercised."""
+    reference = {spec: scalar(spec) for spec in dict.fromkeys(batch)}
+    assert_same_digests(reference, axes)
+    return reference
+
+
+def ensemble_axes(specs, tick=None):
+    """The ``ensemble`` axis of one eligible batch and, given a ``tick``,
+    its ``restored`` axis.
+
+    The ensemble is then captured at ``tick`` on its way to the end, and
+    the snapshot goes through the on-disk encoding into a fresh engine.
+    """
+    sims = [build_sim(spec) for spec in specs]
+    straight = EnsembleSimulation(sims)
+    if tick is None:
+        return {"ensemble": outcomes(specs, sims, straight.run())}
+    straight.run(max_ticks=tick)
+    snapshot = serialize_checkpoint(straight.capture())
+    axes = {"ensemble": outcomes(specs, sims, straight.run())}
+
+    sims = [build_sim(spec) for spec in specs]
+    resumed = EnsembleSimulation(sims)
+    resumed.restore(json.loads(snapshot))
+    assert serialize_checkpoint(resumed.capture()) == snapshot, "restore is not a round trip"
+    axes["restored"] = outcomes(specs, sims, resumed.run())
+    final = serialize_checkpoint(straight.capture())
+    assert serialize_checkpoint(resumed.capture()) == final, "restored final state differs"
+    return axes
+
+
+def fresh_obs() -> Instrumentation:
+    """A new instrumentation hook with a trace and a metric registry."""
+    return Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
 
 
 def traced(spec, chain_dir: Path):
-    """The ``traced`` outcome of ``spec``: instrumented and checkpointed
-    every :data:`CHECKPOINT_EVERY` ticks into ``chain_dir``."""
-    obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-    outcome = run(spec, obs, checkpoint_dir=chain_dir)
+    """The ``traced`` outcome of ``spec`` and its instrumentation: its
+    runner entry point checkpoints every :data:`CHECKPOINT_EVERY` ticks
+    into ``chain_dir``."""
+    obs = fresh_obs()
+    summary = run_entry(spec, instrumentation=obs,
+                        checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=chain_dir)
     chain = CheckpointStore(chain_dir).entries()
     assert [entry.tick for entry in chain] == [
         CHECKPOINT_EVERY * (k + 1) for k in range(len(chain))
     ]
-    return outcome, obs
+    return (None, summary), obs
 
 
 def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
@@ -234,8 +344,8 @@ def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
 
     ``cut`` receives what a process killed right after its last
     checkpoint at or before ``tick`` leaves on disk, damaged at the
-    ``damage`` level; the run resumes from it (or, for ``ignored``,
-    reruns over it with ``resume=False``).
+    ``damage`` level; the entry point resumes from it (or, for
+    ``ignored``, reruns over it with ``resume=False``).
     """
     kept = [entry for entry in CheckpointStore(chain_dir).entries() if entry.tick <= tick]
     cut.mkdir(parents=True)
@@ -249,8 +359,10 @@ def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
     survivors = [entry.tick for entry in kept if entry not in damaged]
     latest = CheckpointStore(cut).latest_valid()
     assert (latest.tick if latest else None) == (survivors[-1] if survivors else None)
-    obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-    return run(spec, obs, checkpoint_dir=cut, resume=damage != "ignored"), obs
+    obs = fresh_obs()
+    summary = run_entry(spec, instrumentation=obs, checkpoint_every=CHECKPOINT_EVERY,
+                        checkpoint_dir=cut, resume=damage != "ignored")
+    return (None, summary), obs
 
 
 def traced_and_resumed(spec, tick, damage, root: Path):
@@ -263,64 +375,21 @@ def traced_and_resumed(spec, tick, damage, root: Path):
     return traced_outcome, resumed_outcome
 
 
-def ensemble_axes(specs, tick):
-    """The ``ensemble`` and ``restored`` outcomes of one eligible batch.
-
-    The ensemble is captured at ``tick`` on its way to the end, and the
-    snapshot goes through the on-disk encoding into a fresh engine.
-    """
-    sims = [build_sim(spec) for spec in specs]
-    straight = EnsembleSimulation(sims)
-    straight.run(max_ticks=tick)
-    snapshot = serialize_checkpoint(straight.capture())
-    ensemble = [(r, summarise(spec, sim, r)) for spec, sim, r in zip(specs, sims, straight.run())]
-
-    sims = [build_sim(spec) for spec in specs]
-    resumed = EnsembleSimulation(sims)
-    resumed.restore(json.loads(snapshot))
-    assert serialize_checkpoint(resumed.capture()) == snapshot, "restore is not a round trip"
-    restored = [(r, summarise(spec, sim, r)) for spec, sim, r in zip(specs, sims, resumed.run())]
-    final = serialize_checkpoint(straight.capture())
-    assert serialize_checkpoint(resumed.capture()) == final, "restored final state differs"
-    return ensemble, restored
-
-
 def check_every_axis(batch, tick, damage, jobs):
-    """Assert every member of ``batch`` has one digest on every axis.
-
-    Returns each distinct member's scalar ``(result, summary)``, so a
-    caller can check what the batch exercised.
-    """
-    # Scalar-side axes run each distinct member once.
-    scalar = {spec: run(spec) for spec in dict.fromkeys(batch)}
-    axes = {"traced": [], "resumed": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        for index, spec in enumerate(scalar):
-            traced_outcome, resumed_outcome = traced_and_resumed(
-                spec, tick, damage, Path(tmp) / str(index)
-            )
-            axes["traced"].append((spec, traced_outcome))
-            axes["resumed"].append((spec, resumed_outcome))
-
+    """Assert every member of ``batch`` has one digest on every axis."""
     eligible = [spec for spec in batch if ensemble_eligible(spec)]
-    if eligible:
-        ensemble, restored = ensemble_axes(eligible, tick)
-        axes["ensemble"] = list(zip(eligible, ensemble))
-        axes["restored"] = list(zip(eligible, restored))
+    axes = ensemble_axes(eligible, tick) if eligible else {}
 
-    # The engine names policies the runner's way, and none of those
-    # starts under the conservative governor.
-    runnable = [spec for spec in batch if spec.policy != CONSERVATIVE]
+    runnable = [spec for spec in batch if runner_runs(spec)]
     summaries = ExperimentEngine(jobs=jobs, cache=None, ensemble=True).run(runnable)
     axes["sharded"] = [(spec, (None, summary)) for spec, summary in zip(runnable, summaries)]
-
-    reference = {spec: digest(*outcome) for spec, outcome in scalar.items()}
-    for axis, outcomes in axes.items():
-        for spec, outcome in outcomes:
-            got, want = digest(*outcome), reference[spec]
-            assert got[1] == want[1], f"{axis} axis, {spec}: summary differs"
-            assert got[0] in (None, want[0]), f"{axis} axis, {spec}: result differs"
-    return scalar
+    axes["traced"], axes["resumed"] = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, spec in enumerate(dict.fromkeys(runnable)):
+            outcome = traced_and_resumed(spec, tick, damage, Path(tmp) / str(index))
+            axes["traced"].append((spec, outcome[0]))
+            axes["resumed"].append((spec, outcome[1]))
+    check_axes(batch, axes)
 
 
 @settings(max_examples=4, deadline=None)
@@ -331,12 +400,15 @@ def check_every_axis(batch, tick, damage, jobs):
             st.sampled_from(APPS + SCENARIOS),
             st.sampled_from(POLICIES),
             st.integers(min_value=0, max_value=60),
+            iteration_scale=st.sampled_from(SCALES),
             faults=st.sampled_from([None, FAULTS]),
             mapping=st.sampled_from([None, HALF]),
             platform=st.sampled_from(PLATFORMS),
             supervisor=st.sampled_from([None, SUPERVISED]),
             max_time_s=st.sampled_from([None, FREEZE_S]),
-        ),
+        # A scenario runs through its runner only, which starts no
+        # conservative governor.
+        ).filter(lambda spec: spec.kind == "workload" or runner_runs(spec)),
         min_size=1,
         max_size=4,
     ),
@@ -350,6 +422,19 @@ def check_every_axis(batch, tick, damage, jobs):
          tick=300, damage="all", jobs=2)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
     check_every_axis(batch, tick, damage, jobs)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a run frozen before its "
+                   "measured pass caches its profile's uninitialised capacity")
+def test_cached_bytes_ignore_unfilled_capacity():
+    """The cache bytes of a frozen run must not depend on the profile
+    memory past its last sample."""
+    _, summary = scalar(member("tachyon", "linux", 1, max_time_s=FREEZE_S))
+    spare = unfilled(summary.profile)
+    spare[...] = 0.0
+    zeros = pickle.dumps(summary)
+    spare[...] = np.nan
+    assert pickle.dumps(summary) == zeros
 
 
 def assert_same_artefacts(reference, candidate, label):

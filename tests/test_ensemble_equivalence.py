@@ -1,147 +1,59 @@
-"""Bit-faithfulness harness for the vectorized ensemble engine.
+"""Bit-faithfulness of the vectorized ensemble engine, corner by corner.
 
-The contract under test: for every member, an
-:class:`~repro.ensemble.engine.EnsembleSimulation` run produces results
-**bit-for-bit identical** to what that member's scalar
-``Simulation.run()`` would have produced — thermal profile samples,
-energy accumulators, perf counters, app records, manager statistics and
-fault counters, all compared with exact equality (no tolerances).
-
-The ensemble width is ``REPRO_ENSEMBLE_MEMBERS`` (CI exports 64; the
-local default keeps tier-1 runs fast).  Coverage:
+For every member, an :class:`~repro.ensemble.engine.EnsembleSimulation`
+run must produce the result digest of that member's scalar
+``Simulation.run()`` (profile samples, energy, perf counters, app
+records, manager, fault and supervisor statistics).  Each case runs the
+``ensemble`` axis of :mod:`tests.test_differential` (and the checkpoint
+case its ``restored`` axis) over one pinned batch, :data:`MEMBERS` wide
+for the headline cases, or over a Hypothesis draw.  Members make a
+single pass to keep the runs short; the harness's property and
+``test_ensemble_shard`` compare the ensemble's summaries.  Coverage:
 
 * headline equivalence across barrier and work-queue apps under static
   governors, the GE baselines and the full learning agent;
 * equivalence with the fault injector and an affinity mapping active;
-* ensemble checkpoint capture -> restore into a fresh engine ->
-  continue, byte-identical to the uninterrupted run (results *and*
-  final captured state);
+* ensemble checkpoint capture -> restore into a fresh engine -> continue;
 * cross-member isolation: a member's results never depend on who else
   is in the ensemble;
 * degenerate shapes: single member, empty ensemble, mixed workloads
   with different lengths and early ``max_time_s`` freezes.
 """
 
-import os
-from dataclasses import replace
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import FaultConfig
 from repro.ensemble.engine import EnsembleSimulation
-from repro.experiments.runner import build_manager
-from repro.sched.affinity import AffinityMapping
-from repro.soc.simulator import Simulation
-from repro.workloads.alpbench import make_application
-from repro.workloads.application import Application
 
-#: Ensemble width of the headline tests (CI: REPRO_ENSEMBLE_MEMBERS=64).
-MEMBERS = int(os.environ.get("REPRO_ENSEMBLE_MEMBERS", "8"))
-
-#: Perf-counter channels compared bit-exactly.
-PERF_CHANNELS = (
-    "executed_cycles",
-    "cache_misses",
-    "page_faults",
-    "migrations",
-    "sample_events",
-    "decision_events",
+from tests.test_differential import (
+    APPS,
+    CONSERVATIVE,
+    FAULTS,
+    FREEZE_S,
+    HALF,
+    SCALES,
+    check_axes,
+    ensemble_axes,
+    member,
 )
 
-FAULTS = FaultConfig(
-    enabled=True,
-    dropout_prob=0.02,
-    spike_prob=0.02,
-    stuck_prob=0.01,
-    drift_rate_c_per_s=0.01,
-    governor_fail_prob=0.05,
-    governor_noop_prob=0.05,
-    mapping_fail_prob=0.05,
-    mapping_noop_prob=0.05,
-    seed=99,
-)
-
-HALF = AffinityMapping("half", tuple(frozenset({0, 1}) for _ in range(6)))
+#: Ensemble width of the headline tests.
+MEMBERS = 8
 
 
-def tiny_app(name: str, seed: int, iterations: int = 5) -> Application:
-    """A short version of an ALPBench app (same spec, fewer iterations)."""
-    app = make_application(name, seed=seed)
-    return Application(
-        replace(app.spec, iterations=iterations), metric=app.metric, seed=seed
-    )
+def single(target, policy, seed, **fields):
+    """A single-pass member: half the ticks of a trained one, compared by
+    its result alone (see :func:`tests.test_differential.outcomes`)."""
+    return member(target, policy, seed, train_passes=0, **fields)
 
 
-def build_sim(
-    app: str,
-    policy: str,
-    seed: int,
-    iterations: int = 5,
-    max_time_s: float = 400.0,
-    mapping: AffinityMapping | None = None,
-    faults: FaultConfig | None = None,
-) -> Simulation:
-    """One scalar simulation; called twice to produce bit-equal twins."""
-    manager, governor, userspace_hz = build_manager(policy)
-    return Simulation(
-        [tiny_app(app, seed, iterations)],
-        governor=governor,
-        userspace_frequency_hz=userspace_hz,
-        mapping=mapping,
-        manager=manager,
-        seed=seed,
-        max_time_s=max_time_s,
-        faults=faults,
-    )
+def check_ensemble(batch, tick=None):
+    """``batch``'s ensemble (and, given a tick, restored) axis against
+    its scalar runs; returns each distinct member's scalar outcome."""
+    return check_axes(batch, ensemble_axes(batch, tick))
 
 
-def assert_results_equal(scalar, batched, member: int = -1) -> None:
-    """Exact (bitwise) equality of two SimulationResult objects."""
-    where = f"member {member}" if member >= 0 else "result"
-    assert scalar.profile.num_cores == batched.profile.num_cores, where
-    assert scalar.profile.sample_period_s == batched.profile.sample_period_s
-    sdata = scalar.profile._data[:, : scalar.profile._len]
-    bdata = batched.profile._data[:, : batched.profile._len]
-    assert sdata.shape == bdata.shape, f"{where}: profile length differs"
-    assert sdata.tobytes() == bdata.tobytes(), f"{where}: profile samples differ"
-    assert scalar.energy.dynamic_j == batched.energy.dynamic_j, where
-    assert scalar.energy.static_j == batched.energy.static_j, where
-    assert scalar.energy.elapsed_s == batched.energy.elapsed_s, where
-    for channel in PERF_CHANNELS:
-        assert getattr(scalar.perf, channel) == getattr(
-            batched.perf, channel
-        ), f"{where}: perf.{channel} differs"
-    assert scalar.app_records == batched.app_records, where
-    assert scalar.total_time_s == batched.total_time_s, where
-    assert scalar.completed == batched.completed, where
-    assert scalar.manager_stats == batched.manager_stats, where
-    assert scalar.fault_stats == batched.fault_stats, where
-
-
-def assert_state_equal(a, b, path: str = "state") -> None:
-    """Recursive byte-level equality of two capture() snapshots."""
-    if isinstance(a, np.ndarray):
-        assert isinstance(b, np.ndarray), path
-        assert a.dtype == b.dtype and a.shape == b.shape, path
-        assert a.tobytes() == b.tobytes(), f"{path}: array bytes differ"
-    elif isinstance(a, dict):
-        assert isinstance(b, dict) and set(a) == set(b), path
-        for key in a:
-            assert_state_equal(a[key], b[key], f"{path}.{key}")
-    elif isinstance(a, (list, tuple)):
-        assert type(a) is type(b) and len(a) == len(b), path
-        for index, (x, y) in enumerate(zip(a, b)):
-            assert_state_equal(x, y, f"{path}[{index}]")
-    else:
-        assert a == b, f"{path}: {a!r} != {b!r}"
-
-
-# ----------------------------------------------------------------------
-# Headline equivalence
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "app,policy",
     [
@@ -152,114 +64,47 @@ def assert_state_equal(a, b, path: str = "state") -> None:
     ],
 )
 def test_ensemble_matches_scalar(app, policy):
-    """Every member's results equal its scalar run, bit for bit."""
-    seeds = [11 + 3 * k for k in range(MEMBERS)]
-    scalar_results = [build_sim(app, policy, seed).run() for seed in seeds]
-    ensemble = EnsembleSimulation(
-        [build_sim(app, policy, seed) for seed in seeds]
-    )
-    batched_results = ensemble.run()
-    assert batched_results is not None
-    for member, (scalar, batched) in enumerate(
-        zip(scalar_results, batched_results)
-    ):
-        assert_results_equal(scalar, batched, member)
+    check_ensemble([single(app, policy, 11 + 3 * k) for k in range(MEMBERS)])
 
 
 def test_ensemble_matches_scalar_under_faults():
-    """Fault injection + an affinity mapping stay bit-faithful."""
-    seeds = [7 + 5 * k for k in range(MEMBERS)]
-    kwargs = dict(mapping=HALF, faults=FAULTS)
-    scalar_results = [
-        build_sim("mpeg_dec", "proposed", seed, **kwargs).run()
-        for seed in seeds
-    ]
-    ensemble = EnsembleSimulation(
-        [build_sim("mpeg_dec", "proposed", seed, **kwargs) for seed in seeds]
-    )
-    for member, (scalar, batched) in enumerate(
-        zip(scalar_results, ensemble.run())
-    ):
-        assert_results_equal(scalar, batched, member)
-        assert batched.fault_stats  # the injector actually fired
+    """Fault injection + an affinity mapping under the learning agent."""
+    scalar = check_ensemble([
+        single("mpeg_dec", "proposed", 7 + 5 * k, faults=FAULTS, mapping=HALF)
+        for k in range(MEMBERS)
+    ])
+    for result, _ in scalar.values():
+        assert result.fault_stats  # the injector actually fired
 
 
 def test_vectorized_agent_matches_scalar_under_faults():
     """The vectorized RL control plane (face_rec/proposed exercises the
-    batched agents and managers) stays bit-faithful to the scalar agent
-    when the sensor/actuation paths are faulty."""
-    seeds = [17 + 7 * k for k in range(MEMBERS)]
-    kwargs = dict(faults=FAULTS)
-    scalar_results = [
-        build_sim("face_rec", "proposed", seed, **kwargs).run()
-        for seed in seeds
-    ]
-    ensemble = EnsembleSimulation(
-        [build_sim("face_rec", "proposed", seed, **kwargs) for seed in seeds]
-    )
-    for member, (scalar, batched) in enumerate(
-        zip(scalar_results, ensemble.run())
-    ):
-        assert_results_equal(scalar, batched, member)
-        assert batched.fault_stats  # the injector actually fired
-        assert batched.manager_stats  # the vectorized agent actually ran
+    batched agents and managers) under faulty sensing and actuation."""
+    scalar = check_ensemble([
+        single("face_rec", "proposed", 17 + 7 * k, faults=FAULTS) for k in range(MEMBERS)
+    ])
+    for result, _ in scalar.values():
+        assert result.fault_stats  # the injector actually fired
+        assert result.manager_stats  # the vectorized agent actually ran
 
 
-# ----------------------------------------------------------------------
-# Checkpoint / resume
-# ----------------------------------------------------------------------
-def _mixed_members():
-    return [
-        build_sim("tachyon", "linux", 31),
-        build_sim("mpeg_dec", "proposed", 32, iterations=4),
-        build_sim("sphinx", "ge_modified", 33, iterations=6),
-        build_sim("face_rec", "performance", 34),
-        # A vectorized-agent member with live fault injection: resume
-        # must round-trip the Q-table, agent RNG and fault state too.
-        build_sim("face_rec", "proposed", 35, iterations=4, faults=FAULTS),
-    ]
+#: Different apps, policies and lengths; the vectorized-agent member with
+#: live fault injection round-trips the Q-table, agent RNG and fault state.
+MIXED = [
+    single("tachyon", "linux", 31),
+    single("mpeg_dec", "proposed", 32, iteration_scale=0.03),
+    single("sphinx", "ge_modified", 33, iteration_scale=0.08),
+    single("face_rec", "performance", 34),
+    single("face_rec", "proposed", 35, iteration_scale=0.03, faults=FAULTS),
+]
 
 
 def test_ensemble_checkpoint_resume_byte_identity():
-    """capture -> restore into a fresh engine -> continue: byte-identical.
-
-    Compares the resumed run against the uninterrupted one at three
-    levels: the continued capture state, the final capture state, and
-    the per-member results.
-    """
-    straight = EnsembleSimulation(_mixed_members())
-    straight_results = straight.run()
-
-    interrupted = EnsembleSimulation(_mixed_members())
-    interrupted.prepare()
-    for _ in range(120):
-        interrupted.step()
-        interrupted.advance()
-    snapshot = interrupted.capture()
-
-    resumed = EnsembleSimulation(_mixed_members())
-    resumed.restore(snapshot)
-    # The snapshot itself round-trips byte-identically.
-    assert_state_equal(snapshot, resumed.capture())
-
-    # Continue both engines in lockstep to completion.
-    while bool(interrupted.active.any()):
-        interrupted.step()
-        interrupted.advance()
-        resumed.step()
-        resumed.advance()
-    assert not bool(resumed.active.any())
-    assert_state_equal(interrupted.capture(), resumed.capture())
-    for member, (a, b, c) in enumerate(
-        zip(straight_results, interrupted.results(), resumed.results())
-    ):
-        assert_results_equal(a, b, member)
-        assert_results_equal(a, c, member)
+    """Captured early, restored into a fresh engine, continued: the
+    snapshot round-trips and the final state and results are identical."""
+    check_ensemble(MIXED, tick=120)
 
 
-# ----------------------------------------------------------------------
-# Cross-member isolation
-# ----------------------------------------------------------------------
 @given(
     st.sampled_from(["tachyon", "mpeg_dec", "sphinx"]),
     st.integers(min_value=0, max_value=40),
@@ -267,34 +112,17 @@ def test_ensemble_checkpoint_resume_byte_identity():
 )
 @settings(max_examples=8, deadline=None)
 def test_cross_member_isolation(app, seed, other_policy):
-    """A member's results never depend on who else is in the ensemble."""
-    alone = EnsembleSimulation([build_sim(app, "linux", seed)]).run()[0]
-    crowd = EnsembleSimulation(
-        [
-            build_sim(app, "linux", seed),
-            build_sim("face_rec", other_policy, seed + 101, iterations=3),
-            build_sim("mpeg_enc", "performance", seed + 202, iterations=7),
-        ]
-    ).run()[0]
-    assert_results_equal(alone, crowd)
+    """A member in a crowd still matches its run alone."""
+    check_ensemble([
+        single(app, "linux", seed),
+        single("face_rec", other_policy, seed + 101),
+        single("mpeg_enc", "performance", seed + 202),
+    ])
 
 
-# ----------------------------------------------------------------------
-# Degenerate shapes
-# ----------------------------------------------------------------------
 def test_single_member_ensemble_matches_scalar():
-    def sim():
-        # The conservative governor has no policy name; build directly.
-        return Simulation(
-            [tiny_app("mpeg_enc", 5)],
-            governor="conservative",
-            seed=5,
-            max_time_s=400.0,
-        )
-
-    scalar = sim().run()
-    batched = EnsembleSimulation([sim()]).run()[0]
-    assert_results_equal(scalar, batched)
+    """A one-member ensemble under the conservative governor."""
+    check_ensemble([single("mpeg_enc", CONSERVATIVE, 5)])
 
 
 def test_empty_ensemble_rejected():
@@ -303,56 +131,27 @@ def test_empty_ensemble_rejected():
 
 
 def test_mixed_workloads_and_lengths_match_scalar():
-    """Different apps, policies, iteration counts and an early max_time
-    freeze in one ensemble: members finish at different ticks and each
-    still matches its scalar twin (including the ``completed`` flag)."""
-
-    def members():
-        return _mixed_members() + [
-            # Hits max_time_s mid-app: completed=False paths.
-            build_sim("sphinx", "linux", 35, iterations=500, max_time_s=6.0),
-        ]
-
-    scalar_results = [sim.run() for sim in members()]
-    batched_results = EnsembleSimulation(members()).run()
-    assert any(not r.completed for r in scalar_results)
-    for member, (scalar, batched) in enumerate(
-        zip(scalar_results, batched_results)
-    ):
-        assert_results_equal(scalar, batched, member)
+    """The mixed batch plus a member frozen by ``max_time_s``: members
+    finish at different ticks and each still matches its scalar twin
+    (including the ``completed`` flag)."""
+    scalar = check_ensemble(MIXED + [single("sphinx", "linux", 35, max_time_s=FREEZE_S)])
+    assert any(not result.completed for result, _ in scalar.values())
 
 
-# ----------------------------------------------------------------------
-# Randomized equivalence sweep
-# ----------------------------------------------------------------------
 @given(
     st.lists(
-        st.tuples(
-            st.sampled_from(
-                ["tachyon", "mpeg_dec", "mpeg_enc", "face_rec", "sphinx"]
-            ),
+        st.builds(
+            single,
+            st.sampled_from(APPS),
             st.sampled_from(["linux", "powersave", "performance", "proposed"]),
             st.integers(min_value=0, max_value=60),
-            st.integers(min_value=2, max_value=8),
+            iteration_scale=st.sampled_from(SCALES),
         ),
         min_size=2,
         max_size=4,
     )
 )
 @settings(max_examples=8, deadline=None)
-def test_random_ensembles_match_scalar(specs):
-    """Random mixed ensembles equal their scalar twins, bit for bit."""
-    scalar_results = [
-        build_sim(app, policy, seed, iterations=iters).run()
-        for app, policy, seed, iters in specs
-    ]
-    batched_results = EnsembleSimulation(
-        [
-            build_sim(app, policy, seed, iterations=iters)
-            for app, policy, seed, iters in specs
-        ]
-    ).run()
-    for member, (scalar, batched) in enumerate(
-        zip(scalar_results, batched_results)
-    ):
-        assert_results_equal(scalar, batched, member)
+def test_random_ensembles_match_scalar(batch):
+    """Random mixed ensembles of plain workloads of mixed lengths."""
+    check_ensemble(batch)

@@ -2,82 +2,53 @@
 
 The acceptance contract of the obs layer: attaching an
 :class:`~repro.obs.instrument.Instrumentation` to a run changes
-*nothing* about the simulated trajectory — every reported statistic,
-the tick-for-tick thermal profile, the fault and supervisor counters
-are all byte-identical to the uninstrumented run.  These tests run the
-same workload twice (with and without instrumentation) and demand
-exact equality, no tolerances.
+*nothing* about the simulated trajectory — the result and summary
+digest of :mod:`tests.test_differential` (every reported statistic, the
+tick-for-tick thermal profile, the fault and supervisor counters) is
+byte-identical to the uninstrumented run's.  No tolerances.  A second
+class checks the trace an instrumented run emits against its schema and
+its run summary.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import run_workload
-from repro.faults.presets import (
-    combined_fault_config,
-    default_supervisor_config,
-)
-from repro.obs.instrument import Instrumentation
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceEmitter, summarize_events, validate_event
+from repro.faults.presets import combined_fault_config, default_supervisor_config
+from repro.obs.trace import summarize_events, validate_event
 
-SCALE = 0.02  # tiny but long enough to cross several decision epochs
+from tests.test_differential import digest, fresh_obs, member, scalar
 
+SPEC = member("mpeg_dec", "proposed", 7)
 
-def _run(instrumentation=None, faults=None, supervisor=None):
-    return run_workload(
-        "mpeg_dec",
-        policy="proposed",
-        seed=7,
-        iteration_scale=SCALE,
-        faults=faults,
-        supervisor=supervisor,
-        instrumentation=instrumentation,
-    )
+#: The faulty, supervised twin exercises the fault and supervisor emit sites.
+FAULTED = member("mpeg_dec", "proposed", 7, faults=combined_fault_config(),
+                 supervisor=default_supervisor_config())
 
 
-def _assert_identical(plain, instrumented):
-    for field in dataclasses.fields(plain):
-        if field.name == "profile":
-            continue
-        assert getattr(plain, field.name) == getattr(instrumented, field.name), (
-            f"field {field.name} drifted under instrumentation"
-        )
-    assert plain.profile is not None and instrumented.profile is not None
-    assert len(plain.profile) == len(instrumented.profile)
-    assert np.array_equal(plain.profile.as_array(), instrumented.profile.as_array())
+def _instrumented(spec):
+    obs = fresh_obs()
+    return digest(*scalar(spec, obs)), obs
 
 
 class TestInstrumentedTrajectoryIdentity:
     def test_plain_run_identical(self):
-        plain = _run()
-        obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        instrumented = _run(instrumentation=obs)
-        _assert_identical(plain, instrumented)
+        instrumented, obs = _instrumented(SPEC)
+        assert instrumented == digest(*scalar(SPEC))
         assert obs.tracer.events, "instrumented run emitted no events"
 
     def test_faulted_supervised_run_identical(self):
-        faults = combined_fault_config()
-        supervisor = default_supervisor_config()
-        plain = _run(faults=faults, supervisor=supervisor)
-        obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        instrumented = _run(
-            instrumentation=obs, faults=faults, supervisor=supervisor
-        )
-        _assert_identical(plain, instrumented)
+        instrumented, obs = _instrumented(FAULTED)
+        assert instrumented == digest(*scalar(FAULTED))
         # The faulty run must actually exercise the fault/supervisor
         # emit sites for the identity claim to mean anything.
-        types = {e["type"] for e in obs.tracer.events}
+        types = {event["type"] for event in obs.tracer.events}
         assert "fault" in types
         assert "supervisor" in types
 
     def test_rerun_with_instrumentation_is_deterministic(self):
-        obs_a = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        obs_b = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        _run(instrumentation=obs_a)
-        _run(instrumentation=obs_b)
+        first, obs_a = _instrumented(SPEC)
+        second, obs_b = _instrumented(SPEC)
+        assert first == second
         assert obs_a.tracer.events == obs_b.tracer.events
         assert obs_a.registry.as_dict() == obs_b.registry.as_dict()
 
@@ -85,12 +56,8 @@ class TestInstrumentedTrajectoryIdentity:
 class TestEmittedTraceContract:
     @pytest.fixture(scope="class")
     def traced(self):
-        obs = Instrumentation(registry=MetricsRegistry(), tracer=TraceEmitter())
-        summary = _run(
-            instrumentation=obs,
-            faults=combined_fault_config(),
-            supervisor=default_supervisor_config(),
-        )
+        obs = fresh_obs()
+        _, summary = scalar(FAULTED, obs)
         return obs, summary
 
     def test_every_event_validates(self, traced):

@@ -1,132 +1,70 @@
 """Acceptance tests for ``repro all``: parallel + cached == serial.
 
-Three full sweeps at reduced scale (everything the ``repro all`` command
-does, minus argument parsing):
+Three axes of the session's ``sweeps`` (see ``conftest.py``), each a
+full sweep at reduced scale (everything the ``repro all`` command does,
+minus argument parsing):
 
-* **serial** — ``--jobs 1 --no-cache``, the original serial code path;
-* **parallel** — ``--jobs 4`` with a cold content-addressed cache;
+* **reference** — ``--jobs 1 --no-cache``, the serial code path;
+* **parallel** — ``--jobs 2`` with a cold content-addressed cache;
 * **warm** — the same sweep again on the now-warm cache.
 
 The parallel sweep must write byte-identical artefact files, and the
-warm sweep must execute zero jobs.  Each sweep gets its output routed
-into a temporary cache tree via ``REPRO_CACHE_DIR`` so the committed
-``results/`` artefacts are never touched.
+warm sweep must execute zero jobs.
 """
 
-from pathlib import Path
+from repro.experiments.engine.sweep import ARTEFACTS
 
-import pytest
+from tests.test_differential import assert_same_artefacts, assert_sweeps_stay_out_of_results
 
-from repro.experiments.engine import ExperimentEngine, ResultCache
-from repro.experiments.engine.sweep import ARTEFACTS, regenerate_all
-from repro.obs.metrics import MetricsRegistry
-
-#: Smallest scale at which every app clears the 60 s warm-up skip.
-SCALE = 0.12
-
-
-@pytest.fixture(scope="module")
-def sweeps(tmp_path_factory):
-    """Run the three sweeps once; every test inspects the reports."""
-    serial_root = tmp_path_factory.mktemp("serial-root")
-    parallel_root = tmp_path_factory.mktemp("parallel-root")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_CACHE_DIR", str(serial_root))
-        serial = regenerate_all(
-            iteration_scale=SCALE,
-            seed=1,
-            engine=ExperimentEngine(jobs=1, metrics=MetricsRegistry()),
-        )
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_CACHE_DIR", str(parallel_root))
-        # The caches are constructed inside the patched environment so
-        # they land in the temporary root, exactly as the CLI would.
-        parallel = regenerate_all(
-            iteration_scale=SCALE,
-            seed=1,
-            engine=ExperimentEngine(
-                jobs=4, cache=ResultCache(), metrics=MetricsRegistry()
-            ),
-        )
-        warm = regenerate_all(
-            iteration_scale=SCALE,
-            seed=1,
-            engine=ExperimentEngine(jobs=4, cache=ResultCache()),
-        )
-
-    return {"serial": serial, "parallel": parallel, "warm": warm}
+AXES = ("reference", "parallel", "warm")
 
 
 def test_all_artefacts_written(sweeps):
-    for report in sweeps.values():
+    for axis in AXES:
+        report = sweeps(axis)
+        assert report.ok
         assert [run.name for run in report.runs] == list(ARTEFACTS)
-        for run in report.runs:
-            assert run.path.exists()
+        assert all(run.path.exists() for run in report.runs)
 
 
 def test_parallel_cached_output_is_bit_identical_to_serial(sweeps):
-    serial, parallel = sweeps["serial"], sweeps["parallel"]
-    assert serial.output_dir != parallel.output_dir
-    for name in ARTEFACTS:
-        serial_bytes = (serial.output_dir / f"{name}.txt").read_bytes()
-        parallel_bytes = (parallel.output_dir / f"{name}.txt").read_bytes()
-        assert serial_bytes == parallel_bytes, (
-            f"{name}: parallel+cached sweep diverged from the serial sweep"
-        )
+    assert_same_artefacts(sweeps("reference"), sweeps("parallel"), "--jobs 2")
 
 
 def test_warm_cache_rerun_executes_zero_jobs(sweeps):
-    warm = sweeps["warm"]
-    stats = warm.stats.as_dict()
+    stats = sweeps("warm").stats.as_dict()
     assert stats["executed"] == 0
     assert stats["cache_misses"] == 0
     assert stats["cache_hits"] > 0
-    for warm_run, serial_run in zip(warm.runs, sweeps["serial"].runs):
-        assert warm_run.text == serial_run.text
+    assert_same_artefacts(sweeps("reference"), sweeps("warm"), "warm --jobs 2")
 
 
 def test_serial_engine_ran_uncached(sweeps):
-    stats = sweeps["serial"].stats.as_dict()
+    stats = sweeps("reference").stats.as_dict()
     assert stats["cache_hits"] == 0
     assert stats["executed"] > 0
 
 
 def test_serial_and_parallel_metrics_agree(sweeps):
-    """Metric folding happens in submission order, so the deterministic
-    subset of the registry is identical between serial and parallel
-    execution of the same sweep.  (The cache gauges and the executed-job
-    counter legitimately differ: the serial engine is uncached and
-    re-executes cross-batch duplicates the parallel engine's cache
-    resolves.)"""
-    serial = sweeps["serial"].metrics
-    parallel = sweeps["parallel"].metrics
-    assert serial is not None and parallel is not None
-    deterministic = (
+    """Metrics fold in submission order, so the deterministic subset
+    matches.  The cache gauges and executed-job counter differ: the
+    uncached reference re-executes cross-batch duplicates."""
+    serial = sweeps("reference").metrics.as_dict()
+    parallel = sweeps("parallel").metrics.as_dict()
+    for name in (
         "repro_engine_jobs_submitted_total",
         "repro_artefacts_regenerated_total",
         "repro_job_avg_temp_c",
         "repro_job_execution_time_s",
-    )
-    serial_dump = serial.as_dict()
-    parallel_dump = parallel.as_dict()
-    for name in deterministic:
-        assert serial_dump[name] == parallel_dump[name], (
-            f"metric {name} differs between serial and parallel sweeps"
-        )
-    assert serial_dump["repro_artefacts_regenerated_total"]["value"] == float(
-        len(ARTEFACTS)
-    )
+    ):
+        assert serial[name] == parallel[name], f"metric {name} differs"
+    assert serial["repro_artefacts_regenerated_total"]["value"] == len(ARTEFACTS)
     # Per-job rollups cover every submitted job exactly once.
     assert (
-        serial_dump["repro_job_avg_temp_c"]["count"]
-        == serial_dump["repro_engine_jobs_submitted_total"]["value"]
+        serial["repro_job_avg_temp_c"]["count"]
+        == serial["repro_engine_jobs_submitted_total"]["value"]
     )
 
 
 def test_scaled_sweeps_never_touch_committed_results(sweeps):
-    committed = (Path(__file__).resolve().parent.parent / "results").resolve()
-    for report in sweeps.values():
-        assert report.output_dir.resolve() != committed
-        assert committed not in report.output_dir.resolve().parents
+    assert_sweeps_stay_out_of_results(sweeps(axis) for axis in AXES)

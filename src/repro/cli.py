@@ -64,16 +64,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _non_negative_float(text: str) -> float:
-    """argparse ``type=``: a finite float >= 0 (``--retry-backoff``)."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}"
-        )
-    return value
-
-
 def _package_dir(text: str) -> Path:
     """argparse ``type=``: an existing directory (``repro lint DIR``)."""
     path = Path(text)
@@ -110,14 +100,6 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
         default=3,
         metavar="N",
         help="attempts per job before it is recorded as failed (default 3)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=_non_negative_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="base of the deterministic retry backoff accounting "
-        "(default 0.5)",
     )
 
 
@@ -417,7 +399,6 @@ def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
             use_cache=not args.no_cache,
             job_timeout_s=args.job_timeout,
             max_job_attempts=args.max_job_attempts,
-            retry_backoff_s=args.retry_backoff,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             resume=bool(args.resume),

@@ -479,10 +479,6 @@ class EngineConfig:
     #: Total attempts per job (first try + retries) before the engine
     #: records a structured failure.
     max_job_attempts: int = 3
-    #: Base of the deterministic exponential backoff *accounting*
-    #: (``base * 2**(attempt-1)`` seconds, recorded per failure; the
-    #: engine never sleeps, so retries stay deterministic and fast).
-    retry_backoff_s: float = 0.5
     #: Checkpoint cadence in ticks for jobs run through the engine;
     #: ``None``/0 disables checkpointing.
     checkpoint_every: "int | None" = None
@@ -507,7 +503,6 @@ class EngineConfig:
         if self.job_timeout_s is not None:
             _check_positive("job_timeout_s", self.job_timeout_s)
         _check_int_at_least("max_job_attempts", self.max_job_attempts, 1)
-        _check_non_negative("retry_backoff_s", self.retry_backoff_s)
         if self.checkpoint_every is not None:
             _check_int_at_least("checkpoint_every", self.checkpoint_every, 1)
         if self.checkpoint_dir is not None and not isinstance(

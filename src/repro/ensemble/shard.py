@@ -19,9 +19,12 @@ Correctness rests on two already-established invariants:
   (contiguous, balanced, order-preserving) so shard job specs — and
   hence their content hashes and failure records — are deterministic
   for a given ``(spec, shards)`` pair.
-* **Scalar/vector cache equivalence** — every member summary is
-  bit-identical to what the scalar runner would produce, so the engine
-  caches members under their own scalar
+* **Scalar/vector cache equivalence** — every member is built and
+  summarised by the scalar runner's own
+  :func:`~repro.experiments.runner.build_simulation` and
+  :func:`~repro.experiments.runner.summarise`, so its summary is
+  bit-identical to the scalar job's, and the engine caches members
+  under their own scalar
   :func:`~repro.experiments.engine.spec.job_key`.  Shards therefore
   expand to the same per-seed cache keys as serial and unsharded runs,
   and all of them populate one shared cache.

@@ -32,7 +32,6 @@ from repro.experiments.engine.cache import (
 )
 from repro.experiments.engine.planner import (
     GridPlan,
-    ensemble_eligible,
     plan_grid,
     varying_fields,
 )
@@ -49,6 +48,7 @@ from repro.experiments.engine.spec import (
     behavior_digest,
     canonical_json,
     canonicalise,
+    ensemble_eligible,
     ensemble_job,
     job_key,
     scenario_job,

@@ -8,14 +8,8 @@ leftovers the ensemble engine cannot (or should not) take.
 
 The grouping rules are exactly the ensemble engine's own preconditions:
 
-* only ``workload`` jobs can be batched (scenario jobs drive an
-  application *sequence* through one simulation — there is nothing to
-  vectorize across);
-* the supervisor must be off — :class:`~repro.ensemble.engine.
-  EnsembleSimulation` rejects supervised members;
-* the effective platform's evaluation sensor must be EMA-free
-  (``sensor.ema_tau_s == 0``): :class:`~repro.ensemble.sensors.
-  BatchedEvalSensors` has no batched low-pass path;
+* every member is :func:`~repro.experiments.engine.spec.ensemble_eligible`
+  (re-exported here), the rule :class:`EnsembleJobSpec` enforces;
 * members of one group share the *exact* ``platform`` field —
   ``None`` ("the runner's default") is deliberately distinct from an
   explicit default-valued :class:`~repro.config.PlatformConfig`, because
@@ -43,30 +37,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.config import PlatformConfig
-from repro.experiments.engine.spec import JobSpec
+from repro.experiments.engine.spec import JobSpec, ensemble_eligible
 
 #: Fewest members worth promoting into an ensemble.  A single-member
 #: "ensemble" would run the vectorized engine for no batching win, so
 #: lone cells stay on the scalar path by default.
 MIN_GROUP = 2
-
-
-def ensemble_eligible(spec: JobSpec) -> bool:
-    """Whether the vectorized ensemble engine can execute ``spec``.
-
-    Mirrors the hard preconditions of
-    :class:`~repro.experiments.engine.spec.EnsembleJobSpec` and
-    :class:`~repro.ensemble.engine.EnsembleSimulation`; anything
-    ineligible must run on the scalar path.
-    """
-    if spec.kind != "workload":
-        return False
-    if spec.supervisor is not None and spec.supervisor.enabled:
-        return False
-    platform = spec.platform if spec.platform is not None else PlatformConfig()
-    if platform.sensor.ema_tau_s > 0.0:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

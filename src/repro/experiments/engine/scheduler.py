@@ -21,11 +21,11 @@ Only the engine resolves the cache, counts :class:`EngineStats` and
 records failures; the shard layer is a pure split → execute → expand
 step over the engine's dispatcher.
 
-With ``jobs=1`` and no cache the engine degenerates to calling the
-runner directly in a loop — the exact serial code path the experiments
-used before the engine existed, which is what the bit-identity
-guarantee (parallel + cached output == serial seed output) is tested
-against.
+Every job runs through :func:`~repro.experiments.engine.worker.execute_job`,
+so a scalar cell takes :func:`~repro.experiments.runner.run_job`, the
+one job path.  With ``jobs=1`` and no cache the engine degenerates to
+calling it in a loop — the serial code path the bit-identity guarantee
+(parallel + cached output == serial output) is tested against.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ class JobFailure:
 
     Replaces the bare worker traceback with everything needed to triage
     and re-run the job: the spec's content hash, a display label, how
-    many attempts were burned over how long, the final error, the
-    deterministic backoff the retries accounted, and whether the last
-    attempt was killed by the timeout.
+    many attempts were burned over how long, the final error, and
+    whether the last attempt was killed by the timeout.
     """
 
     key: str
@@ -108,7 +107,6 @@ class JobFailure:
     duration_s: float
     error_type: str
     message: str
-    backoff_s: float = 0.0
     timed_out: bool = False
 
     def as_dict(self) -> dict:
@@ -120,7 +118,6 @@ class JobFailure:
             "duration_s": self.duration_s,
             "error_type": self.error_type,
             "message": self.message,
-            "backoff_s": self.backoff_s,
             "timed_out": self.timed_out,
         }
 
@@ -179,8 +176,6 @@ class ExperimentEngine:
     job_timeout_s: Optional[float] = None
     #: Total attempts per job before a structured failure is recorded.
     max_job_attempts: int = 3
-    #: Base of the deterministic backoff accounting (never slept).
-    retry_backoff_s: float = 0.5
     #: Checkpoint cadence (ticks) and per-job store root; see worker.
     checkpoint_every: Optional[int] = None
     checkpoint_dir: Optional[str] = None
@@ -211,7 +206,6 @@ class ExperimentEngine:
             cache=cache,
             job_timeout_s=config.job_timeout_s,
             max_job_attempts=config.max_job_attempts,
-            retry_backoff_s=config.retry_backoff_s,
             checkpoint_every=config.checkpoint_every,
             checkpoint_dir=config.checkpoint_dir,
             resume=config.resume,
@@ -304,7 +298,6 @@ class ExperimentEngine:
         attempts: int,
         duration_s: float,
         error: BaseException,
-        backoff_s: float,
         timed_out: bool = False,
     ) -> List[JobFailure]:
         """Structured failure records for one exhausted job.
@@ -329,21 +322,10 @@ class ExperimentEngine:
                 duration_s=duration_s,
                 error_type=type(error).__name__,
                 message=str(error) or type(error).__name__,
-                backoff_s=backoff_s,
                 timed_out=timed_out,
             )
             for member in members
         ]
-
-    def _backoff_for(self, attempt: int) -> float:
-        """Deterministic exponential backoff charged to ``attempt``.
-
-        Accounting only — the engine never sleeps, so retried batches
-        stay deterministic and tests stay fast; the figure is recorded
-        in the failure record as the delay a live deployment would have
-        waited.
-        """
-        return self.retry_backoff_s * 2 ** (attempt - 1)
 
     def _dispatch(
         self, jobs: Dict[int, JobSpec]
@@ -407,7 +389,6 @@ class ExperimentEngine:
         for index in sorted(jobs):
             spec = jobs[index]
             attempts = 0
-            backoff_total = 0.0
             started = time.perf_counter()
             while True:
                 attempts += 1
@@ -421,12 +402,10 @@ class ExperimentEngine:
                                 attempts,
                                 time.perf_counter() - started,
                                 error,
-                                backoff_total,
                             )
                         )
                         break
                     self.stats.retried += 1
-                    backoff_total += self._backoff_for(attempts)
                     continue
                 outcomes[index] = summary
                 self._store(spec, summary)
@@ -449,7 +428,6 @@ class ExperimentEngine:
         outcomes: Dict[int, RunSummary] = {}
         failures: List[JobFailure] = []
         attempts: Dict[int, int] = {index: 0 for index in jobs}
-        backoff: Dict[int, float] = {index: 0.0 for index in jobs}
         started: Dict[int, float] = {}
         queue: deque = deque(sorted(jobs))
         inflight: Dict[object, Tuple[int, float]] = {}
@@ -463,13 +441,11 @@ class ExperimentEngine:
                         attempts[index],
                         time.perf_counter() - started[index],
                         error,
-                        backoff[index],
                         timed_out=timed_out,
                     )
                 )
             else:
                 self.stats.retried += 1
-                backoff[index] += self._backoff_for(attempts[index])
                 queue.append(index)
 
         def respawn_pool() -> None:

@@ -1,13 +1,12 @@
 """Hashable job descriptions for the experiment engine.
 
 A :class:`JobSpec` is the complete, immutable description of one
-simulation job — everything :func:`repro.experiments.runner.run_workload`
-or :func:`~repro.experiments.runner.run_scenario` needs to produce a
-:class:`~repro.experiments.runner.RunSummary`.  Because every simulation
-is deterministic and seeded, the spec *is* the result's identity: two
-equal specs always produce bit-identical summaries, which is what makes
-the content-addressed cache (:mod:`repro.experiments.engine.cache`)
-sound.
+simulation job — everything :func:`repro.experiments.runner.run_job`
+needs to produce a :class:`~repro.experiments.runner.RunSummary`.
+Because every simulation is deterministic and seeded, the spec *is* the
+result's identity: two equal specs always produce bit-identical
+summaries, which is what makes the content-addressed cache
+(:mod:`repro.experiments.engine.cache`) sound.
 
 The cache key is a SHA-256 over a canonical JSON rendering of the spec
 plus the package version plus the **behavior-closure digest**
@@ -53,8 +52,9 @@ class JobSpec:
 
     Mirrors the keyword surface of the runner entry points; ``None``
     config fields mean "the runner's default", exactly like calling the
-    runner directly.  ``actions`` holds the :class:`ActionSpace` content
-    as a plain tuple so the spec stays hashable and picklable.
+    runner directly (:func:`~repro.experiments.runner.build_simulation`
+    applies every default).  ``actions`` holds the :class:`ActionSpace`
+    content as a plain tuple so the spec stays hashable and picklable.
     """
 
     kind: str
@@ -171,6 +171,33 @@ def scenario_job(
     )
 
 
+def ensemble_eligible(spec: JobSpec) -> bool:
+    """Whether the vectorized ensemble engine can execute ``spec``.
+
+    The one eligibility rule: the grid planner batches exactly these
+    specs and :class:`EnsembleJobSpec` rejects any other member.
+
+    * only ``workload`` jobs (a scenario drives an application
+      *sequence* through one simulation; there is nothing to vectorize
+      across);
+    * the supervisor is off —
+      :class:`~repro.ensemble.engine.EnsembleSimulation` rejects
+      supervised members;
+    * the effective platform's evaluation sensor is EMA-free
+      (``sensor.ema_tau_s == 0``):
+      :class:`~repro.ensemble.sensors.BatchedEvalSensors` has no batched
+      low-pass path.
+    """
+    if spec.kind != "workload":
+        return False
+    if spec.supervisor is not None and spec.supervisor.enabled:
+        return False
+    platform = spec.platform if spec.platform is not None else PlatformConfig()
+    if platform.sensor.ema_tau_s > 0.0:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class EnsembleJobSpec:
     """A batch of workload jobs executed by the vectorized ensemble engine.
@@ -190,20 +217,16 @@ class EnsembleJobSpec:
             raise ValueError("ensemble jobs need at least one member")
         platform = self.members[0].platform
         for index, member in enumerate(self.members):
-            if member.kind != "workload":
+            if not ensemble_eligible(member):
                 raise ValueError(
-                    f"ensemble member {index} has kind {member.kind!r}; "
-                    "only workload jobs can be batched"
+                    f"ensemble member {index} ({member.label}) is not "
+                    "ensemble-eligible: ensembles take workload jobs with "
+                    "the supervisor off and an EMA-free evaluation sensor"
                 )
             if member.platform != platform:
                 raise ValueError(
                     f"ensemble member {index} has a different platform; "
                     "ensembles require a uniform platform"
-                )
-            if member.supervisor is not None and member.supervisor.enabled:
-                raise ValueError(
-                    f"ensemble member {index} enables the supervisor; "
-                    "not supported by the ensemble engine"
                 )
 
     def member_keys(self, version: Optional[str] = None) -> Tuple[str, ...]:

@@ -1,10 +1,12 @@
 """Job execution: the function a worker process actually runs.
 
 :func:`execute_job` is the one entry point for every job the engine
-dispatches — a scalar cell or an ensemble shard; caching, retries and
-failure records stay with the engine.  Kept in its own module (no engine/scheduler imports) so
-``ProcessPoolExecutor`` can pickle the callable cheaply and a worker
-process only imports what one simulation needs.
+dispatches — a scalar cell goes to :func:`repro.experiments.runner.run_job`,
+an ensemble shard to :func:`repro.ensemble.runner.run_ensemble_workloads`;
+caching, retries and failure records stay with the engine.  Kept in its
+own module (no engine/scheduler imports) so ``ProcessPoolExecutor`` can
+pickle the callable cheaply and a worker process only imports what one
+simulation needs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.experiments.engine.spec import EnsembleJobSpec, JobSpec, job_key
-from repro.experiments.runner import RunSummary, run_scenario, run_workload
+from repro.experiments.runner import RunSummary, run_job
 
 
 def job_checkpoint_dir(checkpoint_root: Union[str, Path], spec: JobSpec) -> Path:
@@ -62,60 +64,14 @@ def execute_job(
     checkpoint_dir: Optional[str] = None
     if checkpoint_root is not None:
         checkpoint_dir = str(job_checkpoint_dir(checkpoint_root, spec))
-    summary = _execute(spec, checkpoint_every, checkpoint_dir, resume)
+    summary = run_job(
+        spec,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     if checkpoint_dir is not None:
         # The job finished; its checkpoints have served their purpose.
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
     return summary
 
-
-def _execute(
-    spec: JobSpec,
-    checkpoint_every: Optional[int],
-    checkpoint_dir: Optional[str],
-    resume: bool,
-) -> RunSummary:
-    if spec.kind == "workload":
-        kwargs = dict(
-            app=spec.app,
-            dataset=spec.dataset,
-            policy=spec.policy,
-            seed=spec.seed,
-            train_passes=spec.train_passes,
-            agent_config=spec.agent_config,
-            reliability=spec.reliability,
-            platform=spec.platform,
-            action_space=spec.action_space(),
-            ge_config=spec.ge_config,
-            mapping=spec.mapping,
-            iteration_scale=spec.iteration_scale,
-            faults=spec.faults,
-            supervisor=spec.supervisor,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-        )
-        if spec.max_time_s is not None:
-            kwargs["max_time_s"] = spec.max_time_s
-        return run_workload(**kwargs)
-    if spec.kind == "scenario":
-        kwargs = dict(
-            apps=spec.apps,
-            policy=spec.policy,
-            seed=spec.seed,
-            agent_config=spec.agent_config,
-            reliability=spec.reliability,
-            platform=spec.platform,
-            action_space=spec.action_space(),
-            ge_config=spec.ge_config,
-            iteration_scale=spec.iteration_scale,
-            faults=spec.faults,
-            supervisor=spec.supervisor,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-        )
-        if spec.max_time_s is not None:
-            kwargs["max_time_s"] = spec.max_time_s
-        return run_scenario(**kwargs)
-    raise ValueError(f"unknown job kind {spec.kind!r}")

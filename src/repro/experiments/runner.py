@@ -1,17 +1,23 @@
-"""Common experiment harness.
+"""Common experiment harness: the one place that knows how a job runs.
 
-``run_workload`` executes one application under one policy with the
-standard train-then-measure protocol and returns a :class:`RunSummary`
-holding every metric any table or figure needs.  ``run_scenario``
-executes an inter-application sequence (Figure 3) where the *switching*
+A :class:`~repro.experiments.engine.spec.JobSpec` describes one job;
+:func:`build_simulation` turns it into an unrun
+:class:`~repro.soc.simulator.Simulation`, :func:`summarise` reduces the
+finished run to a :class:`RunSummary` holding every metric any table or
+figure needs, and :func:`run_job` does both, with optional
+checkpointing.  A ``workload`` job runs one application under one
+policy with the standard train-then-measure protocol; a ``scenario`` job
+runs an inter-application sequence (Figure 3) where the *switching*
 itself is the phenomenon, so applications run once each and the whole
-scenario is measured.
+scenario is measured.  :func:`run_workload` and :func:`run_scenario`
+are the keyword-argument front ends of the two kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.config import (
     AgentConfig,
@@ -34,6 +40,9 @@ from repro.units import ghz
 from repro.workloads.alpbench import make_application
 from repro.workloads.application import Application
 
+if TYPE_CHECKING:  # the engine package imports this module at its top
+    from repro.experiments.engine.spec import JobSpec
+
 #: Policy names accepted by the harness.
 POLICIES: Tuple[str, ...] = (
     "linux",  # Linux default scheduling + ondemand (the paper's baseline)
@@ -49,51 +58,12 @@ POLICIES: Tuple[str, ...] = (
 #: Warm-up excluded from every measurement window (cold-start ramp).
 WARMUP_SKIP_S = 60.0
 
-
-def _setup_checkpointing(
-    sim: Simulation,
-    checkpoint_every: Optional[int],
-    checkpoint_dir,
-    resume,
-) -> bool:
-    """Attach periodic checkpointing and/or resume ``sim`` in place.
-
-    Parameters
-    ----------
-    sim:
-        A freshly constructed (unprepared) simulation.
-    checkpoint_every:
-        Checkpoint cadence in ticks; ``None``/0 disables snapshotting.
-    checkpoint_dir:
-        Checkpoint directory; ``None`` disables the whole feature.
-    resume:
-        ``True`` to resume from the newest valid checkpoint in
-        ``checkpoint_dir``, or a path to a specific checkpoint file.
-        Corrupted checkpoints degrade to the previous valid one; with
-        nothing valid the run simply starts from scratch.
-
-    Returns whether the simulation was actually resumed.
-    """
-    if checkpoint_dir is None:
-        return False
-    # Imported lazily so the experiment harness has no hard dependency
-    # on the checkpoint layer for ordinary (checkpoint-free) runs.
-    from repro.checkpoint import CheckpointStore, Checkpointer, resume_simulation
-
-    store = CheckpointStore(checkpoint_dir)
-    checkpointer = None
-    if checkpoint_every:
-        checkpointer = Checkpointer(store, checkpoint_every)
-        sim.attach_checkpointer(checkpointer)
-    if not resume:
-        return False
-    explicit = resume if not isinstance(resume, bool) else None
-    loaded = resume_simulation(sim, store, checkpoint=explicit)
-    if loaded is None:
-        return False
-    if checkpointer is not None:
-        checkpointer.note_resumed(loaded)
-    return True
+#: Simulated-time safety limit of a job that leaves ``max_time_s``
+#: unset, per job kind; :func:`run_workload` and :func:`run_scenario`
+#: take their defaults from here too.
+MAX_TIME_S_BY_KIND: Mapping[str, float] = MappingProxyType(
+    {"workload": 20000.0, "scenario": 30000.0}
+)
 
 
 def _validate_policy(policy: str) -> None:
@@ -208,23 +178,138 @@ def build_manager(
     raise KeyError(f"unknown policy {policy!r}; known: {POLICIES}")
 
 
-def _summarise(
-    result: SimulationResult,
-    window: ThermalProfile,
-    records: Sequence,
-    app: str,
-    dataset: str,
-    policy: str,
-    reliability: ReliabilityConfig,
+def _make_app(
+    app: str, dataset: Optional[str], seed: int, scale: float
+) -> Application:
+    """Application instance with an optional iteration-count scale."""
+    application = make_application(app, dataset, seed=seed)
+    if scale != 1.0:
+        spec = application.spec
+        scaled = max(10, int(spec.iterations * scale))
+        application = Application(
+            replace(spec, iterations=scaled), metric=application.metric, seed=seed
+        )
+    return application
+
+
+def build_simulation(spec: JobSpec, instrumentation=None) -> Simulation:
+    """Construct (without running) the simulation of one job.
+
+    A workload job gets ``train_passes`` training executions, seeded
+    apart from the measured one so the measured input is identical
+    across policies, and then the measured execution.  A scenario job
+    gets its applications once each, back to back.  Every execution
+    path (the runner entry points, the engine's workers and the
+    vectorized ensemble) builds its simulations here.
+
+    Raises
+    ------
+    ValueError
+        For an unknown policy name, before any simulation work starts.
+    """
+    _validate_policy(spec.policy)
+    scale = spec.iteration_scale
+    if spec.kind == "scenario":
+        applications = [
+            _make_app(app, None, seed=spec.seed + 7 * index + 1, scale=scale)
+            for index, app in enumerate(spec.apps)
+        ]
+    else:
+        seeds = [spec.seed * 17 + 101 + index for index in range(spec.train_passes)]
+        applications = [
+            _make_app(spec.app, spec.dataset, seed=seed, scale=scale)
+            for seed in seeds + [spec.seed]
+        ]
+    manager, governor, userspace_hz = build_manager(
+        spec.policy,
+        spec.agent_config,
+        spec.reliability,
+        spec.action_space(),
+        spec.ge_config,
+        spec.mapping,
+    )
+    return Simulation(
+        applications,
+        platform=spec.platform,
+        governor=governor,
+        userspace_frequency_hz=userspace_hz,
+        manager=manager,
+        seed=spec.seed,
+        max_time_s=(
+            spec.max_time_s
+            if spec.max_time_s is not None
+            else MAX_TIME_S_BY_KIND[spec.kind]
+        ),
+        faults=spec.faults,
+        supervisor=spec.supervisor,
+        instrumentation=instrumentation,
+    )
+
+
+def summarise(
+    spec: JobSpec, sim: Simulation, result: SimulationResult
 ) -> RunSummary:
-    """Collapse a simulation result into a RunSummary."""
+    """Collapse the finished run of ``spec`` (built as ``sim``) into a summary.
+
+    A workload job is measured over its measured execution, minus the
+    cold-start warm-up when nothing trained before it; a run that timed
+    out before the measured execution reports its whole profile.  A
+    scenario job is measured over the whole scenario minus the warm-up.
+
+    Raises
+    ------
+    ValueError
+        When the measurement window is empty.
+    """
+    reliability = spec.reliability
+    if reliability is None:
+        reliability = default_reliability_config()
+    if spec.kind == "scenario":
+        app = "-".join(spec.apps)
+        if result.total_time_s <= WARMUP_SKIP_S:
+            raise ValueError(
+                f"empty measurement window for scenario {app!r} under "
+                f"{spec.policy!r}: the whole scenario lasts "
+                f"{result.total_time_s:.1f} s, not longer than the "
+                f"{WARMUP_SKIP_S:.0f} s warm-up skip; increase the run length "
+                "(iteration_scale)"
+            )
+        dataset = "scenario"
+        records = result.app_records
+        window = result.profile.window(WARMUP_SKIP_S, result.total_time_s)
+    else:
+        app = spec.app
+        dataset = spec.dataset
+        if dataset is None:
+            dataset = sim.applications[-1].spec.dataset
+        records = result.app_records[spec.train_passes:]
+        if records:
+            warmup = WARMUP_SKIP_S * (1 if spec.train_passes == 0 else 0)
+            start = records[0].start_s + warmup
+            end = records[-1].end_s
+            if end <= start:
+                raise ValueError(
+                    f"empty measurement window for {app!r} under {spec.policy!r}: "
+                    f"the measured pass ends at {end:.1f} s, inside the "
+                    f"{WARMUP_SKIP_S:.0f} s warm-up skip; increase the run length "
+                    "(iteration_scale) or train first (train_passes >= 1)"
+                )
+            window = result.profile.window(start, end)
+            if len(window) == 0:
+                raise ValueError(
+                    f"empty measurement window for {app!r} under {spec.policy!r}: "
+                    f"[{start:.1f} s, {end:.1f} s) holds no sensor sample at the "
+                    f"{result.profile.sample_period_s:g} s sampling period"
+                )
+        else:  # the run timed out before the measurement pass
+            window = result.profile
     report = window.worst_case_report(reliability)
     execution = sum(r.execution_time_s for r in records)
     iterations = sum(r.completed_iterations for r in records)
     return RunSummary(
         app=app,
         dataset=dataset,
-        policy=policy,
+        policy=spec.policy,
         average_temp_c=report["average_temp_c"],
         peak_temp_c=report["peak_temp_c"],
         aging_mttf_years=report["aging_mttf_years"],
@@ -251,6 +336,52 @@ def _summarise(
     )
 
 
+def run_job(
+    spec: JobSpec,
+    instrumentation=None,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_dir=None,
+    resume=False,
+) -> RunSummary:
+    """Build, run and summarise one job.
+
+    Parameters
+    ----------
+    spec:
+        The job.
+    instrumentation:
+        Optional observation-only :class:`repro.obs.Instrumentation`
+        hook; attaching it never changes the run's trajectory.
+    checkpoint_every / checkpoint_dir / resume:
+        Crash tolerance: snapshot the full simulation closure every
+        ``checkpoint_every`` ticks (``None``/0: never) into
+        ``checkpoint_dir`` (``None`` disables the whole feature),
+        and/or resume from the newest valid checkpoint there
+        (``resume=True``) or from an explicit checkpoint file
+        (``resume=<path>``).  Corrupted checkpoints degrade to the
+        previous valid one; with nothing valid the run starts from
+        scratch.  A resumed run is byte-identical to an uninterrupted
+        one.
+    """
+    sim = build_simulation(spec, instrumentation)
+    if checkpoint_dir is not None:
+        # Imported lazily so ordinary (checkpoint-free) runs have no
+        # hard dependency on the checkpoint layer.
+        from repro.checkpoint import CheckpointStore, Checkpointer, resume_simulation
+
+        store = CheckpointStore(checkpoint_dir)
+        checkpointer = None
+        if checkpoint_every:
+            checkpointer = Checkpointer(store, checkpoint_every)
+            sim.attach_checkpointer(checkpointer)
+        if resume:
+            explicit = resume if not isinstance(resume, bool) else None
+            loaded = resume_simulation(sim, store, checkpoint=explicit)
+            if loaded is not None and checkpointer is not None:
+                checkpointer.note_resumed(loaded)
+    return summarise(spec, sim, sim.run())
+
+
 def run_workload(
     app: str,
     dataset: Optional[str] = None,
@@ -264,7 +395,7 @@ def run_workload(
     ge_config: Optional[GeQiuConfig] = None,
     mapping: Optional[AffinityMapping] = None,
     iteration_scale: float = 1.0,
-    max_time_s: float = 20000.0,
+    max_time_s: float = MAX_TIME_S_BY_KIND["workload"],
     faults: Optional[FaultConfig] = None,
     supervisor: Optional[SupervisorConfig] = None,
     instrumentation=None,
@@ -302,153 +433,30 @@ def run_workload(
         Optional fault model and graceful-degradation layer (see
         :mod:`repro.faults`); both default to off, leaving the run
         bit-identical to the fault-free engine.
-    instrumentation:
-        Optional observation-only :class:`repro.obs.Instrumentation`
-        hook; attaching it never changes the run's trajectory.
-    checkpoint_every / checkpoint_dir / resume:
-        Crash tolerance: snapshot the full simulation closure every
-        ``checkpoint_every`` ticks into ``checkpoint_dir``, and/or
-        resume from the newest valid checkpoint there (``resume=True``)
-        or from an explicit checkpoint file (``resume=<path>``).  A
-        resumed run is byte-identical to an uninterrupted one.
+    instrumentation / checkpoint_every / checkpoint_dir / resume:
+        Observation and crash tolerance, as in :func:`run_job`.
     """
-    _validate_policy(policy)
-    reliability = (
-        reliability if reliability is not None else default_reliability_config()
-    )
-    sim = _build_workload_setup(
+    # Imported at call time: the engine package imports this module.
+    from repro.experiments.engine.spec import workload_job
+
+    spec = workload_job(
         app,
         dataset,
         policy,
         seed=seed,
         train_passes=train_passes,
+        iteration_scale=iteration_scale,
+        max_time_s=max_time_s,
         agent_config=agent_config,
         reliability=reliability,
         platform=platform,
         action_space=action_space,
         ge_config=ge_config,
         mapping=mapping,
-        iteration_scale=iteration_scale,
-        max_time_s=max_time_s,
         faults=faults,
         supervisor=supervisor,
-        instrumentation=instrumentation,
     )
-    _setup_checkpointing(sim, checkpoint_every, checkpoint_dir, resume)
-    result = sim.run()
-    return _summarise_workload(
-        result,
-        app,
-        dataset if dataset is not None else sim.applications[-1].spec.dataset,
-        policy,
-        train_passes,
-        reliability,
-    )
-
-
-def _build_workload_setup(
-    app: str,
-    dataset: Optional[str],
-    policy: str,
-    seed: int,
-    train_passes: int = 1,
-    agent_config: Optional[AgentConfig] = None,
-    reliability: Optional[ReliabilityConfig] = None,
-    platform: Optional[PlatformConfig] = None,
-    action_space: Optional[ActionSpace] = None,
-    ge_config: Optional[GeQiuConfig] = None,
-    mapping: Optional[AffinityMapping] = None,
-    iteration_scale: float = 1.0,
-    max_time_s: float = 20000.0,
-    faults: Optional[FaultConfig] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    instrumentation=None,
-) -> Simulation:
-    """Construct (without running) one workload-protocol simulation.
-
-    Shared between :func:`run_workload` and the ensemble runner — a
-    member built here and run through the vectorized engine sees exactly
-    the setup the scalar path sees.
-    """
-    applications: List[Application] = []
-    for index in range(train_passes):
-        applications.append(
-            _make_app(app, dataset, seed=seed * 17 + 101 + index, scale=iteration_scale)
-        )
-    applications.append(_make_app(app, dataset, seed=seed, scale=iteration_scale))
-    manager, governor, userspace_hz = build_manager(
-        policy, agent_config, reliability, action_space, ge_config, mapping
-    )
-    return Simulation(
-        applications,
-        platform=platform,
-        governor=governor,
-        userspace_frequency_hz=userspace_hz,
-        manager=manager,
-        seed=seed,
-        max_time_s=max_time_s,
-        faults=faults,
-        supervisor=supervisor,
-        instrumentation=instrumentation,
-    )
-
-
-def _summarise_workload(
-    result: SimulationResult,
-    app: str,
-    dataset: str,
-    policy: str,
-    train_passes: int,
-    reliability: ReliabilityConfig,
-) -> RunSummary:
-    """Measurement-window extraction + summary for the workload protocol.
-
-    Shared between :func:`run_workload` and the ensemble runner, so both
-    paths reduce a :class:`SimulationResult` identically.
-    """
-    measured = result.app_records[train_passes:]
-    if measured:
-        start = measured[0].start_s + WARMUP_SKIP_S * (1 if train_passes == 0 else 0)
-        end = measured[-1].end_s
-        if end <= start:
-            raise ValueError(
-                f"empty measurement window for {app!r} under {policy!r}: the "
-                f"measured pass ends at {end:.1f} s, inside the "
-                f"{WARMUP_SKIP_S:.0f} s warm-up skip; increase the run length "
-                "(iteration_scale) or train first (train_passes >= 1)"
-            )
-        window = result.profile.window(start, end)
-        if len(window) == 0:
-            raise ValueError(
-                f"empty measurement window for {app!r} under {policy!r}: "
-                f"[{start:.1f} s, {end:.1f} s) holds no sensor sample at the "
-                f"{result.profile.sample_period_s:g} s sampling period"
-            )
-    else:  # the run timed out before the measurement pass
-        window = result.profile
-    return _summarise(
-        result,
-        window,
-        measured,
-        app,
-        dataset,
-        policy,
-        reliability,
-    )
-
-
-def _make_app(
-    app: str, dataset: Optional[str], seed: int, scale: float
-) -> Application:
-    """Application instance with an optional iteration-count scale."""
-    application = make_application(app, dataset, seed=seed)
-    if scale != 1.0:
-        spec = application.spec
-        scaled = max(10, int(spec.iterations * scale))
-        application = Application(
-            replace(spec, iterations=scaled), metric=application.metric, seed=seed
-        )
-    return application
+    return run_job(spec, instrumentation, checkpoint_every, checkpoint_dir, resume)
 
 
 def run_scenario(
@@ -461,7 +469,7 @@ def run_scenario(
     action_space: Optional[ActionSpace] = None,
     ge_config: Optional[GeQiuConfig] = None,
     iteration_scale: float = 1.0,
-    max_time_s: float = 30000.0,
+    max_time_s: float = MAX_TIME_S_BY_KIND["scenario"],
     faults: Optional[FaultConfig] = None,
     supervisor: Optional[SupervisorConfig] = None,
     instrumentation=None,
@@ -474,46 +482,22 @@ def run_scenario(
     Applications execute once each, back-to-back; the measurement
     window covers the whole scenario (minus the cold-start warm-up)
     because the application *switches* are the phenomenon under test.
+    The keywords are :func:`run_workload`'s.
     """
-    _validate_policy(policy)
-    reliability = (
-        reliability if reliability is not None else default_reliability_config()
-    )
-    applications = [
-        _make_app(app, None, seed=seed + 7 * index + 1, scale=iteration_scale)
-        for index, app in enumerate(apps)
-    ]
-    manager, governor, userspace_hz = build_manager(
-        policy, agent_config, reliability, action_space, ge_config
-    )
-    sim = Simulation(
-        applications,
-        platform=platform,
-        governor=governor,
-        userspace_frequency_hz=userspace_hz,
-        manager=manager,
+    from repro.experiments.engine.spec import scenario_job
+
+    spec = scenario_job(
+        apps,
+        policy,
         seed=seed,
+        iteration_scale=iteration_scale,
         max_time_s=max_time_s,
+        agent_config=agent_config,
+        reliability=reliability,
+        platform=platform,
+        action_space=action_space,
+        ge_config=ge_config,
         faults=faults,
         supervisor=supervisor,
-        instrumentation=instrumentation,
     )
-    _setup_checkpointing(sim, checkpoint_every, checkpoint_dir, resume)
-    result = sim.run()
-    if result.total_time_s <= WARMUP_SKIP_S:
-        raise ValueError(
-            f"empty measurement window for scenario {'-'.join(apps)!r} under "
-            f"{policy!r}: the whole scenario lasts {result.total_time_s:.1f} s, "
-            f"not longer than the {WARMUP_SKIP_S:.0f} s warm-up skip; increase "
-            "the run length (iteration_scale)"
-        )
-    window = result.profile.window(WARMUP_SKIP_S, result.total_time_s)
-    return _summarise(
-        result,
-        window,
-        result.app_records,
-        "-".join(apps),
-        "scenario",
-        policy,
-        reliability,
-    )
+    return run_job(spec, instrumentation, checkpoint_every, checkpoint_dir, resume)

@@ -15,7 +15,7 @@ C-contiguous ``(num_cores, num_samples)`` block the seed returned.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +94,21 @@ class ThermalProfile:
         """Replace this (empty) profile's samples with a copied block."""
         self._data = np.ascontiguousarray(block, dtype=float)
         self._len = block.shape[1]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the filled samples only, as the checkpoint state does:
+        the spare capacity is uninitialised memory, so equal profiles
+        pickle to equal bytes."""
+        return {
+            "num_cores": self.num_cores,
+            "sample_period_s": self.sample_period_s,
+            "samples": np.ascontiguousarray(self.samples),
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.num_cores = state["num_cores"]
+        self.sample_period_s = state["sample_period_s"]
+        self._adopt(state["samples"])
 
     # ------------------------------------------------------------------
     # Access

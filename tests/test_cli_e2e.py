@@ -240,10 +240,8 @@ _BAD_NUMERIC_OPTIONS = [
     (["ensemble", "run", "tachyon"], ["--scale", "abc"]),
     (["ckpt", "prune", "ckpts"], ["--keep", "0"]),
     (["fig1"], ["--job-timeout", "-1"]),
-    (["all", "--only", "fig1"], ["--retry-backoff", "nan"]),
     (["ensemble", "run", "tachyon"], ["--job-timeout", "0"]),
     (["ensemble", "run", "tachyon"], ["--job-timeout", "nan"]),
-    (["ensemble", "run", "tachyon"], ["--retry-backoff", "-3"]),
     (["ensemble", "run", "tachyon"], ["--max-time", "-5"]),
 ]
 

@@ -30,10 +30,12 @@ last three axes compare the summary half of the digest.
 below drives it over random batches.  The per-axis suites
 (``test_ensemble_equivalence``, ``test_checkpoint_resume``,
 ``test_obs_identity``) pin their corners with the one axis each is
-named for.  Ensemble eligibility is the planner's own
-:func:`ensemble_eligible`.  The sweep layer, one scalar ``repro all``
-reference sweep that every other engine axis is compared with, is the
-session fixture ``sweeps`` in ``conftest.py``.
+named for.  Ensemble eligibility is the engine's own
+:func:`ensemble_eligible`, and members are built and summarised by the
+runner's own :func:`build_simulation` and :func:`summarise`.  The sweep
+layer, one scalar ``repro all`` reference sweep that every other engine
+axis is compared with, is the session fixture ``sweeps`` in
+``conftest.py``.
 """
 
 from __future__ import annotations
@@ -47,28 +49,21 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointStore, serialize_checkpoint
-from repro.config import (
-    FaultConfig,
-    PlatformConfig,
-    SupervisorConfig,
-    default_reliability_config,
-)
+from repro.config import FaultConfig, PlatformConfig, SupervisorConfig
 from repro.ensemble.engine import EnsembleSimulation
-from repro.ensemble.runner import _DEFAULT_MAX_TIME_S, _member_simulation
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.engine.planner import ensemble_eligible
-from repro.experiments.engine.spec import scenario_job, workload_job
+from repro.experiments.engine.spec import ensemble_eligible, scenario_job, workload_job
 from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.runner import (
-    _summarise_workload,
     build_manager,
+    build_simulation,
     run_scenario,
     run_workload,
+    summarise,
 )
 from repro.obs import Instrumentation, TraceEmitter
 from repro.obs.metrics import MetricsRegistry
@@ -157,36 +152,35 @@ def runner_runs(spec) -> bool:
 def build_sim(spec, instrumentation=None) -> Simulation:
     """A workload member's unrun simulation.
 
-    The runner's own construction builds it when :func:`runner_runs`.
-    Otherwise the runner's applications run under the conservative
-    governor, or under a dynamic policy with the affinity mapping set on
-    the simulation from the start.
+    The runner's :func:`build_simulation` builds it when
+    :func:`runner_runs`.  Otherwise the runner's applications and safety
+    limit run under the conservative governor, or under a dynamic policy
+    with the affinity mapping set on the simulation from the start.
     """
     if runner_runs(spec):
-        sim = _member_simulation(spec)
-    else:
-        applications = _member_simulation(replace(spec, policy="linux", mapping=None)).applications
-        manager, governor, userspace_hz = (
-            (None, CONSERVATIVE, None) if spec.policy == CONSERVATIVE else build_manager(spec.policy)
-        )
-        sim = Simulation(
-            applications,
-            platform=spec.platform,
-            governor=governor,
-            userspace_frequency_hz=userspace_hz,
-            manager=manager,
-            mapping=spec.mapping,
-            seed=spec.seed,
-            max_time_s=spec.max_time_s or _DEFAULT_MAX_TIME_S,
-            faults=spec.faults,
-            supervisor=spec.supervisor,
-        )
-    sim.attach_instrumentation(instrumentation)
-    return sim
+        return build_simulation(spec, instrumentation)
+    base = build_simulation(replace(spec, policy="linux", mapping=None))
+    manager, governor, userspace_hz = (
+        (None, CONSERVATIVE, None) if spec.policy == CONSERVATIVE else build_manager(spec.policy)
+    )
+    return Simulation(
+        base.applications,
+        platform=spec.platform,
+        governor=governor,
+        userspace_frequency_hz=userspace_hz,
+        manager=manager,
+        mapping=spec.mapping,
+        seed=spec.seed,
+        max_time_s=base.max_time_s,
+        faults=spec.faults,
+        supervisor=spec.supervisor,
+        instrumentation=instrumentation,
+    )
 
 
 def outcomes(specs, sims, results):
-    """``(spec, (result, summary))`` per member, summarised the runner's way.
+    """``(spec, (result, summary))`` per member, summarised by the runner's
+    :func:`summarise`.
 
     A single-pass member (``train_passes=0``), which keeps the ensemble
     suite's runs short, has no summary: most apps end such a pass inside
@@ -194,10 +188,7 @@ def outcomes(specs, sims, results):
     its result alone.
     """
     return [
-        (spec, (result, _summarise_workload(
-            result, spec.app, sim.applications[-1].spec.dataset, spec.policy,
-            spec.train_passes, default_reliability_config(),
-        ) if spec.train_passes else None))
+        (spec, (result, summarise(spec, sim, result) if spec.train_passes else None))
         for spec, sim, result in zip(specs, sims, results)
     ]
 
@@ -243,17 +234,8 @@ def digest(result, summary):
     samples, energy, perf counters, app records, time, completion,
     manager, fault and supervisor statistics); it is ``None`` for an
     outcome that carries no result.  The bytes are the pickle the result
-    cache stores (``None`` without a summary), with one known exception:
-    a workload frozen before its measured pass reports its whole profile,
-    whose unfilled capacity is uninitialised memory (ROADMAP item 7), so
-    its bytes are taken with the filled samples only.  The strict xfail
-    ``test_cached_bytes_ignore_unfilled_capacity`` keeps that defect in
-    view.
+    cache stores (``None`` without a summary).
     """
-    if summary is not None and unfilled(summary.profile).size:
-        window = ThermalProfile(summary.profile.num_cores, summary.profile.sample_period_s)
-        window.samples = summary.profile.samples
-        summary = replace(summary, profile=window)
     summary_bytes = None if summary is None else pickle.dumps(summary)
     if result is None:
         return None, summary_bytes
@@ -424,13 +406,12 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
     check_every_axis(batch, tick, damage, jobs)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a run frozen before its "
-                   "measured pass caches its profile's uninitialised capacity")
 def test_cached_bytes_ignore_unfilled_capacity():
     """The cache bytes of a frozen run must not depend on the profile
     memory past its last sample."""
     _, summary = scalar(member("tachyon", "linux", 1, max_time_s=FREEZE_S))
     spare = unfilled(summary.profile)
+    assert spare.size, "the frozen run's profile has no spare capacity to vary"
     spare[...] = 0.0
     zeros = pickle.dumps(summary)
     spare[...] = np.nan

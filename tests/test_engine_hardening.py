@@ -1,7 +1,7 @@
 """Tests for the fault-hardened experiment engine.
 
 Covers the reliability half of the engine contract: worker exceptions
-burn bounded retries with deterministic backoff accounting, hung
+burn bounded retries, hung
 attempts are killed by the per-job timeout, a crashed worker pool is
 respawned with only the unfinished jobs requeued, and jobs that exhaust
 every attempt surface as structured :class:`JobFailure` records instead
@@ -81,7 +81,7 @@ def test_flaky_job_is_retried_to_success(monkeypatch):
 
 def test_exhausted_job_raises_structured_failure(monkeypatch):
     monkeypatch.setattr(scheduler_module, "execute_job", _FlakyThenOk(10))
-    engine = ExperimentEngine(max_job_attempts=3, retry_backoff_s=0.5)
+    engine = ExperimentEngine(max_job_attempts=3)
     spec = _specs(1)[0]
     with pytest.raises(EngineJobError) as excinfo:
         engine.run([spec])
@@ -91,8 +91,6 @@ def test_exhausted_job_raises_structured_failure(monkeypatch):
     assert failure.attempts == 3
     assert failure.error_type == "ValueError"
     assert failure.message == "transient wobble"
-    # Deterministic backoff accounting: 0.5 * 2**0 + 0.5 * 2**1.
-    assert failure.backoff_s == pytest.approx(1.5)
     assert failure.timed_out is False
     assert failure.duration_s >= 0.0
     # The engine also keeps the record, and the message names the job.
@@ -109,7 +107,6 @@ def test_max_job_attempts_one_never_retries(monkeypatch):
     with pytest.raises(EngineJobError) as excinfo:
         engine.run(_specs(1))
     assert excinfo.value.failures[0].attempts == 1
-    assert excinfo.value.failures[0].backoff_s == 0.0
     assert engine.stats.retried == 0
 
 
@@ -186,7 +183,6 @@ def test_engine_from_config_threads_hardening_fields():
             use_cache=False,
             job_timeout_s=12.5,
             max_job_attempts=5,
-            retry_backoff_s=0.25,
             checkpoint_every=400,
             checkpoint_dir="ckpts",
             resume=True,
@@ -194,7 +190,6 @@ def test_engine_from_config_threads_hardening_fields():
     )
     assert engine.job_timeout_s == 12.5
     assert engine.max_job_attempts == 5
-    assert engine.retry_backoff_s == 0.25
     assert engine.checkpoint_every == 400
     assert engine.checkpoint_dir == "ckpts"
     assert engine.resume is True
@@ -205,8 +200,6 @@ def test_engine_config_validates_hardening_fields():
         EngineConfig(job_timeout_s=0.0)
     with pytest.raises(ValueError):
         EngineConfig(max_job_attempts=0)
-    with pytest.raises(ValueError):
-        EngineConfig(retry_backoff_s=-1.0)
     with pytest.raises(ValueError):
         EngineConfig(checkpoint_every=0)
 
@@ -219,7 +212,6 @@ def test_job_failure_as_dict_round_trips():
         duration_s=1.25,
         error_type="RuntimeError",
         message="boom",
-        backoff_s=1.5,
         timed_out=True,
     )
     assert failure.as_dict() == {
@@ -229,7 +221,6 @@ def test_job_failure_as_dict_round_trips():
         "duration_s": 1.25,
         "error_type": "RuntimeError",
         "message": "boom",
-        "backoff_s": 1.5,
         "timed_out": True,
     }
 

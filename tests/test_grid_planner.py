@@ -151,6 +151,21 @@ class TestPlanGridProperties:
         first_indices = [group[0] for group in plan.groups]
         assert first_indices == sorted(first_indices)
 
+    @given(spec=st.one_of(_workload_specs, _scenario_specs))
+    @settings(deadline=None)
+    def test_ensemble_jobs_take_exactly_the_eligible_specs(self, spec):
+        if ensemble_eligible(spec):
+            ensemble_job([spec])
+        else:
+            with pytest.raises(ValueError, match="not ensemble-eligible"):
+                ensemble_job([spec])
+
+    def test_ema_sensor_member_is_rejected_at_construction(self):
+        """An EMA-filtered member fails when the job is built, not in
+        every attempt of the worker that runs it."""
+        with pytest.raises(ValueError, match="not ensemble-eligible"):
+            ensemble_job([workload_job("tachyon", platform=_EMA_PLATFORM)])
+
     def test_min_group_validation(self):
         with pytest.raises(ValueError):
             plan_grid([], min_group=0)

@@ -4,16 +4,30 @@ A run whose measured pass is shorter than the warm-up skip has an empty
 measurement window; the runner must fail with a readable ``ValueError``
 rather than crashing deep in the profile code or reporting NaN metrics.
 Unknown policy names must be rejected up front with the allowed list.
+The keyword entry points must stay exact mirrors of the job-spec
+constructors they wrap.
 """
+
+from inspect import signature
 
 import pytest
 
+from repro.experiments.engine.spec import scenario_job, workload_job
 from repro.experiments.runner import (
     POLICIES,
     WARMUP_SKIP_S,
     build_manager,
+    build_simulation,
     run_scenario,
     run_workload,
+)
+
+#: The entry points' keywords that are not job-spec fields.
+HOOKS = {"instrumentation", "checkpoint_every", "checkpoint_dir", "resume"}
+
+ENTRY_POINTS = (
+    (run_workload, workload_job, workload_job("tachyon")),
+    (run_scenario, scenario_job, scenario_job(("tachyon", "mpeg_dec"), "linux")),
 )
 
 
@@ -72,3 +86,19 @@ def test_nonstandard_userspace_frequency_accepted():
 def test_build_manager_still_raises_keyerror_with_allowed_list():
     with pytest.raises(KeyError, match="unknown policy"):
         build_manager("magic")
+
+
+@pytest.mark.parametrize("entry, constructor, spec", ENTRY_POINTS)
+def test_entry_point_keywords_are_the_constructor_keywords_plus_hooks(
+    entry, constructor, spec
+):
+    assert set(signature(entry).parameters) == (
+        set(signature(constructor).parameters) | HOOKS
+    )
+
+
+@pytest.mark.parametrize("entry, constructor, spec", ENTRY_POINTS)
+def test_entry_point_max_time_default_is_the_job_default(entry, constructor, spec):
+    assert spec.max_time_s is None
+    default = signature(entry).parameters["max_time_s"].default
+    assert default == build_simulation(spec).max_time_s

@@ -406,11 +406,13 @@ class EnsembleSimulation:
             mark = timer.now()
         # The scalar loop snapshots governor frequencies at the top of
         # the tick; the governor update below must not feed back into
-        # this tick's chip step.  ``update`` always rebinds ``freq`` to
-        # a fresh array (the in-place writers — adopt/switch/restore —
-        # all run after the chip consumed this snapshot), so holding the
-        # current array IS the snapshot; no defensive copy needed.
+        # this tick's chip step.  ``update`` always rebinds ``freq`` and
+        # its ladder indices ``freq_idx`` to fresh arrays (the in-place
+        # writers — adopt/switch/restore — all run after the chip
+        # consumed this snapshot), so holding the current arrays IS the
+        # snapshot; no defensive copy needed.
         freq_used = self.governors.freq
+        idx_used = self.governors.freq_idx
         util, activity = self.scheduler.tick(freq_used, dt)
         if timer is not None:
             mark = timer.lap("schedule", mark)
@@ -420,7 +422,7 @@ class EnsembleSimulation:
         self.governors.update(util)
         if timer is not None:
             mark = timer.lap("governor", mark)
-        self.chip.step(activity, freq_used, dt)
+        self.chip.step(activity, freq_used, idx_used, dt)
         self.now += dt
         if timer is not None:
             mark = timer.lap("chip", mark)

@@ -4,8 +4,11 @@ Mirrors :mod:`repro.sched.governors` over the ensemble axis.  Each
 member's governor becomes a *kind code* plus a row in a
 ``(members, cores)`` frequency array; the per-kind update rules run as
 masked vector ops.  Frequencies are always exact OPP ladder values
-(validated at adoption), so the conservative governor's exact-hit rung
-lookup maps onto ``np.searchsorted`` against the ascending ladder.
+(validated at adoption), so the rules work on ladder indices: the
+conservative governor's exact-hit rung lookup is the index it already
+holds, and the frequencies are one gather from the ascending ladder.
+The index array (``freq_idx``) rides along with ``freq`` so the chip's
+per-OPP lookups need no search either.
 
 Governor switches replicate ``Simulation._actuate_governor``: a fresh
 scalar governor starts at the ladder minimum (or its userspace target),
@@ -69,18 +72,21 @@ class BatchedGovernors:
 
     #: Checkpointed state (see :mod:`repro.checkpoint.state`).
     STATE_FIELDS = ("kinds", "freq", "user_target", "up_threshold", "down_threshold")
-    #: Ladder constants, the threshold column views and the lazily
-    #: recomputed uniform-kind shortcut.
+    #: Ladder constants, the ladder indices of ``freq`` and
+    #: ``user_target``, the threshold column views and the lazily
+    #: recomputed per-kind member masks.
     DERIVED_FIELDS = (
         "ladder",
         "num_members",
         "num_cores",
         "ascending",
         "f_min",
-        "f_max",
+        "_top",
+        "freq_idx",
+        "user_idx",
         "_up_col",
         "_down_col",
-        "_uniform_kind",
+        "_kind_masks",
         "_kinds_dirty",
     )
 
@@ -90,20 +96,22 @@ class BatchedGovernors:
         self.num_cores = num_cores
         self.ascending = np.asarray(ladder.frequencies(), dtype=np.float64)
         self.f_min = float(ladder.min_point.frequency_hz)
-        self.f_max = float(ladder.max_point.frequency_hz)
+        self._top = self.ascending.size - 1  # the f_max rung
         m, c = num_members, num_cores
         self.kinds = np.zeros(m, dtype=np.int64)
         self.freq = np.full((m, c), self.f_min, dtype=np.float64)
+        self.freq_idx = np.zeros((m, c), dtype=np.int64)
         self.user_target = np.zeros(m, dtype=np.float64)
+        self.user_idx = np.zeros(m, dtype=np.int64)
         self.up_threshold = np.full(m, 0.80, dtype=np.float64)
         self.down_threshold = np.full(m, 0.30, dtype=np.float64)
         # Column views over the threshold arrays (all writers mutate the
         # bases in place, so the views track them for free).
         self._up_col = self.up_threshold[:, None]
         self._down_col = self.down_threshold[:, None]
-        # Uniform-kind shortcut: -1 = mixed, else the shared kind code.
-        # Recomputed lazily after any adopt/switch/restore.
-        self._uniform_kind = KIND_ONDEMAND
+        # (kind, (members, 1) mask) for every kind some member runs,
+        # recomputed lazily after any adopt/switch/restore.
+        self._kind_masks: list = []
         self._kinds_dirty = True
 
     # ------------------------------------------------------------------
@@ -122,10 +130,13 @@ class BatchedGovernors:
         kind = _kind_of(governor)
         self.kinds[member] = kind
         row = np.asarray(governor.frequencies(), dtype=np.float64)
-        self.freq_index(row)  # validate: exact ladder values only
+        self.freq_idx[member] = self.freq_index(row)  # exact ladder values only
         self.freq[member] = row
         if isinstance(governor, UserspaceGovernor):
             self.user_target[member] = governor.target_frequency_hz
+            self.user_idx[member] = self.freq_index(
+                self.user_target[member : member + 1]
+            )[0]
         self.up_threshold[member] = getattr(governor, "up_threshold", 0.80)
         self.down_threshold[member] = getattr(governor, "down_threshold", 0.30)
         self._kinds_dirty = True
@@ -136,9 +147,11 @@ class BatchedGovernors:
         """``_actuate_governor`` for one member (post fault-outcome)."""
         kind = _NAME_TO_KIND[name]
         previous = self.freq[member].copy()
+        previous_idx = self.freq_idx[member].copy()
         # A fresh scalar governor starts at the ladder minimum; only the
         # adaptive kinds then inherit the running clocks.
         self.freq[member] = self.f_min
+        self.freq_idx[member] = 0
         self.up_threshold[member] = 0.80
         self.down_threshold[member] = 0.30
         if kind == KIND_USERSPACE:
@@ -146,8 +159,11 @@ class BatchedGovernors:
             target = self.ladder.nearest(userspace_frequency_hz).frequency_hz
             self.user_target[member] = target
             self.freq[member] = target
+            self.user_idx[member] = self.freq_index(self.freq[member])[0]
+            self.freq_idx[member] = self.user_idx[member]
         elif kind in _ADAPTIVE_KINDS:
             self.freq[member] = previous
+            self.freq_idx[member] = previous_idx
         self.kinds[member] = kind
         self._kinds_dirty = True
 
@@ -155,81 +171,60 @@ class BatchedGovernors:
     # The per-tick update
     # ------------------------------------------------------------------
     def update(self, util: np.ndarray) -> None:
-        """Governor.update for every member (util is (members, cores))."""
-        kinds = self.kinds
-        freq = self.freq
-        asc = self.ascending
+        """Governor.update for every member (util is (members, cores)).
+
+        Always rebinds ``freq`` and ``freq_idx`` to fresh arrays (the
+        engine holds the old pair as this tick's snapshot).
+        """
         if self._kinds_dirty:
-            first = int(kinds[0]) if kinds.size else -1
-            self._uniform_kind = (
-                first if bool(np.all(kinds == first)) else -1
-            )
+            kinds = self.kinds
+            self._kind_masks = [
+                (kind, (kinds == kind)[:, None])
+                for kind in np.unique(kinds).tolist()
+            ]
             self._kinds_dirty = False
-        uniform = self._uniform_kind
-        if uniform >= 0:
-            # Homogeneous ensemble: run the one kind's rule directly —
-            # merging through an all-True where() selects the same
-            # values, so the shortcut is bit-identical.
-            if uniform == KIND_ONDEMAND:
-                up = self._up_col
-                bound = util * freq / up - 1.0
-                # searchsorted never returns a negative index, so only
-                # the upper bound needs clamping (same values as clip).
-                idx = asc.searchsorted(bound, side="left")
-                scaled = asc[np.minimum(idx, asc.size - 1)]
-                self.freq = np.where(util >= up, self.f_max, scaled)
-            elif uniform == KIND_CONSERVATIVE:
-                cur_idx = asc.searchsorted(freq)
-                cur_idx = np.clip(cur_idx, 0, asc.size - 1)
-                delta = np.where(
-                    util >= self._up_col,
-                    1,
-                    np.where(util <= self._down_col, -1, 0),
-                )
-                self.freq = asc[np.clip(cur_idx + delta, 0, asc.size - 1)]
-            elif uniform == KIND_PERFORMANCE:
-                self.freq = np.full_like(freq, self.f_max)
-            elif uniform == KIND_POWERSAVE:
-                self.freq = np.full_like(freq, self.f_min)
-            else:  # KIND_USERSPACE
-                self.freq = np.broadcast_to(
-                    self.user_target[:, None], freq.shape
-                ).copy()
-            return
-        new_freq = freq
-        od = kinds == KIND_ONDEMAND
-        if od.any():
-            up = self.up_threshold[:, None]
-            bound = util * freq / up - 1.0
-            idx = np.searchsorted(asc, bound, side="left")
-            # Overflow (bound above the ladder) falls back to f_max,
-            # which clipping to the last rung also yields.
-            scaled = asc[np.clip(idx, 0, asc.size - 1)]
-            od_freq = np.where(util >= up, self.f_max, scaled)
-            new_freq = np.where(od[:, None], od_freq, new_freq)
-        cons = kinds == KIND_CONSERVATIVE
-        if cons.any():
-            cur_idx = np.searchsorted(asc, freq)
-            cur_idx = np.clip(cur_idx, 0, asc.size - 1)
+        masks = self._kind_masks
+        # Every member runs exactly one kind, so the first kind's rule
+        # seeds every row and each further kind overwrites its own rows;
+        # a homogeneous ensemble runs its one rule, no merge at all.
+        idx = self._kind_rule(masks[0][0], util)
+        for kind, mask in masks[1:]:
+            idx = np.where(mask, self._kind_rule(kind, util), idx)
+        self.freq_idx = idx
+        self.freq = self.ascending.take(idx)
+
+    def _kind_rule(self, kind: int, util: np.ndarray) -> np.ndarray:
+        """Next ladder index of every (member, core) under ``kind``."""
+        top = self._top
+        if kind == KIND_ONDEMAND:
+            up = self._up_col
+            bound = util * self.freq / up - 1.0
+            # searchsorted never returns a negative index, so only the
+            # upper bound needs clamping: overflow (bound above the
+            # ladder) lands on the top rung, as does util >= up.
+            idx = np.minimum(self.ascending.searchsorted(bound, side="left"), top)
+            return np.where(util >= up, top, idx)
+        if kind == KIND_CONSERVATIVE:
             delta = np.where(
-                util >= self.up_threshold[:, None],
+                util >= self._up_col,
                 1,
-                np.where(util <= self.down_threshold[:, None], -1, 0),
+                np.where(util <= self._down_col, -1, 0),
             )
-            stepped = asc[np.clip(cur_idx + delta, 0, asc.size - 1)]
-            new_freq = np.where(cons[:, None], stepped, new_freq)
-        perf = kinds == KIND_PERFORMANCE
-        if perf.any():
-            new_freq = np.where(perf[:, None], self.f_max, new_freq)
-        save = kinds == KIND_POWERSAVE
-        if save.any():
-            new_freq = np.where(save[:, None], self.f_min, new_freq)
-        user = kinds == KIND_USERSPACE
-        if user.any():
-            new_freq = np.where(user[:, None], self.user_target[:, None], new_freq)
-        self.freq = new_freq
+            return np.minimum(np.maximum(self.freq_idx + delta, 0), top)
+        if kind == KIND_PERFORMANCE:
+            return np.full(self.freq_idx.shape, top, dtype=np.int64)
+        if kind == KIND_POWERSAVE:
+            return np.zeros(self.freq_idx.shape, dtype=np.int64)
+        # KIND_USERSPACE
+        return np.repeat(self.user_idx[:, None], self.num_cores, axis=1)
 
     def _after_restore(self) -> None:
         self._up_col = self.up_threshold[:, None]
         self._down_col = self.down_threshold[:, None]
+        self.freq_idx = self.freq_index(self.freq)
+        # Only userspace members' targets are on the ladder; the others'
+        # indices are never read.
+        self.user_idx = np.minimum(
+            self.ascending.searchsorted(self.user_target), self._top
+        )
         self._kinds_dirty = True

@@ -22,6 +22,7 @@ from typing import List
 
 import numpy as np
 
+from repro.ensemble.sched import ordered_sum
 from repro.soc.chip import Chip
 
 #: Ambient-drift noise draws buffered per refill (chunked draws from a
@@ -66,6 +67,7 @@ class BatchedChip:
         "_injection",
         "_mv_state",
         "_mv_input",
+        "_sum_stack",
     )
 
     def __init__(self, template: Chip, num_members: int) -> None:
@@ -116,6 +118,9 @@ class BatchedChip:
         self._injection = np.empty((m, n), dtype=np.float64)
         self._mv_state = np.empty((m, n, 1), dtype=np.float64)
         self._mv_input = np.empty((m, n, 1), dtype=np.float64)
+        # [0.0; core 0; ...; core c-1] per member for the per-core sums
+        # of activity, dynamic and static power; row 0 stays 0.0.
+        self._sum_stack = np.zeros((3, self.num_cores + 1, m), dtype=np.float64)
 
     def adopt_row(self, member: int, chip: Chip) -> None:
         """Import one member's live chip state (post warm start)."""
@@ -143,12 +148,15 @@ class BatchedChip:
         self._drift_cursor += 1
         return draws
 
-    def step(self, activity: np.ndarray, freq: np.ndarray, dt: float) -> None:
+    def step(
+        self, activity: np.ndarray, freq: np.ndarray, freq_idx: np.ndarray, dt: float
+    ) -> None:
         """Advance every member's die one tick.
 
         ``activity`` and ``freq`` are (members, cores); ``freq`` holds
-        exact OPP frequencies (the engine passes the pre-update governor
-        copy, as the scalar loop does).
+        exact OPP frequencies and ``freq_idx`` their ladder indices (the
+        engine passes the pre-update governor pair, as the scalar loop
+        does).
         """
         m, c = self.num_members, self.num_cores
         if self.drift_enabled:
@@ -160,28 +168,29 @@ class BatchedChip:
             self.ambient_injection = (
                 self.ambient_unit[None, :] * self.ambient_c[:, None]
             )
-        # Per-core power; the OPP dict lookup becomes an index gather
-        # (frequencies are exact ladder values by construction).
-        freq_idx = self.freqs_asc.searchsorted(freq)
-        voltage = self.voltage_by_idx[freq_idx]
-        dynamic = activity * self.c_eff * voltage * voltage * freq
+        # Per-core power; the OPP dict lookup becomes an index gather.
+        # ``dynamic`` and ``static`` are written straight into their
+        # rows of the reduction stack (transposed views).
+        stack = self._sum_stack
+        voltage = self.voltage_by_idx.take(freq_idx)
+        dynamic = np.multiply(
+            activity * self.c_eff * voltage * voltage, freq, out=stack[1, 1:].T
+        )
         exponent = self.t_leak * self.core_temps()
         exp_vals = np.fromiter(
             map(math.exp, exponent.ravel().tolist()),
             dtype=np.float64,
             count=m * c,
         ).reshape(m, c)
-        static = self.leak_scale_by_idx[freq_idx] * exp_vals
-        # Ordered per-core reductions mirror the scalar sum() calls.
-        act_sum = np.zeros(m, dtype=np.float64)
-        for core in range(c):
-            act_sum = act_sum + activity[:, core]
+        static = np.multiply(
+            self.leak_scale_by_idx.take(freq_idx), exp_vals, out=stack[2, 1:].T
+        )
+        # The scalar sum() calls as one ordered reduction down the core
+        # axis of [0.0; core 0; ...] per channel (activity, dynamic,
+        # static); see :func:`repro.ensemble.sched.ordered_sum`.
+        stack[0, 1:] = activity.T
+        act_sum, dyn_sum, stat_sum = ordered_sum(stack)
         uncore = self.idle_package_power_w + self.uncore_per_active_w * act_sum
-        dyn_sum = np.zeros(m, dtype=np.float64)
-        stat_sum = np.zeros(m, dtype=np.float64)
-        for core in range(c):
-            dyn_sum = dyn_sum + dynamic[:, core]
-            stat_sum = stat_sum + static[:, core]
         self.dynamic_j = self.dynamic_j + (dyn_sum + uncore) * dt
         self.static_j = self.static_j + stat_sum * dt
         self.energy_elapsed_s = self.energy_elapsed_s + dt

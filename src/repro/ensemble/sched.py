@@ -3,18 +3,24 @@
 Mirrors :class:`repro.sched.scheduler.Scheduler` over the ensemble axis.
 The vectorization strategy is dictated by the bit-identity contract:
 
-* Loops over *thread slots* and *cores* stay as Python loops (6 and 4
-  iterations) with each body doing ``(members,)``-wide vector ops — this
-  preserves the scalar loop's intra-member operation order exactly.
+* Per-thread and per-core work runs as ``(members, …)``-wide vector ops
+  whose per-member operation order is the scalar loop's: tallies and
+  activity come from ``bincount`` over row-major ``(member, core)``
+  bins (it adds in input order), and the per-core sums are one
+  outer-axis reduction down a ``[total; core 0; …]`` stack
+  (:func:`ordered_sum`), which adds left to right per member.
 * First-max / first-min selections map onto ``np.argmax`` / ``np.argmin``,
   which are documented to return the first occurrence.
-* Executed-cycle accumulation uses an iterative masked loop instead of
-  ``cycles * n`` because n repeated additions are not the same FP
-  operation as one multiplication for n >= 4.
-* Rare row-level operations (placing a fresh thread set, applying a new
-  affinity mapping) run as per-member scalar code transcribed from the
-  reference — they happen once per app switch or manager decision, not
-  per tick.
+* Executed cycles are ``cycles * n`` for queues of up to three threads
+  (the same single rounding as three additions from 0.0) and a masked
+  loop adds each further share: past three, n additions are not
+  guaranteed to round like one multiplication.
+* Sequential row work — placing threads (wake, first placement,
+  affinity migration) and the idle-pull walk — runs as per-member scalar
+  code transcribed from the reference, in one pass over every acting
+  (member, slot) or (member, core) pair, member-major: each member's
+  own order, since members never interact.  Only a slot column where
+  many members act at once takes the members-wide vector placement.
 
 Padded thread slots (``j >= num_threads[m]``) are parked in DONE, so
 every mask already ignores them.
@@ -51,6 +57,18 @@ _MISSES_PER_DECISION = 1.0e4
 _MISSES_PER_CYCLE = 1.0e-9
 
 
+def ordered_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum ``stack`` (channels, terms, members) down its terms axis.
+
+    An outer-axis ``np.add.reduce`` adds whole member rows one term at
+    a time, left to right — per member exactly ``acc = acc + term`` in
+    term order (pairwise summation only applies along the contiguous
+    inner axis).  ``tests/test_ensemble_kernels.py`` pins this on values
+    where the two orders round differently.
+    """
+    return np.add.reduce(stack, axis=1)
+
+
 class BatchedPerf:
     """Structure-of-arrays twin of ``repro.sched.perf.PerfCounters``.
 
@@ -78,10 +96,14 @@ class BatchedPerf:
         self.sample_events = np.zeros(num_members, dtype=np.int64)
         self.decision_events = np.zeros(num_members, dtype=np.int64)
 
+    # The ``*_rows`` twins take a member index per event, repeats
+    # allowed: ``np.add.at`` applies every occurrence in order, so a
+    # member listed twice is charged twice, exactly like two scalar
+    # calls (``x[rows] = x[rows] + c`` would charge it once).
     def record_migration_rows(self, rows: np.ndarray) -> None:
-        self.migrations[rows] += 1
-        self.cache_misses[rows] = self.cache_misses[rows] + _MISSES_PER_MIGRATION
-        self.page_faults[rows] = self.page_faults[rows] + _FAULTS_PER_MIGRATION
+        np.add.at(self.migrations, rows, 1)
+        np.add.at(self.cache_misses, rows, _MISSES_PER_MIGRATION)
+        np.add.at(self.page_faults, rows, _FAULTS_PER_MIGRATION)
 
     def record_migration_row(self, member: int) -> None:
         """Scalar twin of :meth:`record_migration_rows` (same arithmetic)."""
@@ -100,9 +122,9 @@ class BatchedPerf:
 
     def record_sample_event_rows(self, rows: np.ndarray) -> None:
         """Batched twin of :meth:`record_sample_event_row` (same ops)."""
-        self.sample_events[rows] += 1
-        self.cache_misses[rows] = self.cache_misses[rows] + _MISSES_PER_SAMPLE
-        self.page_faults[rows] = self.page_faults[rows] + _FAULTS_PER_SAMPLE
+        np.add.at(self.sample_events, rows, 1)
+        np.add.at(self.cache_misses, rows, _MISSES_PER_SAMPLE)
+        np.add.at(self.page_faults, rows, _FAULTS_PER_SAMPLE)
 
     def record_decision_event_row(self, member: int) -> None:
         self.decision_events[member] += 1
@@ -112,8 +134,8 @@ class BatchedPerf:
 
     def record_decision_event_rows(self, rows: np.ndarray) -> None:
         """Batched twin of :meth:`record_decision_event_row` (same ops)."""
-        self.decision_events[rows] += 1
-        self.cache_misses[rows] = self.cache_misses[rows] + _MISSES_PER_DECISION
+        np.add.at(self.decision_events, rows, 1)
+        np.add.at(self.cache_misses, rows, _MISSES_PER_DECISION)
 
 
 class BatchedScheduler:
@@ -149,11 +171,13 @@ class BatchedScheduler:
         "idle_activity",
         "pull_ok",
         "_any_mapping",
-        "_core_range",
         "_member_range",
         "_member_col",
         "_slot_range",
         "_all_cores",
+        "_bin_base",
+        "_pull_delay_col",
+        "_sum_stack",
         "_place_scalar_max",
         "_packing_list",
         "_pack_cap_list",
@@ -201,11 +225,14 @@ class BatchedScheduler:
         # run on core c (all-True rows when the member has no mapping).
         self.allowed = np.ones((m, t, c), dtype=bool)
         self.num_allowed = np.full((m, t), c, dtype=np.int64)
-        # pull_ok[m, c]: some slot of member m may run on core c.  When
-        # False, an idle-pull toward c can never find a movable slot
-        # (``allowed`` appears conjunctively in the movability test), so
-        # the scan is skipped — the scalar scheduler scans and fails.
-        # Maintained wherever ``allowed`` is written.
+        # pull_ok[m, c]: some slot of member m that may run on core c
+        # may also run elsewhere.  When False, an idle-pull toward c can
+        # never find a movable slot: the movability test needs ``allowed``
+        # on c, and a slot allowed on c alone already sits on c (every
+        # placement picks its one allowed core), never on the busiest
+        # core.  So the walk is skipped — the scalar scheduler scans and
+        # fails.  Maintained wherever ``allowed`` is written
+        # (:meth:`_pull_targets`).
         self.pull_ok = np.ones((m, c), dtype=bool)
         self.has_mapping = np.zeros(m, dtype=bool)
         # Ensemble-wide shortcut: when no member has a mapping the tick
@@ -217,11 +244,18 @@ class BatchedScheduler:
         self.idle_for_s = np.zeros((m, c), dtype=np.float64)
         self.busy_ewma = np.zeros(m, dtype=np.float64)
         self.since_rebalance_s = np.zeros(m, dtype=np.float64)
-        self._core_range = np.arange(c, dtype=np.int64)
         self._member_range = np.arange(m, dtype=np.int64)
         self._member_col = self._member_range[:, None]
         self._slot_range = np.arange(t, dtype=np.int64)
         self._all_cores = list(range(c))
+        # Each member's first (member, core) bin: ``member * c + core``
+        # is a thread's bin in the flat (members * cores) tallies.
+        self._bin_base = self._member_col * c
+        self._pull_delay_col = self.idle_pull_delay_s[:, None]
+        # [running total; core 0; ...; core c-1] per member for the two
+        # executed-cycle channels (executed_cycles, cache_misses) and
+        # the busy-core count, whose total row stays 0.0.
+        self._sum_stack = np.zeros((3, c + 1, m), dtype=np.float64)
         # Scalar placement beats the members-wide vector pass until the
         # needy count approaches a fraction of the ensemble width.
         self._place_scalar_max = max(_PLACE_SCALAR_MAX, m // 6)
@@ -331,61 +365,122 @@ class BatchedScheduler:
         elif initial:
             self.last_core[member, slot] = core
 
-    def _place_col_scalar(
+    def _place_pairs(
         self,
-        slot: int,
-        rows: np.ndarray,
-        wake_k: list,
-        init_k: list,
-        comp_k: list,
-        counts_mirror: list,
+        pair_m: np.ndarray,
+        pair_j: np.ndarray,
+        wake: np.ndarray,
+        initial: np.ndarray,
+        is_compute: np.ndarray,
     ) -> None:
-        """Per-member scalar placement for one slot column, batched I/O.
+        """Per-member scalar placement of (member, slot) pairs, one pass.
 
-        Runs the exact ``_place_row`` sequence per member (ascending,
-        like the reference), but reads the column's prev/last cores with
-        two gathers up front and writes the results back with a few
-        fancy-index stores at the end — members are independent, so
-        deferring the array writes to the column boundary cannot change
-        any pick.  ``wake_k``/``init_k``/``comp_k`` are row-aligned (one
-        entry per ``rows`` element, not per member).  ``counts_mirror``
-        carries the live counts between columns (a member placing
-        threads in two columns sees its first placement, exactly as the
-        scalar slot loop does).
+        ``pair_m``/``pair_j`` list the pairs member-major with each
+        member's slots ascending — every member's own ``_place_row``
+        sequence in the reference's slot order; members never read each
+        other's state, so no other order matters.  The pairs' cores,
+        last cores and (member, slot) flags are read with one gather
+        each up front and the results written back with one scatter per
+        array at the end: a placement writes only its own slot's cores,
+        and the one value a member's later placement does read (its
+        runnable tallies) is carried in a Python row per member, whose
+        changes are scattered back as +-1 deltas.
         """
-        row_list = rows.tolist()
-        prev_list = self.core[rows, slot].tolist()
-        last_list = self.last_core[rows, slot].tolist()
+        members = pair_m.tolist()
+        slots = pair_j.tolist()
+        prev_list = self.core[pair_m, pair_j].tolist()
+        last_list = self.last_core[pair_m, pair_j].tolist()
+        wake_k = wake[pair_m, pair_j].tolist()
+        init_k = initial[pair_m, pair_j].tolist()
+        comp_k = is_compute[pair_m, pair_j].tolist()
+        # Each pair's member tallies; a member's later pairs keep using
+        # (and updating) the row read for its first pair.
+        tallies = self.counts[pair_m].tolist()
+        pick = self._pick_core_row
         new_cores: list = []
         upd_pos: list = []
         upd_last: list = []
-        migrations: list = []
-        for k, member in enumerate(row_list):
-            counts = counts_mirror[member]
-            core = self._pick_core_row(
-                member, slot, wake_k[k], counts, last_list[k]
-            )
+        migrated: list = []
+        # Tally changes as (member, core, +-1), applied in one scatter.
+        delta_m: list = []
+        delta_c: list = []
+        delta: list = []
+        member = -1
+        counts: list = []
+        for k, mem in enumerate(members):
+            if mem != member:
+                member = mem
+                counts = tallies[k]
+            core = pick(mem, slots[k], wake_k[k], counts, last_list[k])
             previous = prev_list[k]
             new_cores.append(core)
             if previous != core and comp_k[k]:
                 if previous != NO_CORE:
                     counts[previous] -= 1
+                    delta_m.append(mem)
+                    delta_c.append(previous)
+                    delta.append(-1)
                 counts[core] += 1
+                delta_m.append(mem)
+                delta_c.append(core)
+                delta.append(1)
             if previous != NO_CORE and previous != core:
                 upd_pos.append(k)
                 upd_last.append(previous)
-                migrations.append(member)
+                migrated.append(k)
             elif init_k[k]:
                 upd_pos.append(k)
                 upd_last.append(core)
-        self.core[rows, slot] = new_cores
+        self.core[pair_m, pair_j] = new_cores
+        if delta:
+            np.add.at(self.counts, (delta_m, delta_c), delta)
         if upd_pos:
-            self.last_core[rows[upd_pos], slot] = upd_last
-        if migrations:
-            marr = np.asarray(migrations, dtype=np.int64)
-            self.stalled[marr, slot] = True
+            self.last_core[pair_m[upd_pos], pair_j[upd_pos]] = upd_last
+        if migrated:
+            rows = pair_m[migrated]
+            self.stalled[rows, pair_j[migrated]] = True
             self._stall_dirty = True
-            self.perf.record_migration_rows(marr)
+            # A member can migrate several slots in one pass; the rows
+            # recorder charges each repeat (see BatchedPerf).
+            self.perf.record_migration_rows(rows)
+
+    def _place_all(
+        self,
+        pair_m: np.ndarray,
+        pair_j: np.ndarray,
+        any_action: np.ndarray,
+        wake: np.ndarray,
+        initial: np.ndarray,
+        is_compute: np.ndarray,
+    ) -> None:
+        """Phase-1 placement of every acting (member, slot) pair.
+
+        Sparse slot columns take the one-pass scalar transcription;
+        a dense column (more than ``_place_scalar_max`` members acting
+        in it) takes the members-wide vector pass.  The sparse pairs
+        between two dense columns form one pass, so each member still
+        places its slots in ascending order.  With no dense column —
+        always, when the pairs number at most ``_place_scalar_max`` —
+        the whole phase is a single pass.
+        """
+        limit = self._place_scalar_max
+        dense: list = []
+        if pair_m.size > limit:
+            per_col = np.bincount(pair_j, minlength=self.w.max_slots)
+            dense = (per_col > limit).nonzero()[0].tolist()
+        if not dense:
+            self._place_pairs(pair_m, pair_j, wake, initial, is_compute)
+            return
+        lo = 0
+        for j in dense + [self.w.max_slots]:
+            run = (pair_j >= lo) & (pair_j < j)
+            if np.count_nonzero(run):
+                self._place_pairs(
+                    pair_m[run], pair_j[run], wake, initial, is_compute
+                )
+            if j < self.w.max_slots:
+                self._place_vec(j, any_action[:, j], wake[:, j], initial[:, j])
+            lo = j + 1
 
     def _refresh_counts_row(self, member: int) -> None:
         counts = np.zeros(self.num_cores, dtype=np.int64)
@@ -444,12 +539,20 @@ class BatchedScheduler:
                 row = np.ones(self.num_cores, dtype=bool)
             self.allowed[member, j] = row
             self.num_allowed[member, j] = int(row.sum())
-        self.pull_ok[member] = self.allowed[member].any(axis=0)
+        self.pull_ok[member] = self._pull_targets(
+            self.allowed[member], self.num_allowed[member]
+        )
         self._refresh_counts_row(member)
         for j in range(t):
             core = int(self.core[member, j])
             if core != NO_CORE and not self.allowed[member, j, core]:
                 self._place_row(member, j)
+
+    @staticmethod
+    def _pull_targets(allowed: np.ndarray, num_allowed: np.ndarray) -> np.ndarray:
+        """``pull_ok`` from ``allowed`` (..., slots, cores) and
+        ``num_allowed`` (..., slots): cores some unpinned slot may use."""
+        return (allowed & (num_allowed > 1)[..., None]).any(axis=-2)
 
     def clear_mapping_row(self, member: int) -> None:
         """Mapping set to ``None``: every slot may use every core."""
@@ -555,17 +658,18 @@ class BatchedScheduler:
         Movable = COMPUTE, on ``source``, allowed on ``target``, not
         stalled this tick — the scalar ``_first_movable``.
         """
-        phase = self.w.phase[members]
-        core = self.core[members]
-        allowed_t = self.allowed[
-            members[:, None], self._slot_range[None, :], target[:, None]
-        ]
-        movable = (
-            (phase == PH_COMPUTE)
-            & (core == source[:, None])
-            & allowed_t
-            & ~self.stalled[members]
+        movable = (self.w.phase[members] == PH_COMPUTE) & (
+            self.core[members] == source[:, None]
         )
+        # With no mapping anywhere every slot may run on every core, and
+        # with the stall flag down no slot is stalled: both gathers
+        # would be all-True, so they are skipped.
+        if self._any_mapping:
+            movable &= self.allowed[
+                members[:, None], self._slot_range[None, :], target[:, None]
+            ]
+        if self._stall_dirty:
+            movable &= ~self.stalled[members]
         return movable.any(axis=1), np.argmax(movable, axis=1)
 
     def _move_rows(
@@ -575,13 +679,75 @@ class BatchedScheduler:
         source: np.ndarray,
         target: np.ndarray,
     ) -> None:
+        """Move each (member, slot) from ``source`` to ``target``; a
+        member may appear more than once (its tallies move each time)."""
         self.last_core[members, slots] = source
         self.core[members, slots] = target
-        self.counts[members, source] -= 1
-        self.counts[members, target] += 1
+        np.add.at(self.counts, (members, source), -1)
+        np.add.at(self.counts, (members, target), 1)
         self.perf.record_migration_rows(members)
         self.stalled[members, slots] = True
         self._stall_dirty = True
+
+    def _pull_pairs(self, pair_m: np.ndarray, pair_c: np.ndarray) -> bool:
+        """The scalar idle-pull walk over ripe (member, core) pairs.
+
+        ``pair_m``/``pair_c`` list the pairs member-major with cores
+        ascending — each member's own walk in the reference's core
+        order; members never read each other's state.  Each member's
+        runnable flags, cores, stall bits, tallies and (under a mapping)
+        allowed masks are read once; each step takes the busiest core,
+        passes below two runnable threads, and moves the first movable
+        slot in adoption order to the idle core, which stalls it and
+        shifts the tallies the member's later steps read.  The moves
+        are written back in one scatter per array.  Returns whether
+        any thread moved.
+        """
+        # Rows are read per pair; a member's later pairs keep using (and
+        # updating) the rows read for its first pair.
+        runnable = (self.w.phase[pair_m] == PH_COMPUTE).tolist()
+        cores = self.core[pair_m].tolist()
+        tallies = self.counts[pair_m].tolist()
+        if self._stall_dirty:
+            stalled = self.stalled[pair_m].tolist()
+        else:
+            stalled = [[False] * self.w.max_slots for _ in range(pair_m.size)]
+        allowed = self.allowed[pair_m].tolist() if self._any_mapping else None
+        moves: Tuple[list, list, list, list] = ([], [], [], [])
+        member = -1
+        for k, (mem, target) in enumerate(zip(pair_m.tolist(), pair_c.tolist())):
+            if mem != member:
+                member = mem
+                counts, core_i, stall_i = tallies[k], cores[k], stalled[k]
+                run_i = runnable[k]
+                allow_i = None if allowed is None else allowed[k]
+            busiest = counts.index(max(counts))
+            if counts[busiest] < 2:
+                continue
+            for j, core in enumerate(core_i):
+                if (
+                    core == busiest
+                    and run_i[j]
+                    and not stall_i[j]
+                    and (allow_i is None or allow_i[j][target])
+                ):
+                    break
+            else:
+                continue
+            core_i[j] = target
+            stall_i[j] = True
+            counts[busiest] -= 1
+            counts[target] += 1
+            for column, value in zip(moves, (mem, j, busiest, target)):
+                column.append(value)
+        if not moves[0]:
+            return False
+        members, slots, source, target_arr = (
+            np.asarray(column, dtype=np.int64) for column in moves
+        )
+        self._move_rows(members, slots, source, target_arr)
+        self.idle_for_s[members, target_arr] = 0.0
+        return True
 
     def _rebalance_vec(self, members: np.ndarray) -> None:
         """Two passes of busiest->idlest moves for ``members``."""
@@ -617,17 +783,18 @@ class BatchedScheduler:
         (members, cores) — the CoreLoad fields the engine consumes.
         """
         w = self.w
-        m, t, c = self.num_members, w.max_slots, self.num_cores
+        m, c = self.num_members, self.num_cores
         # Refresh runnable counts from current state (the scalar tick
         # begins with a refresh pass: phases changed since last tick).
-        # bincount over the flat (member, core) codes produces the same
-        # int64 tallies as a one-hot sum, without the (m, t, c) temp.
+        # ``member * c + core`` is each slot's bin; masking the bins with
+        # the (row-major) COMPUTE-on-a-core test lists the runnable
+        # threads member by member, slots ascending, and bincount over
+        # them gives the same int64 tallies as a one-hot sum.
         on_core = self.core != NO_CORE
         is_compute = w.phase == PH_COMPUTE
         compute_on_core = is_compute & on_core
-        vm, vj = compute_on_core.nonzero()
-        v_cores = self.core[vm, vj]
-        v_flat = vm * c + v_cores
+        bins = self._bin_base + self.core
+        v_flat = bins[compute_on_core]
         self.counts = np.bincount(v_flat, minlength=m * c).reshape(m, c)
         # True once anything changes cores or stalls this tick; phase 3
         # then recomputes the queue view instead of reusing the arrays
@@ -666,44 +833,15 @@ class BatchedScheduler:
                 # migration and wake gates collapse (bit-identical).
                 needs_wake = woke & on_core
                 any_action = needs_initial | needs_wake
-            if any_action.any():
+            pair_m, pair_j = any_action.nonzero()  # member-major
+            if pair_m.size:
                 moved = True
-                # Sparse columns run the per-member scalar transcription
-                # against a Python counts mirror (cheaper than a members-
-                # wide vector pass, identical selection); dense columns
-                # take the vector pass.  The NumPy counts array is synced
-                # at every transition so both paths read live tallies.
-                counts_mirror: Optional[list] = None
-                for j in any_action.any(axis=0).nonzero()[0]:
-                    rows = any_action[:, j].nonzero()[0]
-                    if rows.size <= self._place_scalar_max:
-                        if counts_mirror is None:
-                            counts_mirror = self.counts.tolist()
-                        self._place_col_scalar(
-                            j,
-                            rows,
-                            needs_wake[rows, j].tolist(),
-                            needs_initial[rows, j].tolist(),
-                            is_compute[rows, j].tolist(),
-                            counts_mirror,
-                        )
-                    else:
-                        if counts_mirror is not None:
-                            self.counts = np.asarray(
-                                counts_mirror, dtype=np.int64
-                            )
-                            counts_mirror = None
-                        self._place_vec(
-                            j,
-                            any_action[:, j],
-                            needs_wake[:, j],
-                            needs_initial[:, j],
-                        )
-                if counts_mirror is not None:
-                    self.counts = np.asarray(counts_mirror, dtype=np.int64)
+                self._place_all(
+                    pair_m, pair_j, any_action, needs_wake, needs_initial, is_compute
+                )
         # --- Phase 2a: idle-pull ---------------------------------------
         idle = self.counts == 0
-        if not self._zero_delay and not idle.any():
+        if not self._zero_delay and not np.count_nonzero(idle):
             # Every core busy: all timers reset to 0.0, and with every
             # pull delay positive nothing can be ripe — skip the pass.
             if self._idle_nonzero:
@@ -713,62 +851,20 @@ class BatchedScheduler:
         else:
             self._idle_nonzero = True
             self.idle_for_s = np.where(idle, self.idle_for_s + dt, 0.0)
-            ripe = self.idle_for_s >= self.idle_pull_delay_s[:, None]
-        if ripe is not None and ripe.any():
+            ripe = self.idle_for_s >= self._pull_delay_col
+        if ripe is not None and np.count_nonzero(ripe):
             # Only members with a core holding >= 2 runnable threads can
             # donate; pre-filtering cannot change a pull decision (the
             # per-core ``heavy`` gate would reject the rest anyway) and
             # skips the whole scan during sync windows when counts is 0.
+            # ``pull_ok`` is all-True unless some member has a mapping.
             donors = self.counts.max(axis=1) >= 2
-            ripe = ripe & donors[:, None] & self.pull_ok
-            # The sequential per-core walk only couples *within* a
-            # member (an earlier core's successful pull stalls the moved
-            # thread and shifts counts; members never read each other's
-            # state), and a *failed* attempt writes nothing.  So every
-            # ripe (member, core) pair is scanned in one batch against
-            # the pre-pull state, and per member the first hit in core
-            # order is exactly the walk's first pull.  Only the rare
-            # member that pulled *and* has later ripe cores re-walks
-            # those cores against its updated state.  The donor
-            # prefilter above doubles as the walk's live ``heavy`` gate
-            # for the batch: before a member's first move its counts are
-            # untouched, and argmax over an unchanged row picks the same
-            # busiest core.
+            ripe &= donors[:, None]
+            if self._any_mapping:
+                ripe &= self.pull_ok
             pair_m, pair_c = ripe.nonzero()  # member-major, cores ascending
-            src = np.argmax(self.counts[pair_m], axis=1)
-            found, slots = self._first_movable_vec(pair_m, src, pair_c)
-            if found.any():
+            if pair_m.size and self._pull_pairs(pair_m, pair_c):
                 moved = True
-                hits = found.nonzero()[0]
-                hit_m = pair_m[hits]
-                first = np.ones(hit_m.size, dtype=bool)
-                first[1:] = hit_m[1:] != hit_m[:-1]
-                hits = hits[first]
-                pull_m = pair_m[hits]
-                pull_c = pair_c[hits]
-                self._move_rows(pull_m, slots[hits], src[hits], pull_c)
-                self.idle_for_s[pull_m, pull_c] = 0.0
-                for i, member in enumerate(pull_m.tolist()):
-                    later = ripe[member].nonzero()[0]
-                    later = later[later > pull_c[i]]
-                    for core_id in later.tolist():
-                        row = np.array([member], dtype=np.int64)
-                        busiest = int(np.argmax(self.counts[member]))
-                        if self.counts[member, busiest] < 2:
-                            continue
-                        f1, s1 = self._first_movable_vec(
-                            row,
-                            np.array([busiest], dtype=np.int64),
-                            np.array([core_id], dtype=np.int64),
-                        )
-                        if f1[0]:
-                            self._move_rows(
-                                row,
-                                s1,
-                                np.array([busiest], dtype=np.int64),
-                                np.array([core_id], dtype=np.int64),
-                            )
-                            self.idle_for_s[member, core_id] = 0.0
         # --- Phase 2b: periodic rebalance ------------------------------
         self.since_rebalance_s = self.since_rebalance_s + dt
         # The slack countdown mirrors min(period - since) to within a
@@ -778,7 +874,7 @@ class BatchedScheduler:
         self._rebal_slack -= dt
         if self._rebal_slack <= 1e-6:
             due = self.since_rebalance_s >= self.rebalance_period_s
-            if due.any():
+            if np.count_nonzero(due):
                 moved = True
                 self.since_rebalance_s[due] = 0.0
                 self._rebalance_vec(due.nonzero()[0])
@@ -789,84 +885,89 @@ class BatchedScheduler:
         # Phases have not changed since the top of the tick (placements
         # move cores, not phases), so ``is_compute`` and ``live`` are
         # still current.  When nothing above moved a thread or raised a
-        # stall, the top-of-tick mask, indices and tallies are reused
-        # verbatim — recomputing them would reproduce the same arrays.
+        # stall, the top-of-tick bins and tallies are reused verbatim —
+        # recomputing them would reproduce the same arrays.  The stall
+        # mask is applied only while a stall bit may be set.
         if moved:
             on_core = self.core != NO_CORE
-            in_queue = is_compute & on_core & ~self.stalled
+            bins = self._bin_base + self.core
+            in_queue = is_compute & on_core
+            if self._stall_dirty:
+                in_queue &= ~self.stalled
             q_members, q_slots = in_queue.nonzero()
-            q_cores = self.core[q_members, q_slots]
-            q_flat = q_members * c + q_cores
+            q_flat = bins[in_queue]
             run_count = np.bincount(q_flat, minlength=m * c).reshape(m, c)
         else:
-            in_queue = compute_on_core
-            q_members, q_slots = vm, vj
-            q_cores = v_cores
+            q_members, q_slots = compute_on_core.nonzero()
             q_flat = v_flat
             run_count = self.counts
         waiting = ~is_compute & live & on_core
-        if waiting.any():
-            wm, wj = waiting.nonzero()
-            wait_count = np.bincount(
-                wm * c + self.core[wm, wj], minlength=m * c
-            ).reshape(m, c)
+        if np.count_nonzero(waiting):
+            wait_count = np.bincount(bins[waiting], minlength=m * c).reshape(m, c)
         else:
             # All-zero wait tallies: `x + 0 * k` and `x + 0.0` are
             # bitwise no-ops on the non-negative operands below, so the
             # wait terms are skipped outright.
             wait_count = None
         ran = run_count > 0
+        denom = np.where(ran, run_count, 1)
         # Stall-free ticks skip the stall pipeline: with zero stall the
         # effective dt is exactly dt and ``scale`` is exactly 1.0, and
         # x * 1.0 / x + 0.0 are bitwise no-ops on the non-negative
         # operands involved, so the shortcut is bit-identical.
-        have_stall = bool(self.stall_s.any())
+        have_stall = np.count_nonzero(self.stall_s)
         if have_stall:
             stall = np.minimum(self.stall_s, dt)
             self.stall_s = self.stall_s - stall
             effective_dt = dt - stall
-            share = effective_dt / np.where(ran, run_count, 1)
+            share = effective_dt / denom
         else:
-            share = dt / np.where(ran, run_count, 1)
+            share = dt / denom
         cycles_core = freqs * share
         # Queue members burn their share; scatter writes touch exactly
         # the in-queue slots the masked ``where`` rewrite updated, with
         # the same subtraction, so values and phases match bitwise.
-        rem_q = w.remaining[q_members, q_slots] - cycles_core[q_members, q_cores]
+        rem_q = w.remaining[q_members, q_slots] - cycles_core.take(q_flat)
         w.remaining[q_members, q_slots] = rem_q
         hit = rem_q <= 0.0
-        any_hit = bool(hit.any())
+        any_hit = np.count_nonzero(hit)
         if any_hit:
             hit_m = q_members[hit]
             hit_j = q_slots[hit]
             w.phase[hit_m, hit_j] = PH_BARRIER
-        # Executed cycles: iterative accumulation so n queue members stay
-        # n additions (cycles * n is a different FP value for n >= 4).
-        # k = 0 unrolled: 0.0 + cycles is bitwise cycles (both >= 0).
+        # Executed cycles: the scalar core adds its share once per queue
+        # member, from 0.0.  Up to three additions that is one rounding
+        # of n * cycles (c + c is exact, so (c + c) + c rounds 3c once),
+        # which is what ``cycles * n`` computes; past that the rounded
+        # sums are not guaranteed to equal the product, so further
+        # shares are added one at a time.  Idle cores get
+        # 0.0 * cycles = 0.0 (cycles >= 0), as seeded.
         max_run = int(run_count.max()) if m else 0
-        executed = (
-            np.where(ran, cycles_core, 0.0)
-            if max_run
-            else np.zeros((m, c), dtype=np.float64)
-        )
-        for k in range(1, max_run):
-            executed = np.where(run_count > k, executed + cycles_core, executed)
-        # record_execution per core in core order.  ``executed`` is
-        # exactly 0.0 on idle cores (the k = 0 where seeds them so, and
-        # the k-loop never touches them), and adding 0.0 is a bitwise
-        # no-op on the non-negative accumulators, so no re-mask needed.
-        executed_misses = executed * _MISSES_PER_CYCLE
-        for core_id in range(c):
-            self.perf.executed_cycles = (
-                self.perf.executed_cycles + executed[:, core_id]
-            )
-            self.perf.cache_misses = (
-                self.perf.cache_misses + executed_misses[:, core_id]
-            )
+        if max_run <= 3:
+            executed = cycles_core * run_count
+        else:
+            executed = cycles_core * np.minimum(run_count, 3)
+            for k in range(3, max_run):
+                executed = np.where(run_count > k, executed + cycles_core, executed)
+        # record_execution per core in core order, as one sequential
+        # reduction down the core axis of [total; core 0; core 1; ...]
+        # (see :func:`ordered_sum`).  ``executed`` is exactly 0.0 on idle
+        # cores, and adding 0.0 is a bitwise no-op on the non-negative
+        # accumulators, so no re-mask is needed.  The third channel
+        # counts busy cores from 0.0 (small integers add exactly).
+        perf = self.perf
+        stack = self._sum_stack
+        stack[0, 0] = perf.executed_cycles
+        stack[1, 0] = perf.cache_misses
+        stack[0, 1:] = executed.T
+        np.multiply(executed.T, _MISSES_PER_CYCLE, out=stack[1, 1:])
+        stack[2, 1:] = ran.T
+        perf.executed_cycles, perf.cache_misses, busy_cores = ordered_sum(stack)
         # Utilisation (computed for every core, idle ones included).
-        busy_load = run_count * 1.0
         if wait_count is not None:
-            busy_load = busy_load + wait_count * 0.03
+            busy_load = run_count + wait_count * 0.03
+        else:
+            busy_load = run_count
         if have_stall:
             scale = effective_dt / dt
             util = np.minimum(busy_load * scale + stall / dt, 1.0)
@@ -879,16 +980,13 @@ class BatchedScheduler:
         # its bin in order of appearance, and the row-major nonzero
         # lists each member's slots ascending — so every (member, core)
         # accumulator sums the same contributions in the same order as
-        # the scalar slot loop, from the same 0.0 start.
-        if q_members.size:
-            # A queue member is COMPUTE after execution iff its burst
-            # did not just end, i.e. ``~hit`` — no phase re-read needed.
-            contrib = np.where(hit, w.act_low[q_members], w.act_high[q_members])
-            total = np.bincount(
-                q_flat, weights=contrib, minlength=m * c
-            ).reshape(m, c)
-        else:
-            total = np.zeros((m, c), dtype=np.float64)
+        # the scalar slot loop, from the same 0.0 start.  A queue member
+        # is COMPUTE after execution iff its burst did not just end,
+        # i.e. ``~hit`` — no phase re-read needed.
+        contrib = w.act_high[q_members]
+        if any_hit:
+            contrib[hit] = w.act_low[hit_m]
+        total = np.bincount(q_flat, weights=contrib, minlength=m * c).reshape(m, c)
         # The scalar pass leaves prev_runnable == the post-execution
         # COMPUTE flag for every thread (the phase-3 walk sets the
         # pre-execution flag, then corrects executed queue members).
@@ -897,27 +995,27 @@ class BatchedScheduler:
         if any_hit:
             is_compute[hit_m, hit_j] = False
         self.prev_runnable = is_compute
+        # An idle core's bin got no weight, so its total is exactly 0.0
+        # and 0.0 / 1 (* scale) is the 0.0 the scalar core reports.
         if have_stall:
-            activity = np.where(
-                ran, (total / np.where(ran, run_count, 1)) * scale, 0.0
-            )
+            activity = (total / denom) * scale
         else:
-            activity = np.where(ran, total / np.where(ran, run_count, 1), 0.0)
+            activity = total / denom
         if wait_count is not None:
             activity = activity + self.idle_activity[:, None] * wait_count
         activity = np.minimum(activity, 1.0)
         # --- Phase 4: busy EWMA + stall clear --------------------------
-        busy_fraction = ran.sum(axis=1) / c
+        busy_fraction = busy_cores / c
         weight = min(1.0, dt / 2.0)
         self.busy_ewma = self.busy_ewma + weight * (busy_fraction - self.busy_ewma)
         self._busy_list = self.busy_ewma.tolist()
         if self._stall_dirty:
-            self.stalled[:, :] = False
+            self.stalled.fill(False)
             self._stall_dirty = False
         return util, activity
 
     def _after_restore(self) -> None:
-        self.pull_ok = self.allowed.any(axis=1)
+        self.pull_ok = self._pull_targets(self.allowed, self.num_allowed)
         self._any_mapping = bool(self.has_mapping.any())
         self._has_mapping_list = [bool(x) for x in self.has_mapping.tolist()]
         self._busy_list = self.busy_ewma.tolist()

@@ -45,6 +45,11 @@ _PHASE_TO_CODE = MappingProxyType(
 _CHUNK = 128
 
 
+def _rank_in_run(members: np.ndarray) -> np.ndarray:
+    """0, 1, ... within each run of equal values of a sorted array."""
+    return np.arange(members.size) - np.searchsorted(members, members)
+
+
 class BatchedWorkloads:
     """Structure-of-arrays state for every member's *current* app."""
 
@@ -211,31 +216,53 @@ class BatchedWorkloads:
     # ------------------------------------------------------------------
     # Work-unit draws (chunked, stream-identical to scalar draws)
     # ------------------------------------------------------------------
-    def draw_work(self, members: np.ndarray) -> np.ndarray:
-        """Next work-unit size per member, matching ``_draw_work``.
+    def draw_work(self, members: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """Next work-unit sizes for a run of draws, matching ``_draw_work``.
 
-        ``members`` is an integer index array with at most one entry per
-        member (one thread slot is processed per call site), so the
-        fancy-indexed cursor update cannot collide.
+        ``members`` lists one entry per draw, member-major (a member's
+        draws adjacent, in the scalar draw order), and ``rank`` numbers
+        each member's draws 0, 1, ...: the k-th draw of a member takes
+        the k-th unread value of its buffer.  Members never share a
+        buffer, so only each member's own order matters.
         """
-        sigma = self.sigma[members]
-        out = self.work_cycles[members].copy()
-        drawing = members[sigma > 0.0]
-        if drawing.size:
-            exhausted = drawing[self._cursor[drawing] >= _CHUNK]
-            for m in exhausted:
-                s = float(self.sigma[m])
-                rng = self._rngs[m]
-                assert rng is not None
-                self._chunk[m] = rng.lognormal(
-                    mean=-0.5 * s * s, sigma=s, size=_CHUNK
-                )
-                self._cursor[m] = 0
-            cur = self._cursor[drawing]
-            factors = self._chunk[drawing, cur]
-            self._cursor[drawing] = cur + 1
-            out[sigma > 0.0] = self.work_cycles[drawing] * factors
+        out = self.work_cycles[members]
+        drawing = self.sigma[members] > 0.0
+        if not np.count_nonzero(drawing):
+            return out
+        drawers = members[drawing]
+        pos = self._cursor[drawers] + rank[drawing]
+        dry = pos >= _CHUNK
+        if np.count_nonzero(dry):
+            # A member whose buffer runs dry within its run draws one
+            # value at a time, refilling at exhaustion (once per _CHUNK
+            # draws); the other members read their buffers directly.
+            refilling = np.zeros(self.num_members, dtype=bool)
+            refilling[drawers[dry]] = True
+            slow = refilling[drawers]
+            factors = np.empty(drawers.size, dtype=np.float64)
+            factors[slow] = [self._next_factor(m) for m in drawers[slow].tolist()]
+            fast = ~slow
+            factors[fast] = self._chunk[drawers[fast], pos[fast]]
+            np.add.at(self._cursor, drawers[fast], 1)
+        else:
+            factors = self._chunk[drawers, pos]
+            np.add.at(self._cursor, drawers, 1)
+        out[drawing] = self.work_cycles[drawers] * factors
         return out
+
+    def _next_factor(self, member: int) -> float:
+        """One buffered jitter factor of ``member``, refilling when dry."""
+        cursor = int(self._cursor[member])
+        if cursor >= _CHUNK:
+            s = float(self.sigma[member])
+            rng = self._rngs[member]
+            assert rng is not None
+            self._chunk[member] = rng.lognormal(
+                mean=-0.5 * s * s, sigma=s, size=_CHUNK
+            )
+            cursor = 0
+        self._cursor[member] = cursor + 1
+        return self._chunk[member, cursor]
 
     # ------------------------------------------------------------------
     # Tick (Application.tick over all members)
@@ -247,17 +274,17 @@ class BatchedWorkloads:
         if self._any_barrier and self._any_queue:
             m_barrier = live & self.barrier
             m_queue = live & ~self.barrier
-            if m_barrier.any():
+            if np.count_nonzero(m_barrier):
                 self._tick_barrier(m_barrier, dt)
-            if m_queue.any():
+            if np.count_nonzero(m_queue):
                 self._tick_independent(m_queue, dt)
         elif self._any_barrier:
             # Homogeneous ensemble: live & barrier == live, and the
             # other branch's mask is empty, so the splits fall away.
-            if live.any():
+            if np.count_nonzero(live):
                 self._tick_barrier(live, dt)
         elif self._any_queue:
-            if live.any():
+            if np.count_nonzero(live):
                 self._tick_independent(live, dt)
 
     def _finish_sync_rows(self, members: np.ndarray) -> None:
@@ -267,26 +294,30 @@ class BatchedWorkloads:
         helper serves both barrier paths (post-release threads are all
         IN_SYNC; DONE threads fall through the mask).  The iteration
         bumps and phase flips are computed as one block (per-thread
-        transitions are independent); only the work draws stay in the
-        slot loop, preserving each member's ascending-slot RNG order.
+        transitions are independent), and the refills draw in one
+        member-major run, each member's slots ascending — its scalar
+        RNG order.
         """
-        self.compute_dirty = True
-        self.done_dirty = True
-        self._live_dirty = True
         ph = self.phase[members]
         sync = ph == PH_SYNC
-        if not sync.any():
+        if not np.count_nonzero(sync):
             return
+        self.compute_dirty = True
         it_block = self.iteration[members] + sync
         finished = sync & (it_block >= self.iterations[members][:, None])
+        if np.count_nonzero(finished):
+            self.done_dirty = True
+            self._live_dirty = True
         self.iteration[members] = it_block
         self.phase[members] = np.where(
             finished, PH_DONE, np.where(sync, PH_COMPUTE, ph)
         )
-        refill_mask = sync & ~finished
-        for j in refill_mask.any(axis=0).nonzero()[0]:
-            refill = members[refill_mask[:, j]]
-            self.remaining[refill, j] = self.draw_work(refill)
+        rows, slots = (sync & ~finished).nonzero()  # member-major
+        if rows.size:
+            refill = members[rows]
+            self.remaining[refill, slots] = self.draw_work(
+                refill, _rank_in_run(refill)
+            )
 
     def _tick_barrier(self, live: np.ndarray, dt: float) -> None:
         # Members mid-sync: count the window down; at zero, release.
@@ -294,12 +325,12 @@ class BatchedWorkloads:
         # (usually empty) countdown pass costs nothing when closed.
         if self._sync_window_open:
             in_sync = live & self.barrier_sync_active
-            if in_sync.any():
+            if np.count_nonzero(in_sync):
                 self.barrier_sync_s = np.where(
                     in_sync, self.barrier_sync_s - dt, self.barrier_sync_s
                 )
                 fired = in_sync & (self.barrier_sync_s <= 0.0)
-                if fired.any():
+                if np.count_nonzero(fired):
                     self.barrier_sync_active[fired] = False
                     self._sync_window_open = bool(self.barrier_sync_active.any())
                     self._finish_sync_rows(fired.nonzero()[0])
@@ -309,17 +340,20 @@ class BatchedWorkloads:
         # Members not mid-sync: fire the barrier when every live thread
         # has reached it (the scalar checks active == all_at_barrier).
         # No thread at the barrier anywhere means no member can fire.
-        if checking.any():
+        if np.count_nonzero(checking):
             bar = self.phase == PH_BARRIER
-            if not bar.any():
+            if not np.count_nonzero(bar):
                 return
-            active = self.phase != PH_DONE
-            at_barrier = (~active | bar).all(axis=1) & active.any(axis=1)
+            self.refresh_live()  # a release above may have ended threads
+            at_barrier = (
+                np.logical_and.reduce(~self.live_slots | bar, axis=1)
+                & self.live_members
+            )
             fire = checking & at_barrier
-            if fire.any():
+            if np.count_nonzero(fire):
                 rows = fire.nonzero()[0]
-                for m in rows:
-                    self.completions[m].append(float(self.elapsed[m]))
+                for m, stamp in zip(rows.tolist(), self.elapsed[rows].tolist()):
+                    self.completions[m].append(stamp)
                 # release_barrier flips AT_BARRIER -> IN_SYNC.
                 row_bar = bar[rows, :]
                 self.phase[rows, :] = np.where(
@@ -379,30 +413,38 @@ class BatchedWorkloads:
             self.phase[rows] = phase
             self.in_sync[rows] = (in_sync | keep) & ~finished
             self.sync_s[rows] = new_sync_s
-        if not finished.any():
+        if not np.count_nonzero(finished):
             return
         self.compute_dirty = True
-        self.done_dirty = True
-        self._live_dirty = True
-        for j in finished.any(axis=0).nonzero()[0]:
-            f = rows[finished[:, j]]
-            has_work = self.queue_remaining[f] > 0
-            self.queue_remaining[f] = np.where(
-                has_work,
-                self.queue_remaining[f] - 1,
-                self.queue_remaining[f],
+        # Every finished (member, slot) in one pass, member-major with
+        # slots ascending: the scalar thread loop's order within each
+        # member.  A member's k-th finisher sees the queue and the
+        # completion count after its k earlier finishers, so the
+        # sequential pops and counts become offsets by ``rank``.
+        pos, slots = finished.nonzero()
+        fm = pos if full else rows[pos]
+        rank = _rank_in_run(fm)
+        # continue_from_queue: pop if the queue has work, iteration += 1,
+        # then COMPUTE with a fresh draw, else DONE.
+        has_work = rank < self.queue_remaining[fm]
+        if np.count_nonzero(has_work) < has_work.size:
+            # Some thread ends (DONE): the liveness caches and the
+            # engine's done check must look again.
+            self.done_dirty = True
+            self._live_dirty = True
+        np.add.at(self.queue_remaining, fm[has_work], -1)
+        self.iteration[fm, slots] = self.iteration[fm, slots] + 1
+        self.phase[fm, slots] = np.where(has_work, PH_COMPUTE, PH_DONE)
+        if np.count_nonzero(has_work):
+            refill = fm[has_work]
+            self.remaining[refill, slots[has_work]] = self.draw_work(
+                refill, rank[has_work]
             )
-            # continue_from_queue: iteration += 1 then COMPUTE with a
-            # fresh draw if the queue had work, else DONE.
-            self.iteration[f, j] = self.iteration[f, j] + 1
-            self.phase[f, j] = np.where(has_work, PH_COMPUTE, PH_DONE)
-            refill = f[has_work]
-            if refill.size:
-                self.remaining[refill, j] = self.draw_work(refill)
-            tc = self.thread_completions[f] + 1
-            self.thread_completions[f] = tc
-            wave = tc % self.num_threads[f] == 0
-            for m in f[wave]:
+        tc = self.thread_completions[fm] + (rank + 1)
+        np.add.at(self.thread_completions, fm, 1)
+        wave = tc % self.num_threads[fm] == 0
+        if np.count_nonzero(wave):
+            for m in fm[wave].tolist():
                 self.completions[m].append(float(self.elapsed[m]))
 
     # ------------------------------------------------------------------

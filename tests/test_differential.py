@@ -402,6 +402,11 @@ def check_every_axis(batch, tick, damage, jobs):
 # column at once, the only way into BatchedScheduler._place_vec.
 @example(batch=[member("tachyon", policy, 1) for policy in ("linux", "proposed")] * 12,
          tick=300, damage="all", jobs=2)
+# A mapping that leaves threads a choice of cores: face_rec under HALF
+# idle-pulls between its two allowed cores, so mapped members always
+# reach BatchedScheduler._pull_pairs (the random draws rarely do).
+@example(batch=[member("face_rec", "linux", seed, mapping=HALF) for seed in (1, 2)],
+         tick=600, damage="newest", jobs=1)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
     check_every_axis(batch, tick, damage, jobs)
 

@@ -16,11 +16,14 @@
 
 Every artefact command prints the same console table its benchmark
 prints.  Artefact commands run through the experiment engine
-(:mod:`repro.experiments.engine`): ``--jobs N`` fans the grid out over
-``N`` worker processes and completed runs are memoised in a
-content-addressed cache under ``.repro-cache/`` (``--no-cache``
-disables it; ``--jobs 1 --no-cache`` is the original serial code
-path).  ``all`` additionally writes each table to ``results/<name>.txt``
+(:mod:`repro.experiments.engine`): a command submits all its cells —
+``all``, every artefact's — as one batch, which the grid planner routes
+through the vectorized ensemble engine where groups are large enough;
+``--jobs N`` fans the batch out over ``N`` worker processes and
+completed runs are memoised in a content-addressed cache under
+``.repro-cache/`` (``--no-cache`` disables it).  Routing never changes
+output bytes.  ``all`` additionally writes each table to
+``results/<name>.txt``
 — or, at reduced ``--scale``, into the cache tree so scaled output
 never clobbers the committed full-scale artefacts.
 
@@ -78,8 +81,10 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes; an ensemble group is split into this many "
-        "deterministic shards (default 1: serial)",
+        help="worker processes; all of a command's cells run as one batch "
+        "over one pool, and an ensemble group is split into up to this "
+        "many deterministic shards of at least 8 members (default 1: "
+        "serial)",
     )
     parser.add_argument(
         "--no-cache",
@@ -91,8 +96,9 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="kill and retry any single job attempt running longer than "
-        "this (parallel mode only; default: no timeout)",
+        help="kill and retry a job attempt running longer than this per "
+        "cell: an ensemble shard of N members gets N times this (parallel "
+        "mode only; default: no timeout)",
     )
     parser.add_argument(
         "--max-job-attempts",
@@ -107,18 +113,13 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """The engine flags shared by every artefact command and ``all``."""
     _add_pool_flags(parser)
     parser.add_argument(
-        "--ensemble",
-        action="store_true",
-        help="batch grid cells sharing a platform closure through the "
-        "vectorized ensemble engine (bit-identical results, sharded "
-        "across --jobs worker processes)",
-    )
-    parser.add_argument(
         "--checkpoint-every",
         type=_positive_int,
         default=None,
         metavar="TICKS",
-        help="snapshot each job's full simulation state every TICKS ticks",
+        help="snapshot each job's full simulation state every TICKS ticks; "
+        "every cell then runs on the scalar path (ensemble shards keep no "
+        "disk checkpoints)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -290,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble_sub = ensemble.add_subparsers(dest="ensemble_command", required=True)
     ens_run = ensemble_sub.add_parser(
         "run",
-        help="run one workload across a seed grid as one vectorized job",
+        help="run one workload across a seed grid through the ensemble "
+        "engine (grids of 8 or more members run vectorized)",
     )
     ens_run.add_argument("app", choices=APP_NAMES)
     ens_run.add_argument("--dataset", default=None)
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--members",
         type=_positive_int,
         default=8,
-        help="ensemble size; members get seeds seed..seed+members-1 "
-        "(default 8)",
+        help="ensemble size; members get seeds seed..seed+members-1; "
+        "below 8 they run as scalar jobs (default 8)",
     )
     ens_run.add_argument("--seed", type=int, default=1)
     ens_run.add_argument("--scale", type=_positive_float, default=1.0)
@@ -318,11 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults into every member's sensor/actuation paths",
     )
     _add_pool_flags(ens_run)
-    # The seed grid runs as an ``--ensemble`` batch; ensemble shards
-    # keep no disk checkpoints.
-    ens_run.set_defaults(
-        ensemble=True, checkpoint_every=None, checkpoint_dir=None, resume=False
-    )
+    # Ensemble shards keep no disk checkpoints, so the seed grid takes
+    # none: with checkpointing the engine would route it scalar.
+    ens_run.set_defaults(checkpoint_every=None, checkpoint_dir=None, resume=False)
 
     lint = sub.add_parser(
         "lint",
@@ -402,7 +402,6 @@ def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             resume=bool(args.resume),
-            ensemble=args.ensemble,
         )
     )
 
@@ -456,7 +455,6 @@ def _write_sweep_manifest(args: argparse.Namespace, report) -> Path:
         "seed": args.seed,
         "only": args.only,
         "jobs": args.jobs,
-        "ensemble": bool(getattr(args, "ensemble", False)),
     }
     run_record = dict(sweep_config)
     run_record["failures"] = {
@@ -851,11 +849,9 @@ def main(argv=None) -> int:
         return _command_lint(args)
     if args.command == "all":
         return _command_all(args)
-    experiment = ARTEFACTS[args.command]
-    result = experiment(
-        iteration_scale=args.scale, seed=args.seed, engine=_engine_from(args)
-    )
-    print(result.format_table())
+    artefact = ARTEFACTS[args.command]
+    grid = artefact.cells(iteration_scale=args.scale, seed=args.seed)
+    print(artefact.render(_engine_from(args).run_grid(grid)).format_table())
     return 0
 
 

@@ -487,10 +487,6 @@ class EngineConfig:
     checkpoint_dir: "str | None" = None
     #: Resume interrupted jobs from their newest valid checkpoint.
     resume: bool = False
-    #: Route experiment grids through the vectorized ensemble engine:
-    #: cells sharing a platform closure are batched into ensemble
-    #: shards; results stay bit-identical to the scalar path.
-    ensemble: bool = False
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -512,7 +508,6 @@ class EngineConfig:
                 f"checkpoint_dir must be a string or None, got {self.checkpoint_dir!r}"
             )
         _check_bool("resume", self.resume)
-        _check_bool("ensemble", self.ensemble)
 
 
 # ---------------------------------------------------------------------------

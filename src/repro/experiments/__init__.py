@@ -32,12 +32,16 @@ The ``fault_tolerance`` artefact goes beyond the paper: it re-runs the
 headline controllers on a faulty substrate (see :mod:`repro.faults`)
 with the graceful-degradation layer off and on.
 
-Every experiment accepts an optional ``engine``
-(:class:`repro.experiments.engine.ExperimentEngine`) and submits its
-whole grid as one batch of hashable job specs, which is how ``repro
-all`` parallelises and memoises the evaluation; with no engine the
-grid executes serially and uncached, exactly as the modules did before
-the engine existed.
+Every experiment module provides ``cells(iteration_scale, seed)``, its
+grid as an ordered mapping from each cell's label (its row/column
+coordinates) to a hashable job spec, and ``render(summaries)``, its
+result from the same labels mapped to the cells' summaries; its
+``run_*`` function submits the cells as one batch to an optional
+``engine`` (:class:`repro.experiments.engine.ExperimentEngine`; serial
+and uncached when omitted) through ``run_grid`` and renders the
+summaries.  ``repro all``
+submits every artefact's cells as one batch, which is how it
+parallelises, deduplicates and memoises the evaluation.
 """
 
 from repro.experiments.runner import (

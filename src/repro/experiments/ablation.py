@@ -21,14 +21,14 @@ inter-application scenario and reports cycling/aging MTTF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import AgentConfig, default_agent_config
 from repro.core.actions import Action, ActionSpace
 from repro.experiments.engine import (
     ExperimentEngine,
-    default_engine,
+    JobSpec,
     scenario_job,
     workload_job,
 )
@@ -148,6 +148,45 @@ class AblationResult:
         )
 
 
+def cells(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    variants: Tuple[str, ...] = ABLATION_VARIANTS,
+    workloads: Tuple[Tuple[str, str], ...] = ABLATION_WORKLOADS,
+    scenario: Tuple[str, ...] = ABLATION_SCENARIO,
+) -> Dict[Tuple[str, str], JobSpec]:
+    """Per variant: one run per workload, then the scenario run, each
+    labelled ``(workload, variant)``."""
+    grid: Dict[Tuple[str, str], JobSpec] = {}
+    for variant in variants:
+        config, space = variant_config(variant)
+        for app, dataset in workloads:
+            grid[f"{app}:{dataset}", variant] = workload_job(
+                app,
+                dataset,
+                "proposed",
+                seed=seed,
+                agent_config=config,
+                action_space=space,
+                iteration_scale=iteration_scale,
+            )
+        grid["-".join(scenario), variant] = scenario_job(
+            scenario,
+            "proposed",
+            seed=seed,
+            agent_config=config,
+            iteration_scale=iteration_scale,
+        )
+    return grid
+
+
+def render(summaries: Mapping[Tuple[str, str], RunSummary]) -> AblationResult:
+    """The study from the summaries of :func:`cells`."""
+    return AblationResult(
+        [AblationRow(*cell, summary) for cell, summary in summaries.items()]
+    )
+
+
 def run_ablation(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -157,38 +196,8 @@ def run_ablation(
     engine: Optional[ExperimentEngine] = None,
 ) -> AblationResult:
     """Run every variant on the workload mix."""
-    engine = default_engine(engine)
-    labels: List[Tuple[str, str]] = []
-    jobs = []
-    for variant in variants:
-        config, space = variant_config(variant)
-        for app, dataset in workloads:
-            labels.append((f"{app}:{dataset}", variant))
-            jobs.append(
-                workload_job(
-                    app,
-                    dataset,
-                    "proposed",
-                    seed=seed,
-                    agent_config=config,
-                    action_space=space,
-                    iteration_scale=iteration_scale,
-                )
-            )
-        labels.append(("-".join(scenario), variant))
-        jobs.append(
-            scenario_job(
-                scenario,
-                "proposed",
-                seed=seed,
-                agent_config=config,
-                iteration_scale=iteration_scale,
-            )
-        )
-    result = AblationResult()
-    for (workload, variant), summary in zip(labels, engine.run(jobs)):
-        result.rows.append(AblationRow(workload, variant, summary))
-    return result
+    grid = cells(iteration_scale, seed, variants, workloads, scenario)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

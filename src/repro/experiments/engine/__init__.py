@@ -38,7 +38,6 @@ from repro.experiments.engine.planner import (
 from repro.experiments.engine.scheduler import (
     EngineStats,
     ExperimentEngine,
-    default_engine,
 )
 from repro.experiments.engine.spec import (
     CLOSURE_DIGEST_ENV,
@@ -72,7 +71,6 @@ __all__ = [
     "canonical_json",
     "canonicalise",
     "default_cache_root",
-    "default_engine",
     "ensemble_eligible",
     "ensemble_job",
     "execute_job",

@@ -39,10 +39,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.config import PlatformConfig
 from repro.experiments.engine.spec import JobSpec, ensemble_eligible
 
-#: Fewest members worth promoting into an ensemble.  A single-member
-#: "ensemble" would run the vectorized engine for no batching win, so
-#: lone cells stay on the scalar path by default.
-MIN_GROUP = 2
+#: Fewest members worth an ensemble, and fewest per shard.  The
+#: vectorized tick has a fixed dispatch cost, so narrow ensembles lose
+#: to scalar runs: N members as one ensemble against N scalar runs
+#: (scale 0.2, 2-vCPU host, scalar CPU / ensemble CPU) measured 0.36x
+#: at 2 members, 1.14x (tachyon/linux) and 1.01x (face_rec/proposed)
+#: at 8, 2.07x/1.80x at 16.  Eight is the measured break-even; smaller
+#: groups stay on the scalar path.
+MIN_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class GridPlan:
         return sorted(flat)
 
 
-def plan_grid(specs: Sequence[JobSpec], min_group: int = MIN_GROUP) -> GridPlan:
+def plan_grid(specs: Sequence[JobSpec], min_group: Optional[int] = None) -> GridPlan:
     """Partition a batch into ensemble groups plus scalar leftovers.
 
     Parameters
@@ -80,9 +84,12 @@ def plan_grid(specs: Sequence[JobSpec], min_group: int = MIN_GROUP) -> GridPlan:
         (cache-missed, deduplicated) specs, so planning never changes
         what the cache already resolved.
     min_group:
-        Smallest member count worth batching; eligible platforms with
+        Smallest member count worth batching (default
+        :data:`MIN_GROUP`, read at call time); eligible platforms with
         fewer cells fall back to the scalar path.
     """
+    if min_group is None:
+        min_group = MIN_GROUP
     if min_group < 1:
         raise ValueError(f"min_group must be >= 1, got {min_group}")
     by_platform: Dict[Optional[PlatformConfig], List[int]] = {}

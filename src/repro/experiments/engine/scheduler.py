@@ -9,10 +9,13 @@ only way a batch executes; the pipeline per batch is:
 1. deduplicate equal specs (deterministic simulations make duplicates
    free to share);
 2. resolve cache hits;
-3. with ``ensemble=True``, plan the misses into ensemble groups, each
-   split into member shards by :mod:`repro.ensemble.shard`;
-4. dispatch the jobs — inline when ``jobs == 1`` or there is one job,
-   else fanned out over a ``ProcessPoolExecutor``;
+3. plan the misses into ensemble groups of at least
+   :data:`~repro.experiments.engine.planner.MIN_GROUP` members, each
+   split into member shards by :mod:`repro.ensemble.shard`, plus the
+   scalar leftovers (``ensemble=False``, or checkpointing or resume
+   set, runs every miss as a scalar job);
+4. dispatch the jobs in one go — inline when ``jobs == 1`` or there is
+   one job, else fanned out over one ``ProcessPoolExecutor``;
 5. store each fresh result in the cache as it lands (an ensemble shard
    stores one entry per member, under the member's scalar key);
 6. fold the batch into the attached metrics registry.
@@ -24,8 +27,9 @@ step over the engine's dispatcher.
 Every job runs through :func:`~repro.experiments.engine.worker.execute_job`,
 so a scalar cell takes :func:`~repro.experiments.runner.run_job`, the
 one job path.  With ``jobs=1`` and no cache the engine degenerates to
-calling it in a loop — the serial code path the bit-identity guarantee
-(parallel + cached output == serial output) is tested against.
+calling it in a loop — with ``ensemble=False`` that is the scalar
+reference path the bit-identity guarantee (ensemble-routed, parallel
+and cached output == serial scalar output) is tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +39,17 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.config import EngineConfig
 from repro.experiments.engine.cache import ResultCache
@@ -50,6 +64,9 @@ from repro.obs.metrics import (
 
 #: Poll period of the parallel wait loop when a job timeout is armed.
 _TIMEOUT_POLL_S = 0.1
+
+#: A grid cell's label (an experiment's row/column coordinates).
+Label = TypeVar("Label", bound=Hashable)
 
 
 @dataclass
@@ -158,8 +175,8 @@ class ExperimentEngine:
         Worker processes; 1 executes inline in this process.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching.  The
-    default engine (``ExperimentEngine()``) is the serial, uncached
-    degenerate case every experiment module falls back to.
+        default engine (``ExperimentEngine()``) is the serial, uncached
+        case every experiment's ``run_*`` function falls back to.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  After
         every batch the engine folds its scheduling counters and
@@ -172,7 +189,9 @@ class ExperimentEngine:
     cache: Optional[ResultCache] = None
     stats: EngineStats = field(default_factory=EngineStats)
     metrics: Optional[MetricsRegistry] = None
-    #: Wall-clock budget per attempt; ``None`` disables the timeout.
+    #: Wall-clock budget per cell and attempt (parallel mode only): an
+    #: ensemble shard's attempt gets one budget per member.  ``None``
+    #: disables the timeout.
     job_timeout_s: Optional[float] = None
     #: Total attempts per job before a structured failure is recorded.
     max_job_attempts: int = 3
@@ -184,8 +203,11 @@ class ExperimentEngine:
     #: Route each batch through the ensemble grid planner: cells that
     #: share a platform closure are batched into vectorized ensemble
     #: shards (see :mod:`repro.experiments.engine.planner`); everything
-    #: else runs on the scalar path.  Bit-identical either way.
-    ensemble: bool = False
+    #: else runs on the scalar path.  Bit-identical either way;
+    #: ``False`` is the all-scalar reference the identity tests compare
+    #: with.  Checkpointing or resume routes every cell scalar, since
+    #: ensemble shards keep no disk checkpoints.
+    ensemble: bool = True
     #: Structured failure records accumulated over the engine's life.
     failures: List[JobFailure] = field(default_factory=list)
 
@@ -209,7 +231,6 @@ class ExperimentEngine:
             checkpoint_every=config.checkpoint_every,
             checkpoint_dir=config.checkpoint_dir,
             resume=config.resume,
-            ensemble=config.ensemble,
         )
 
     # ------------------------------------------------------------------
@@ -249,7 +270,8 @@ class ExperimentEngine:
         if pending:
             self.stats.executed += len(pending)
             jobs = {index: unique[index] for index in pending}
-            if self.ensemble:
+            checkpointed = self.checkpoint_every is not None or self.resume
+            if self.ensemble and not checkpointed:
                 outcomes, failures = self._execute_ensemble(jobs)
             else:
                 outcomes, failures = self._dispatch(jobs)
@@ -257,13 +279,17 @@ class ExperimentEngine:
                 results[index] = summary
 
         ordered = [results[slot] for slot in placement]
+        if self.metrics is not None:
+            self._fold_metrics(len(specs), len(pending), ordered)
         if failures:
             self.failures.extend(failures)
             raise EngineJobError(failures, ordered)
-
-        if self.metrics is not None:
-            self._fold_metrics(len(specs), len(pending), ordered)
         return ordered
+
+    def run_grid(self, grid: Mapping[Label, JobSpec]) -> Dict[Label, RunSummary]:
+        """Execute a labelled grid (an experiment's ``cells``) as one
+        batch; every label maps to its cell's summary."""
+        return dict(zip(grid, self.run(list(grid.values()))))
 
     # ------------------------------------------------------------------
     # Hardened execution paths
@@ -343,41 +369,31 @@ class ExperimentEngine:
         """Route one pending batch through the ensemble grid planner.
 
         The planner partitions the (already cache-missed, deduplicated)
-        batch into platform-uniform member groups plus scalar leftovers.
-        Each group runs as one sharded ensemble job over this engine's
-        :meth:`_dispatch`, whose :meth:`_store` caches every member
-        under its scalar key as its shard lands; the leftovers take
-        :meth:`_dispatch` directly.  Every member summary is
-        bit-identical to scalar execution, so this changes *throughput
-        only* — never bytes.
+        batch into platform-uniform member groups plus scalar leftovers,
+        and :func:`repro.ensemble.shard.run_sharded_ensemble_job` sends
+        every group's member shards and the leftovers through one
+        :meth:`_dispatch` — one worker pool per batch — whose
+        :meth:`_store` caches every member under its scalar key as its
+        shard lands.  A group is split into shards only while each
+        keeps at least :data:`~repro.experiments.engine.planner.MIN_GROUP`
+        members.  Every member summary is bit-identical to scalar
+        execution, so this changes *throughput only* — never bytes.
 
-        Imports lazily and at call time: the shard layer sits above the
-        scheduler in the module graph, so a top-level import would be
-        cyclic.
+        Imports lazily and looks the shard entry point up at call time:
+        the shard layer sits above the scheduler in the module graph, so
+        a top-level import would be cyclic, and a process that never
+        plans pays nothing for it.
         """
-        from repro.ensemble.shard import run_sharded_ensemble_job
-        from repro.experiments.engine.planner import plan_grid
-        from repro.experiments.engine.spec import ensemble_job
+        from repro.ensemble import shard
+        from repro.experiments.engine import planner
 
         indices = sorted(jobs)
         specs = [jobs[index] for index in indices]
-        plan = plan_grid(specs)
-        outcomes: Dict[int, RunSummary] = {}
-        failures: List[JobFailure] = []
-        for group in plan.groups:
-            group_spec = ensemble_job(specs[local] for local in group)
-            report = run_sharded_ensemble_job(group_spec, self)
-            failures.extend(report.failures)
-            for local, summary in zip(group, report.summaries):
-                if summary is not None:
-                    outcomes[indices[local]] = summary
-        if plan.scalar:
-            extra_outcomes, extra_failures = self._dispatch(
-                {indices[local]: specs[local] for local in plan.scalar}
-            )
-            outcomes.update(extra_outcomes)
-            failures.extend(extra_failures)
-        return outcomes, failures
+        report = shard.run_sharded_ensemble_job(specs, planner.plan_grid(specs), self)
+        return {
+            indices[local]: summary
+            for local, summary in sorted(report.summaries.items())
+        }, report.failures
 
     def _execute_serial(
         self, jobs: Dict[int, JobSpec]
@@ -419,12 +435,20 @@ class ExperimentEngine:
 
         Unlike ``pool.map``, each job is tracked individually: a worker
         exception burns one attempt and requeues the job; an attempt
-        exceeding ``job_timeout_s`` gets its worker killed (terminating
+        exceeding its budget (``job_timeout_s`` per cell, so times the
+        member count for an ensemble shard) gets its worker killed (terminating
         the pool — sibling jobs are requeued without burning attempts);
         a ``BrokenProcessPool`` respawns the pool and requeues only the
         jobs that were in flight.
         """
         workers = min(self.jobs, len(jobs))
+        # The timeout is a per-cell budget: a shard of N members may run
+        # N times as long as one scalar cell before it is killed.
+        limits = {
+            index: (self.job_timeout_s or 0.0)
+            * len(getattr(jobs[index], "members", (jobs[index],)))
+            for index in sorted(jobs)
+        }
         outcomes: Dict[int, RunSummary] = {}
         failures: List[JobFailure] = []
         attempts: Dict[int, int] = {index: 0 for index in jobs}
@@ -521,8 +545,7 @@ class ExperimentEngine:
                         for future, (index, submitted) in sorted(
                             inflight.items(), key=lambda item: item[1][0]
                         )
-                        if now - submitted >= self.job_timeout_s
-                        and not future.done()
+                        if now - submitted >= limits[index] and not future.done()
                     ]
                     if expired:
                         for future, index in expired:
@@ -531,7 +554,7 @@ class ExperimentEngine:
                             attempt_failed(
                                 index,
                                 TimeoutError(
-                                    f"attempt exceeded {self.job_timeout_s:g} s"
+                                    f"attempt exceeded {limits[index]:g} s"
                                 ),
                                 timed_out=True,
                             )
@@ -545,9 +568,13 @@ class ExperimentEngine:
         return outcomes, failures
 
     def _fold_metrics(
-        self, submitted: int, executed: int, ordered: Sequence[RunSummary]
+        self,
+        submitted: int,
+        executed: int,
+        ordered: Sequence[Optional[RunSummary]],
     ) -> None:
-        """Roll one batch up into the attached metrics registry."""
+        """Roll one batch up into the attached metrics registry; failed
+        cells (``None``) add no per-job rollup."""
         registry = self.metrics
         registry.counter(
             "repro_engine_jobs_submitted_total", "jobs submitted to the engine"
@@ -575,15 +602,11 @@ class ExperimentEngine:
             "per-job simulated execution time (s)",
         )
         for summary in ordered:
+            if summary is None:  # a failed cell
+                continue
             temp_hist.observe(summary.average_temp_c)
             time_hist.observe(summary.execution_time_s)
 
     def run_one(self, spec: JobSpec) -> RunSummary:
         """Convenience wrapper for a single job."""
         return self.run([spec])[0]
-
-
-def default_engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:
-    """The engine an experiment should use: the given one, or the
-    serial uncached degenerate engine."""
-    return engine if engine is not None else ExperimentEngine()

@@ -1,10 +1,16 @@
 """``repro all``: regenerate every paper artefact in one parallel sweep.
 
-Drives each experiment module through one shared
-:class:`~repro.experiments.engine.ExperimentEngine`, so the whole
-evaluation section fans out over worker processes and overlapping grids
-(Table 3 and Figure 9 share every run) resolve from the cache.  Each
-artefact's formatted table is written to ``results/<name>.txt`` — or,
+Every experiment module splits into ``cells(iteration_scale, seed)``,
+its grid as an ordered mapping from each cell's label to its
+:class:`~repro.experiments.engine.JobSpec`, and ``render(summaries)``,
+the result built from the same labels mapped to the cells' summaries.
+A sweep concatenates the requested artefacts' cells into one
+:meth:`~repro.experiments.engine.ExperimentEngine.run` batch — so cells
+shared between artefacts (Table 3 and Figure 9 share every run) execute
+once, the grid planner sees every artefact's cells at once, and one
+worker pool serves the whole evaluation — then renders each artefact
+from its own cells.  Each artefact's formatted table is written to
+``results/<name>.txt`` — or,
 for reduced-scale sweeps, into the cache tree (see
 :func:`~repro.experiments.engine.cache.artifact_dir`) so scaled output
 can never clobber the committed full-scale artefacts.
@@ -15,9 +21,23 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import ModuleType
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.experiments.ablation import run_ablation
+from repro.experiments import (
+    ablation,
+    fault_tolerance,
+    fig1_motivation,
+    fig3_inter,
+    fig45_phases,
+    fig6_sampling,
+    fig7_epoch,
+    fig8_convergence,
+    fig9_power,
+    montecarlo,
+    table2_intra,
+    table3_exec_time,
+)
 from repro.experiments.engine.cache import artifact_dir
 from repro.experiments.engine.scheduler import (
     EngineJobError,
@@ -25,34 +45,27 @@ from repro.experiments.engine.scheduler import (
     ExperimentEngine,
     JobFailure,
 )
+from repro.experiments.engine.spec import JobSpec, job_key
 from repro.ioutil import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
-from repro.experiments.fault_tolerance import run_fault_tolerance
-from repro.experiments.fig1_motivation import run_fig1
-from repro.experiments.fig3_inter import run_fig3
-from repro.experiments.fig45_phases import run_fig45
-from repro.experiments.fig6_sampling import run_fig6
-from repro.experiments.fig7_epoch import run_fig7
-from repro.experiments.fig8_convergence import run_fig8
-from repro.experiments.fig9_power import run_fig9
-from repro.experiments.montecarlo import run_montecarlo
-from repro.experiments.table2_intra import run_table2
-from repro.experiments.table3_exec_time import run_table3
 
-#: Artefact name -> experiment entry point, in regeneration order.
-ARTEFACTS: Dict[str, Callable] = {
-    "fig1": run_fig1,
-    "table2": run_table2,
-    "fig3": run_fig3,
-    "fig45": run_fig45,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "fig8": run_fig8,
-    "table3": run_table3,
-    "fig9": run_fig9,
-    "ablation": run_ablation,
-    "fault_tolerance": run_fault_tolerance,
-    "montecarlo": run_montecarlo,
+#: Artefact name -> experiment module, in regeneration order.  Each
+#: module provides ``cells(iteration_scale, seed)`` and
+#: ``render(summaries)``, and ``run_<name>`` composing the two through
+#: :meth:`~repro.experiments.engine.ExperimentEngine.run_grid`.
+ARTEFACTS: Dict[str, ModuleType] = {
+    "fig1": fig1_motivation,
+    "table2": table2_intra,
+    "fig3": fig3_inter,
+    "fig45": fig45_phases,
+    "fig6": fig6_sampling,
+    "fig7": fig7_epoch,
+    "fig8": fig8_convergence,
+    "table3": table3_exec_time,
+    "fig9": fig9_power,
+    "ablation": ablation,
+    "fault_tolerance": fault_tolerance,
+    "montecarlo": montecarlo,
 }
 
 
@@ -63,6 +76,8 @@ class ArtefactRun:
     name: str
     text: str
     path: Path
+    #: Time spent building the artefact's cells and rendering its table
+    #: (its share of the shared batch is in ``SweepReport.batch_s``).
     elapsed_s: float
 
 
@@ -74,6 +89,9 @@ class SweepReport:
     stats: Optional[EngineStats] = None
     output_dir: Optional[Path] = None
     elapsed_s: float = 0.0
+    #: Cells submitted in the sweep's one engine batch, and its time.
+    batch_cells: int = 0
+    batch_s: float = 0.0
     #: The engine's metrics registry, when one was attached.
     metrics: Optional[MetricsRegistry] = None
     #: Artefacts that failed, with their structured job failures.
@@ -90,6 +108,10 @@ class SweepReport:
             f"{run.name:<16} {run.elapsed_s:7.2f} s  -> {run.path}"
             for run in self.runs
         ]
+        lines.append(
+            f"{'(shared batch)':<16} {self.batch_s:7.2f} s  "
+            f"{self.batch_cells} cells in one engine run"
+        )
         stats = self.stats.as_dict() if self.stats is not None else {}
         lines.append(
             f"{len(self.runs)} artefacts in {self.elapsed_s:.2f} s; "
@@ -127,7 +149,7 @@ def regenerate_all(
     results_dir: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepReport:
-    """Regenerate artefact tables through one shared engine.
+    """Regenerate artefact tables through one engine batch.
 
     Parameters
     ----------
@@ -137,13 +159,16 @@ def regenerate_all(
     seed:
         Measurement seed shared by every artefact.
     engine:
-        Shared engine (serial and uncached when omitted).
+        The engine that runs the sweep's one batch (serial and uncached
+        when omitted).
     artefacts:
         Subset of artefact names to regenerate (all when omitted).
     results_dir:
         Where full-scale artefacts belong (default ``./results``).
     progress:
-        Optional callback receiving one line per artefact as it starts.
+        Optional callback receiving one ``regenerating <name> ...`` line
+        per artefact as its cells are built, and one ``FAILED <name>``
+        line per artefact that lost a cell.
     """
     engine = engine if engine is not None else ExperimentEngine()
     names: Tuple[str, ...] = tuple(artefacts) if artefacts else tuple(ARTEFACTS)
@@ -158,22 +183,41 @@ def regenerate_all(
 
     report = SweepReport(output_dir=output_dir)
     sweep_start = time.perf_counter()
+    specs: List[JobSpec] = []
+    grids: Dict[str, Dict[Hashable, JobSpec]] = {}
+    cells_s: Dict[str, float] = {}
     for name in names:
         if progress is not None:
             progress(f"regenerating {name} ...")
         start = time.perf_counter()
-        try:
-            result = ARTEFACTS[name](
-                iteration_scale=iteration_scale, seed=seed, engine=engine
-            )
-        except EngineJobError as error:
-            # One artefact's exhausted jobs must not abort the campaign:
-            # record the structured failures and move to the next one.
-            report.failed_artefacts[name] = list(error.failures)
+        grids[name] = ARTEFACTS[name].cells(iteration_scale=iteration_scale, seed=seed)
+        specs.extend(grids[name].values())
+        cells_s[name] = time.perf_counter() - start
+
+    batch_start = time.perf_counter()
+    failures: List[JobFailure] = []
+    try:
+        summaries = engine.run(specs)
+    except EngineJobError as error:
+        # Exhausted cells must not abort the campaign: every artefact
+        # whose cells all ran still renders.
+        summaries, failures = error.results, error.failures
+    report.batch_cells = len(specs)
+    report.batch_s = time.perf_counter() - batch_start
+
+    remaining = iter(summaries)
+    for name in names:
+        grid = grids[name]
+        own = {label: next(remaining) for label in grid}
+        lost = {job_key(grid[label]) for label in own if own[label] is None}
+        if lost:
+            failed = [failure for failure in failures if failure.key in lost]
+            report.failed_artefacts[name] = failed
             if progress is not None:
-                progress(f"FAILED {name}: {len(error.failures)} job(s) gave up")
+                progress(f"FAILED {name}: {len(failed)} job(s) gave up")
             continue
-        text = result.format_table()
+        start = time.perf_counter()
+        text = ARTEFACTS[name].render(own).format_table()
         path = output_dir / f"{name}.txt"
         atomic_write_text(path, text + "\n")
         report.runs.append(
@@ -181,7 +225,7 @@ def regenerate_all(
                 name=name,
                 text=text,
                 path=path,
-                elapsed_s=time.perf_counter() - start,
+                elapsed_s=cells_s[name] + time.perf_counter() - start,
             )
         )
         if engine.metrics is not None:

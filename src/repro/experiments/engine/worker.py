@@ -51,9 +51,11 @@ def execute_job(
 
         Ensemble shards are exempt: their snapshots live in process
         memory (``EnsembleSimulation.capture``), so disk checkpoint
-        settings are ignored for :class:`EnsembleJobSpec` jobs — crash
-        recovery for those comes from the engine caching each member
-        as its shard lands.
+        settings are ignored for :class:`EnsembleJobSpec` jobs.  The
+        engine never sends one with checkpointing or resume set — it
+        routes every cell scalar then; otherwise crash recovery for
+        shards comes from the engine caching each member as its shard
+        lands.
     """
     if isinstance(spec, EnsembleJobSpec):
         # Lazy import: workers running scalar jobs never pay for the

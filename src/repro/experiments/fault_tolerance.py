@@ -21,10 +21,10 @@ cannot:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.faults.presets import default_supervisor_config, fault_config_for
 
@@ -135,6 +135,44 @@ class FaultToleranceResult:
         )
 
 
+def cells(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    app: str = FT_APP,
+    policies: Tuple[str, ...] = FT_POLICIES,
+    fault_modes: Tuple[str, ...] = FT_FAULT_MODES,
+) -> Dict[Tuple[str, str, bool], JobSpec]:
+    """One run per {policy} x {fault mode} x {supervisor} cell, in row
+    order.
+
+    Every cell shares ``seed``, so all controllers face the same
+    workload and the same fault schedule per mode.
+    """
+    return {
+        (policy, fault_mode, supervised): workload_job(
+            app,
+            None,
+            policy,
+            seed=seed,
+            iteration_scale=iteration_scale,
+            faults=fault_config_for(fault_mode),
+            supervisor=default_supervisor_config() if supervised else None,
+        )
+        for policy in policies
+        for fault_mode in fault_modes
+        for supervised in (False, True)
+    }
+
+
+def render(
+    summaries: Mapping[Tuple[str, str, bool], RunSummary]
+) -> FaultToleranceResult:
+    """The grid from the summaries of :func:`cells`."""
+    return FaultToleranceResult(
+        [FaultToleranceRow(*cell, summary) for cell, summary in summaries.items()]
+    )
+
+
 def run_fault_tolerance(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -150,40 +188,14 @@ def run_fault_tolerance(
     iteration_scale:
         Scale on the application's iteration count (shorter sweeps).
     seed:
-        Measurement seed, shared by every cell so all controllers face
-        the same workload and the same fault schedule per mode.
+        Measurement seed, shared by every cell.
     app:
         Workload name.
     policies / fault_modes:
         Grid axes (defaults: the headline controllers and fault modes).
     """
-    engine = default_engine(engine)
-    cells = [
-        (policy, fault_mode, supervised)
-        for policy in policies
-        for fault_mode in fault_modes
-        for supervised in (False, True)
-    ]
-    summaries = engine.run(
-        [
-            workload_job(
-                app,
-                None,
-                policy,
-                seed=seed,
-                iteration_scale=iteration_scale,
-                faults=fault_config_for(fault_mode),
-                supervisor=default_supervisor_config() if supervised else None,
-            )
-            for policy, fault_mode, supervised in cells
-        ]
-    )
-    result = FaultToleranceResult()
-    for (policy, fault_mode, supervised), summary in zip(cells, summaries):
-        result.rows.append(
-            FaultToleranceRow(policy, fault_mode, supervised, summary)
-        )
-    return result
+    grid = cells(iteration_scale, seed, app, policies, fault_modes)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ combination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.sched.affinity import mapping_by_name
 from repro.thermal.profile import ThermalProfile
@@ -25,6 +25,9 @@ FIG1_APPS: Tuple[Tuple[str, str], ...] = (("face_rec", "img 1"), ("mpeg_enc", "s
 
 #: The two placement arms.
 FIG1_PLACEMENTS: Tuple[str, ...] = ("linux_default", "user_paired_2211")
+
+#: A cell's label: (application, dataset, placement).
+Cell = Tuple[str, str, str]
 
 
 @dataclass
@@ -80,40 +83,39 @@ class Fig1Result:
         )
 
 
+def cells(iteration_scale: float = 1.0, seed: int = 1) -> Dict[Cell, JobSpec]:
+    """One untrained Linux run per (application, placement) cell."""
+    return {
+        (app, dataset, placement): workload_job(
+            app,
+            dataset,
+            "linux",
+            seed=seed,
+            mapping=(
+                mapping_by_name("paired_2211")
+                if placement == "user_paired_2211"
+                else None
+            ),
+            iteration_scale=iteration_scale,
+            train_passes=0,
+        )
+        for app, dataset in FIG1_APPS
+        for placement in FIG1_PLACEMENTS
+    }
+
+
+def render(summaries: Mapping[Cell, RunSummary]) -> Fig1Result:
+    """The figure from the summaries of :func:`cells`."""
+    return Fig1Result([Fig1Cell(*cell, summary) for cell, summary in summaries.items()])
+
+
 def run_fig1(
     iteration_scale: float = 1.0,
     seed: int = 1,
     engine: Optional[ExperimentEngine] = None,
 ) -> Fig1Result:
     """Run the four (application, placement) combinations."""
-    engine = default_engine(engine)
-    cells = [
-        (app, dataset, placement)
-        for app, dataset in FIG1_APPS
-        for placement in FIG1_PLACEMENTS
-    ]
-    summaries = engine.run(
-        [
-            workload_job(
-                app,
-                dataset,
-                "linux",
-                seed=seed,
-                mapping=(
-                    mapping_by_name("paired_2211")
-                    if placement == "user_paired_2211"
-                    else None
-                ),
-                iteration_scale=iteration_scale,
-                train_passes=0,
-            )
-            for app, dataset, placement in cells
-        ]
-    )
-    result = Fig1Result()
-    for (app, dataset, placement), summary in zip(cells, summaries):
-        result.cells.append(Fig1Cell(app, dataset, placement, summary))
-    return result
+    return render((engine or ExperimentEngine()).run_grid(cells(iteration_scale, seed)))
 
 
 if __name__ == "__main__":

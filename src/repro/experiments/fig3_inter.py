@@ -10,10 +10,10 @@ Linux.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, scenario_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, scenario_job
 from repro.experiments.runner import RunSummary
 from repro.workloads.scenarios import INTER_APP_SCENARIOS, scenario_name
 
@@ -70,6 +70,31 @@ class Fig3Result:
         )
 
 
+def cells(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    scenarios: Sequence[Tuple[str, ...]] = INTER_APP_SCENARIOS,
+) -> Dict[Tuple[Tuple[str, ...], str], JobSpec]:
+    """One run per (scenario, policy) cell, row-major."""
+    return {
+        (tuple(scenario), policy): scenario_job(
+            scenario, policy, seed=seed, iteration_scale=iteration_scale
+        )
+        for scenario in scenarios
+        for policy in FIG3_POLICIES
+    }
+
+
+def render(summaries: Mapping[Tuple[Tuple[str, ...], str], RunSummary]) -> Fig3Result:
+    """The figure from the summaries of :func:`cells`."""
+    by_scenario: Dict[Tuple[str, ...], Dict[str, RunSummary]] = {}
+    for (scenario, policy), summary in summaries.items():
+        by_scenario.setdefault(scenario, {})[policy] = summary
+    return Fig3Result(
+        [Fig3Row(scenario, row) for scenario, row in by_scenario.items()]
+    )
+
+
 def run_fig3(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -77,25 +102,8 @@ def run_fig3(
     engine: Optional[ExperimentEngine] = None,
 ) -> Fig3Result:
     """Run all six scenarios under the three policies."""
-    engine = default_engine(engine)
-    cells = [
-        (tuple(scenario), policy)
-        for scenario in scenarios
-        for policy in FIG3_POLICIES
-    ]
-    summaries = engine.run(
-        [
-            scenario_job(scenario, policy, seed=seed, iteration_scale=iteration_scale)
-            for scenario, policy in cells
-        ]
-    )
-    result = Fig3Result()
-    by_scenario: Dict[Tuple[str, ...], Dict[str, RunSummary]] = {}
-    for (scenario, policy), summary in zip(cells, summaries):
-        by_scenario.setdefault(scenario, {})[policy] = summary
-    for scenario, row in by_scenario.items():
-        result.rows.append(Fig3Row(scenario, row))
-    return result
+    grid = cells(iteration_scale, seed, scenarios)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ exploration/learning transient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import default_agent_config
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.thermal.profile import ThermalProfile
 
@@ -77,40 +77,44 @@ class Fig45Result:
         )
 
 
-def run_fig45(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    app: str = "face_rec",
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig45Result:
-    """Run the two-phase trace experiment.
+#: A cell's label: (policy, decision epoch in seconds; ``None`` for Linux).
+Cell = Tuple[str, Optional[float]]
+
+
+def cells(
+    iteration_scale: float = 1.0, seed: int = 1, app: str = "face_rec"
+) -> Dict[Cell, JobSpec]:
+    """The Linux run and the managed run, both untrained.
 
     The managed run uses ``train_passes=0`` so its trace *starts* with
     the learning transient, exactly like the paper's Figure 4 window.
     """
-    engine = default_engine(engine)
     agent_config = default_agent_config()
-    linux, managed = engine.run(
-        [
-            workload_job(
-                app,
-                None,
-                "linux",
-                seed=seed,
-                iteration_scale=iteration_scale,
-                train_passes=0,
-            ),
-            workload_job(
-                app,
-                None,
-                "proposed",
-                seed=seed,
-                iteration_scale=iteration_scale,
-                train_passes=0,
-                agent_config=agent_config,
-            ),
-        ]
-    )
+    return {
+        ("linux", None): workload_job(
+            app,
+            None,
+            "linux",
+            seed=seed,
+            iteration_scale=iteration_scale,
+            train_passes=0,
+        ),
+        ("proposed", agent_config.decision_epoch_s): workload_job(
+            app,
+            None,
+            "proposed",
+            seed=seed,
+            iteration_scale=iteration_scale,
+            train_passes=0,
+            agent_config=agent_config,
+        ),
+    }
+
+
+def render(summaries: Mapping[Cell, RunSummary]) -> Fig45Result:
+    """Split the managed trace of :func:`cells` at the end of the
+    learning transient."""
+    ((_, linux), ((_, epoch_s), managed)) = summaries.items()
     # The exploration/learning transient lasts roughly until alpha has
     # decayed below the exploitation threshold; use the agent's recorded
     # last policy change, bounded to leave at least a third of the trace
@@ -120,7 +124,7 @@ def run_fig45(
     if epochs_to_exploit <= 0.0:
         epochs_to_exploit = managed.manager_stats.get("last_policy_change_epoch", 0.0)
     split_s = min(
-        max(epochs_to_exploit * agent_config.decision_epoch_s, 120.0),
+        max(epochs_to_exploit * epoch_s, 120.0),
         profile.duration_s * 2.0 / 3.0,
     )
     exploration = profile.window(0.0, split_s)
@@ -132,6 +136,17 @@ def run_fig45(
         exploitation_profile=exploitation,
         split_s=split_s,
     )
+
+
+def run_fig45(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    app: str = "face_rec",
+    engine: Optional[ExperimentEngine] = None,
+) -> Fig45Result:
+    """Run the two-phase trace experiment."""
+    grid = cells(iteration_scale, seed, app)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

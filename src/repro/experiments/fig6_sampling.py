@@ -21,7 +21,7 @@ sampling interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,12 @@ from repro.config import (
     default_agent_config,
     default_reliability_config,
 )
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.runner import RunSummary
 from repro.reliability.mttf import cycling_mttf_years
+
+#: Sampling intervals swept (seconds).
+FIG6_INTERVALS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
 #: Grid axes the ensemble grid planner may batch across.  The plain
 #: reference run and the managed sweep share the default platform and
@@ -90,21 +94,20 @@ class Fig6Result:
         )
 
 
-def run_fig6(
-    intervals=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+#: A cell's label: ``("reference" | "filtered", None)`` for the two Linux
+#: reference runs, ``("proposed", interval)`` for the managed runs.
+Cell = Tuple[str, Optional[float]]
+
+
+def cells(
     iteration_scale: float = 1.0,
     seed: int = 1,
+    intervals: Sequence[float] = FIG6_INTERVALS,
     app: str = "tachyon",
     dataset: str = "set 2",
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig6Result:
-    """Sweep the sampling interval for one workload.
-
-    The computed MTTF and autocorrelation are evaluated on the reference
-    profile *decimated* to each interval — exactly what an
-    implementation that only reads the sensors at that interval would
-    compute — while the overhead counters come from managed runs whose
-    controller samples at that interval.
+) -> Dict[Cell, JobSpec]:
+    """The plain and the filtered-sensor Linux reference runs, then one
+    managed run per sampling interval.
 
     Two reference profiles are used: the plain one for the computed-MTTF
     panel (decimation loses cycles -> the MTTF inflates), and one read
@@ -112,14 +115,14 @@ def run_fig6(
     the autocorrelation panel — on the physical testbed it is that
     response that makes consecutive 1 s samples so similar.
     """
-    engine = default_engine(engine)
-    reliability = default_reliability_config()
     filtered_platform = PlatformConfig(
         sensor=replace(PlatformConfig().sensor, ema_tau_s=4.0)
     )
-    jobs = [
-        workload_job(app, dataset, "linux", seed=seed, iteration_scale=iteration_scale),
-        workload_job(
+    grid: Dict[Cell, JobSpec] = {
+        ("reference", None): workload_job(
+            app, dataset, "linux", seed=seed, iteration_scale=iteration_scale
+        ),
+        ("filtered", None): workload_job(
             app,
             dataset,
             "linux",
@@ -127,8 +130,9 @@ def run_fig6(
             platform=filtered_platform,
             iteration_scale=iteration_scale,
         ),
-    ] + [
-        workload_job(
+    }
+    for interval in intervals:
+        grid["proposed", interval] = workload_job(
             app,
             dataset,
             "proposed",
@@ -138,14 +142,25 @@ def run_fig6(
             ),
             iteration_scale=iteration_scale,
         )
-        for interval in intervals
-    ]
-    summaries = engine.run(jobs)
-    reference, filtered_reference = summaries[0], summaries[1]
-    profile = reference.profile
-    filtered_profile = filtered_reference.profile
+    return grid
+
+
+def render(summaries: Mapping[Cell, RunSummary]) -> Fig6Result:
+    """The four panels from the summaries of :func:`cells`.
+
+    The computed MTTF and autocorrelation are evaluated on the reference
+    profile *decimated* to each interval — exactly what an
+    implementation that only reads the sensors at that interval would
+    compute — while the overhead counters come from managed runs whose
+    controller samples at that interval.
+    """
+    reliability = default_reliability_config()
+    profile = summaries["reference", None].profile
+    filtered_profile = summaries["filtered", None].profile
     result = Fig6Result()
-    for interval, summary in zip(intervals, summaries[2:]):
+    for (role, interval), summary in summaries.items():
+        if role != "proposed":
+            continue
         factor = max(1, int(round(interval / profile.sample_period_s)))
         mttfs = []
         for core in range(profile.num_cores):
@@ -174,6 +189,19 @@ def run_fig6(
             )
         )
     return result
+
+
+def run_fig6(
+    intervals: Sequence[float] = FIG6_INTERVALS,
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    app: str = "tachyon",
+    dataset: str = "set 2",
+    engine: Optional[ExperimentEngine] = None,
+) -> Fig6Result:
+    """Sweep the sampling interval for one workload."""
+    grid = cells(iteration_scale, seed, intervals, app, dataset)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

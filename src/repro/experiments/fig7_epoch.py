@@ -10,11 +10,12 @@ while large epochs stretch the learning transient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import default_agent_config
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.runner import RunSummary
 
 #: The applications of Figure 7.
 FIG7_APPS: Tuple[Tuple[str, str], ...] = (
@@ -69,6 +70,66 @@ class Fig7Result:
         )
 
 
+#: A cell's label: (application, dataset, decision epoch in seconds;
+#: ``None`` for the application's Linux run).
+Cell = Tuple[str, str, Optional[float]]
+
+
+def cells(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    epochs: Sequence[float] = FIG7_EPOCHS,
+    apps: Sequence[Tuple[str, str]] = FIG7_APPS,
+) -> Dict[Cell, JobSpec]:
+    """Per application: the Linux run, then one managed run per epoch."""
+    grid: Dict[Cell, JobSpec] = {}
+    for app, dataset in apps:
+        grid[app, dataset, None] = workload_job(
+            app, dataset, "linux", seed=seed, iteration_scale=iteration_scale
+        )
+        for epoch in epochs:
+            grid[app, dataset, epoch] = workload_job(
+                app,
+                dataset,
+                "proposed",
+                seed=seed,
+                agent_config=replace(default_agent_config(), decision_epoch_s=epoch),
+                iteration_scale=iteration_scale,
+            )
+    return grid
+
+
+def render(summaries: Mapping[Cell, RunSummary]) -> Fig7Result:
+    """The three panels from the summaries of :func:`cells`; each
+    application's training times are normalised to its first epoch."""
+    result = Fig7Result()
+    for (app, dataset, epoch), summary in summaries.items():
+        if epoch is None:
+            linux = summary
+            continue
+        # Training time: epochs until the agent enters pure
+        # exploitation (the alpha schedule's natural horizon).
+        training_epochs = summary.manager_stats.get("exploitation_entry_epoch", -1.0)
+        if training_epochs <= 0.0:
+            training_epochs = max(summary.manager_stats.get("epochs", 1.0), 1.0)
+        result.rows.append(
+            Fig7Row(
+                app=app,
+                dataset=dataset,
+                epoch_s=epoch,
+                normalized_execution_time=summary.execution_time_s
+                / linux.execution_time_s,
+                normalized_energy=summary.dynamic_energy_j / linux.dynamic_energy_j,
+                training_time_s=training_epochs * epoch,
+            )
+        )
+    reference: Dict[Tuple[str, str], float] = {}
+    for row in result.rows:
+        first = reference.setdefault((row.app, row.dataset), row.training_time_s)
+        row.normalized_training_time = row.training_time_s / first
+    return result
+
+
 def run_fig7(
     epochs: Sequence[float] = FIG7_EPOCHS,
     apps: Sequence[Tuple[str, str]] = FIG7_APPS,
@@ -77,60 +138,8 @@ def run_fig7(
     engine: Optional[ExperimentEngine] = None,
 ) -> Fig7Result:
     """Sweep the decision epoch for each application."""
-    engine = default_engine(engine)
-    jobs = []
-    for app, dataset in apps:
-        jobs.append(
-            workload_job(
-                app, dataset, "linux", seed=seed, iteration_scale=iteration_scale
-            )
-        )
-        for epoch in epochs:
-            jobs.append(
-                workload_job(
-                    app,
-                    dataset,
-                    "proposed",
-                    seed=seed,
-                    agent_config=replace(
-                        default_agent_config(), decision_epoch_s=epoch
-                    ),
-                    iteration_scale=iteration_scale,
-                )
-            )
-    summaries = iter(engine.run(jobs))
-    result = Fig7Result()
-    for app, dataset in apps:
-        linux = next(summaries)
-        app_rows: List[Fig7Row] = []
-        for epoch in epochs:
-            summary = next(summaries)
-            # Training time: epochs until the agent enters pure
-            # exploitation (the alpha schedule's natural horizon).
-            training_epochs = summary.manager_stats.get(
-                "exploitation_entry_epoch", -1.0
-            )
-            if training_epochs <= 0.0:
-                training_epochs = max(
-                    summary.manager_stats.get("epochs", 1.0), 1.0
-                )
-            app_rows.append(
-                Fig7Row(
-                    app=app,
-                    dataset=dataset,
-                    epoch_s=epoch,
-                    normalized_execution_time=summary.execution_time_s
-                    / linux.execution_time_s,
-                    normalized_energy=summary.dynamic_energy_j
-                    / linux.dynamic_energy_j,
-                    training_time_s=training_epochs * epoch,
-                )
-            )
-        reference = app_rows[0].training_time_s
-        for row in app_rows:
-            row.normalized_training_time = row.training_time_s / reference
-        result.rows.extend(app_rows)
-    return result
+    grid = cells(iteration_scale, seed, epochs, apps)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ the agent finer control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import default_agent_config
 from repro.core.actions import build_action_space
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.runner import RunSummary
 
 #: (num_states, (num_aging_bins, num_stress_bins)) design points.
 STATE_GRID: Tuple[Tuple[int, Tuple[int, int]], ...] = (
@@ -71,43 +72,43 @@ class Fig8Result:
         )
 
 
-def run_fig8(
-    state_grid: Sequence[Tuple[int, Tuple[int, int]]] = STATE_GRID,
-    action_grid: Sequence[int] = ACTION_GRID,
+#: A cell's label: (states, aging bins, stress bins, actions).
+Cell = Tuple[int, int, int, int]
+
+
+def cells(
     iteration_scale: float = 1.0,
     seed: int = 1,
+    state_grid: Sequence[Tuple[int, Tuple[int, int]]] = STATE_GRID,
+    action_grid: Sequence[int] = ACTION_GRID,
     app: str = "mpeg_dec",
     dataset: str = "clip 1",
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig8Result:
-    """Sweep the Q-table dimensions for one workload."""
-    engine = default_engine(engine)
-    cells = [
-        (num_states, aging_bins, stress_bins, num_actions)
+) -> Dict[Cell, JobSpec]:
+    """One managed run per (states, actions) design point."""
+    return {
+        (num_states, aging_bins, stress_bins, num_actions): workload_job(
+            app,
+            dataset,
+            "proposed",
+            seed=seed,
+            agent_config=replace(
+                default_agent_config(),
+                num_aging_bins=aging_bins,
+                num_stress_bins=stress_bins,
+                num_actions=num_actions,
+            ),
+            action_space=build_action_space(num_actions),
+            iteration_scale=iteration_scale,
+        )
         for num_states, (aging_bins, stress_bins) in state_grid
         for num_actions in action_grid
-    ]
-    summaries = engine.run(
-        [
-            workload_job(
-                app,
-                dataset,
-                "proposed",
-                seed=seed,
-                agent_config=replace(
-                    default_agent_config(),
-                    num_aging_bins=aging_bins,
-                    num_stress_bins=stress_bins,
-                    num_actions=num_actions,
-                ),
-                action_space=build_action_space(num_actions),
-                iteration_scale=iteration_scale,
-            )
-            for num_states, aging_bins, stress_bins, num_actions in cells
-        ]
-    )
+    }
+
+
+def render(summaries: Mapping[Cell, RunSummary]) -> Fig8Result:
+    """The convergence surface from the summaries of :func:`cells`."""
     result = Fig8Result()
-    for (num_states, _, _, num_actions), summary in zip(cells, summaries):
+    for (num_states, _, _, num_actions), summary in summaries.items():
         # Convergence: the agent has both finished its schedule-driven
         # training (exploitation entry scales with the table size,
         # because coverage demands it) and stopped changing its
@@ -129,6 +130,20 @@ def run_fig8(
             )
         )
     return result
+
+
+def run_fig8(
+    state_grid: Sequence[Tuple[int, Tuple[int, int]]] = STATE_GRID,
+    action_grid: Sequence[int] = ACTION_GRID,
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    app: str = "mpeg_dec",
+    dataset: str = "clip 1",
+    engine: Optional[ExperimentEngine] = None,
+) -> Fig8Result:
+    """Sweep the Q-table dimensions for one workload."""
+    grid = cells(iteration_scale, seed, state_grid, action_grid, app, dataset)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -11,12 +11,17 @@ of Section 6.5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import RunSummary
-from repro.experiments.table3_exec_time import TABLE3_APPS, TABLE3_POLICIES
+from repro.experiments.table3_exec_time import (
+    TABLE3_APPS,
+    TABLE3_POLICIES,
+    by_app,
+    cells,
+)
 
 
 @dataclass
@@ -78,6 +83,13 @@ class Fig9Result:
         )
 
 
+def render(summaries: Mapping[Tuple[str, str], RunSummary]) -> Fig9Result:
+    """Both panels from the summaries of :func:`cells` — the Table 3
+    grid, so with a shared batch or cache the two artefacts share every
+    run."""
+    return Fig9Result([Fig9Row(*row) for row in by_app(summaries)])
+
+
 def run_fig9(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -90,24 +102,8 @@ def run_fig9(
     cache-backed engine the whole figure resolves from cache after a
     ``repro all`` has regenerated Table 3.
     """
-    engine = default_engine(engine)
-    cells = [(app, policy) for app in apps for policy in TABLE3_POLICIES]
-    results = engine.run(
-        [
-            workload_job(app, None, policy, seed=seed, iteration_scale=iteration_scale)
-            for app, policy in cells
-        ]
-    )
-    result = Fig9Result()
-    for app in apps:
-        summaries = {
-            policy: summary
-            for (cell_app, policy), summary in zip(cells, results)
-            if cell_app == app
-        }
-        dataset = next(iter(summaries.values())).dataset
-        result.rows.append(Fig9Row(app, dataset, summaries))
-    return result
+    grid = cells(iteration_scale, seed, apps)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

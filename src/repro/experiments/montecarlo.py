@@ -10,9 +10,11 @@ the 5th/50th/95th percentiles.
 
 That is exactly the workload the vectorized ensemble engine exists
 for: all replicates of all cells share one platform closure, so the
-grid planner batches the entire study into one ensemble and steps every
-trajectory in lockstep (``repro montecarlo --ensemble``).  Run scalar,
-the same grid is hundreds of sequential simulations; the results are
+grid planner batches the entire study into one ensemble group — one
+shard per worker process — and steps every trajectory in lockstep; it
+does so by default (``repro montecarlo``, or inside ``repro all``'s
+one batch).  Run scalar (``ExperimentEngine(ensemble=False)``), the
+same grid is hundreds of sequential simulations; the results are
 bit-identical either way.
 """
 
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 
 #: The applications of the study (the paper's short- and mid-length
@@ -170,6 +172,44 @@ class MonteCarloResult:
         )
 
 
+def cells(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    apps: Tuple[str, ...] = MC_APPS,
+    policies: Tuple[str, ...] = MC_POLICIES,
+    seeds: Optional[int] = None,
+) -> Dict[Tuple[str, str, int], JobSpec]:
+    """``seeds`` replicates (default: :func:`default_seed_count`) of
+    every (app, policy) cell, labelled ``(app, policy, seed)`` with seeds
+    ``seed .. seed + seeds - 1`` — the *same* range for every cell so
+    each policy faces an identical workload draw."""
+    count = seeds if seeds is not None else default_seed_count(iteration_scale)
+    if count < 1:
+        raise ValueError(f"seeds must be >= 1, got {count}")
+    return {
+        (app, policy, seed + offset): workload_job(
+            app, None, policy, seed=seed + offset, iteration_scale=iteration_scale
+        )
+        for app in apps
+        for policy in policies
+        for offset in range(count)
+    }
+
+
+def render(summaries: Mapping[Tuple[str, str, int], RunSummary]) -> MonteCarloResult:
+    """The distribution table from the summaries of :func:`cells`, one
+    row per (app, policy) over its seeds in ascending order."""
+    fleets: Dict[Tuple[str, str], List[RunSummary]] = {}
+    for (app, policy, _), summary in summaries.items():
+        fleets.setdefault((app, policy), []).append(summary)
+    return MonteCarloResult(
+        [
+            MonteCarloRow.from_summaries(app, policy, fleet)
+            for (app, policy), fleet in fleets.items()
+        ]
+    )
+
+
 def run_montecarlo(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -186,41 +226,18 @@ def run_montecarlo(
         Scale on application lengths; also scales the default fleet
         size (see :func:`default_seed_count`).
     seed:
-        First seed of the fleet; cell (app, policy) runs seeds
-        ``seed .. seed + seeds - 1``, the *same* range for every cell
-        so each policy faces an identical workload draw.
+        First seed of the fleet (see :func:`cells`).
     apps / policies:
         Grid axes.
     seeds:
         Replicates per cell; default scales with ``iteration_scale``.
     engine:
-        Experiment engine (serial uncached when omitted).  Pass one
-        with ``ensemble=True`` to batch the whole fleet through the
-        vectorized ensemble engine.
+        Experiment engine (serial uncached when omitted); its default
+        routing batches the whole fleet through the vectorized ensemble
+        engine.
     """
-    engine = default_engine(engine)
-    count = seeds if seeds is not None else default_seed_count(iteration_scale)
-    if count < 1:
-        raise ValueError(f"seeds must be >= 1, got {count}")
-    cells = [(app, policy) for app in apps for policy in policies]
-    summaries = engine.run(
-        [
-            workload_job(
-                app,
-                None,
-                policy,
-                seed=seed + offset,
-                iteration_scale=iteration_scale,
-            )
-            for app, policy in cells
-            for offset in range(count)
-        ]
-    )
-    result = MonteCarloResult()
-    for index, (app, policy) in enumerate(cells):
-        cell = summaries[index * count : (index + 1) * count]
-        result.rows.append(MonteCarloRow.from_summaries(app, policy, cell))
-    return result
+    grid = cells(iteration_scale, seed, apps, policies, seeds)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.workloads.datasets import dataset_names_for
 
@@ -26,7 +26,7 @@ TABLE2_POLICIES: Tuple[str, ...] = ("linux", "ge", "proposed")
 #: Grid axes the ensemble grid planner may batch across: every cell
 #: shares the default platform closure and differs only in these
 #: :class:`~repro.experiments.engine.spec.JobSpec` fields, so the whole
-#: table collapses into one ensemble group under ``--ensemble``.
+#: table collapses into one ensemble group.
 ENSEMBLE_AXES: Tuple[str, ...] = ("app", "dataset", "policy")
 
 
@@ -80,6 +80,32 @@ class Table2Result:
         )
 
 
+def cells(
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    workloads: Tuple[str, ...] = TABLE2_WORKLOADS,
+) -> Dict[Tuple[str, str, str], JobSpec]:
+    """One run per (application, dataset, policy) cell, row-major."""
+    return {
+        (app, dataset, policy): workload_job(
+            app, dataset, policy, seed=seed, iteration_scale=iteration_scale
+        )
+        for app in workloads
+        for dataset in dataset_names_for(app)
+        for policy in TABLE2_POLICIES
+    }
+
+
+def render(summaries: Mapping[Tuple[str, str, str], RunSummary]) -> Table2Result:
+    """The table from the summaries of :func:`cells`."""
+    by_row: Dict[Tuple[str, str], Dict[str, RunSummary]] = {}
+    for (app, dataset, policy), summary in summaries.items():
+        by_row.setdefault((app, dataset), {})[policy] = summary
+    return Table2Result(
+        [Table2Row(app, dataset, row) for (app, dataset), row in by_row.items()]
+    )
+
+
 def run_table2(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -100,28 +126,8 @@ def run_table2(
         Experiment engine to submit the grid through (serial uncached
         execution when omitted).
     """
-    engine = default_engine(engine)
-    cells = [
-        (app, dataset, policy)
-        for app in workloads
-        for dataset in dataset_names_for(app)
-        for policy in TABLE2_POLICIES
-    ]
-    summaries = engine.run(
-        [
-            workload_job(
-                app, dataset, policy, seed=seed, iteration_scale=iteration_scale
-            )
-            for app, dataset, policy in cells
-        ]
-    )
-    result = Table2Result()
-    by_cell: Dict[Tuple[str, str], Dict[str, RunSummary]] = {}
-    for (app, dataset, policy), summary in zip(cells, summaries):
-        by_cell.setdefault((app, dataset), {})[policy] = summary
-    for (app, dataset), row in by_cell.items():
-        result.rows.append(Table2Row(app, dataset, row))
-    return result
+    grid = cells(iteration_scale, seed, workloads)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ proposed approach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, default_engine, workload_job
+from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 
 #: The policies of Table 3, in column order.
@@ -63,6 +63,35 @@ class Table3Result:
         )
 
 
+def cells(
+    iteration_scale: float = 1.0, seed: int = 1, apps: Tuple[str, ...] = TABLE3_APPS
+) -> Dict[Tuple[str, str], JobSpec]:
+    """One run per (application, policy) cell, on each app's first dataset."""
+    return {
+        (app, policy): workload_job(
+            app, None, policy, seed=seed, iteration_scale=iteration_scale
+        )
+        for app in apps
+        for policy in TABLE3_POLICIES
+    }
+
+
+def by_app(
+    summaries: Mapping[Tuple[str, str], RunSummary]
+) -> List[Tuple[str, str, Dict[str, RunSummary]]]:
+    """Group the summaries of :func:`cells` per application:
+    ``(app, dataset, {policy: summary})``."""
+    rows: Dict[str, Dict[str, RunSummary]] = {}
+    for (app, policy), summary in summaries.items():
+        rows.setdefault(app, {})[policy] = summary
+    return [(app, next(iter(row.values())).dataset, row) for app, row in rows.items()]
+
+
+def render(summaries: Mapping[Tuple[str, str], RunSummary]) -> Table3Result:
+    """The table from the summaries of :func:`cells`."""
+    return Table3Result([Table3Row(*row) for row in by_app(summaries)])
+
+
 def run_table3(
     iteration_scale: float = 1.0,
     seed: int = 1,
@@ -70,24 +99,8 @@ def run_table3(
     engine: Optional[ExperimentEngine] = None,
 ) -> Table3Result:
     """Run the execution-time grid."""
-    engine = default_engine(engine)
-    cells = [(app, policy) for app in apps for policy in TABLE3_POLICIES]
-    results = engine.run(
-        [
-            workload_job(app, None, policy, seed=seed, iteration_scale=iteration_scale)
-            for app, policy in cells
-        ]
-    )
-    result = Table3Result()
-    for app in apps:
-        summaries = {
-            policy: summary
-            for (cell_app, policy), summary in zip(cells, results)
-            if cell_app == app
-        }
-        dataset = next(iter(summaries.values())).dataset
-        result.rows.append(Table3Row(app, dataset, summaries))
-    return result
+    grid = cells(iteration_scale, seed, apps)
+    return render((engine or ExperimentEngine()).run_grid(grid))
 
 
 if __name__ == "__main__":

@@ -60,6 +60,16 @@ def small_app():
     return Application(replace(app.spec, iterations=12), metric=app.metric, seed=7)
 
 
+@pytest.fixture
+def narrow_ensembles(monkeypatch):
+    """Lower the planner's member floor to 1 for one test, so the small
+    grids of the engine-mechanism tests still run as (sharded)
+    ensembles; the default floor would route them scalar."""
+    from repro.experiments.engine import planner
+
+    monkeypatch.setattr(planner, "MIN_GROUP", 1)
+
+
 #: Sweep scale: the smallest at which every app clears the 60 s warm-up
 #: skip.
 SWEEP_SCALE = 0.12
@@ -69,10 +79,11 @@ SWEEP_SCALE = 0.12
 def sweeps(tmp_path_factory):
     """``sweeps(axis)``: the report of one ``repro all`` sweep axis.
 
-    ``reference`` is the scalar ``--jobs 1 --no-cache`` sweep that the
-    others are compared with: ``parallel`` (``--jobs 2``, cold cache),
-    ``ensemble_serial`` and ``ensemble_sharded`` (``--ensemble`` at
-    jobs 1 and 2, cold caches), and ``warm`` and ``ensemble_warm``,
+    ``reference`` is the scalar (``ensemble=False``) ``--jobs 1
+    --no-cache`` sweep that the others are compared with: ``parallel``
+    (scalar ``--jobs 2``, cold cache), ``ensemble_serial`` and
+    ``ensemble_sharded`` (the default, ensemble-routed engine at jobs 1
+    and 2, cold caches), and ``warm`` and ``ensemble_warm``,
     which rerun the parallel and the sharded sweep on their now-warm
     caches.  Each axis runs on first request and once per session, so
     tier-1 runs the reference sweep once and a module pays only for the

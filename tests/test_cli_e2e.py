@@ -173,8 +173,10 @@ class TestReproAllParallel:
         assert proc.returncode != 0
 
 
+#: 16 members: at --jobs 2 the planner splits them into two shards of
+#: its 8-member floor, so these tests exercise real ensemble shards.
 ENS_RUN_ARGS = [
-    "ensemble", "run", "tachyon", "--members", "4",
+    "ensemble", "run", "tachyon", "--members", "16",
     "--scale", "0.05", "--seed", "7",
 ]
 
@@ -189,28 +191,30 @@ class TestReproEnsembleRun:
                          cwd=tmp_path)
         assert serial.returncode == 0, serial.stderr
         assert sharded.returncode == 0, sharded.stderr
-        # header + 4 member rows + ensemble mean line
-        head = serial.stdout.splitlines()[:6]
-        assert head == sharded.stdout.splitlines()[:6]
-        assert "0 member(s) from cache, 4 executed" in sharded.stdout
+        # header + 16 member rows + ensemble mean line
+        head = serial.stdout.splitlines()[:18]
+        assert head == sharded.stdout.splitlines()[:18]
+        assert "0 member(s) from cache, 16 executed" in sharded.stdout
 
     def test_sharded_run_populates_the_member_cache(self, tmp_path):
         env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
         cold = _repro([*ENS_RUN_ARGS, "--jobs", "2"], cwd=tmp_path,
                       env_extra=env)
         assert cold.returncode == 0, cold.stderr
-        assert "0 member(s) from cache, 4 executed" in cold.stdout
+        assert "0 member(s) from cache, 16 executed" in cold.stdout
         warm = _repro([*ENS_RUN_ARGS, "--jobs", "2"], cwd=tmp_path,
                       env_extra=env)
         assert warm.returncode == 0, warm.stderr
-        assert "4 member(s) from cache, 0 executed" in warm.stdout
-        assert (warm.stdout.splitlines()[:6]
-                == cold.stdout.splitlines()[:6])
+        assert "16 member(s) from cache, 0 executed" in warm.stdout
+        assert (warm.stdout.splitlines()[:18]
+                == cold.stdout.splitlines()[:18])
 
     def test_shard_timeout_surfaces_failure_and_exits_nonzero(self, tmp_path):
+        # The timeout is per cell: each 8-member shard gets 8 x 0.005 s,
+        # still far below one shard's run time.
         proc = _repro(
             [*ENS_RUN_ARGS, "--no-cache", "--jobs", "2",
-             "--job-timeout", "0.05", "--max-job-attempts", "1"],
+             "--job-timeout", "0.005", "--max-job-attempts", "1"],
             cwd=tmp_path,
         )
         assert proc.returncode == 1

@@ -13,9 +13,10 @@ running it is an *axis* that must reproduce the reference's
   :class:`EnsembleSimulation`;
 * ``restored`` — that ensemble captured at a tick, restored into a
   fresh engine and run to the end (both in :func:`ensemble_axes`);
-* ``sharded`` — the batch through ``ExperimentEngine(ensemble=True)``
-  at a worker count: planner, member shards, worker pool and the scalar
-  leftovers;
+* ``sharded`` — the batch through the default (ensemble-routed)
+  ``ExperimentEngine`` at a worker count, with the planner's member
+  floor lowered to 1: planner, member shards, worker pool and the
+  scalar leftovers;
 * ``traced`` — ``run_workload``/``run_scenario`` instrumented and
   checkpointed every :data:`CHECKPOINT_EVERY` ticks (:func:`traced`);
 * ``resumed`` — the same entry point instrumented again and resumed
@@ -49,13 +50,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointStore, serialize_checkpoint
 from repro.config import FaultConfig, PlatformConfig, SupervisorConfig
 from repro.ensemble.engine import EnsembleSimulation
-from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import ExperimentEngine, planner
 from repro.experiments.engine.spec import ensemble_eligible, scenario_job, workload_job
 from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.runner import (
@@ -363,7 +365,11 @@ def check_every_axis(batch, tick, damage, jobs):
     axes = ensemble_axes(eligible, tick) if eligible else {}
 
     runnable = [spec for spec in batch if runner_runs(spec)]
-    summaries = ExperimentEngine(jobs=jobs, cache=None, ensemble=True).run(runnable)
+    with pytest.MonkeyPatch.context() as mp:
+        # A floor of 1 batches every eligible member, however small the
+        # example, so this axis always crosses the planner and shards.
+        mp.setattr(planner, "MIN_GROUP", 1)
+        summaries = ExperimentEngine(jobs=jobs, cache=None).run(runnable)
     axes["sharded"] = [(spec, (None, summary)) for spec, summary in zip(runnable, summaries)]
     axes["traced"], axes["resumed"] = [], []
     with tempfile.TemporaryDirectory() as tmp:

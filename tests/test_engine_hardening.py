@@ -11,6 +11,7 @@ of a bare traceback — without aborting the rest of the campaign.
 import os
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ import repro.experiments.engine.scheduler as scheduler_module
 from repro.config import EngineConfig
 from repro.experiments.engine import ExperimentEngine, job_key, workload_job
 from repro.experiments.engine.scheduler import EngineJobError, JobFailure
+from repro.experiments.engine.spec import EnsembleJobSpec
 from repro.experiments.engine import sweep as sweep_module
 
 
@@ -41,6 +43,14 @@ def _fail_seed_999(spec, *args):
 
 def _sleep_forever(spec, *args):
     time.sleep(300)
+
+
+def _slow_per_member(spec, *args):
+    """0.2 s of work per cell; an ensemble shard does all its members'."""
+    members = getattr(spec, "members", (spec,))
+    time.sleep(0.2 * len(members))
+    results = [("done", member.seed) for member in members]
+    return results if isinstance(spec, EnsembleJobSpec) else results[0]
 
 
 def _die_once(spec, *args):
@@ -152,6 +162,22 @@ def test_timeout_kills_hung_attempt(monkeypatch):
     assert engine.stats.pool_restarts >= 1
 
 
+def test_timeout_budget_is_per_cell_for_ensemble_shards(monkeypatch):
+    """A per-cell timeout that a scalar cell meets is not a shard's
+    budget: two 8-member shards each take 8 cells' time and still land,
+    because each attempt gets the timeout once per member."""
+    from repro.experiments.engine.planner import plan_grid
+
+    monkeypatch.setattr(scheduler_module, "execute_job", _slow_per_member)
+    scalar = ExperimentEngine(jobs=2, job_timeout_s=0.5, ensemble=False)
+    assert scalar.run(_specs(2)) == [("done", 100), ("done", 101)]
+    specs = _specs(16)
+    assert len(plan_grid(specs).groups) == 1
+    engine = ExperimentEngine(jobs=2, job_timeout_s=0.5, max_job_attempts=1)
+    assert engine.run(specs) == [("done", 100 + i) for i in range(16)]
+    assert engine.stats.timeouts == 0 and engine.stats.failed == 0
+
+
 def test_broken_pool_is_respawned_and_job_retried(monkeypatch, tmp_path):
     marker = tmp_path / "died.marker"
     monkeypatch.setenv("HARDENING_DIE_ONCE_MARKER", str(marker))
@@ -235,41 +261,72 @@ class _FakeResult:
         return "fake table"
 
 
+def _artefact(*seeds):
+    """A stand-in experiment module: one tachyon/proposed cell per seed,
+    rendered as a fixed table."""
+    return SimpleNamespace(
+        cells=lambda iteration_scale, seed: {
+            cell: workload_job("tachyon", None, "proposed", seed=cell)
+            for cell in seeds
+        },
+        render=lambda summaries: _FakeResult(),
+    )
+
+
 def test_sweep_survives_a_failed_artefact(monkeypatch, tmp_path):
-    def good(iteration_scale, seed, engine):
-        return _FakeResult()
-
-    def bad(iteration_scale, seed, engine):
-        raise EngineJobError(
-            [
-                JobFailure(
-                    key="f" * 64,
-                    label="tachyon/proposed",
-                    attempts=3,
-                    duration_s=2.0,
-                    error_type="RuntimeError",
-                    message="boom",
-                )
-            ]
-        )
-
-    monkeypatch.setattr(sweep_module, "ARTEFACTS", {"good": good, "bad": bad})
-    report = sweep_module.regenerate_all(results_dir=tmp_path)
+    monkeypatch.setattr(scheduler_module, "execute_job", _fail_seed_999)
+    monkeypatch.setattr(
+        sweep_module, "ARTEFACTS", {"good": _artefact(1), "bad": _artefact(2, 999)}
+    )
+    progress = []
+    report = sweep_module.regenerate_all(results_dir=tmp_path, progress=progress.append)
     assert [run.name for run in report.runs] == ["good"]
     assert (tmp_path / "good.txt").read_text() == "fake table\n"
     assert not report.ok
     assert set(report.failed_artefacts) == {"bad"}
     [failure] = report.failed_artefacts["bad"]
     assert failure.label == "tachyon/proposed"
+    assert failure.key == job_key(workload_job("tachyon", None, "proposed", seed=999))
+    assert progress == [
+        "regenerating good ...",
+        "regenerating bad ...",
+        "FAILED bad: 1 job(s) gave up",
+    ]
     summary = "\n".join(report.summary_lines())
     assert "FAILED bad: 1 job(s) gave up" in summary
     assert "tachyon/proposed" in summary
+    assert "3 cells in one engine run" in summary
+
+
+def test_sweep_fails_every_artefact_sharing_a_failed_cell(monkeypatch, tmp_path):
+    """The sweep is one deduplicated batch, so a failed cell shared by two
+    artefacts fails both, and every other artefact still renders."""
+    monkeypatch.setattr(scheduler_module, "execute_job", _fail_seed_999)
+    monkeypatch.setattr(
+        sweep_module,
+        "ARTEFACTS",
+        {
+            "first": _artefact(1, 999),
+            "clean": _artefact(1, 2),
+            "second": _artefact(999, 3),
+        },
+    )
+    report = sweep_module.regenerate_all(results_dir=tmp_path)
+    assert [run.name for run in report.runs] == ["clean"]
+    assert set(report.failed_artefacts) == {"first", "second"}
+    for name in ("first", "second"):
+        [failure] = report.failed_artefacts[name]
+        assert failure.key == job_key(
+            workload_job("tachyon", None, "proposed", seed=999)
+        )
+    assert report.stats.failed == 1
+    assert report.stats.deduplicated == 2
+    assert not (tmp_path / "first.txt").exists()
 
 
 def test_sweep_report_ok_when_nothing_failed(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        sweep_module, "ARTEFACTS", {"solo": lambda **kwargs: _FakeResult()}
-    )
+    monkeypatch.setattr(scheduler_module, "execute_job", _ok)
+    monkeypatch.setattr(sweep_module, "ARTEFACTS", {"solo": _artefact(1)})
     report = sweep_module.regenerate_all(results_dir=tmp_path)
     assert report.ok
     assert report.failed_artefacts == {}

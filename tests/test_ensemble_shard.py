@@ -1,7 +1,7 @@
 """Process sharding of ensemble jobs: partition, identity, hardening.
 
-The contract under test (``repro.ensemble.shard``): splitting an
-:class:`EnsembleJobSpec` into per-process member shards changes
+The contract under test (``repro.ensemble.shard``): splitting a planned
+ensemble group into per-process member shards changes
 *nothing* about the results — sharded == unsharded == serial, member
 for member, bit for bit (compared through each summary's pickle, the
 same bytes the result cache stores) — while failures of a shard are
@@ -15,6 +15,7 @@ import pytest
 
 from repro.ensemble.shard import run_sharded_ensemble_job, shard_members
 from repro.experiments.engine.cache import ResultCache
+from repro.experiments.engine.planner import plan_grid
 from repro.experiments.engine.scheduler import EngineJobError, ExperimentEngine
 from repro.experiments.engine.spec import EnsembleJobSpec, job_key, workload_job
 from repro.experiments.engine.worker import execute_job
@@ -71,25 +72,27 @@ class TestShardMembers:
 # ----------------------------------------------------------------------
 # Sharded == unsharded == serial
 # ----------------------------------------------------------------------
-def test_sharded_equals_unsharded_equals_serial():
-    """The same job at jobs 1/2/3, unsharded through ``execute_job`` and
-    through the scalar worker path produces byte-identical member
-    summaries."""
+def test_sharded_equals_unsharded_equals_serial(narrow_ensembles):
+    """The same members sharded at jobs 1/2/3, unsharded through
+    ``execute_job`` and through the scalar worker path produce
+    byte-identical member summaries."""
     spec = _spec(5)
+    members = list(spec.members)
     unsharded = _pickles(execute_job(spec))
     for jobs in (1, 2, 3):
         engine = ExperimentEngine(jobs=jobs, cache=None)
-        report = run_sharded_ensemble_job(spec, engine)
+        report = run_sharded_ensemble_job(members, plan_grid(members), engine)
         assert not report.failures
         assert report.shards == min(jobs, 5)
-        assert _pickles(report.summaries) == unsharded, f"jobs={jobs}"
+        summaries = [report.summaries[index] for index in range(len(members))]
+        assert _pickles(summaries) == unsharded, f"jobs={jobs}"
     # Serial scalar execution of one member — the path a cache producer
     # takes — yields the same bytes as the sharded member summary.
     scalar = pickle.dumps(execute_job(spec.members[2]))
     assert scalar == unsharded[2]
 
 
-def test_shards_share_the_member_level_cache(tmp_path):
+def test_shards_share_the_member_level_cache(tmp_path, narrow_ensembles):
     """A sharded run populates per-member scalar keys; a wider sharded
     run through another engine hits them."""
     cache = ResultCache(root=tmp_path / "cache")
@@ -112,7 +115,9 @@ def test_shards_share_the_member_level_cache(tmp_path):
 # ----------------------------------------------------------------------
 # Failure surfacing
 # ----------------------------------------------------------------------
-def test_failed_shard_surfaces_jobfailure_and_partial_results(monkeypatch):
+def test_failed_shard_surfaces_jobfailure_and_partial_results(
+    monkeypatch, narrow_ensembles
+):
     """One shard exhausting its retries yields None results for its
     members plus one structured JobFailure per member."""
     import repro.experiments.engine.scheduler as scheduler_module

@@ -18,8 +18,8 @@ itself changes.  When that happens intentionally, regenerate them with::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_artefacts.py
 
 and commit the refreshed files together with the model change.  Only
-the scalar engine writes them; the ensemble cases then compare against
-the fresh files.
+the scalar engine (``ensemble=False``) writes them; the ensemble cases
+then compare against the fresh files.
 """
 
 import difflib
@@ -80,7 +80,8 @@ def engine(tmp_path_factory):
     """
     root = tmp_path_factory.mktemp("golden-cache")
     return ExperimentEngine(
-        jobs=1, cache=ResultCache(root=root), metrics=MetricsRegistry()
+        jobs=1, cache=ResultCache(root=root), metrics=MetricsRegistry(),
+        ensemble=False,
     )
 
 
@@ -99,16 +100,17 @@ def _regenerate(name, text, engine) -> bool:
 def test_ensemble_engine_never_writes_goldens(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_REGEN_GOLDEN", "1")
     monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path / "golden")
-    assert not _regenerate("fig1", "table\n", ExperimentEngine(ensemble=True))
+    assert not _regenerate("fig1", "table\n", ExperimentEngine())
     assert not (tmp_path / "golden").exists()
-    assert _regenerate("fig1", "table\n", ExperimentEngine())
+    assert _regenerate("fig1", "table\n", ExperimentEngine(ensemble=False))
     assert (tmp_path / "golden" / "fig1.txt").read_text() == "table\n"
 
 
 def assert_matches_golden(name, engine):
     """``name``'s reduced grid through ``engine`` reproduces its golden
     (or, under ``REPRO_REGEN_GOLDEN`` on the scalar engine, rewrites it)."""
-    result = ARTEFACTS[name](iteration_scale=SCALE, seed=1, engine=engine, **CASES[name])
+    run = getattr(ARTEFACTS[name], f"run_{name}")
+    result = run(iteration_scale=SCALE, seed=1, engine=engine, **CASES[name])
     text = result.format_table() + "\n"
     golden_path = GOLDEN_DIR / f"{name}.txt"
 

@@ -3,10 +3,11 @@
 The acceptance layer for the ensemble grid planner, over four axes of
 the session's ``sweeps`` (see ``conftest.py``):
 
-* **reference** — ``--jobs 1 --no-cache``, the scalar sweep;
-* **ensemble serial** — ``--ensemble --jobs 1`` on a cold cache;
-* **ensemble sharded** — ``--ensemble --jobs 2`` on a cold cache;
-* **ensemble warm** — ``--ensemble --jobs 2`` again on the now-warm cache.
+* **reference** — ``--jobs 1 --no-cache`` on the scalar
+  (``ensemble=False``) engine;
+* **ensemble serial** — ``--jobs 1`` on a cold cache, default routing;
+* **ensemble sharded** — ``--jobs 2`` on a cold cache, default routing;
+* **ensemble warm** — ``--jobs 2`` again on the now-warm cache.
 
 Both ensemble sweeps must write artefact files byte-identical to the
 scalar sweep's, and the warm rerun must execute zero jobs: the cache the
@@ -14,7 +15,9 @@ ensemble shards populated under scalar member keys satisfies the very
 same grids on the next pass.
 
 A second layer replays the committed golden-master grids
-(:mod:`tests.test_golden_artefacts`) through an ensemble-routed engine:
+(:mod:`tests.test_golden_artefacts`) through an ensemble-routed engine
+whose member floor is lowered to 1, so every eligible cell of those
+small grids runs inside an ensemble shard:
 the goldens were generated on the scalar path, so matching them proves
 scalar/ensemble interchangeability against a fixed on-disk reference,
 not merely within one process.
@@ -23,6 +26,7 @@ not merely within one process.
 import pytest
 
 from repro.experiments.engine import ExperimentEngine, ResultCache
+from repro.experiments.engine.spec import EnsembleJobSpec, ensemble_eligible
 from repro.experiments.engine.sweep import ARTEFACTS
 
 from tests.test_differential import assert_same_artefacts, assert_sweeps_stay_out_of_results
@@ -40,11 +44,11 @@ def test_all_artefacts_written(sweeps):
 
 
 def test_ensemble_serial_is_bit_identical_to_scalar(sweeps):
-    assert_same_artefacts(sweeps("reference"), sweeps("ensemble_serial"), "--ensemble --jobs 1")
+    assert_same_artefacts(sweeps("reference"), sweeps("ensemble_serial"), "ensemble --jobs 1")
 
 
 def test_ensemble_sharded_is_bit_identical_to_scalar(sweeps):
-    assert_same_artefacts(sweeps("reference"), sweeps("ensemble_sharded"), "--ensemble --jobs 2")
+    assert_same_artefacts(sweeps("reference"), sweeps("ensemble_sharded"), "ensemble --jobs 2")
 
 
 def test_cold_ensemble_sweeps_actually_executed(sweeps):
@@ -60,7 +64,7 @@ def test_warm_ensemble_rerun_executes_zero_jobs(sweeps):
     assert stats["executed"] == 0
     assert stats["cache_misses"] == 0
     assert stats["cache_hits"] > 0
-    assert_same_artefacts(sweeps("reference"), sweeps("ensemble_warm"), "warm --ensemble --jobs 2")
+    assert_same_artefacts(sweeps("reference"), sweeps("ensemble_warm"), "warm ensemble --jobs 2")
 
 
 def test_scaled_sweeps_never_touch_committed_results(sweeps):
@@ -70,16 +74,42 @@ def test_scaled_sweeps_never_touch_committed_results(sweeps):
 # ----------------------------------------------------------------------
 # Committed goldens through the ensemble path
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def ensemble_engine(tmp_path_factory):
-    """One shared ensemble-routed engine, like the golden suite's."""
-    root = tmp_path_factory.mktemp("golden-ensemble-cache")
-    return ExperimentEngine(jobs=2, cache=ResultCache(root=root), ensemble=True)
+@pytest.fixture
+def ensemble_engine(tmp_path, monkeypatch, narrow_ensembles):
+    """A fresh ensemble-routed engine per case, with the planner's member
+    floor at 1, and the list of jobs it dispatched.
+
+    The reduced golden grids are far smaller than the default floor, so
+    without ``narrow_ensembles`` they would run all-scalar and compare
+    the scalar path with its own goldens.  A fresh cache per case keeps
+    every cell of the case in the dispatch record.
+    """
+    engine = ExperimentEngine(jobs=2, cache=ResultCache(root=tmp_path / "cache"))
+    dispatched = []
+    dispatch = engine._dispatch
+
+    def recording_dispatch(jobs):
+        dispatched.extend(jobs.values())
+        return dispatch(jobs)
+
+    monkeypatch.setattr(engine, "_dispatch", recording_dispatch)
+    return engine, dispatched
 
 
 @pytest.mark.parametrize("name", list(CASES), ids=list(CASES))
 def test_ensemble_path_reproduces_committed_goldens(name, ensemble_engine):
     """The golden masters were generated by the scalar path; the
     ensemble-routed engine must reproduce their bytes exactly, and never
-    rewrites them."""
-    assert_matches_golden(name, ensemble_engine)
+    rewrites them.  Every ensemble-eligible cell of the case crosses an
+    ensemble shard (Figure 3's scenario cells are all ineligible)."""
+    engine, dispatched = ensemble_engine
+    assert_matches_golden(name, engine)
+    shards = [job for job in dispatched if isinstance(job, EnsembleJobSpec)]
+    scalar_eligible = [
+        job
+        for job in dispatched
+        if not isinstance(job, EnsembleJobSpec) and ensemble_eligible(job)
+    ]
+    assert not scalar_eligible, f"{name}: eligible cells ran scalar"
+    if name != "fig3":
+        assert shards, f"{name}: no ensemble shard dispatched"

@@ -42,7 +42,8 @@ from repro.experiments import (
     montecarlo,
     table2_intra,
 )
-from repro.experiments.engine import ExperimentEngine, ResultCache
+from repro.checkpoint import CheckpointStore
+from repro.experiments.engine import ExperimentEngine, ResultCache, planner
 from repro.experiments.engine.planner import (
     MIN_GROUP,
     ensemble_eligible,
@@ -57,6 +58,7 @@ from repro.experiments.engine.spec import (
     scenario_job,
     workload_job,
 )
+from repro.experiments.engine.worker import job_checkpoint_dir
 
 #: Smallest scale at which every app clears the 60 s warm-up skip.
 SCALE = 0.12
@@ -227,6 +229,9 @@ class TestNoDoubleExecution:
                 cache.put(spec, _FakeSummary(job_key(spec)))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scheduler_module, "execute_job", counting_execute)
+                # Any group size batches, so small grids take the
+                # ensemble path.
+                mp.setattr(planner, "MIN_GROUP", 1)
                 engine = ExperimentEngine(jobs=1, cache=cache, ensemble=True)
                 results = engine.run(specs)
 
@@ -237,19 +242,16 @@ class TestNoDoubleExecution:
             for spec in unique:
                 expected = 0 if spec in warm else 1
                 assert executions[job_key(spec)] == expected, spec.seed
-            # Warm members stay cached; cold members that formed an
-            # ensemble group (>= MIN_GROUP of them — all these specs
-            # share one platform) are stored per member as their shard
-            # lands.
-            cold = [spec for spec in unique if spec not in warm]
-            cached_after = warm if len(cold) < MIN_GROUP else unique
-            for spec in cached_after:
+            # Warm members stay cached; cold members (one ensemble
+            # group — all these specs share one platform) are stored per
+            # member as their shard lands.
+            for spec in unique:
                 assert cache.get(spec) is not None
 
 
 class TestMembersCachedAsShardsLand:
     def test_first_shard_is_cached_while_its_sibling_runs(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, narrow_ensembles
     ):
         """At jobs=2 a 4-member group runs as two concurrent shards.
         The first shard's members must reach the cache as soon as that
@@ -311,7 +313,9 @@ def _fail_proposed_shards(spec, *args, **kwargs):
 
 
 class TestPartialShardFailureInSweep:
-    def test_failed_shard_degrades_only_its_members(self, tmp_path, monkeypatch):
+    def test_failed_shard_degrades_only_its_members(
+        self, tmp_path, monkeypatch, narrow_ensembles
+    ):
         """A Monte Carlo grid (1 app x 2 policies x 4 seeds) at jobs=2
         splits its single ensemble group into two shards — linux seeds
         and proposed seeds.  Killing the proposed shard must surface one
@@ -434,3 +438,132 @@ def test_montecarlo_grid_executes_only_as_planned_ensemble_groups(monkeypatch):
     assert len(received) == len(plan.groups)
     executed = [member for spec in received for member in spec.members]
     assert sorted(map(job_key, executed)) == sorted(map(job_key, submitted))
+
+
+# ----------------------------------------------------------------------
+# The crossover floor, one dispatch per batch, the checkpoint rule
+# ----------------------------------------------------------------------
+
+
+def _tachyon_cells(count):
+    return [
+        workload_job("tachyon", policy="linux", seed=seed, iteration_scale=SCALE)
+        for seed in range(1, count + 1)
+    ]
+
+
+def _fake_execute(spec, *args, **kwargs):
+    """Stand-in worker: one picklable fake summary per member."""
+    if isinstance(spec, EnsembleJobSpec):
+        return [_FakeSummary(job_key(member)) for member in spec.members]
+    return _FakeSummary(job_key(spec))
+
+
+class TestCrossoverFloor:
+    def test_floor_is_the_measured_break_even(self):
+        assert MIN_GROUP == 8
+
+    def test_seven_cell_group_stays_scalar(self):
+        plan = plan_grid(_tachyon_cells(7))
+        assert plan.groups == ()
+        assert plan.scalar == tuple(range(7))
+
+    @pytest.mark.parametrize("count, shards", [(8, [8]), (9, [9]), (16, [8, 8])])
+    def test_shards_keep_the_floor_at_jobs_2(self, count, shards, monkeypatch):
+        """At jobs=2 a group splits in two only when both halves keep
+        ``MIN_GROUP`` members."""
+        received = []
+
+        def recording_execute(spec, *args, **kwargs):
+            received.append(spec)
+            return _fake_execute(spec)
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(scheduler_module, "execute_job", recording_execute)
+        specs = _tachyon_cells(count)
+        results = ExperimentEngine(jobs=2, cache=None).run(specs)
+        assert [result.key for result in results] == [job_key(spec) for spec in specs]
+        assert all(isinstance(spec, EnsembleJobSpec) for spec in received)
+        assert sorted(len(spec.members) for spec in received) == shards
+
+
+def test_one_pool_serves_every_group_and_the_leftovers(monkeypatch):
+    """One ensemble group plus scalar leftovers (scenario and supervised
+    cells) run through a single dispatch: one worker pool per batch."""
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(scheduler_module, "execute_job", _fake_execute)
+    specs = _tachyon_cells(16) + [
+        scenario_job(("mpeg_dec", "tachyon"), "linux", iteration_scale=SCALE),
+        workload_job(
+            "tachyon", policy="linux", iteration_scale=SCALE,
+            supervisor=SupervisorConfig(enabled=True),
+        ),
+    ]
+    plan = plan_grid(specs)
+    assert len(plan.groups) == 1 and len(plan.scalar) == 2
+    results = ExperimentEngine(jobs=2, cache=None).run(specs)
+    assert [result.key for result in results] == [job_key(spec) for spec in specs]
+    assert len(pools) == 1
+
+
+def test_engine_dispatches_through_the_shard_entry_point(monkeypatch):
+    """The engine looks ``run_sharded_ensemble_job`` up on the shard
+    module at call time — the name a profiler wraps to time sharding —
+    and its report counts the ensemble shards, not the leftovers."""
+    from repro.ensemble import shard
+
+    reports = []
+    real_run = shard.run_sharded_ensemble_job
+
+    def recording_run(*args):
+        reports.append(real_run(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(shard, "run_sharded_ensemble_job", recording_run)
+    monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(scheduler_module, "execute_job", _fake_execute)
+    specs = _tachyon_cells(16) + [
+        scenario_job(("mpeg_dec", "tachyon"), "linux", iteration_scale=SCALE)
+    ]
+    ExperimentEngine(jobs=2, cache=None).run(specs)
+    assert [report.shards for report in reports] == [2]
+    assert sorted(reports[0].summaries) == list(range(len(specs)))
+
+
+def test_checkpointing_engine_routes_every_cell_scalar(tmp_path, monkeypatch):
+    """Ensemble shards keep no disk checkpoints, so an engine with
+    ``checkpoint_every`` set runs a group-sized grid cell by cell and
+    writes a checkpoint store for every one of them."""
+    saved_into = set()
+    real_save = CheckpointStore.save
+
+    def recording_save(store, *args, **kwargs):
+        saved_into.add(store.root)
+        return real_save(store, *args, **kwargs)
+
+    received = []
+
+    def recording_execute(spec, *args, **kwargs):
+        received.append(spec)
+        return _REAL_EXECUTE(spec, *args, **kwargs)
+
+    monkeypatch.setattr(CheckpointStore, "save", recording_save)
+    monkeypatch.setattr(scheduler_module, "execute_job", recording_execute)
+    specs = [
+        workload_job("tachyon", policy="linux", seed=seed, iteration_scale=0.05)
+        for seed in range(1, MIN_GROUP + 1)
+    ]
+    assert len(plan_grid(specs).groups) == 1
+    engine = ExperimentEngine(
+        jobs=1, cache=None, checkpoint_every=500, checkpoint_dir=str(tmp_path)
+    )
+    engine.run(specs)
+    assert received == specs
+    assert saved_into == {job_checkpoint_dir(tmp_path, spec) for spec in specs}

@@ -9,14 +9,28 @@ minus argument parsing):
 * **warm** — the same sweep again on the now-warm cache.
 
 The parallel sweep must write byte-identical artefact files, and the
-warm sweep must execute zero jobs.
+warm sweep must execute zero jobs.  Every sweep submits all its
+artefacts' cells as one engine batch.
 """
 
-from repro.experiments.engine.sweep import ARTEFACTS
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import sweep as sweep_module
+from repro.experiments.engine.sweep import ARTEFACTS, regenerate_all
 
 from tests.test_differential import assert_same_artefacts, assert_sweeps_stay_out_of_results
 
 AXES = ("reference", "parallel", "warm")
+
+#: The sweeps' scale (``conftest.SWEEP_SCALE``).
+SCALE = 0.12
 
 
 def test_all_artefacts_written(sweeps):
@@ -68,3 +82,58 @@ def test_serial_and_parallel_metrics_agree(sweeps):
 
 def test_scaled_sweeps_never_touch_committed_results(sweeps):
     assert_sweeps_stay_out_of_results(sweeps(axis) for axis in AXES)
+
+
+def test_cold_sweep_counts_one_deduplicated_batch(sweeps):
+    """The 286 cells of a scale-0.12 sweep hold 254 distinct runs: the
+    one batch shares the 32 repeats (Table 3 and Figure 9 share every
+    cell, and so on) instead of running them twice."""
+    stats = sweeps("reference").stats.as_dict()
+    assert stats["submitted"] == 286
+    assert stats["executed"] == 254
+    assert stats["deduplicated"] == 32
+
+
+class _OneBatchEngine(ExperimentEngine):
+    """Records every ``run`` call; each cell's "summary" is its spec."""
+
+    def run(self, specs):
+        self.batches.append(list(specs))
+        return list(specs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(names=st.lists(st.sampled_from(list(ARTEFACTS)), min_size=1, unique=True))
+def test_any_artefact_subset_is_one_engine_run(names):
+    """Whatever subset is requested, the sweep makes exactly one
+    ``engine.run`` call over the artefacts' concatenated cells and
+    renders each artefact from its own cells' labels and results."""
+    rendered = {}
+
+    def stand_in(name):
+        module = ARTEFACTS[name]
+
+        def render(summaries):
+            rendered[name] = dict(summaries)
+            return SimpleNamespace(format_table=lambda: name)
+
+        return SimpleNamespace(cells=module.cells, render=render)
+
+    engine = _OneBatchEngine()
+    engine.batches = []
+    cells = {
+        name: ARTEFACTS[name].cells(iteration_scale=SCALE, seed=1)
+        for name in names
+    }
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", tmp)
+        mp.setattr(sweep_module, "ARTEFACTS", {name: stand_in(name) for name in ARTEFACTS})
+        report = regenerate_all(
+            iteration_scale=SCALE, seed=1, engine=engine, artefacts=names,
+            results_dir=Path(tmp) / "results",
+        )
+    assert report.ok
+    assert engine.batches == [
+        [spec for name in names for spec in cells[name].values()]
+    ]
+    assert rendered == cells

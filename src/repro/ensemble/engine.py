@@ -17,14 +17,22 @@ The engine splits the system into two planes:
   :mod:`~repro.ensemble.workloads`, :mod:`~repro.ensemble.governors`,
   :mod:`~repro.ensemble.power_thermal`, :mod:`~repro.ensemble.sensors`);
 * **control plane** (one member, occasionally) — thermal managers, fault
-  injectors and management-path sensor banks stay *real scalar objects*.
-  When a member's manager is due it runs unchanged against a
-  :class:`~repro.ensemble.member_view.MemberView`, so every Q-table update
-  and exploration draw is bit-identical by construction.
+  injectors, supervisors and management-path sensor banks stay *real
+  scalar objects*.  When a member's manager is due it runs unchanged
+  against a :class:`~repro.ensemble.member_view.MemberView`, so every
+  Q-table update and exploration draw is bit-identical by construction.
 
 Managers are gated by a per-member next-fire time harvested from their
 ``_next_sample_s`` attribute, so the quiescent per-tick cost of the
-control plane is one vectorized comparison, not N Python calls.
+control plane is one vectorized comparison, not N Python calls.  A
+supervised member's tick ends, as the scalar one does, with a
+supervision round (watchdog read, retries, thermal emergency) against
+its view; an unsupervised ensemble skips that phase entirely.
+
+A member runs an application *sequence* — a workload job's training
+passes then its measured pass, or a scenario's applications — and
+switches applications on its own clock, so members of either job kind
+share one ensemble.
 
 Members that finish (all applications done, or their ``max_time_s``
 reached) have their results frozen at exactly the point the scalar run
@@ -34,13 +42,13 @@ loop would have broken; the remaining members keep stepping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.checkpoint.state import capture_state, restore_state
-from repro.ensemble.governors import BatchedGovernors
+from repro.ensemble.governors import BatchedGovernors, GovernorRow
 from repro.ensemble.managers import BatchedControlPlane
 from repro.ensemble.member_view import MemberView
 from repro.ensemble.power_thermal import BatchedChip
@@ -48,6 +56,7 @@ from repro.ensemble.sched import BatchedPerf, BatchedScheduler
 from repro.ensemble.sensors import BatchedEvalSensors
 from repro.ensemble.workloads import BatchedWorkloads
 from repro.faults.injector import FaultInjector
+from repro.faults.supervisor import ActuationSupervisor, SensorSupervisor
 from repro.perf.timer import SectionTimer
 from repro.power.energy import EnergyMeter
 from repro.sched.affinity import AffinityMapping
@@ -103,6 +112,10 @@ class MemberState:
         "manager_sensors",
         "fault_injector",
         "mapping",
+        "sensor_supervisor",
+        "actuation_supervisor",
+        "next_watchdog_s",
+        "pre_emergency_governor",
     )
     DERIVED_FIELDS = ("max_time_s", "seed")
 
@@ -113,6 +126,34 @@ class MemberState:
     mapping: Optional[AffinityMapping]
     max_time_s: Optional[float]
     seed: int
+    sensor_supervisor: Optional[SensorSupervisor] = None
+    actuation_supervisor: Optional[ActuationSupervisor] = None
+    #: When the supervisor's watchdog next samples the sensors.
+    next_watchdog_s: float = 0.0
+    #: The governor the thermal emergency parked, restored on release.
+    pre_emergency_governor: Optional[GovernorRow] = None
+
+
+class _UnsupervisedView:
+    """The engine as :class:`BatchedControlPlane` sees it.
+
+    Supervised members show no manager, so their managers keep the
+    per-member :class:`MemberView` path: the batched sample would skip
+    the sensor supervisor's filter and the supervised actuation.
+    Everything else is the engine's own.
+    """
+
+    def __init__(self, engine: "EnsembleSimulation") -> None:
+        self._engine = engine
+        self.members = [
+            replace(state, manager=None)
+            if state.actuation_supervisor is not None
+            else state
+            for state in engine.members
+        ]
+
+    def __getattr__(self, name: str):
+        return getattr(self._engine, name)
 
 
 class EnsembleSimulation:
@@ -172,6 +213,7 @@ class EnsembleSimulation:
         "_min_max_time",
         "_prepared",
         "_control",
+        "_supervised",
         "_timer",
     )
 
@@ -200,11 +242,6 @@ class EnsembleSimulation:
                 raise ValueError(
                     f"member {index} has instrumentation attached; "
                     "not supported in ensembles"
-                )
-            if sim._sensor_supervisor is not None:
-                raise ValueError(
-                    f"member {index} has a supervisor; not supported "
-                    "in ensembles"
                 )
             if sim._checkpointer is not None:
                 raise ValueError(
@@ -263,9 +300,22 @@ class EnsembleSimulation:
                     mapping=sim._mapping,
                     max_time_s=sim.max_time_s,
                     seed=sim._seed,
+                    sensor_supervisor=sim._sensor_supervisor,
+                    actuation_supervisor=sim._actuation_supervisor,
+                    next_watchdog_s=sim._next_watchdog_s,
                 )
             )
         self.views = [MemberView(self, member) for member in range(m)]
+        # The members whose run loop ends each tick with a supervision
+        # round (empty for an unsupervised ensemble).
+        self._supervised = np.asarray(
+            [
+                member
+                for member, state in enumerate(self.members)
+                if state.actuation_supervisor is not None
+            ],
+            dtype=np.int64,
+        )
 
         # Engine clock and eval schedule (shared: members start together).
         self.now = 0.0
@@ -329,6 +379,8 @@ class EnsembleSimulation:
         """Mirror of ``Simulation.prepare`` for every member."""
         for member, state in enumerate(self.members):
             state.manager_sensors.reset()
+            if state.sensor_supervisor is not None:
+                state.sensor_supervisor.reset()
             # (Eval sensors hold no filter state here: EMA is rejected
             # at construction, and reset never touches the RNG.)
             if state.manager is not None:
@@ -336,7 +388,7 @@ class EnsembleSimulation:
                 self.mgr_next[member] = _manager_next_fire(state.manager)
         for member in range(self.num_members):
             self._start_next_app(member)
-        self._control = BatchedControlPlane(self)
+        self._control = BatchedControlPlane(_UnsupervisedView(self))
         self._prepared = True
 
     def _start_next_app(self, member: int) -> bool:
@@ -450,9 +502,24 @@ class EnsembleSimulation:
             self._mgr_min = float(
                 np.min(np.where(self.active, self.mgr_next, math.inf))
             )
+        if self._supervised.size:
+            self._supervise_tick()
         if timer is not None:
             timer.lap("manager", mark)
             timer.count_tick()
+
+    def _supervise_tick(self) -> None:
+        """Mirror of ``Simulation._supervise_tick`` for every active
+        supervised member."""
+        supervised = self._supervised
+        for member in supervised[self.active[supervised]].tolist():
+            state = self.members[member]
+            view = self.views[member]
+            supervisor = state.actuation_supervisor
+            if self.now + 1e-9 >= state.next_watchdog_s:
+                state.next_watchdog_s += supervisor.config.watchdog_period_s
+                view.read_sensors()
+            supervisor.on_tick(view)
 
     def _append_eval(self, reading: np.ndarray) -> None:
         if self._eval_count == self._profile_buf.shape[2]:
@@ -540,6 +607,15 @@ class EnsembleSimulation:
         out: List[SimulationResult] = []
         for member in range(self.num_members):
             state = self.members[member]
+            supervisor_stats: Dict[str, float] = {}
+            if state.sensor_supervisor is not None:
+                supervisor_stats.update(state.sensor_supervisor.stats())
+            if state.actuation_supervisor is not None:
+                supervisor_stats.update(
+                    state.actuation_supervisor.stats(
+                        float(self.total_time_s[member])
+                    )
+                )
             profile = ThermalProfile(self.num_cores, self.eval_sample_period_s)
             length = int(self.profile_len[member])
             profile._adopt(self._profile_buf[member, :, :length])
@@ -570,7 +646,7 @@ class EnsembleSimulation:
                         if state.fault_injector is not None
                         else {}
                     ),
-                    supervisor_stats={},
+                    supervisor_stats=supervisor_stats,
                 )
             )
         return out

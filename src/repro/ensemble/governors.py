@@ -18,6 +18,7 @@ frequencies.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -65,6 +66,22 @@ def _kind_of(governor: Governor) -> int:
     raise ValueError(
         f"unsupported governor type for ensembles: {type(governor).__name__}"
     )
+
+
+@dataclass
+class GovernorRow:
+    """One member's governor, detached from the batch.
+
+    The thermal emergency parks the pre-emergency governor here and
+    restores it exactly on release, as the scalar engine keeps the old
+    governor object.
+    """
+
+    kind: int
+    freq: np.ndarray
+    user_target: float
+    up_threshold: float
+    down_threshold: float
 
 
 class BatchedGovernors:
@@ -165,6 +182,44 @@ class BatchedGovernors:
             self.freq[member] = previous
             self.freq_idx[member] = previous_idx
         self.kinds[member] = kind
+        self._kinds_dirty = True
+
+    def in_force(
+        self, member: int, name: str, userspace_frequency_hz: float | None
+    ) -> bool:
+        """``Simulation.governor_in_force`` for one member."""
+        kind = self.kinds[member]
+        if name != "userspace":
+            return kind == _NAME_TO_KIND[name]
+        if kind != KIND_USERSPACE:
+            return False
+        if userspace_frequency_hz is None:
+            return True
+        target = self.ladder.nearest(userspace_frequency_hz).frequency_hz
+        return abs(self.user_target[member] - target) < 1.0
+
+    def row(self, member: int) -> GovernorRow:
+        """A copy of one member's governor state."""
+        return GovernorRow(
+            kind=int(self.kinds[member]),
+            freq=self.freq[member].copy(),
+            user_target=float(self.user_target[member]),
+            up_threshold=float(self.up_threshold[member]),
+            down_threshold=float(self.down_threshold[member]),
+        )
+
+    def restore_row(self, member: int, row: GovernorRow) -> None:
+        """Put a :meth:`row` copy back in force for ``member``."""
+        self.kinds[member] = row.kind
+        self.freq[member] = row.freq
+        self.freq_idx[member] = self.freq_index(row.freq)
+        self.user_target[member] = row.user_target
+        if row.kind == KIND_USERSPACE:
+            self.user_idx[member] = self.freq_index(
+                self.user_target[member : member + 1]
+            )[0]
+        self.up_threshold[member] = row.up_threshold
+        self.down_threshold[member] = row.down_threshold
         self._kinds_dirty = True
 
     # ------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.experiments.runner import RunSummary, build_simulation, summarise
 
 
 def run_ensemble_workloads(specs: Sequence[JobSpec]) -> List[RunSummary]:
-    """Run workload job specs as one ensemble; one summary per spec.
+    """Run job specs — workloads and scenarios alike, supervised or not —
+    as one ensemble; one summary per spec.
 
     The specs must form a valid
     :class:`~repro.experiments.engine.spec.EnsembleJobSpec` (every one

@@ -16,9 +16,9 @@ The grouping rules are exactly the ensemble engine's own preconditions:
   that is the uniformity :class:`EnsembleJobSpec` validates and the one
   the member cache keys encode.
 
-Everything else — app, dataset, policy, seed, agent config, action
-space, affinity mapping, fault schedule, Ge&Qiu config — may vary
-freely *within* a group: the ensemble data plane is bit-faithful per
+Everything else — job kind, app or scenario, dataset, policy, seed,
+agent config, action space, affinity mapping, fault schedule,
+supervisor, Ge&Qiu config — may vary freely *within* a group: the ensemble data plane is bit-faithful per
 member regardless of who shares the batch (cross-member isolation), and
 heterogeneous control-plane members simply fall back to the scalar
 per-member manager path inside the ensemble tick.

@@ -175,32 +175,22 @@ def ensemble_eligible(spec: JobSpec) -> bool:
     """Whether the vectorized ensemble engine can execute ``spec``.
 
     The one eligibility rule: the grid planner batches exactly these
-    specs and :class:`EnsembleJobSpec` rejects any other member.
-
-    * only ``workload`` jobs (a scenario drives an application
-      *sequence* through one simulation; there is nothing to vectorize
-      across);
-    * the supervisor is off —
-      :class:`~repro.ensemble.engine.EnsembleSimulation` rejects
-      supervised members;
-    * the effective platform's evaluation sensor is EMA-free
-      (``sensor.ema_tau_s == 0``):
-      :class:`~repro.ensemble.sensors.BatchedEvalSensors` has no batched
-      low-pass path.
+    specs and :class:`EnsembleJobSpec` rejects any other member.  Both
+    job kinds qualify (a workload's training passes and a scenario's
+    applications are each an application sequence the ensemble steps
+    per member), supervised or not; the one exclusion is an effective
+    platform whose evaluation sensor low-pass filters
+    (``sensor.ema_tau_s > 0``):
+    :class:`~repro.ensemble.sensors.BatchedEvalSensors` has no batched
+    filter path.
     """
-    if spec.kind != "workload":
-        return False
-    if spec.supervisor is not None and spec.supervisor.enabled:
-        return False
     platform = spec.platform if spec.platform is not None else PlatformConfig()
-    if platform.sensor.ema_tau_s > 0.0:
-        return False
-    return True
+    return not platform.sensor.ema_tau_s > 0.0
 
 
 @dataclass(frozen=True)
 class EnsembleJobSpec:
-    """A batch of workload jobs executed by the vectorized ensemble engine.
+    """A batch of jobs executed by the vectorized ensemble engine.
 
     The members are plain :class:`JobSpec` objects, so each member's
     cache identity (:func:`job_key`) is exactly the scalar job's —
@@ -220,8 +210,8 @@ class EnsembleJobSpec:
             if not ensemble_eligible(member):
                 raise ValueError(
                     f"ensemble member {index} ({member.label}) is not "
-                    "ensemble-eligible: ensembles take workload jobs with "
-                    "the supervisor off and an EMA-free evaluation sensor"
+                    "ensemble-eligible: ensembles take jobs with an "
+                    "EMA-free evaluation sensor"
                 )
             if member.platform != platform:
                 raise ValueError(

@@ -39,9 +39,9 @@ FT_APP = "mpeg_dec"
 
 #: Grid axes the ensemble grid planner may batch across.  Fault
 #: injection vectorizes (each member keeps its own seeded fault
-#: schedule); the supervised half of the grid is planner-ineligible —
-#: the ensemble engine rejects supervised members — and runs scalar.
-ENSEMBLE_AXES: Tuple[str, ...] = ("policy", "faults")
+#: schedule), and a supervised member keeps its own sensor and
+#: actuation supervisors, so the whole grid batches as one group.
+ENSEMBLE_AXES: Tuple[str, ...] = ("policy", "faults", "supervisor")
 
 
 @dataclass

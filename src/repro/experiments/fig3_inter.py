@@ -20,6 +20,11 @@ from repro.workloads.scenarios import INTER_APP_SCENARIOS, scenario_name
 #: The policies of Figure 3, in bar order.
 FIG3_POLICIES: Tuple[str, ...] = ("linux", "ge_modified", "proposed")
 
+#: Grid axes the ensemble grid planner may batch across: every scenario
+#: cell shares the default platform, and the ensemble steps each
+#: member's application sequence on its own.
+ENSEMBLE_AXES: Tuple[str, ...] = ("apps", "policy")
+
 
 @dataclass
 class Fig3Row:

@@ -108,6 +108,17 @@ HALF = AffinityMapping("half", tuple(frozenset({0, 1}) for _ in range(6)))
 
 SUPERVISED = SupervisorConfig(enabled=True)
 
+#: Actuation faults heavy enough that supervised requests fail, retry
+#: and run past the fault deadline into a thermal emergency.
+ACTUATION_FAULTS = FaultConfig(
+    enabled=True,
+    governor_fail_prob=0.5,
+    governor_noop_prob=0.4,
+    mapping_fail_prob=0.5,
+    mapping_noop_prob=0.4,
+    seed=99,
+)
+
 #: ``None``, the explicit default and fig6's EMA-filtered reference.
 PLATFORMS = (
     None,
@@ -152,7 +163,7 @@ def runner_runs(spec) -> bool:
 
 
 def build_sim(spec, instrumentation=None) -> Simulation:
-    """A workload member's unrun simulation.
+    """A member's unrun simulation.
 
     The runner's :func:`build_simulation` builds it when
     :func:`runner_runs`.  Otherwise the runner's applications and safety
@@ -213,13 +224,8 @@ def run_entry(spec, **hooks):
 
 
 def scalar(spec, instrumentation=None):
-    """The reference outcome ``(result, summary)`` of one member.
-
-    A workload's own ``Simulation.run()``; a scenario's runner entry
-    point, which returns no result.
-    """
-    if spec.kind == "scenario":
-        return None, run_entry(spec, instrumentation=instrumentation)
+    """The reference outcome ``(result, summary)`` of one member: its own
+    ``Simulation.run()``, summarised by the runner's :func:`summarise`."""
     sim = build_sim(spec, instrumentation)
     return outcomes([spec], [sim], [sim.run()])[0][1]
 
@@ -360,7 +366,8 @@ def traced_and_resumed(spec, tick, damage, root: Path):
 
 
 def check_every_axis(batch, tick, damage, jobs):
-    """Assert every member of ``batch`` has one digest on every axis."""
+    """Assert every member of ``batch`` has one digest on every axis;
+    returns each distinct member's scalar outcome."""
     eligible = [spec for spec in batch if ensemble_eligible(spec)]
     axes = ensemble_axes(eligible, tick) if eligible else {}
 
@@ -377,7 +384,28 @@ def check_every_axis(batch, tick, damage, jobs):
             outcome = traced_and_resumed(spec, tick, damage, Path(tmp) / str(index))
             axes["traced"].append((spec, outcome[0]))
             axes["resumed"].append((spec, outcome[1]))
-    check_axes(batch, axes)
+    return check_axes(batch, axes)
+
+
+#: Two scenarios, one supervised and faulted, between workloads; the
+#: restore tick falls after each scenario's application switch.
+SCENARIO_BATCH = [
+    member(("tachyon", "mpeg_dec"), "proposed", 2),
+    member(("mpeg_dec", "tachyon"), "ge_modified", 3, faults=FAULTS, supervisor=SUPERVISED),
+    member("tachyon", "linux", 1),
+    member("mpeg_dec", "proposed", 4),
+]
+SCENARIO_TICK = 900
+
+#: A supervised member that retries, engages and releases thermal
+#: emergencies, beside its unsupervised twin (which the batched control
+#: plane takes).  The restore tick falls inside an emergency, so the
+#: snapshot carries the parked pre-emergency governor.
+EMERGENCY_BATCH = [
+    member("face_rec", "proposed", 1, faults=ACTUATION_FAULTS, supervisor=SUPERVISED),
+    member("face_rec", "proposed", 1, faults=ACTUATION_FAULTS),
+]
+EMERGENCY_TICK = 803
 
 
 @settings(max_examples=4, deadline=None)
@@ -413,8 +441,23 @@ def check_every_axis(batch, tick, damage, jobs):
 # reach BatchedScheduler._pull_pairs (the random draws rarely do).
 @example(batch=[member("face_rec", "linux", seed, mapping=HALF) for seed in (1, 2)],
          tick=600, damage="newest", jobs=1)
+@example(batch=SCENARIO_BATCH, tick=SCENARIO_TICK, damage="newest", jobs=2)
+@example(batch=EMERGENCY_BATCH, tick=EMERGENCY_TICK, damage="none", jobs=1)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
-    check_every_axis(batch, tick, damage, jobs)
+    reference = check_every_axis(batch, tick, damage, jobs)
+    if batch == SCENARIO_BATCH:
+        dt = PlatformConfig().dt
+        for spec in batch:
+            if spec.kind == "scenario":
+                records = reference[spec][0].app_records
+                assert records[0].end_s < tick * dt < records[-1].end_s, spec.label
+    if batch == EMERGENCY_BATCH:
+        stats = reference[batch[0]][0].supervisor_stats
+        assert stats["actuation_retries"] > 0
+        assert stats["emergencies"] > 0 and not stats["emergency_active"]
+        parked = EnsembleSimulation([build_sim(batch[0])])
+        parked.run(max_ticks=tick)
+        assert parked.members[0].pre_emergency_governor is not None
 
 
 def test_cached_bytes_ignore_unfilled_capacity():

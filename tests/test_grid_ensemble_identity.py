@@ -101,7 +101,7 @@ def test_ensemble_path_reproduces_committed_goldens(name, ensemble_engine):
     """The golden masters were generated by the scalar path; the
     ensemble-routed engine must reproduce their bytes exactly, and never
     rewrites them.  Every ensemble-eligible cell of the case crosses an
-    ensemble shard (Figure 3's scenario cells are all ineligible)."""
+    ensemble shard, and every case dispatches at least one."""
     engine, dispatched = ensemble_engine
     assert_matches_golden(name, engine)
     shards = [job for job in dispatched if isinstance(job, EnsembleJobSpec)]
@@ -111,5 +111,4 @@ def test_ensemble_path_reproduces_committed_goldens(name, ensemble_engine):
         if not isinstance(job, EnsembleJobSpec) and ensemble_eligible(job)
     ]
     assert not scalar_eligible, f"{name}: eligible cells ran scalar"
-    if name != "fig3":
-        assert shards, f"{name}: no ensemble shard dispatched"
+    assert shards, f"{name}: no ensemble shard dispatched"

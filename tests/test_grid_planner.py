@@ -37,6 +37,7 @@ import repro.experiments.engine.scheduler as scheduler_module
 from repro.config import PlatformConfig, SupervisorConfig
 from repro.experiments import (
     fault_tolerance,
+    fig3_inter,
     fig6_sampling,
     fig8_convergence,
     montecarlo,
@@ -58,6 +59,7 @@ from repro.experiments.engine.spec import (
     scenario_job,
     workload_job,
 )
+from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.engine.worker import job_checkpoint_dir
 
 #: Smallest scale at which every app clears the 60 s warm-up skip.
@@ -377,6 +379,7 @@ class _RecordingEngine(ExperimentEngine):
 
 _AXED_EXPERIMENTS = {
     "table2": (table2_intra.run_table2, table2_intra.ENSEMBLE_AXES),
+    "fig3": (fig3_inter.run_fig3, fig3_inter.ENSEMBLE_AXES),
     "fig6": (fig6_sampling.run_fig6, fig6_sampling.ENSEMBLE_AXES),
     "fig8": (fig8_convergence.run_fig8, fig8_convergence.ENSEMBLE_AXES),
     "fault_tolerance": (
@@ -488,29 +491,42 @@ class TestCrossoverFloor:
 
 
 def test_one_pool_serves_every_group_and_the_leftovers(monkeypatch):
-    """One ensemble group plus scalar leftovers (scenario and supervised
-    cells) run through a single dispatch: one worker pool per batch."""
+    """One ensemble group — workload, scenario and supervised cells
+    alike — plus the scalar leftover (an EMA-platform cell) run through
+    a single dispatch: one worker pool per batch."""
     pools = []
+    received = []
 
     class CountingPool(ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
+    def recording_execute(spec, *args, **kwargs):
+        received.append(spec)
+        return _fake_execute(spec)
+
     monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(scheduler_module, "execute_job", _fake_execute)
+    monkeypatch.setattr(scheduler_module, "execute_job", recording_execute)
+    leftover = workload_job(
+        "tachyon", policy="linux", iteration_scale=SCALE, platform=_EMA_PLATFORM
+    )
     specs = _tachyon_cells(16) + [
         scenario_job(("mpeg_dec", "tachyon"), "linux", iteration_scale=SCALE),
         workload_job(
             "tachyon", policy="linux", iteration_scale=SCALE,
             supervisor=SupervisorConfig(enabled=True),
         ),
+        leftover,
     ]
     plan = plan_grid(specs)
-    assert len(plan.groups) == 1 and len(plan.scalar) == 2
+    assert plan.groups == (tuple(range(18)),) and plan.scalar == (18,)
     results = ExperimentEngine(jobs=2, cache=None).run(specs)
     assert [result.key for result in results] == [job_key(spec) for spec in specs]
     assert len(pools) == 1
+    shards = [spec for spec in received if isinstance(spec, EnsembleJobSpec)]
+    assert sorted(len(spec.members) for spec in shards) == [9, 9]
+    assert [spec for spec in received if spec not in shards] == [leftover]
 
 
 def test_engine_dispatches_through_the_shard_entry_point(monkeypatch):
@@ -530,11 +546,32 @@ def test_engine_dispatches_through_the_shard_entry_point(monkeypatch):
     monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(scheduler_module, "execute_job", _fake_execute)
     specs = _tachyon_cells(16) + [
-        scenario_job(("mpeg_dec", "tachyon"), "linux", iteration_scale=SCALE)
+        scenario_job(("mpeg_dec", "tachyon"), "linux", iteration_scale=SCALE),
+        workload_job(
+            "tachyon", policy="linux", iteration_scale=SCALE, platform=_EMA_PLATFORM
+        ),
     ]
     ExperimentEngine(jobs=2, cache=None).run(specs)
     assert [report.shards for report in reports] == [2]
     assert sorted(reports[0].summaries) == list(range(len(specs)))
+
+
+def test_cold_sweep_plans_one_group_and_one_scalar_cell():
+    """A cold scale-0.12 ``repro all`` batch, deduplicated as the engine
+    does, plans every cell into one ensemble group but Figure 6's
+    EMA-sensor reference, the one cell the ensemble cannot take."""
+    cells = [
+        spec
+        for name in ARTEFACTS
+        for spec in ARTEFACTS[name].cells(iteration_scale=SCALE, seed=1).values()
+    ]
+    pending = list(dict.fromkeys(cells))
+    plan = plan_grid(pending)
+    assert [len(group) for group in plan.groups] == [253]
+    assert len(plan.scalar) == 1
+    leftover = pending[plan.scalar[0]]
+    assert leftover.platform.sensor.ema_tau_s > 0.0
+    assert leftover in fig6_sampling.cells(iteration_scale=SCALE, seed=1).values()
 
 
 def test_checkpointing_engine_routes_every_cell_scalar(tmp_path, monkeypatch):

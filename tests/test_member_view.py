@@ -17,7 +17,7 @@ from repro.ensemble.engine import EnsembleSimulation
 from repro.sched.affinity import AffinityMapping
 from repro.soc.simulator import KNOWN_GOVERNORS
 
-from tests.test_differential import FAULTS, HALF, build_sim, member
+from tests.test_differential import FAULTS, HALF, SUPERVISED, build_sim, member
 
 
 def _lockstep_pair(app="mpeg_dec", policy="proposed", seed=21, **kwargs):
@@ -139,3 +139,41 @@ class TestActuationParity:
         app = view.current_app
         assert app.completed_iterations == scalar.current_app.completed_iterations
         assert app.throughput(None) == scalar.current_app.throughput(None)
+
+    def test_supervised_read_backs_and_emergency_track_the_scalar(self):
+        """Under actuation faults and a supervisor, the read-backs the
+        supervisor verifies with agree with the scalar ones before and
+        after every request, and a thermal emergency parks and restores
+        the governor exactly as the scalar engine does."""
+        scalar, ensemble = _lockstep_pair(
+            app="mpeg_enc", policy="linux", faults=FAULTS, supervisor=SUPERVISED
+        )
+        view = ensemble.views[0]
+        probes = [(name, None) for name in KNOWN_GOVERNORS if name != "userspace"]
+        probes += [("userspace", None), ("userspace", 1.2e9), ("userspace", 2.0e9)]
+
+        def assert_same_read_backs():
+            for name, hz in probes:
+                assert view.governor_in_force(name, hz) == scalar.governor_in_force(name, hz)
+            for mapping in (None, HALF):
+                assert view.mapping_in_force(mapping) == scalar.mapping_in_force(mapping)
+
+        script = [
+            (30, lambda s: s.set_governor("userspace", 1.2e9)),
+            (30, lambda s: s.set_mapping(HALF)),
+            (30, lambda s: s._engage_thermal_emergency()),
+            (30, lambda s: s._release_thermal_emergency()),
+            (30, lambda s: s.set_governor("conservative")),
+            (30, lambda s: s._engage_thermal_emergency()),
+            (30, lambda s: s._release_thermal_emergency()),
+        ]
+        for ticks, act in script:
+            _step_both(scalar, ensemble, ticks)
+            assert_same_read_backs()
+            act(scalar)
+            act(view)
+            assert_same_read_backs()
+        _step_both(scalar, ensemble, 120)
+        assert float(ensemble.chip.dynamic_j[0]) == scalar.chip.energy.dynamic_j
+        supervisor = ensemble.members[0].actuation_supervisor
+        assert supervisor.stats(view.now) == scalar._actuation_supervisor.stats(scalar.now)

@@ -11,7 +11,6 @@ One engine runs two kinds of rule over one parsed project model (see
   CFG001 (every config dataclass field has a validation branch),
   API001 (no mutable default arguments or bare excepts);
 * **project rules**, over the import/call graph —
-  EQV001 (a scalar fast-path edit must touch its ensemble twin),
   MUT001 (no module-level mutable state reachable from workers),
   RED001 (no reductions over unordered iterables in FP-exact modules),
   IRR001 (every behavior-irrelevant marker states its reason).
@@ -23,15 +22,15 @@ doc-only edit keeps it warm.
 
 Suppress a finding inline with ``# repro: noqa[RULE] reason=...`` (the
 reason is mandatory) or record it in the committed baseline with
-``repro lint --fix-baseline``, which also records the closure digest
-and the scalar/ensemble pairing fingerprints.  See DESIGN §12 and §17.
+``repro lint --fix-baseline``, which also records the closure digest.
+Scalar/ensemble equivalence is checked at run time, by the differential
+harness in ``tests/test_differential.py``.  See DESIGN §12 and §17.
 """
 
 from repro.analysis.lint.baseline import (
     BASELINE_FILENAME,
     Baseline,
     BaselineError,
-    PairRecord,
     load_baseline,
     save_baseline,
 )
@@ -52,12 +51,9 @@ from repro.analysis.lint.fingerprint import (
     FINGERPRINT_SCHEMA_VERSION,
     Marker,
     fingerprint_module,
-    fingerprint_node,
-    normalized_dump,
     parse_markers,
-    strip_docstrings,
 )
-from repro.analysis.lint.project import ModuleInfo, ProjectModel, SymbolInfo
+from repro.analysis.lint.project import ModuleInfo, ProjectModel
 from repro.analysis.lint.registry import (
     ModuleRule,
     ProjectRule,
@@ -75,7 +71,6 @@ from repro.analysis.lint.report import (
     render_human,
     render_json,
 )
-from repro.analysis.lint.rules.graph import TWIN_MODULES, current_pairs, pair_id
 from repro.analysis.lint.suppress import (
     MALFORMED_SUPPRESSION_CODE,
     Suppression,
@@ -97,7 +92,6 @@ __all__ = [
     "ModuleContext",
     "ModuleInfo",
     "ModuleRule",
-    "PairRecord",
     "ProjectModel",
     "ProjectRule",
     "REPORT_SCHEMA_VERSION",
@@ -105,24 +99,18 @@ __all__ = [
     "RuleMeta",
     "Severity",
     "Suppression",
-    "SymbolInfo",
-    "TWIN_MODULES",
     "all_rule_classes",
     "build_rules",
     "clear_closure_cache",
     "closure_digest",
     "closure_report",
     "compute_closure",
-    "current_pairs",
     "explain_job_key",
     "fingerprint_module",
-    "fingerprint_node",
     "lint_package",
     "lint_source",
     "load_baseline",
     "module_for_path",
-    "normalized_dump",
-    "pair_id",
     "parse_markers",
     "parse_suppressions",
     "python_tag",
@@ -132,5 +120,4 @@ __all__ = [
     "render_json",
     "rule_descriptions",
     "save_baseline",
-    "strip_docstrings",
 ]

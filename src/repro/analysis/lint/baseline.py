@@ -1,4 +1,4 @@
-"""The committed baseline: known findings plus the state rules compare against.
+"""The committed baseline: known findings plus the recorded closure digest.
 
 One JSON document (``.repro-lint-baseline.json``) records:
 
@@ -10,13 +10,10 @@ One JSON document (``.repro-lint-baseline.json``) records:
 * the **closure digest** at the time the baseline was written —
   ``repro lint --check-drift`` fails on drift without a matching
   baseline update, so every behavior-relevant edit is acknowledged;
-* the **pairing fingerprints** of every scalar fast-path module and its
-  vectorized ensemble twin — what EQV001 diffs to catch a scalar-only
-  edit;
 * the interpreter's ``major.minor`` tag — ``ast.dump`` output differs
-  across Python minors, so fingerprints recorded under one interpreter
-  are only compared under the same one (drift and pairing checks are
-  skipped otherwise).
+  across Python minors, so a digest recorded under one interpreter is
+  only compared under the same one (the drift check is skipped
+  otherwise).
 
 ``repro lint --fix-baseline`` rewrites the file from the current tree.
 """
@@ -26,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Dict, Iterable, Union
 
 from repro.analysis.lint.closure import python_tag
 from repro.analysis.lint.findings import Finding
@@ -35,13 +32,12 @@ from repro.analysis.lint.findings import Finding
 BASELINE_FILENAME = ".repro-lint-baseline.json"
 
 #: Version of the baseline document layout.
-BASELINE_SCHEMA_VERSION = 2
+BASELINE_SCHEMA_VERSION = 3
 
 #: Required top-level fields of a baseline document and their JSON types.
 _FIELDS = (
     ("python", str),
     ("closure_digest", str),
-    ("pairs", dict),
     ("findings", dict),
 )
 
@@ -50,26 +46,17 @@ class BaselineError(ValueError):
     """A baseline file is malformed."""
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """Recorded fingerprints of one scalar/ensemble module pair."""
-
-    scalar: str
-    ensemble: str
-
-
 @dataclass
 class Baseline:
     """Parsed baseline (an empty one when no file exists)."""
 
     python: str = ""
     closure_digest: str = ""
-    pairs: Dict[str, PairRecord] = field(default_factory=dict)
     findings: Dict[str, str] = field(default_factory=dict)
 
     @property
     def comparable(self) -> bool:
-        """Whether recorded fingerprints compare against this interpreter."""
+        """Whether the recorded digest compares against this interpreter."""
         return self.python == python_tag()
 
 
@@ -79,7 +66,7 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
     Raises
     ------
     BaselineError
-        If the file is not a valid schema-2 baseline document.
+        If the file is not a valid schema-3 baseline document.
     """
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -99,17 +86,6 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
             raise BaselineError(
                 f"{path}: baseline field {name!r} missing or malformed"
             )
-    pairs: Dict[str, PairRecord] = {}
-    for pair_id, record in sorted(document["pairs"].items()):
-        if (
-            not isinstance(record, dict)
-            or not isinstance(record.get("scalar"), str)
-            or not isinstance(record.get("ensemble"), str)
-        ):
-            raise BaselineError(f"{path}: malformed pair entry {pair_id!r}")
-        pairs[pair_id] = PairRecord(
-            scalar=record["scalar"], ensemble=record["ensemble"]
-        )
     findings: Dict[str, str] = {}
     for fingerprint, description in sorted(document["findings"].items()):
         if not isinstance(description, str):
@@ -118,7 +94,6 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
     return Baseline(
         python=document["python"],
         closure_digest=document["closure_digest"],
-        pairs=pairs,
         findings=findings,
     )
 
@@ -128,7 +103,6 @@ def save_baseline(
     findings: Iterable[Finding],
     *,
     closure_digest: str = "",
-    pairs: Optional[Mapping[str, PairRecord]] = None,
 ) -> int:
     """Write the baseline for the current tree; returns the finding count."""
     entries = {
@@ -136,18 +110,10 @@ def save_baseline(
         f"{finding.message}"
         for finding in findings
     }
-    recorded = pairs or {}
     document = {
         "schema": BASELINE_SCHEMA_VERSION,
         "python": python_tag(),
         "closure_digest": closure_digest,
-        "pairs": {
-            pair_id: {
-                "scalar": recorded[pair_id].scalar,
-                "ensemble": recorded[pair_id].ensemble,
-            }
-            for pair_id in sorted(recorded)
-        },
         "findings": dict(sorted(entries.items())),
     }
     Path(path).write_text(

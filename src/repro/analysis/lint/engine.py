@@ -14,8 +14,7 @@ Two engine codes sit outside the registry: a ``repro: noqa`` comment
 without the mandatory ``reason=`` clause suppresses nothing and is
 itself an active ``NOQA001`` finding, and a file that does not parse is
 an active ``PARSE`` finding.  The report also carries the
-behavior-closure digest, its drift against the baseline, and the
-current scalar/ensemble pairing fingerprints.
+behavior-closure digest and its drift against the baseline.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.analysis.lint.baseline import Baseline, PairRecord
+from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.closure import ClosureReport, compute_closure
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.project import ProjectModel
 from repro.analysis.lint.registry import ModuleRule, ProjectRule, Rule, build_rules
-from repro.analysis.lint.rules.graph import current_pairs
 from repro.analysis.lint.suppress import (
     MALFORMED_SUPPRESSION_CODE,
     Suppression,
@@ -54,11 +52,9 @@ class LintReport:
     #: The behavior closure (None for single-snippet fixture runs and
     #: when a closure member does not parse).
     closure: Optional[ClosureReport] = None
-    #: Current fingerprints of every registered scalar/ensemble pair.
-    pairs: Dict[str, PairRecord] = field(default_factory=dict)
     #: Digest recorded in the baseline ('' without one).
     baseline_digest: str = ""
-    #: Whether the baseline's fingerprints compare on this interpreter.
+    #: Whether the baseline's digest compares on this interpreter.
     baseline_comparable: bool = False
 
     @property
@@ -139,7 +135,7 @@ def _check(
     if model is not None:
         for rule in report.rules:
             if isinstance(rule, ProjectRule):
-                raw.extend(rule.check(model, baseline))
+                raw.extend(rule.check(model))
     for finding in raw:
         suppression = suppressions.get(finding.module, {}).get(finding.line)
         if suppression is not None and suppresses(suppression, finding.rule):
@@ -185,8 +181,8 @@ def lint_package(
     """Lint a package tree (default: the installed ``repro`` package).
 
     Builds the project model once, parses every file of the tree and
-    shares the model between the module rules, the project rules, the
-    closure digest and the pairing table.  The report carries no closure
+    shares the model between the module rules, the project rules and the
+    closure digest.  The report carries no closure
     when a closure member does not parse.
 
     Raises
@@ -204,7 +200,6 @@ def lint_package(
         # A closure member does not parse: its PARSE finding below fails
         # the run, and no digest is claimed for a partial closure.
         report.closure = None
-    report.pairs = current_pairs(model)
     report.baseline_digest = resolved.closure_digest
     report.baseline_comparable = resolved.comparable
     unparsed = model.unparsed

@@ -1,4 +1,4 @@
-"""Normalized behavior fingerprints of functions, classes and modules.
+"""Normalized behavior fingerprints of modules.
 
 A fingerprint is a SHA-256 over ``ast.dump`` of a *normalized* AST:
 docstrings are stripped, comments and blank lines never reach the AST in
@@ -19,7 +19,6 @@ a reasonless marker opts nothing out and is reported by the IRR001 rule.
 from __future__ import annotations
 
 import ast
-import copy
 import hashlib
 import re
 from dataclasses import dataclass
@@ -89,42 +88,6 @@ def strip_docstring(owner: DocstringOwner) -> None:
         and isinstance(body[0].value.value, str)
     ):
         del body[0]
-
-
-def strip_docstrings(node: ast.AST) -> None:
-    """Remove every docstring expression from ``node``'s subtree, in place.
-
-    The project model strips the owners its single indexing walk
-    collected (see :class:`~repro.analysis.lint.context.TreeIndex`)
-    instead of walking again; this helper serves detached trees.
-    """
-    for child in ast.walk(node):
-        if isinstance(child, DOCSTRING_OWNERS):
-            strip_docstring(child)
-
-
-def normalized_dump(node: ast.AST) -> str:
-    """``ast.dump`` of ``node`` with docstrings and locations stripped.
-
-    Deep-copies first, so the caller's AST is untouched; the project
-    model strips its trees in place once and hashes with
-    :func:`fingerprint_node` instead, to avoid the copy.
-    """
-    clone = copy.deepcopy(node)
-    strip_docstrings(clone)
-    return ast.dump(clone, include_attributes=False)
-
-
-def fingerprint_node(node: ast.AST) -> str:
-    """Behavior fingerprint of one already-normalized AST node.
-
-    The node must have had its docstrings stripped (see
-    :func:`strip_docstring`); line/column info is excluded by the dump
-    itself.
-    """
-    return hashlib.sha256(
-        ast.dump(node, include_attributes=False).encode("utf-8")
-    ).hexdigest()[:16]
 
 
 def fingerprint_module(

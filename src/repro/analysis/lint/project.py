@@ -1,4 +1,4 @@
-"""The AST-driven project model: modules, symbols, import/call graph.
+"""The AST-driven project model: modules, fingerprints, import/call graph.
 
 :meth:`ProjectModel.build` only *lists* a package tree: every source
 file is named from its path relative to the tree root
@@ -15,8 +15,7 @@ module (:attr:`ProjectModel.modules`), parses them all.
 
 Fingerprints (see :mod:`repro.analysis.lint.fingerprint`) are computed
 on first read and cached: the whole-module fingerprint the digest
-hashes, and the per-definition symbol fingerprints and marker data that
-only the project rules read.
+hashes, and the marker data IRR001 reads.
 
 The dependency graph:
 
@@ -42,36 +41,15 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.fingerprint import (
     Marker,
     fingerprint_module,
-    fingerprint_node,
-    marker_for,
     parse_markers,
     strip_docstring,
 )
-
-Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
-
-
-@dataclass(frozen=True)
-class SymbolInfo:
-    """One fingerprinted top-level definition."""
-
-    name: str
-    kind: str
-    line: int
-    fingerprint: str
-
-
-def _definitions(tree: ast.Module) -> Iterator[Definition]:
-    """Top-level ``def``/``class`` statements of a module."""
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield stmt
 
 
 @dataclass
@@ -79,10 +57,10 @@ class ModuleInfo:
     """One parsed module of the project.
 
     The tree in :attr:`ctx` is normalized in place (docstrings removed)
-    so every fingerprint below can hash without deep-copying.  Rules
-    only inspect executable statements, so they are unaffected; anything
-    needing original source has ``ctx.lines``.  Each fingerprint is
-    computed on first read and cached.
+    so the fingerprint below can hash without deep-copying.  Rules only
+    inspect executable statements, so they are unaffected; anything
+    needing original source has ``ctx.lines``.  The fingerprint and the
+    markers are computed on first read and cached.
     """
 
     name: str
@@ -100,29 +78,6 @@ class ModuleInfo:
     def fingerprint(self) -> str:
         """Normalized whole-module fingerprint (opt-outs excluded)."""
         return fingerprint_module(self.ctx.tree, self.markers)
-
-    @cached_property
-    def symbols(self) -> Dict[str, SymbolInfo]:
-        """Fingerprints of every top-level ``def``/``class``, by name."""
-        return {
-            stmt.name: SymbolInfo(
-                name=stmt.name,
-                kind="class" if isinstance(stmt, ast.ClassDef) else "function",
-                line=stmt.lineno,
-                fingerprint=fingerprint_node(stmt),
-            )
-            for stmt in _definitions(self.ctx.tree)
-        }
-
-    @cached_property
-    def irrelevant(self) -> Dict[str, str]:
-        """Symbol name -> reason for every valid behavior-irrelevant marker."""
-        irrelevant: Dict[str, str] = {}
-        for stmt in _definitions(self.ctx.tree):
-            marker = marker_for(stmt, self.markers)
-            if marker is not None:
-                irrelevant[stmt.name] = marker.reason
-        return irrelevant
 
     @cached_property
     def malformed_markers(self) -> Tuple[int, ...]:

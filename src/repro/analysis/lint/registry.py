@@ -7,9 +7,8 @@ comes in one of two kinds:
   :class:`~repro.analysis.lint.context.ModuleContext` at a time
   (DET/OBS/FP/CFG/API — anything visible in a single file);
 * a :class:`ProjectRule` checks the whole
-  :class:`~repro.analysis.lint.project.ProjectModel` against the
-  committed :class:`~repro.analysis.lint.baseline.Baseline`
-  (EQV/MUT/RED/IRR — pairing drift, worker reachability, markers).
+  :class:`~repro.analysis.lint.project.ProjectModel`
+  (MUT/RED/IRR — worker reachability, fast-path reductions, markers).
 
 Registration is a decorator, so adding a rule is: write the class,
 decorate it, import the module from :mod:`repro.analysis.lint.rules`.
@@ -22,7 +21,6 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
-from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.project import ProjectModel
@@ -64,10 +62,10 @@ class ModuleRule(Rule):
 
 
 class ProjectRule(Rule):
-    """A rule over the whole project model and the committed baseline."""
+    """A rule over the whole project model."""
 
     @abc.abstractmethod
-    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+    def check(self, model: ProjectModel) -> Iterator[Finding]:
         """Yield every violation found in the project."""
 
 

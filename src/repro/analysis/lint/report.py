@@ -2,9 +2,8 @@
 
 The JSON document is the machine interface CI consumes (``repro lint
 --json``): ``schema``/``tool``/``rules``/``findings``/``summary`` plus a
-``closure`` section (digest, drift status) and the ``pairs`` table.  Its
-shape is frozen by a golden under ``tests/golden/`` so downstream
-automation can rely on it.
+``closure`` section (digest, drift status).  Its shape is frozen by a
+golden under ``tests/golden/`` so downstream automation can rely on it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.analysis.lint.findings import Severity
 from repro.analysis.lint.registry import rule_descriptions
 
 #: Version of the JSON report layout.
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def _plural(count: int, noun: str) -> str:
@@ -58,13 +57,6 @@ def render_json(report: LintReport) -> str:
             "baselined": len(report.baselined),
         },
         "closure": closure,
-        "pairs": {
-            name: {
-                "scalar": report.pairs[name].scalar,
-                "ensemble": report.pairs[name].ensemble,
-            }
-            for name in sorted(report.pairs)
-        },
     }
     return json.dumps(document, indent=2, sort_keys=True)
 
@@ -91,7 +83,7 @@ def render_human(report: LintReport, verbose: bool = False) -> str:
             if not report.baseline_comparable:
                 lines.append(
                     "baseline: recorded under a different interpreter; "
-                    "drift and pairing checks skipped"
+                    "drift check skipped"
                 )
             elif report.drift:
                 lines.append(

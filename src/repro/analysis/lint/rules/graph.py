@@ -1,19 +1,16 @@
-"""The project rules: EQV001, MUT001, RED001, IRR001.
+"""The project rules: MUT001, RED001, IRR001.
 
 Each checks a property of the whole project model, which no per-module
 rule can see:
 
-* **EQV001** — every scalar fast-path module is registered against its
-  vectorized ensemble twin; a scalar edit whose twin is untouched
-  relative to the committed pairing baseline is exactly the hazard the
-  bit-identity suites exist to catch, surfaced statically.
 * **MUT001** — module-level mutable containers in the worker-reachable
-  behavior closure are cross-process shared-state hazards for the PR-8
-  shard path (each worker forks its own copy; an in-place mutation
+  behavior closure are cross-process shared-state hazards for the
+  sharded path (each worker forks its own copy; an in-place mutation
   silently diverges between processes).
 * **RED001** — reductions over unordered iterables in the FP-exact
   fast-path modules produce order-dependent floating-point results,
-  breaking the bit-identity guarantee the fingerprints protect.
+  breaking the scalar/ensemble bit-identity the differential harness
+  checks.
 * **IRR001** — every behavior-irrelevant marker comment carries a
   ``reason=``; a reasonless one opts nothing out of the fingerprints.
 """
@@ -21,86 +18,14 @@ rule can see:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Tuple
+from typing import Iterator
 
-from repro.analysis.lint.baseline import Baseline, PairRecord
 from repro.analysis.lint.closure import CLOSURE_EXCLUDES, CLOSURE_ROOTS
 from repro.analysis.lint.context import ModuleContext
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.project import ProjectModel
 from repro.analysis.lint.registry import ProjectRule, RuleMeta, register
 from repro.analysis.lint.rules.floating_point import FAST_PATH_MODULES
-
-#: Scalar fast-path module <-> vectorized ensemble twin pairings.
-TWIN_MODULES: Tuple[Tuple[str, str], ...] = (
-    ("repro.sched.scheduler", "repro.ensemble.sched"),
-    ("repro.power.table", "repro.ensemble.power_thermal"),
-    ("repro.core.agent", "repro.ensemble.agents"),
-    ("repro.core.manager", "repro.ensemble.managers"),
-)
-
-
-def pair_id(scalar: str, ensemble: str) -> str:
-    """Stable baseline key of one scalar/ensemble pairing."""
-    return f"{scalar}|{ensemble}"
-
-
-def current_pairs(model: ProjectModel) -> Dict[str, PairRecord]:
-    """Fingerprints of every registered pair present in the tree."""
-    pairs: Dict[str, PairRecord] = {}
-    for scalar, ensemble in TWIN_MODULES:
-        scalar_info = model.modules.get(scalar)
-        twin_info = model.modules.get(ensemble)
-        if scalar_info is None or twin_info is None:
-            continue
-        pairs[pair_id(scalar, ensemble)] = PairRecord(
-            scalar=scalar_info.fingerprint, ensemble=twin_info.fingerprint
-        )
-    return pairs
-
-
-@register
-class ScalarEnsembleTwins(ProjectRule):
-    """EQV001: scalar fast-path edits must touch their ensemble twin."""
-
-    meta = RuleMeta(
-        code="EQV001",
-        name="scalar edit without its ensemble twin",
-        severity=Severity.ERROR,
-        rationale=(
-            "the vectorized ensemble engine is bit-faithful to the "
-            "scalar fast path only while every behavior edit lands in "
-            "both; a scalar-only change relative to the committed "
-            "pairing baseline bypasses that guarantee until the runtime "
-            "equivalence suites catch it"
-        ),
-    )
-
-    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
-        if not baseline.comparable:
-            # Fingerprints recorded under a different interpreter (or no
-            # baseline at all) are not diffable against this tree.
-            return
-        for scalar, ensemble in TWIN_MODULES:
-            recorded = baseline.pairs.get(pair_id(scalar, ensemble))
-            if recorded is None:
-                continue
-            scalar_info = model.modules.get(scalar)
-            twin_info = model.modules.get(ensemble)
-            if scalar_info is None or twin_info is None:
-                continue
-            if (
-                scalar_info.fingerprint != recorded.scalar
-                and twin_info.fingerprint == recorded.ensemble
-            ):
-                yield self.finding(
-                    scalar_info.ctx,
-                    scalar_info.ctx.tree,
-                    f"behavior fingerprint of {scalar} changed but its "
-                    f"ensemble twin {ensemble} is untouched; mirror the "
-                    "edit (or verify equivalence) and refresh the pairing "
-                    "baseline with `repro lint --fix-baseline`",
-                )
 
 
 #: Constructor names whose module-level result is mutable shared state.
@@ -155,7 +80,7 @@ class NoWorkerSharedMutableState(ProjectRule):
         ),
     )
 
-    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+    def check(self, model: ProjectModel) -> Iterator[Finding]:
         try:
             members = model.reachable(
                 CLOSURE_ROOTS, exclude_prefixes=CLOSURE_EXCLUDES
@@ -225,7 +150,7 @@ class OrderedReductionsOnly(ProjectRule):
         ),
     )
 
-    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+    def check(self, model: ProjectModel) -> Iterator[Finding]:
         for name in sorted(model.modules):
             if name not in FAST_PATH_MODULES:
                 continue
@@ -268,7 +193,7 @@ class ReasonedMarkers(ProjectRule):
         ),
     )
 
-    def check(self, model: ProjectModel, baseline: Baseline) -> Iterator[Finding]:
+    def check(self, model: ProjectModel) -> Iterator[Finding]:
         for name in sorted(model.modules):
             info = model.modules[name]
             for line in info.malformed_markers:

@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--fix-baseline",
         action="store_true",
-        help="rewrite the baseline (findings, closure digest, pairs) and exit 0",
+        help="rewrite the baseline (findings, closure digest) and exit 0",
     )
     lint.add_argument(
         "--list-rules",
@@ -806,12 +806,10 @@ def _command_lint(args: argparse.Namespace) -> int:
             baseline_path,
             report.active,
             closure_digest=report.closure.digest,
-            pairs=report.pairs,
         )
         print(
             f"baseline {baseline_path} rewritten: closure "
-            f"{report.closure.digest[:16]}, {len(report.pairs)} pair(s), "
-            f"{count} finding(s)"
+            f"{report.closure.digest[:16]}, {count} finding(s)"
         )
         return 0
     if args.show_closure:

@@ -74,8 +74,11 @@ class GridPlan:
         return sorted(flat)
 
 
-def plan_grid(specs: Sequence[JobSpec], min_group: Optional[int] = None) -> GridPlan:
+def plan_grid(specs: Sequence[JobSpec]) -> GridPlan:
     """Partition a batch into ensemble groups plus scalar leftovers.
+
+    Eligible platforms with fewer than :data:`MIN_GROUP` cells (read at
+    call time) fall back to the scalar path.
 
     Parameters
     ----------
@@ -83,15 +86,7 @@ def plan_grid(specs: Sequence[JobSpec], min_group: Optional[int] = None) -> Grid
         The batch, in submission order.  Callers pass the *pending*
         (cache-missed, deduplicated) specs, so planning never changes
         what the cache already resolved.
-    min_group:
-        Smallest member count worth batching (default
-        :data:`MIN_GROUP`, read at call time); eligible platforms with
-        fewer cells fall back to the scalar path.
     """
-    if min_group is None:
-        min_group = MIN_GROUP
-    if min_group < 1:
-        raise ValueError(f"min_group must be >= 1, got {min_group}")
     by_platform: Dict[Optional[PlatformConfig], List[int]] = {}
     order: List[Optional[PlatformConfig]] = []
     scalar: List[int] = []
@@ -107,7 +102,7 @@ def plan_grid(specs: Sequence[JobSpec], min_group: Optional[int] = None) -> Grid
     groups: List[Tuple[int, ...]] = []
     for key in order:
         members = by_platform[key]
-        if len(members) >= min_group:
+        if len(members) >= MIN_GROUP:
             groups.append(tuple(members))
         else:
             scalar.extend(members)

@@ -230,7 +230,8 @@ class EnsembleJobSpec:
 
 
 def ensemble_job(members) -> EnsembleJobSpec:
-    """An ensemble job spec from an iterable of workload job specs."""
+    """An ensemble job spec from an iterable of ensemble-eligible job specs
+    (workload or scenario)."""
     return EnsembleJobSpec(members=tuple(members))
 
 

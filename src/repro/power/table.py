@@ -11,19 +11,18 @@ precomputes one :class:`OppPowerEntry` per operating point, keyed by the
 exact ladder frequency, so the per-core work becomes one dict lookup and
 a handful of scalar multiplies.
 
-Bit-identity contract: the evaluation methods repeat the *exact*
-floating-point operation order of the free functions.  In particular the
-dynamic-power chain ``a * c_eff * v * v * f`` associates left-to-right,
-so it must not be folded into ``a * precomputed_coeff`` — only the
-leakage prefactor ``k_leak * v`` (a genuine left-to-right prefix of the
-leakage chain) is safe to precompute.  ``dynamic_coeff_w`` equals the
-chain at ``a = 1.0`` exactly (multiplying by 1.0 first is an FP no-op)
-and is exposed for reporting and tests.
+Bit-identity contract: ``Chip.step`` evaluates the entries with the
+*exact* floating-point operation order of the free functions.  In
+particular the dynamic-power chain ``a * c_eff * v * v * f`` associates
+left-to-right, so it must not be folded into ``a * precomputed_coeff`` —
+only the leakage prefactor ``k_leak * v`` (a genuine left-to-right
+prefix of the leakage chain) is safe to precompute.  ``dynamic_coeff_w``
+equals the chain at ``a = 1.0`` exactly (multiplying by 1.0 first is an
+FP no-op) and is exposed for reporting and tests.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, NamedTuple, Tuple
 
 from repro.config import PowerConfig
@@ -103,20 +102,3 @@ class PowerTable:
         if entry is not None:
             return entry
         return self.entries[self.ladder.index_of(frequency_hz)]
-
-    def dynamic_power_w(self, frequency_hz: float, activity: float) -> float:
-        """Dynamic power at an operating point, matching the free function.
-
-        The caller's ``frequency_hz`` (not the entry's nominal one) goes
-        into the multiply chain, exactly as the seed chip passed it to
-        :func:`repro.power.dynamic.dynamic_power_w`.
-        """
-        if not 0.0 <= activity <= 1.0:
-            raise ValueError(f"activity {activity} outside [0, 1]")
-        voltage = self.entry_for_hz(frequency_hz).voltage_v
-        return activity * self.c_eff * voltage * voltage * frequency_hz
-
-    def leakage_power_w(self, frequency_hz: float, temp_c: float) -> float:
-        """Leakage power at an operating point, matching the free function."""
-        entry = self.entry_for_hz(frequency_hz)
-        return entry.leakage_scale_w * math.exp(self.t_leak * temp_c)

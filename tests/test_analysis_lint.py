@@ -31,7 +31,7 @@ from repro.analysis.lint import (
 from repro.cli import main
 
 MODULE_RULE_CODES = ("API001", "CFG001", "DET001", "DET002", "FP001", "OBS001")
-PROJECT_RULE_CODES = ("EQV001", "IRR001", "MUT001", "RED001")
+PROJECT_RULE_CODES = ("IRR001", "MUT001", "RED001")
 RULE_CODES = tuple(sorted(MODULE_RULE_CODES + PROJECT_RULE_CODES))
 
 
@@ -196,7 +196,7 @@ class TestReporters:
 
     def test_json_schema(self):
         document = json.loads(render_json(self.report()))
-        assert document["schema"] == 2
+        assert document["schema"] == 3
         assert document["tool"] == "repro-lint"
         # A snippet has no project model: only the module rules run.
         assert {r["code"] for r in document["rules"]} == set(MODULE_RULE_CODES)

@@ -30,21 +30,11 @@ from repro.experiments.engine import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-PROJECT_RULE_CODES = ("EQV001", "MUT001", "RED001", "IRR001")
+PROJECT_RULE_CODES = ("MUT001", "RED001", "IRR001")
 
-#: One registered twin pair plus one MUT001 violation reachable from the
-#: job executors — enough to exercise every CLI surface.
+#: One MUT001 violation reachable from the job executors — enough to
+#: exercise every CLI surface.
 AUDIT_FIXTURE = {
-    "sched/__init__.py": "",
-    "sched/scheduler.py": """
-    def pick(queue):
-        return queue[0]
-    """,
-    "ensemble/__init__.py": "",
-    "ensemble/sched.py": """
-    def pick_batch(queues):
-        return [q[0] for q in queues]
-    """,
     "experiments/__init__.py": "",
     "experiments/runner.py": "import repro.util\n",
     "util.py": "REGISTRY = {}\n",
@@ -96,20 +86,6 @@ class TestAuditCommand:
         assert main(argv) == 0
         assert main(argv + ["--verbose"]) == 0
         assert "baselined" in capsys.readouterr().out
-
-    def test_scalar_only_edit_is_caught_end_to_end(self, tmp_path, capsys):
-        package = write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        argv = ["lint", str(package), "--baseline", str(baseline)]
-        assert main(argv + ["--fix-baseline"]) == 0
-        capsys.readouterr()
-        (package / "sched" / "scheduler.py").write_text(
-            "def pick(queue):\n    return queue[-1]\n", encoding="utf-8"
-        )
-        assert main(argv) == 1
-        out = capsys.readouterr().out
-        assert "EQV001" in out
-        assert "repro.ensemble.sched" in out
 
     def test_check_drift_fails_after_behavior_edit(self, tmp_path, capsys):
         package = write_fixture(tmp_path)
@@ -168,7 +144,7 @@ class TestRuleSelection:
         assert ": 1 finding " in out
 
     def test_other_rule_filters_irr001_out(self, tmp_path, capsys):
-        assert main(self.argv(tmp_path, "EQV001")) == 0
+        assert main(self.argv(tmp_path, "MUT001")) == 0
         assert "IRR001" not in capsys.readouterr().out
 
 
@@ -205,12 +181,13 @@ class TestMalformedBaseline:
             ("{bad", "not valid JSON"),
             ('{"findings": {}, "schema": 1}', "schema 1"),
             (
-                '{"closure_digest": "", "findings": {}, "python": "3.11", '
-                '"schema": 2}',
-                "'pairs'",
+                '{"closure_digest": "", "findings": {}, "pairs": {}, '
+                '"python": "3.11", "schema": 2}',
+                "schema 2 (expected 3; re-record it with "
+                "`repro lint --fix-baseline`)",
             ),
         ],
-        ids=["invalid-json", "schema-1", "missing-pairs"],
+        ids=["invalid-json", "schema-1", "schema-2"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, content, needle):
         package = write_fixture(tmp_path)
@@ -333,9 +310,8 @@ def check_schema_golden(name, document):
 
 class TestJsonSchemas:
     def test_lint_json_schema(self, tmp_path, capsys):
-        # A tree with a real finding and a registered twin pair, so the
-        # per-finding and per-pair shapes are frozen too (empty sections
-        # would freeze nothing).
+        # A tree with a real finding, so the per-finding shape is frozen
+        # too (an empty section would freeze nothing).
         package = write_fixture(tmp_path)
         assert (
             main(
@@ -351,6 +327,5 @@ class TestJsonSchemas:
         )
         document = json.loads(capsys.readouterr().out)
         assert document["findings"]
-        assert document["pairs"]
         assert document["closure"]["modules"] > 0
         check_schema_golden("lint_json_schema.json", document)

@@ -19,9 +19,8 @@ from repro.analysis.lint import (
     closure_digest,
     closure_report,
     compute_closure,
-    fingerprint_node,
+    fingerprint_module,
     lint_package,
-    normalized_dump,
     parse_markers,
     python_tag,
 )
@@ -192,40 +191,22 @@ class TestFingerprints:
             tmp_path, "edited", edited
         )
 
-    def test_symbols_are_fingerprinted_individually(self, tmp_path):
-        model = build(
-            tmp_path,
-            {
-                "m.py": """
-                def f():
-                    return 1
-
-
-                class C:
-                    LIMIT = 4
-                """,
-            },
+    def test_normalized_dump_strips_docstrings_without_mutating(self, tmp_path):
+        """The model hashes its trees with docstrings stripped; the
+        file's own lines keep them."""
+        bare = build(tmp_path / "bare", {"m.py": "def f():\n    return 1\n"})
+        documented = build(
+            tmp_path / "doc", {"m.py": 'def f():\n    """doc"""\n    return 1\n'}
         )
-        symbols = model.modules["repro.m"].symbols
-        assert symbols["f"].kind == "function"
-        assert symbols["C"].kind == "class"
-        assert symbols["f"].fingerprint != symbols["C"].fingerprint
-
-    def test_normalized_dump_strips_docstrings_without_mutating(self):
-        import ast
-
-        tree = ast.parse('def f():\n    """doc"""\n    return 1\n')
-        dumped = normalized_dump(tree)
-        assert "doc" not in dumped
-        # The caller's tree is untouched: the docstring is still there.
-        assert ast.get_docstring(tree.body[0]) == "doc"
+        info = documented.modules["repro.m"]
+        assert info.fingerprint == bare.modules["repro.m"].fingerprint
+        assert ast.get_docstring(info.ctx.tree.body[0]) is None
+        assert '    """doc"""' in info.ctx.lines
 
     def test_fingerprint_node_is_stable_and_short(self):
-        import ast
-
-        stmt = ast.parse("def f():\n    return 1\n").body[0]
-        assert fingerprint_node(stmt) == fingerprint_node(stmt)
-        assert len(fingerprint_node(stmt)) == 16
+        tree = ast.parse("def f():\n    return 1\n")
+        assert fingerprint_module(tree, {}) == fingerprint_module(tree, {})
+        assert len(fingerprint_module(tree, {})) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +241,6 @@ class TestMarkers:
         edited = base.replace('"v1"', '"v2 (renamed)"')
         a = build(tmp_path / "a", {"m.py": base}).modules["repro.m"]
         b = build(tmp_path / "b", {"m.py": edited}).modules["repro.m"]
-        assert a.irrelevant == {"label": "log formatting only"}
         assert a.fingerprint == b.fingerprint
 
     def test_marked_edit_to_compute_still_changes_fingerprint(self, tmp_path):
@@ -288,7 +268,6 @@ class TestMarkers:
         a = build(tmp_path / "a", {"m.py": source}).modules["repro.m"]
         b = build(tmp_path / "b", {"m.py": edited}).modules["repro.m"]
         assert a.malformed_markers == (2,)
-        assert a.irrelevant == {}
         # No opt-out happened: the edit is visible.
         assert a.fingerprint != b.fingerprint
 

@@ -1,4 +1,4 @@
-"""Tests for the project rules: EQV001, MUT001, RED001, IRR001.
+"""Tests for the project rules: MUT001, RED001, IRR001.
 
 Each rule gets a fixture tree that must fire and one that must stay
 silent, plus the engine-level binning (noqa suppression, baselined
@@ -9,10 +9,8 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.lint import (
-    Baseline,
     lint_package,
     load_baseline,
-    pair_id,
     render_human,
     save_baseline,
 )
@@ -34,96 +32,6 @@ def write_tree(root, files):
 
 def codes(report):
     return [finding.rule for finding in report.active]
-
-
-#: A minimal tree containing one registered scalar/ensemble pair.
-TWIN_TREE = {
-    "sched/__init__.py": "",
-    "sched/scheduler.py": """
-    def pick(queue):
-        return queue[0]
-    """,
-    "ensemble/__init__.py": "",
-    "ensemble/sched.py": """
-    def pick_batch(queues):
-        return [q[0] for q in queues]
-    """,
-}
-
-
-class TestEQV001:
-    def baseline_for(self, package, path):
-        report = lint_package(package)
-        save_baseline(
-            path,
-            [],
-            closure_digest=report.closure.digest,
-            pairs=report.pairs,
-        )
-        return load_baseline(path)
-
-    def test_pairing_table_built_from_present_twins(self, tmp_path):
-        package = write_tree(tmp_path, TWIN_TREE)
-        report = lint_package(package)
-        key = pair_id("repro.sched.scheduler", "repro.ensemble.sched")
-        assert key in report.pairs
-        assert report.pairs[key].scalar
-        assert report.pairs[key].ensemble
-
-    def test_scalar_only_edit_fires(self, tmp_path):
-        package = write_tree(tmp_path, TWIN_TREE)
-        baseline = self.baseline_for(package, tmp_path / "baseline.json")
-        (package / "sched" / "scheduler.py").write_text(
-            "def pick(queue):\n    return queue[-1]\n", encoding="utf-8"
-        )
-        report = lint_package(package, baseline=baseline)
-        assert codes(report) == ["EQV001"]
-        finding = report.active[0]
-        assert finding.module == "repro.sched.scheduler"
-        assert "repro.ensemble.sched" in finding.message
-        assert "--fix-baseline" in finding.message
-
-    def test_mirrored_edit_is_silent(self, tmp_path):
-        package = write_tree(tmp_path, TWIN_TREE)
-        baseline = self.baseline_for(package, tmp_path / "baseline.json")
-        (package / "sched" / "scheduler.py").write_text(
-            "def pick(queue):\n    return queue[-1]\n", encoding="utf-8"
-        )
-        (package / "ensemble" / "sched.py").write_text(
-            "def pick_batch(queues):\n    return [q[-1] for q in queues]\n",
-            encoding="utf-8",
-        )
-        report = lint_package(package, baseline=baseline)
-        assert report.clean
-
-    def test_doc_only_scalar_edit_is_silent(self, tmp_path):
-        package = write_tree(tmp_path, TWIN_TREE)
-        baseline = self.baseline_for(package, tmp_path / "baseline.json")
-        scheduler = package / "sched" / "scheduler.py"
-        scheduler.write_text(
-            '"""Scheduler doc."""\n# comment\n' + scheduler.read_text(),
-            encoding="utf-8",
-        )
-        report = lint_package(package, baseline=baseline)
-        assert report.clean
-
-    def test_skipped_without_comparable_baseline(self, tmp_path):
-        package = write_tree(tmp_path, TWIN_TREE)
-        baseline = self.baseline_for(package, tmp_path / "baseline.json")
-        (package / "sched" / "scheduler.py").write_text(
-            "def pick(queue):\n    return queue[-1]\n", encoding="utf-8"
-        )
-        # Same fingerprints, recorded under a fictional interpreter:
-        # EQV001 must not diff apples against oranges.
-        foreign = Baseline(
-            python="0.0",
-            closure_digest=baseline.closure_digest,
-            pairs=baseline.pairs,
-            findings={},
-        )
-        report = lint_package(package, baseline=foreign)
-        assert report.clean
-        assert not report.baseline_comparable
 
 
 #: Worker-reachable tree for MUT001: runner -> util.
@@ -278,7 +186,6 @@ class TestEngineBinning:
             baseline_path,
             report.active,
             closure_digest=report.closure.digest,
-            pairs=report.pairs,
         )
         rerun = lint_package(
             package,
@@ -296,7 +203,6 @@ class TestEngineBinning:
             baseline_path,
             report.active,
             closure_digest=report.closure.digest,
-            pairs=report.pairs,
         )
         baseline = load_baseline(baseline_path)
         assert not lint_package(package, baseline=baseline).drift

@@ -407,6 +407,14 @@ EMERGENCY_BATCH = [
 ]
 EMERGENCY_TICK = 803
 
+#: A learning member long enough for its variation detector to open an
+#: inter-application trigger, which only a deviation seen under a held
+#: action can do (``action_stable`` in ``QLearningThermalAgent.decide``
+#: and ``BatchedAgents.decide_batch``).  The random batches run too few
+#: decision epochs to reach it.
+VARIATION_BATCH = [member("tachyon", "proposed", 4, iteration_scale=0.6)]
+VARIATION_TICK = 4000
+
 
 @settings(max_examples=4, deadline=None)
 @given(
@@ -443,6 +451,7 @@ EMERGENCY_TICK = 803
          tick=600, damage="newest", jobs=1)
 @example(batch=SCENARIO_BATCH, tick=SCENARIO_TICK, damage="newest", jobs=2)
 @example(batch=EMERGENCY_BATCH, tick=EMERGENCY_TICK, damage="none", jobs=1)
+@example(batch=VARIATION_BATCH, tick=VARIATION_TICK, damage="newest", jobs=1)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
     reference = check_every_axis(batch, tick, damage, jobs)
     if batch == SCENARIO_BATCH:
@@ -458,6 +467,8 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
         parked = EnsembleSimulation([build_sim(batch[0])])
         parked.run(max_ticks=tick)
         assert parked.members[0].pre_emergency_governor is not None
+    if batch == VARIATION_BATCH:
+        assert reference[batch[0]][0].manager_stats["inter_events"] > 0
 
 
 def test_cached_bytes_ignore_unfilled_capacity():

@@ -28,6 +28,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -101,14 +102,16 @@ class TestPlanGridProperties:
     @given(specs=_grids, min_group=_min_groups)
     @settings(deadline=None)
     def test_partition_covers_every_index_exactly_once(self, specs, min_group):
-        plan = plan_grid(specs, min_group=min_group)
+        with mock.patch.object(planner, "MIN_GROUP", min_group):
+            plan = plan_grid(specs)
         assert plan.indices() == list(range(len(specs)))
         assert plan.batched_members + len(plan.scalar) == len(specs)
 
     @given(specs=_grids, min_group=_min_groups)
     @settings(deadline=None)
     def test_groups_are_valid_uniform_ensembles(self, specs, min_group):
-        plan = plan_grid(specs, min_group=min_group)
+        with mock.patch.object(planner, "MIN_GROUP", min_group):
+            plan = plan_grid(specs)
         for group in plan.groups:
             assert len(group) >= min_group
             assert list(group) == sorted(group)
@@ -122,7 +125,8 @@ class TestPlanGridProperties:
     @given(specs=_grids, min_group=_min_groups)
     @settings(deadline=None)
     def test_ineligible_specs_always_stay_scalar(self, specs, min_group):
-        plan = plan_grid(specs, min_group=min_group)
+        with mock.patch.object(planner, "MIN_GROUP", min_group):
+            plan = plan_grid(specs)
         batched = {index for group in plan.groups for index in group}
         for index, spec in enumerate(specs):
             if not ensemble_eligible(spec):
@@ -133,8 +137,9 @@ class TestPlanGridProperties:
     @settings(deadline=None)
     def test_platform_cells_batch_all_or_none(self, specs, min_group):
         """Every eligible cell of a platform is batched iff the platform
-        mustered ``min_group`` cells — no partial groups."""
-        plan = plan_grid(specs, min_group=min_group)
+        mustered ``MIN_GROUP`` cells — no partial groups."""
+        with mock.patch.object(planner, "MIN_GROUP", min_group):
+            plan = plan_grid(specs)
         eligible_by_platform = Counter(
             spec.platform for spec in specs if ensemble_eligible(spec)
         )
@@ -149,8 +154,9 @@ class TestPlanGridProperties:
     @given(specs=_grids, min_group=_min_groups)
     @settings(deadline=None)
     def test_deterministic_and_first_appearance_ordered(self, specs, min_group):
-        plan = plan_grid(specs, min_group=min_group)
-        assert plan == plan_grid(list(specs), min_group=min_group)
+        with mock.patch.object(planner, "MIN_GROUP", min_group):
+            plan = plan_grid(specs)
+            assert plan == plan_grid(list(specs))
         # Groups appear in order of their platform's first eligible cell.
         first_indices = [group[0] for group in plan.groups]
         assert first_indices == sorted(first_indices)
@@ -169,11 +175,6 @@ class TestPlanGridProperties:
         every attempt of the worker that runs it."""
         with pytest.raises(ValueError, match="not ensemble-eligible"):
             ensemble_job([workload_job("tachyon", platform=_EMA_PLATFORM)])
-
-    def test_min_group_validation(self):
-        with pytest.raises(ValueError):
-            plan_grid([], min_group=0)
-        assert plan_grid([]) == plan_grid([])
 
     def test_varying_fields(self):
         a = workload_job("tachyon", policy="linux", seed=1)

@@ -17,9 +17,9 @@ from repro.perf import SectionTimer
 from repro.power.dynamic import dynamic_power_w
 from repro.power.leakage import leakage_power_w
 from repro.power.opp import OppLadder
-from repro.power.table import PowerTable
 from repro.sched.affinity import AffinityMapping, mapping_by_name
 from repro.sched.governors import make_governor
+from repro.soc.chip import Chip
 from repro.soc.simulator import Simulation
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.profile import ThermalProfile
@@ -35,53 +35,81 @@ LADDER = OppLadder(PLATFORM.opp_table)
 # ----------------------------------------------------------------------
 
 
+#: Activity factors the power checks cycle through.
+ACTIVITIES = (0.0, 0.03, 0.25, 0.5, 0.85, 1.0)
+
+
+def step_powers(chip, activities, frequencies_hz):
+    """One ``Chip.step``: the per-core dynamic and leakage powers it
+    evaluated, and the core temperatures it evaluated them at."""
+    temps = chip.core_temps_c().tolist()
+    chip.step(activities, frequencies_hz, PLATFORM.dt)
+    return chip._last_dynamic, chip._last_static, temps
+
+
+def assert_step_matches_free_functions(chip, activities, frequencies_hz, voltage):
+    """The chip's powers equal the seed's free functions, bit for bit."""
+    dynamic, static, temps = step_powers(chip, activities, frequencies_hz)
+    for core, (activity, frequency) in enumerate(zip(activities, frequencies_hz)):
+        assert dynamic[core] == dynamic_power_w(
+            activity, voltage, frequency, PLATFORM.power
+        )  # exact, not approx
+        assert static[core] == leakage_power_w(temps[core], voltage, PLATFORM.power)
+
+
 class TestPowerTable:
+    """``Chip.step`` evaluates per-core power from the table's entries."""
+
     def test_matches_free_functions_across_ladder_and_temperatures(self):
         """Exact (bitwise) agreement with the seed's free functions."""
-        table = PowerTable(LADDER, PLATFORM.power)
+        chip = Chip(PLATFORM, seed=0)
+        cores = PLATFORM.num_cores
+        temps = np.linspace(20.0, 110.0, 19).tolist()
         for point in LADDER.points:
-            for activity in (0.0, 0.03, 0.25, 0.5, 0.85, 1.0):
-                expected = dynamic_power_w(
-                    activity, point.voltage_v, point.frequency_hz, PLATFORM.power
+            for i in range(len(temps)):
+                chip.thermal.set_state(
+                    [temps[(i + c) % len(temps)] for c in range(cores)] + [40.0]
                 )
-                got = table.dynamic_power_w(point.frequency_hz, activity)
-                assert got == expected  # exact, not approx
-            for temp_c in np.linspace(20.0, 110.0, 19):
-                expected = leakage_power_w(
-                    float(temp_c), point.voltage_v, PLATFORM.power
+                activities = [ACTIVITIES[(i + c) % len(ACTIVITIES)] for c in range(cores)]
+                assert_step_matches_free_functions(
+                    chip, activities, [point.frequency_hz] * cores, point.voltage_v
                 )
-                got = table.leakage_power_w(point.frequency_hz, float(temp_c))
-                assert got == expected
 
     def test_cached_coefficients_are_exact_identities(self):
-        table = PowerTable(LADDER, PLATFORM.power)
-        for entry in table.entries:
-            # dynamic_coeff_w is the a=1 dynamic chain, exactly.
-            assert entry.dynamic_coeff_w == dynamic_power_w(
-                1.0, entry.voltage_v, entry.frequency_hz, PLATFORM.power
+        chip = Chip(PLATFORM, seed=0)
+        cores = PLATFORM.num_cores
+        for entry in chip.power_table.entries:
+            # At full activity and 0 °C (exp(t_leak * 0) == 1) the chip's
+            # powers are the entry's cached coefficients, exactly.
+            chip.thermal.set_state([0.0] * (cores + 1))
+            dynamic, static, _ = step_powers(
+                chip, [1.0] * cores, [entry.frequency_hz] * cores
             )
-            # leakage_scale_w is leakage at T where exp(t_leak*T) == 1.
-            assert entry.leakage_scale_w == leakage_power_w(
-                0.0, entry.voltage_v, PLATFORM.power
-            )
+            assert dynamic == [entry.dynamic_coeff_w] * cores
+            assert static == [entry.leakage_scale_w] * cores
 
     def test_uses_caller_frequency_like_the_seed_chip(self):
         """Tolerant (±1 Hz) lookups keep the caller's frequency in the chain."""
-        table = PowerTable(LADDER, PLATFORM.power)
-        point = LADDER.points[1]
-        off_hz = point.frequency_hz + 0.5  # matches the same rung
-        expected = dynamic_power_w(0.7, point.voltage_v, off_hz, PLATFORM.power)
-        assert table.dynamic_power_w(off_hz, 0.7) == expected
+        chip = Chip(PLATFORM, seed=0)
+        cores = PLATFORM.num_cores
+        for point in LADDER.points:
+            off_hz = point.frequency_hz + 0.5  # matches the same rung
+            assert_step_matches_free_functions(
+                chip, [0.7] * cores, [off_hz] * cores, point.voltage_v
+            )
 
     def test_unknown_frequency_raises_keyerror(self):
-        table = PowerTable(LADDER, PLATFORM.power)
+        chip = Chip(PLATFORM, seed=0)
+        cores = PLATFORM.num_cores
         with pytest.raises(KeyError):
-            table.entry_for_hz(123.0)
+            chip.step([0.5] * cores, [123.0] * cores, PLATFORM.dt)
 
     def test_activity_range_validated(self):
-        table = PowerTable(LADDER, PLATFORM.power)
+        chip = Chip(PLATFORM, seed=0)
+        cores = PLATFORM.num_cores
+        frequencies = [LADDER.max_point.frequency_hz] * cores
         with pytest.raises(ValueError):
-            table.dynamic_power_w(LADDER.max_point.frequency_hz, 1.5)
+            chip.step([1.5] + [0.5] * (cores - 1), frequencies, PLATFORM.dt)
 
 
 # ----------------------------------------------------------------------

@@ -78,15 +78,18 @@ def compute_closure(
 ) -> ClosureReport:
     """Closure membership and digest of a project model.
 
-    Parses only the closure's members (see :meth:`ProjectModel.reachable`).
+    Parses only the closure's members, one at a time, and keeps none of
+    the trees it parses (see :meth:`ProjectModel.fingerprints`); a model
+    that already holds them, as ``repro lint``'s does, is not parsed
+    again.
 
     Raises
     ------
     SyntaxError
         If a closure member does not parse.
     """
-    members = model.reachable(roots, exclude_prefixes=excludes)
-    modules = {name: model.module(name).fingerprint for name in members}
+    streamed = model.fingerprints(roots, exclude_prefixes=excludes)
+    modules = dict(sorted(streamed.items()))
     payload = {
         "schema": FINGERPRINT_SCHEMA_VERSION,
         "python": python_tag(),
@@ -114,7 +117,9 @@ def closure_report(root: Optional[Path] = None) -> ClosureReport:
     computed once per (process, package root): ``root=None`` and an
     explicit path to the installed package share one entry.  Computing
     it parses and fingerprints only the closure's members, never the
-    rest of the tree.  Tests that edit a tree in place must call
+    rest of the tree, and holds one parsed member at a time, so the
+    process (and every worker forked from it) keeps no trees' worth of
+    memory mapped afterwards.  Tests that edit a tree in place must call
     :func:`clear_closure_cache` between edits.
 
     Raises

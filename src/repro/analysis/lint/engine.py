@@ -194,6 +194,8 @@ def lint_package(
     report = LintReport(rules=build_rules(rules))
     model = ProjectModel.build(root)
     report.files = len(model.sources)
+    # Parse the whole tree first, so the closure reuses the kept trees.
+    modules = model.modules
     try:
         report.closure = compute_closure(model)
     except SyntaxError:
@@ -207,7 +209,6 @@ def lint_package(
         _parse_error(name, model.sources[name], unparsed[name])
         for name in sorted(unparsed)
     )
-    modules = model.modules
     contexts = [modules[name].ctx for name in sorted(modules)]
     _check(report, contexts, model, resolved)
     return report

@@ -8,10 +8,19 @@ first time something asks for it (:meth:`ProjectModel.module`): one
 ``ast.walk`` indexes its imports, dotted references and docstring owners
 (:class:`~repro.analysis.lint.context.TreeIndex`), the docstrings are
 stripped in place and the dependency edges are resolved from that index.
-Following edges from a set of roots (:meth:`ProjectModel.reachable`)
-therefore parses only the modules it reaches; the closure digest never
-touches the rest of the tree, while ``repro lint``, which visits every
-module (:attr:`ProjectModel.modules`), parses them all.
+Following edges from a set of roots (:meth:`ProjectModel.fingerprints`,
+:meth:`ProjectModel.reachable`) therefore parses only the modules it
+reaches; the closure digest never touches the rest of the tree, while
+``repro lint``, which visits every module (:attr:`ProjectModel.modules`),
+parses them all.
+
+:meth:`ProjectModel.module` keeps what it parses, for the rules that
+walk the trees later.  Following edges keeps nothing new: each reached
+module the model does not already hold is parsed, fingerprinted and
+dropped before the next one, keeping only its fingerprint and edges.
+Holding every closure tree until the digest is done would cost for the
+life of the process, since pymalloc keeps the arenas of freed trees
+mapped, and every pool worker forked from it inherits them.
 
 Fingerprints (see :mod:`repro.analysis.lint.fingerprint`) are computed
 on first read and cached: the whole-module fingerprint the digest
@@ -144,7 +153,7 @@ class ProjectModel:
         return cls(resolved, resolved.name, _list_sources(resolved))
 
     def module(self, name: str) -> ModuleInfo:
-        """The listed module ``name``, parsed and resolved on first request.
+        """The listed module ``name``, derived on first request and kept.
 
         Raises
         ------
@@ -155,8 +164,13 @@ class ProjectModel:
             later request).
         """
         info = self._parsed.get(name)
-        if info is not None:
-            return info
+        if info is None:
+            info = self._parsed[name] = self._derive(name)
+        return info
+
+    def _derive(self, name: str) -> ModuleInfo:
+        """Parse, index, strip and resolve ``name``; the model keeps nothing
+        but a parse error."""
         error = self._errors.get(name)
         if error is not None:
             raise error
@@ -167,14 +181,12 @@ class ProjectModel:
             raise
         for owner in ctx.index.docstring_owners:
             strip_docstring(owner)
-        info = ModuleInfo(
+        return ModuleInfo(
             name=name,
             path=ctx.path,
             ctx=ctx,
             imports=tuple(sorted(self._resolve_edges(ctx))),
         )
-        self._parsed[name] = info
-        return info
 
     def _parse_all(self) -> None:
         for name in self.sources:
@@ -269,12 +281,27 @@ class ProjectModel:
         Roots that are not present in the tree are ignored (a fixture
         tree need not mirror the full package).  ``exclude_prefixes``
         prunes both membership and traversal — an excluded module's own
-        imports are never followed.  Only the modules reached are parsed.
+        imports are never followed.  Only the modules reached are parsed
+        (see :meth:`fingerprints`).
 
         Raises
         ------
         SyntaxError
             If a reached module does not parse: its edges are unknown.
+        """
+        return sorted(self.fingerprints(roots, exclude_prefixes))
+
+    def fingerprints(
+        self,
+        roots: Iterable[str],
+        exclude_prefixes: Tuple[str, ...] = (),
+    ) -> Dict[str, str]:
+        """Fingerprint of every module :meth:`reachable` from ``roots``.
+
+        A reached module the model does not hold is derived, and only
+        its fingerprint and edges are kept: its tree is dropped before
+        the next module is parsed, so a fresh model never holds more
+        than one tree.  Raises as :meth:`reachable` does.
         """
 
         def excluded(name: str) -> bool:
@@ -283,16 +310,23 @@ class ProjectModel:
                 for prefix in exclude_prefixes
             )
 
-        seen: Set[str] = set()
+        fingerprints: Dict[str, str] = {}
         frontier: List[str] = sorted(
             name for name in roots if name in self.sources and not excluded(name)
         )
         while frontier:
             name = frontier.pop()
-            if name in seen:
+            if name in fingerprints:
                 continue
-            seen.add(name)
-            for edge in self.module(name).imports:
-                if edge not in seen and not excluded(edge):
-                    frontier.append(edge)
-        return sorted(seen)
+            info = self._parsed.get(name) or self._derive(name)
+            fingerprints[name] = info.fingerprint
+            edges = info.imports
+            # Drop the tree before the next parse, which reuses its
+            # memory: trees held to the end leave their arenas mapped.
+            del info
+            frontier.extend(
+                edge
+                for edge in edges
+                if edge not in fingerprints and not excluded(edge)
+            )
+        return fingerprints

@@ -7,6 +7,7 @@ the same dotted module names as it does for the installed package.
 
 import ast
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,13 @@ from repro.analysis.lint import (
     compute_closure,
     fingerprint_module,
     lint_package,
+    load_baseline,
     parse_markers,
     python_tag,
 )
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_tree(root, files):
@@ -343,6 +348,43 @@ class TestClosure:
         linted = compute_closure(ProjectModel.build())
         assert linted.digest == report.digest
         assert sorted(linted.modules) == sorted(report.modules)
+
+    def test_digest_holds_one_tree_at_a_time(self, monkeypatch):
+        # Trees left alive until the digest ends keep their pymalloc
+        # arenas mapped for the life of the process (and of every worker
+        # it forks), so each member's tree must die before the next parse.
+        trees = []
+        most_alive = 0
+        real_parse = ast.parse
+
+        def tracking_parse(*args, **kwargs):
+            nonlocal most_alive
+            tree = real_parse(*args, **kwargs)
+            trees.append(weakref.ref(tree))
+            most_alive = max(most_alive, sum(ref() is not None for ref in trees))
+            return tree
+
+        monkeypatch.setattr(ast, "parse", tracking_parse)
+        clear_closure_cache()
+        try:
+            streamed = closure_report()
+        finally:
+            clear_closure_cache()
+        monkeypatch.undo()
+        assert len(trees) == len(streamed.modules) > 1
+        assert most_alive == 1
+        assert all(ref() is None for ref in trees)
+
+        # The same digest as the lint model, which keeps every tree, and
+        # as the committed baseline.
+        held = ProjectModel.build()
+        assert len(held.modules) > len(streamed.modules)
+        linted = compute_closure(held)
+        assert linted.modules == streamed.modules
+        assert linted.digest == streamed.digest
+        baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
+        if baseline.comparable:
+            assert streamed.digest == baseline.closure_digest
 
     def test_digest_parses_only_closure_members(self, tmp_path, monkeypatch):
         package = write_tree(

@@ -415,6 +415,14 @@ EMERGENCY_TICK = 803
 VARIATION_BATCH = [member("tachyon", "proposed", 4, iteration_scale=0.6)]
 VARIATION_TICK = 4000
 
+#: A learning member long enough to reach the exploitation phase: it
+#: enters it at epoch 24 of 41 (tick 7,500).  The restore tick, and the
+#: checkpoint the newest-damaged chain falls back to, fall after the
+#: entry, so the exploration snapshot taken there is captured and
+#: restored.  The random batches stop before exploitation.
+EXPLOITATION_BATCH = [member("mpeg_dec", "proposed", 4, iteration_scale=0.5)]
+EXPLOITATION_TICK = 9000
+
 
 @settings(max_examples=4, deadline=None)
 @given(
@@ -452,6 +460,7 @@ VARIATION_TICK = 4000
 @example(batch=SCENARIO_BATCH, tick=SCENARIO_TICK, damage="newest", jobs=2)
 @example(batch=EMERGENCY_BATCH, tick=EMERGENCY_TICK, damage="none", jobs=1)
 @example(batch=VARIATION_BATCH, tick=VARIATION_TICK, damage="newest", jobs=1)
+@example(batch=EXPLOITATION_BATCH, tick=EXPLOITATION_TICK, damage="newest", jobs=1)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
     reference = check_every_axis(batch, tick, damage, jobs)
     if batch == SCENARIO_BATCH:
@@ -469,6 +478,11 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
         assert parked.members[0].pre_emergency_governor is not None
     if batch == VARIATION_BATCH:
         assert reference[batch[0]][0].manager_stats["inter_events"] > 0
+    if batch == EXPLOITATION_BATCH:
+        assert reference[batch[0]][0].manager_stats["exploitation_entry_epoch"] >= 0
+        held = build_sim(batch[0])
+        EnsembleSimulation([held]).run(max_ticks=tick)
+        assert held.manager.agent.stats.exploitation_entry_epoch is not None
 
 
 def test_cached_bytes_ignore_unfilled_capacity():

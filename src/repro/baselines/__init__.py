@@ -1,7 +1,9 @@
 """Baseline thermal-management policies the paper compares against.
 
-* :mod:`repro.baselines.linux_default` — plain Linux behaviour: default
-  scheduling plus a chosen cpufreq governor, no thermal manager;
+Plain Linux (default scheduling plus a cpufreq governor, no thermal
+manager) needs no module: it is a :class:`repro.soc.simulator.Simulation`
+built with ``manager=None``.
+
 * :mod:`repro.baselines.ge_qiu` — the DVFS-only Q-learning manager of
   Ge & Qiu (DAC 2011, the paper's ref. [7]), including the *modified*
   variant that re-learns on an explicit application-switch notification
@@ -11,7 +13,6 @@
 """
 
 from repro.baselines.ge_qiu import GeQiuThermalManager
-from repro.baselines.linux_default import make_linux_simulation
 from repro.baselines.static_policy import StaticPolicyManager
 
-__all__ = ["GeQiuThermalManager", "StaticPolicyManager", "make_linux_simulation"]
+__all__ = ["GeQiuThermalManager", "StaticPolicyManager"]

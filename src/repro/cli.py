@@ -27,8 +27,10 @@ output bytes.  ``all`` additionally writes each table to
 — or, at reduced ``--scale``, into the cache tree so scaled output
 never clobbers the committed full-scale artefacts.
 
-Numeric options are validated while parsing: a non-positive or
-non-finite ``--scale``, or a count below 1, exits 2 with a usage
+Options are validated while parsing: a non-positive or non-finite
+``--scale``, a count below 1, an unknown ``all --only`` name, or
+``--checkpoint-every``/``--resume`` without ``--checkpoint-dir`` (only
+``run --resume CKPT`` implies the directory) exits 2 with a usage
 message before any work starts.  Host-time benchmarking lives outside
 the package, in ``perfbench/run.py`` (see ``perfbench/README.md``).
 """
@@ -65,6 +67,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def _artefact_names(text: str) -> str:
+    """argparse ``type=``: a comma-separated list of known artefacts
+    (``all --only``); returned unchanged."""
+    unknown = [name for name in text.split(",") if name not in ARTEFACTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown artefact(s) {unknown}; known: {', '.join(ARTEFACTS)}"
+        )
+    return text
 
 
 def _package_dir(text: str) -> Path:
@@ -135,9 +148,27 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that also rejects checkpoint flags without a
+    store directory; subcommand parsers inherit the check."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # Commands without checkpoint flags have no ``checkpoint_dir``;
+        # ``run --resume CKPT`` implies the directory holding CKPT.
+        if getattr(namespace, "checkpoint_dir", "") is None and not isinstance(
+            namespace.resume, str
+        ):
+            if namespace.checkpoint_every is not None:
+                self.error("--checkpoint-every needs --checkpoint-dir")
+            if namespace.resume:
+                self.error("--resume needs --checkpoint-dir")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduce the DAC'14 RL thermal-management paper.",
     )
@@ -166,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--seed", type=int, default=1)
     everything.add_argument(
         "--only",
+        type=_artefact_names,
         default=None,
         help="comma-separated subset of artefacts (default: all of them)",
     )
@@ -232,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="checkpoint store directory (required for --checkpoint-every)",
+        help="checkpoint store directory (required for --checkpoint-every "
+        "and for --resume without CKPT)",
     )
     run.add_argument(
         "--resume",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.units import ghz
 
@@ -532,8 +532,6 @@ class ReliabilityConfig:
     reference_temp_c: float = 34.0
     #: Activation energy of the aging (EM/NBTI) Arrhenius term (eV).
     aging_activation_energy_ev: float = 0.70
-    #: Weibull slope of the lifetime distribution.
-    weibull_beta: float = 2.0
     #: Coffin-Manson exponent ``b`` of Eq. 3.
     coffin_manson_exponent: float = 2.35
     #: Temperature amplitude below which deformation is elastic (K).
@@ -553,9 +551,8 @@ class ReliabilityConfig:
 
     def __post_init__(self) -> None:
         _check_finite("reference_temp_c", self.reference_temp_c)
-        for name in ("aging_activation_energy_ev", "weibull_beta",
-                     "coffin_manson_exponent", "baseline_mttf_years",
-                     "cycling_reference_mttf_years"):
+        for name in ("aging_activation_energy_ev", "coffin_manson_exponent",
+                     "baseline_mttf_years", "cycling_reference_mttf_years"):
             _check_positive(name, getattr(self, name))
         _check_non_negative("elastic_threshold_k", self.elastic_threshold_k)
         _check_non_negative(

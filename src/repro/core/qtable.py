@@ -48,10 +48,6 @@ class QTable:
         """Q(state, action)."""
         return float(self._q[state, action])
 
-    def values_for(self, state: int) -> np.ndarray:
-        """The Q row of a state (a copy)."""
-        return self._q[state].copy()
-
     def best_action(self, state: int) -> int:
         """The greedy action of a state (lowest index wins ties).
 

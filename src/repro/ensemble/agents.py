@@ -34,7 +34,7 @@ and writes the scalar agents' declared state unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

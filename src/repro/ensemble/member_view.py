@@ -35,10 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ensemble.engine import EnsembleSimulation
 
 
-class LadderView:
-    """Just enough of :class:`Chip`'s ladder surface for managers."""
-
-
 class ChipView:
     """Read-only chip facade (managers query the OPP ladder)."""
 

@@ -35,7 +35,6 @@ import numpy as np
 from repro.ensemble.workloads import (
     PH_BARRIER,
     PH_COMPUTE,
-    PH_DONE,
     BatchedWorkloads,
 )
 from repro.sched.affinity import AffinityMapping

@@ -35,13 +35,12 @@ with the graceful-degradation layer off and on.
 Every experiment module provides ``cells(iteration_scale, seed)``, its
 grid as an ordered mapping from each cell's label (its row/column
 coordinates) to a hashable job spec, and ``render(summaries)``, its
-result from the same labels mapped to the cells' summaries; its
-``run_*`` function submits the cells as one batch to an optional
-``engine`` (:class:`repro.experiments.engine.ExperimentEngine`; serial
-and uncached when omitted) through ``run_grid`` and renders the
-summaries.  ``repro all``
-submits every artefact's cells as one batch, which is how it
-parallelises, deduplicates and memoises the evaluation.
+result from the same labels mapped to the cells' summaries.  An
+artefact is ``render(engine.run_grid(cells(...)))`` on an
+:class:`repro.experiments.engine.ExperimentEngine`: ``repro <artefact>``
+builds one that way, and ``repro all`` submits every artefact's cells
+as one batch, which is how it parallelises, deduplicates and memoises
+the evaluation.
 """
 
 from repro.experiments.runner import (
@@ -53,6 +52,6 @@ from repro.experiments.runner import (
 
 __all__ = ["POLICIES", "RunSummary", "run_scenario", "run_workload"]
 
-# The per-artefact entry points are intentionally not imported here:
+# The per-artefact modules are intentionally not imported here:
 # each pulls in a full experiment, and the CLI (repro.cli) already
 # aggregates them for interactive use.

@@ -26,12 +26,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.analysis.tables import format_table
 from repro.config import AgentConfig, default_agent_config
 from repro.core.actions import Action, ActionSpace
-from repro.experiments.engine import (
-    ExperimentEngine,
-    JobSpec,
-    scenario_job,
-    workload_job,
-)
+from repro.experiments.engine import JobSpec, scenario_job, workload_job
 from repro.experiments.runner import RunSummary
 from repro.units import ghz
 
@@ -185,20 +180,3 @@ def render(summaries: Mapping[Tuple[str, str], RunSummary]) -> AblationResult:
     return AblationResult(
         [AblationRow(*cell, summary) for cell, summary in summaries.items()]
     )
-
-
-def run_ablation(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    variants: Tuple[str, ...] = ABLATION_VARIANTS,
-    workloads: Tuple[Tuple[str, str], ...] = ABLATION_WORKLOADS,
-    scenario: Tuple[str, ...] = ABLATION_SCENARIO,
-    engine: Optional[ExperimentEngine] = None,
-) -> AblationResult:
-    """Run every variant on the workload mix."""
-    grid = cells(iteration_scale, seed, variants, workloads, scenario)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_ablation().format_table())

@@ -30,11 +30,7 @@ from repro.experiments.engine.cache import (
     artifact_dir,
     default_cache_root,
 )
-from repro.experiments.engine.planner import (
-    GridPlan,
-    plan_grid,
-    varying_fields,
-)
+from repro.experiments.engine.planner import GridPlan, plan_grid
 from repro.experiments.engine.scheduler import (
     EngineStats,
     ExperimentEngine,
@@ -77,6 +73,5 @@ __all__ = [
     "job_key",
     "plan_grid",
     "scenario_job",
-    "varying_fields",
     "workload_job",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -79,15 +79,8 @@ class CacheStats:
     mismatched: int = 0
 
     def as_dict(self) -> dict:
-        """Plain-dict view (for logging and tests)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidated": self.invalidated,
-            "corrupt": self.corrupt,
-            "mismatched": self.mismatched,
-        }
+        """Plain-dict view (for logging and tests), in field order."""
+        return asdict(self)
 
 
 @dataclass

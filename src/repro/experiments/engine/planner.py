@@ -32,9 +32,8 @@ function of the submitted batch.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import PlatformConfig
 from repro.experiments.engine.spec import JobSpec, ensemble_eligible
@@ -109,22 +108,3 @@ def plan_grid(specs: Sequence[JobSpec]) -> GridPlan:
     scalar.sort()
     return GridPlan(groups=tuple(groups), scalar=tuple(scalar))
 
-
-def varying_fields(specs: Sequence[JobSpec]) -> FrozenSet[str]:
-    """Names of :class:`JobSpec` fields that differ across ``specs``.
-
-    The experiments declare their ensemble-able axes as
-    ``ENSEMBLE_AXES`` constants; the planner property tests assert that
-    every planned group varies only along declared axes.
-    """
-    if not specs:
-        return frozenset()
-    first = specs[0]
-    varying = set()
-    for spec_field in dataclasses.fields(JobSpec):
-        reference = getattr(first, spec_field.name)
-        if any(
-            getattr(spec, spec_field.name) != reference for spec in specs[1:]
-        ):
-            varying.add(spec_field.name)
-    return frozenset(varying)

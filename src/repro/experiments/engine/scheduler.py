@@ -38,7 +38,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     Dict,
     Hashable,
@@ -94,18 +94,8 @@ class EngineStats:
     pool_restarts: int = 0
 
     def as_dict(self) -> dict:
-        """Plain-dict view (for logging and tests)."""
-        return {
-            "submitted": self.submitted,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "deduplicated": self.deduplicated,
-            "retried": self.retried,
-            "failed": self.failed,
-            "timeouts": self.timeouts,
-            "pool_restarts": self.pool_restarts,
-        }
+        """Plain-dict view (for logging and tests), in field order."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -127,16 +117,8 @@ class JobFailure:
     timed_out: bool = False
 
     def as_dict(self) -> dict:
-        """Plain-dict view (manifest records, summaries)."""
-        return {
-            "key": self.key,
-            "label": self.label,
-            "attempts": self.attempts,
-            "duration_s": self.duration_s,
-            "error_type": self.error_type,
-            "message": self.message,
-            "timed_out": self.timed_out,
-        }
+        """Plain-dict view (manifest records, summaries), in field order."""
+        return asdict(self)
 
 
 class EngineJobError(RuntimeError):
@@ -175,8 +157,7 @@ class ExperimentEngine:
         Worker processes; 1 executes inline in this process.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching.  The
-        default engine (``ExperimentEngine()``) is the serial, uncached
-        case every experiment's ``run_*`` function falls back to.
+        default engine (``ExperimentEngine()``) is serial and uncached.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  After
         every batch the engine folds its scheduling counters and
@@ -196,6 +177,7 @@ class ExperimentEngine:
     #: Total attempts per job before a structured failure is recorded.
     max_job_attempts: int = 3
     #: Checkpoint cadence (ticks) and per-job store root; see worker.
+    #: A cadence, like ``resume``, needs the root.
     checkpoint_every: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     #: Resume interrupted jobs from their newest valid checkpoint.
@@ -218,6 +200,10 @@ class ExperimentEngine:
             raise ValueError(
                 f"max_job_attempts must be >= 1, got {self.max_job_attempts}"
             )
+        if self.checkpoint_dir is None and (
+            self.checkpoint_every is not None or self.resume
+        ):
+            raise ValueError("checkpoint_every and resume need a checkpoint_dir")
 
     @classmethod
     def from_config(cls, config: EngineConfig) -> "ExperimentEngine":

@@ -219,10 +219,6 @@ class EnsembleJobSpec:
                     "ensembles require a uniform platform"
                 )
 
-    def member_keys(self, version: Optional[str] = None) -> Tuple[str, ...]:
-        """Each member's scalar cache key, in member order."""
-        return tuple(job_key(member, version) for member in self.members)
-
     @property
     def label(self) -> str:
         """Short display label for progress reporting."""

@@ -51,8 +51,9 @@ from repro.obs.metrics import MetricsRegistry
 
 #: Artefact name -> experiment module, in regeneration order.  Each
 #: module provides ``cells(iteration_scale, seed)`` and
-#: ``render(summaries)``, and ``run_<name>`` composing the two through
-#: :meth:`~repro.experiments.engine.ExperimentEngine.run_grid`.
+#: ``render(summaries)``; the artefact is ``render`` of
+#: :meth:`~repro.experiments.engine.ExperimentEngine.run_grid` over
+#: ``cells``.
 ARTEFACTS: Dict[str, ModuleType] = {
     "fig1": fig1_motivation,
     "table2": table2_intra,

@@ -21,10 +21,10 @@ cannot:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.faults.presets import default_supervisor_config, fault_config_for
 
@@ -36,12 +36,6 @@ FT_FAULT_MODES: Tuple[str, ...] = ("none", "sensor", "actuation")
 
 #: The workload of the study (the paper's mid-length application).
 FT_APP = "mpeg_dec"
-
-#: Grid axes the ensemble grid planner may batch across.  Fault
-#: injection vectorizes (each member keeps its own seeded fault
-#: schedule), and a supervised member keeps its own sensor and
-#: actuation supervisors, so the whole grid batches as one group.
-ENSEMBLE_AXES: Tuple[str, ...] = ("policy", "faults", "supervisor")
 
 
 @dataclass
@@ -171,32 +165,3 @@ def render(
     return FaultToleranceResult(
         [FaultToleranceRow(*cell, summary) for cell, summary in summaries.items()]
     )
-
-
-def run_fault_tolerance(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    app: str = FT_APP,
-    policies: Tuple[str, ...] = FT_POLICIES,
-    fault_modes: Tuple[str, ...] = FT_FAULT_MODES,
-    engine: Optional[ExperimentEngine] = None,
-) -> FaultToleranceResult:
-    """Run the full {policy} x {fault mode} x {supervisor} grid.
-
-    Parameters
-    ----------
-    iteration_scale:
-        Scale on the application's iteration count (shorter sweeps).
-    seed:
-        Measurement seed, shared by every cell.
-    app:
-        Workload name.
-    policies / fault_modes:
-        Grid axes (defaults: the headline controllers and fault modes).
-    """
-    grid = cells(iteration_scale, seed, app, policies, fault_modes)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fault_tolerance().format_table())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.sched.affinity import mapping_by_name
 from repro.thermal.profile import ThermalProfile
@@ -107,16 +107,3 @@ def cells(iteration_scale: float = 1.0, seed: int = 1) -> Dict[Cell, JobSpec]:
 def render(summaries: Mapping[Cell, RunSummary]) -> Fig1Result:
     """The figure from the summaries of :func:`cells`."""
     return Fig1Result([Fig1Cell(*cell, summary) for cell, summary in summaries.items()])
-
-
-def run_fig1(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig1Result:
-    """Run the four (application, placement) combinations."""
-    return render((engine or ExperimentEngine()).run_grid(cells(iteration_scale, seed)))
-
-
-if __name__ == "__main__":
-    print(run_fig1().format_table())

@@ -10,20 +10,15 @@ Linux.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, JobSpec, scenario_job
+from repro.experiments.engine import JobSpec, scenario_job
 from repro.experiments.runner import RunSummary
 from repro.workloads.scenarios import INTER_APP_SCENARIOS, scenario_name
 
 #: The policies of Figure 3, in bar order.
 FIG3_POLICIES: Tuple[str, ...] = ("linux", "ge_modified", "proposed")
-
-#: Grid axes the ensemble grid planner may batch across: every scenario
-#: cell shares the default platform, and the ensemble steps each
-#: member's application sequence on its own.
-ENSEMBLE_AXES: Tuple[str, ...] = ("apps", "policy")
 
 
 @dataclass
@@ -98,18 +93,3 @@ def render(summaries: Mapping[Tuple[Tuple[str, ...], str], RunSummary]) -> Fig3R
     return Fig3Result(
         [Fig3Row(scenario, row) for scenario, row in by_scenario.items()]
     )
-
-
-def run_fig3(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    scenarios: Sequence[Tuple[str, ...]] = INTER_APP_SCENARIOS,
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig3Result:
-    """Run all six scenarios under the three policies."""
-    grid = cells(iteration_scale, seed, scenarios)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fig3().format_table())

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import default_agent_config
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.thermal.profile import ThermalProfile
 
@@ -31,11 +31,6 @@ class Fig45Result:
     #: Trace after the transient (Figure 5's window).
     exploitation_profile: ThermalProfile
     split_s: float
-
-    @property
-    def linux_avg_c(self) -> float:
-        """Average temperature under Linux ondemand."""
-        return self.linux.average_temp_c
 
     @property
     def exploration_avg_c(self) -> float:
@@ -136,18 +131,3 @@ def render(summaries: Mapping[Cell, RunSummary]) -> Fig45Result:
         exploitation_profile=exploitation,
         split_s=split_s,
     )
-
-
-def run_fig45(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    app: str = "face_rec",
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig45Result:
-    """Run the two-phase trace experiment."""
-    grid = cells(iteration_scale, seed, app)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fig45().format_table())

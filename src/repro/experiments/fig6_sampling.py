@@ -32,19 +32,12 @@ from repro.config import (
     default_agent_config,
     default_reliability_config,
 )
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.reliability.mttf import cycling_mttf_years
 
 #: Sampling intervals swept (seconds).
 FIG6_INTERVALS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-
-#: Grid axes the ensemble grid planner may batch across.  The plain
-#: reference run and the managed sweep share the default platform and
-#: batch together; the EMA-filtered reference (``ema_tau_s=4``) is
-#: planner-ineligible (no batched low-pass sensor path) and always
-#: runs scalar.
-ENSEMBLE_AXES = ("policy", "agent_config")
 
 
 @dataclass
@@ -189,20 +182,3 @@ def render(summaries: Mapping[Cell, RunSummary]) -> Fig6Result:
             )
         )
     return result
-
-
-def run_fig6(
-    intervals: Sequence[float] = FIG6_INTERVALS,
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    app: str = "tachyon",
-    dataset: str = "set 2",
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig6Result:
-    """Sweep the sampling interval for one workload."""
-    grid = cells(iteration_scale, seed, intervals, app, dataset)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fig6().format_table())

@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import default_agent_config
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 
 #: The applications of Figure 7.
@@ -128,19 +128,3 @@ def render(summaries: Mapping[Cell, RunSummary]) -> Fig7Result:
         first = reference.setdefault((row.app, row.dataset), row.training_time_s)
         row.normalized_training_time = row.training_time_s / first
     return result
-
-
-def run_fig7(
-    epochs: Sequence[float] = FIG7_EPOCHS,
-    apps: Sequence[Tuple[str, str]] = FIG7_APPS,
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig7Result:
-    """Sweep the decision epoch for each application."""
-    grid = cells(iteration_scale, seed, epochs, apps)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fig7().format_table())

@@ -10,12 +10,12 @@ the agent finer control.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.tables import format_table
 from repro.config import default_agent_config
 from repro.core.actions import build_action_space
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 
 #: (num_states, (num_aging_bins, num_stress_bins)) design points.
@@ -27,12 +27,6 @@ STATE_GRID: Tuple[Tuple[int, Tuple[int, int]], ...] = (
 
 #: Action-space sizes swept.
 ACTION_GRID: Tuple[int, ...] = (4, 8, 12)
-
-#: Grid axes the ensemble grid planner may batch across.  The design
-#: points differ in agent configuration and action space only — the
-#: ensemble control plane runs such heterogeneous members through its
-#: scalar per-member manager fallback, still bit-identically.
-ENSEMBLE_AXES: Tuple[str, ...] = ("agent_config", "actions")
 
 
 @dataclass
@@ -130,21 +124,3 @@ def render(summaries: Mapping[Cell, RunSummary]) -> Fig8Result:
             )
         )
     return result
-
-
-def run_fig8(
-    state_grid: Sequence[Tuple[int, Tuple[int, int]]] = STATE_GRID,
-    action_grid: Sequence[int] = ACTION_GRID,
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    app: str = "mpeg_dec",
-    dataset: str = "clip 1",
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig8Result:
-    """Sweep the Q-table dimensions for one workload."""
-    grid = cells(iteration_scale, seed, state_grid, action_grid, app, dataset)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fig8().format_table())

@@ -11,13 +11,11 @@ of Section 6.5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import RunSummary
 from repro.experiments.table3_exec_time import (
-    TABLE3_APPS,
     TABLE3_POLICIES,
     by_app,
     cells,
@@ -51,14 +49,6 @@ class Fig9Result:
 
     rows: List[Fig9Row] = field(default_factory=list)
 
-    def saving(self, metric: str, policy: str, over: str) -> float:
-        """Mean fractional saving of ``policy`` relative to ``over``."""
-        ratios = []
-        for row in self.rows:
-            reference = getattr(row, metric)(over)
-            ratios.append(1.0 - getattr(row, metric)(policy) / reference)
-        return sum(ratios) / len(ratios)
-
     def format_table(self) -> str:
         """Render both panels."""
         headers = ["app", "metric"] + list(TABLE3_POLICIES)
@@ -88,23 +78,3 @@ def render(summaries: Mapping[Tuple[str, str], RunSummary]) -> Fig9Result:
     grid, so with a shared batch or cache the two artefacts share every
     run."""
     return Fig9Result([Fig9Row(*row) for row in by_app(summaries)])
-
-
-def run_fig9(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    apps: Tuple[str, ...] = TABLE3_APPS,
-    engine: Optional[ExperimentEngine] = None,
-) -> Fig9Result:
-    """Run the power/energy grid.
-
-    The grid is the same (app, policy, seed) set as Table 3, so with a
-    cache-backed engine the whole figure resolves from cache after a
-    ``repro all`` has regenerated Table 3.
-    """
-    grid = cells(iteration_scale, seed, apps)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_fig9().format_table())

@@ -39,11 +39,6 @@ MC_POLICIES: Tuple[str, ...] = ("linux", "proposed")
 #: Seed replicates per (app, policy) cell at full scale.
 MC_SEEDS = 256
 
-#: Grid axes the ensemble grid planner may batch across — every cell of
-#: this study shares the default platform closure, so the whole grid
-#: collapses into one ensemble group.
-ENSEMBLE_AXES: Tuple[str, ...] = ("app", "policy", "seed")
-
 
 def default_seed_count(iteration_scale: float) -> int:
     """Replicates per cell, scaled with the sweep's iteration scale.
@@ -208,37 +203,3 @@ def render(summaries: Mapping[Tuple[str, str, int], RunSummary]) -> MonteCarloRe
             for (app, policy), fleet in fleets.items()
         ]
     )
-
-
-def run_montecarlo(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    apps: Tuple[str, ...] = MC_APPS,
-    policies: Tuple[str, ...] = MC_POLICIES,
-    seeds: Optional[int] = None,
-    engine: Optional[ExperimentEngine] = None,
-) -> MonteCarloResult:
-    """Run the {app} x {policy} x {seed fleet} reliability grid.
-
-    Parameters
-    ----------
-    iteration_scale:
-        Scale on application lengths; also scales the default fleet
-        size (see :func:`default_seed_count`).
-    seed:
-        First seed of the fleet (see :func:`cells`).
-    apps / policies:
-        Grid axes.
-    seeds:
-        Replicates per cell; default scales with ``iteration_scale``.
-    engine:
-        Experiment engine (serial uncached when omitted); its default
-        routing batches the whole fleet through the vectorized ensemble
-        engine.
-    """
-    grid = cells(iteration_scale, seed, apps, policies, seeds)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_montecarlo().format_table())

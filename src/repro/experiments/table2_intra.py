@@ -10,10 +10,10 @@ Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 from repro.workloads.datasets import dataset_names_for
 
@@ -22,12 +22,6 @@ TABLE2_WORKLOADS: Tuple[str, ...] = ("tachyon", "mpeg_dec", "mpeg_enc")
 
 #: The policies of Table 2, in column order.
 TABLE2_POLICIES: Tuple[str, ...] = ("linux", "ge", "proposed")
-
-#: Grid axes the ensemble grid planner may batch across: every cell
-#: shares the default platform closure and differs only in these
-#: :class:`~repro.experiments.engine.spec.JobSpec` fields, so the whole
-#: table collapses into one ensemble group.
-ENSEMBLE_AXES: Tuple[str, ...] = ("app", "dataset", "policy")
 
 
 @dataclass
@@ -104,31 +98,3 @@ def render(summaries: Mapping[Tuple[str, str, str], RunSummary]) -> Table2Result
     return Table2Result(
         [Table2Row(app, dataset, row) for (app, dataset), row in by_row.items()]
     )
-
-
-def run_table2(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    workloads: Tuple[str, ...] = TABLE2_WORKLOADS,
-    engine: Optional[ExperimentEngine] = None,
-) -> Table2Result:
-    """Run the full Table 2 grid.
-
-    Parameters
-    ----------
-    iteration_scale:
-        Scale on application lengths (tests use < 1 for speed).
-    seed:
-        Measurement seed shared by all policies.
-    workloads:
-        Applications to include (the paper's three by default).
-    engine:
-        Experiment engine to submit the grid through (serial uncached
-        execution when omitted).
-    """
-    grid = cells(iteration_scale, seed, workloads)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_table2().format_table())

@@ -9,10 +9,10 @@ proposed approach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.tables import format_table
-from repro.experiments.engine import ExperimentEngine, JobSpec, workload_job
+from repro.experiments.engine import JobSpec, workload_job
 from repro.experiments.runner import RunSummary
 
 #: The policies of Table 3, in column order.
@@ -90,18 +90,3 @@ def by_app(
 def render(summaries: Mapping[Tuple[str, str], RunSummary]) -> Table3Result:
     """The table from the summaries of :func:`cells`."""
     return Table3Result([Table3Row(*row) for row in by_app(summaries)])
-
-
-def run_table3(
-    iteration_scale: float = 1.0,
-    seed: int = 1,
-    apps: Tuple[str, ...] = TABLE3_APPS,
-    engine: Optional[ExperimentEngine] = None,
-) -> Table3Result:
-    """Run the execution-time grid."""
-    grid = cells(iteration_scale, seed, apps)
-    return render((engine or ExperimentEngine()).run_grid(grid))
-
-
-if __name__ == "__main__":
-    print(run_table3().format_table())

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, IO, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, IO, Iterable, Iterator, List, Mapping, Optional, Union
 
 #: Version stamped into (and required of) every trace record.
 SCHEMA_VERSION = 1

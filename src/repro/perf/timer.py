@@ -85,15 +85,6 @@ class SectionTimer:
             sorted(self._totals.items(), key=lambda item: item[1], reverse=True)
         )
 
-    def fractions(self) -> Dict[str, float]:
-        """Each section's share of the total accounted time."""
-        total = sum(self._totals.values())
-        if total <= 0.0:
-            return {section: 0.0 for section in self._totals}
-        return {
-            section: seconds / total for section, seconds in self.totals().items()
-        }
-
     def reset(self) -> None:
         """Zero all sections and the tick count."""
         self._totals.clear()

@@ -16,9 +16,7 @@ Bit-identity contract: ``Chip.step`` evaluates the entries with the
 particular the dynamic-power chain ``a * c_eff * v * v * f`` associates
 left-to-right, so it must not be folded into ``a * precomputed_coeff`` —
 only the leakage prefactor ``k_leak * v`` (a genuine left-to-right
-prefix of the leakage chain) is safe to precompute.  ``dynamic_coeff_w``
-equals the chain at ``a = 1.0`` exactly (multiplying by 1.0 first is an
-FP no-op) and is exposed for reporting and tests.
+prefix of the leakage chain) is safe to precompute.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ class OppPowerEntry(NamedTuple):
         The operating point's clock frequency.
     voltage_v:
         The operating point's supply voltage.
-    dynamic_coeff_w:
-        Dynamic power at full activity, ``c_eff * v * v * f``; equals
-        ``dynamic_power_w(1.0, v, f, config)`` bit-for-bit.
     leakage_scale_w:
         The leakage prefactor ``k_leak * v``; equals
         ``leakage_power_w(0.0, v, config)`` bit-for-bit (``exp(0) = 1``).
@@ -48,7 +43,6 @@ class OppPowerEntry(NamedTuple):
 
     frequency_hz: float
     voltage_v: float
-    dynamic_coeff_w: float
     leakage_scale_w: float
 
 
@@ -78,7 +72,6 @@ class PowerTable:
             entry = OppPowerEntry(
                 frequency_hz=frequency,
                 voltage_v=voltage,
-                dynamic_coeff_w=config.c_eff * voltage * voltage * frequency,
                 leakage_scale_w=config.k_leak * voltage,
             )
             entries.append(entry)

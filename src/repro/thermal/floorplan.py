@@ -9,7 +9,7 @@ conductances into the conductance matrix the RC model integrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

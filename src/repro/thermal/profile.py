@@ -186,13 +186,6 @@ class ThermalProfile:
             for core in range(self.num_cores)
         ]
 
-    def per_core_peak_c(self) -> List[float]:
-        """Peak temperature of each core."""
-        return [
-            float(np.max(self._data[core, : self._len]))
-            for core in range(self.num_cores)
-        ]
-
     def core_reports(self, config: ReliabilityConfig) -> List[MttfReport]:
         """Per-core reliability reports (aging + cycling MTTF)."""
         return [

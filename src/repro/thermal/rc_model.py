@@ -127,10 +127,6 @@ class RCThermalModel:
         """Current true core temperatures in degrees Celsius."""
         return self._temps[: self.num_cores].copy()
 
-    def spreader_temp_c(self) -> float:
-        """Current heat-spreader temperature in degrees Celsius."""
-        return float(self._temps[-1])
-
     def node_temps_c(self) -> np.ndarray:
         """All node temperatures (cores then spreader)."""
         return self._temps.copy()

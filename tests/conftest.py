@@ -19,6 +19,16 @@ from repro.thermal.floorplan import Floorplan
 from repro.workloads.alpbench import make_application
 
 
+def render_artefact(module, engine=None, **grid):
+    """One artefact the way ``repro <artefact>`` builds it:
+    ``module.render(engine.run_grid(module.cells(**grid)))``, on a serial
+    uncached engine unless ``engine`` is given."""
+    from repro.experiments.engine import ExperimentEngine
+
+    engine = engine if engine is not None else ExperimentEngine()
+    return module.render(engine.run_grid(module.cells(**grid)))
+
+
 @pytest.fixture
 def platform() -> PlatformConfig:
     """Default platform configuration."""

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.config import default_agent_config
+from repro.experiments import ablation
 from repro.experiments.ablation import (
     ABLATION_VARIANTS,
     AblationResult,
     AblationRow,
-    run_ablation,
     variant_config,
 )
+from tests.conftest import render_artefact
 
 
 def test_variant_names_covered():
@@ -59,7 +60,7 @@ def test_result_lookup():
 
 
 def test_run_ablation_fast_structure():
-    result = run_ablation(iteration_scale=0.15)
+    result = render_artefact(ablation, iteration_scale=0.15)
     # 4 variants x (2 intra workloads + 1 scenario).
     assert len(result.rows) == 4 * 3
     assert "Ablation" in result.format_table()

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis.autocorrelation import autocorrelation, decimate
-from repro.analysis.metrics import geometric_mean, mean, normalise_to
 from repro.analysis.tables import format_table
 
 
@@ -40,29 +39,6 @@ def test_decimate():
     assert decimate(list(range(5)), 1) == list(range(5))
     with pytest.raises(ValueError):
         decimate([1], 0)
-
-
-def test_normalise_to():
-    normalised = normalise_to({"a": 2.0, "b": 4.0}, "a")
-    assert normalised == {"a": 1.0, "b": 2.0}
-    with pytest.raises(KeyError):
-        normalise_to({"a": 1.0}, "z")
-    with pytest.raises(ValueError):
-        normalise_to({"a": 0.0}, "a")
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        geometric_mean([])
-    with pytest.raises(ValueError):
-        geometric_mean([1.0, -1.0])
-
-
-def test_mean():
-    assert mean([1.0, 2.0, 3.0]) == 2.0
-    with pytest.raises(ValueError):
-        mean([])
 
 
 def test_format_table_alignment():

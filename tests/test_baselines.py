@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines.ge_qiu import GeQiuThermalManager
-from repro.baselines.linux_default import make_linux_simulation
 from repro.baselines.static_policy import StaticPolicyManager
 from repro.config import GeQiuConfig
+from repro.experiments.runner import build_manager
 from repro.sched.affinity import mapping_by_name
 from repro.soc.simulator import Simulation
 from repro.workloads.alpbench import make_application
@@ -26,7 +26,11 @@ def short_app(name="mpeg_dec", iters=10, seed=5):
 
 
 def test_linux_simulation_has_no_manager():
-    sim = make_linux_simulation([short_app()], max_time_s=2000)
+    """Plain Linux is a simulation with no thermal manager: the runner's
+    ``linux`` policy builds none, and the default governor is ondemand."""
+    manager, governor, userspace = build_manager("linux")
+    assert manager is None and userspace is None
+    sim = Simulation([short_app()], governor=governor, manager=manager, max_time_s=2000)
     assert sim.manager is None
     assert sim.governor.name == "ondemand"
     result = sim.run()
@@ -34,7 +38,8 @@ def test_linux_simulation_has_no_manager():
 
 
 def test_linux_other_governor():
-    sim = make_linux_simulation([short_app()], governor="powersave", max_time_s=2000)
+    sim = Simulation([short_app()], governor="powersave", max_time_s=2000)
+    assert sim.manager is None
     assert sim.governor.name == "powersave"
 
 

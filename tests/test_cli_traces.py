@@ -1,10 +1,8 @@
-"""Tests for the CLI and the ASCII trace renderer."""
+"""Tests for the CLI."""
 
 import pytest
 
-from repro.analysis.traces import render_profile, render_series
 from repro.cli import ARTEFACTS, build_parser, main
-from repro.thermal.profile import ThermalProfile
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +31,39 @@ def test_parser_rejects_unknown_app():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "doom"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "tachyon", "--checkpoint-every", "50"],
+        ["run", "tachyon", "--resume"],
+        ["fig1", "--checkpoint-every", "50"],
+        ["all", "--resume"],
+    ],
+    ids=["run-every", "run-resume", "artefact-every", "all-resume"],
+)
+def test_checkpoint_flags_without_a_directory_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "needs --checkpoint-dir" in capsys.readouterr().err
+
+
+def test_resume_from_a_checkpoint_file_implies_its_directory():
+    args = build_parser().parse_args(
+        ["run", "tachyon", "--checkpoint-every", "50", "--resume", "ckpts/x.ckpt"]
+    )
+    assert args.checkpoint_dir is None and args.resume == "ckpts/x.ckpt"
+
+
+@pytest.mark.parametrize("only", ["nope", "fig1,", "fig1,,table2"])
+def test_all_only_rejects_unknown_artefacts(only, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["all", "--only", only])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown artefact" in err and ", ".join(ARTEFACTS) in err
 
 
 def test_cli_list(capsys):
@@ -71,48 +102,3 @@ def test_cli_all_subset(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert "jobs executed:" in out
     assert (tmp_path / "results-scale-0.15" / "fig1.txt").exists()
-
-
-# ---------------------------------------------------------------------------
-# ASCII traces
-# ---------------------------------------------------------------------------
-
-
-def test_render_series_shape():
-    series = [40.0 + (i % 10) for i in range(200)]
-    chart = render_series(series, width=40, height=8, title="trace")
-    lines = chart.splitlines()
-    assert lines[0] == "trace"
-    assert len(lines) == 1 + 8 + 1  # title + rows + axis
-    assert "#" in chart
-
-
-def test_render_series_axis_labels():
-    chart = render_series([30.0, 50.0, 30.0], height=5)
-    assert "50.0C" in chart
-    assert "30.0C" in chart
-
-
-def test_render_series_fixed_limits():
-    a = render_series([40.0, 45.0], t_min=30.0, t_max=80.0)
-    assert "80.0C" in a and "30.0C" in a
-
-
-def test_render_series_rejects_empty():
-    with pytest.raises(ValueError):
-        render_series([])
-
-
-def test_render_constant_series():
-    chart = render_series([42.0] * 50)
-    assert "#" in chart  # drawn at the bottom band
-
-
-def test_render_profile_envelope_and_core():
-    profile = ThermalProfile(2, 1.0)
-    for i in range(100):
-        profile.append([40.0 + (i % 5), 60.0])
-    envelope = render_profile(profile)
-    core0 = render_profile(profile, core=0)
-    assert "60.0" in envelope  # the hot core dominates the envelope
-    assert "#" in core0

@@ -25,7 +25,11 @@ running it is an *axis* that must reproduce the reference's
   equal the traced run's.
 
 The runner entry points and the workers return summaries only, so the
-last three axes compare the summary half of the digest.
+last three axes compare the summary part of the digest.  The digest's
+third part, the learning manager's final Q-table (:func:`learned`), is
+compared on the two axes that keep their simulations: a learning-rate
+change moves Q-values long before it flips a greedy action, so results
+and summaries can agree while the tables differ.
 
 :func:`check_every_axis` runs every axis, and the Hypothesis property
 below drives it over random batches.  The per-axis suites
@@ -191,9 +195,20 @@ def build_sim(spec, instrumentation=None) -> Simulation:
     )
 
 
+def learned(sim):
+    """A hash of the final Q-values and visit counts of ``sim``'s learning
+    manager (the proposed agent's table, or Ge & Qiu's), or ``None`` for
+    a member that learns nothing."""
+    agent = getattr(sim.manager, "agent", None)
+    table = agent.qtable if agent is not None else getattr(sim.manager, "_qtable", None)
+    if table is None:
+        return None
+    return hashlib.sha256(table._q.tobytes() + table._visits.tobytes()).hexdigest()
+
+
 def outcomes(specs, sims, results):
-    """``(spec, (result, summary))`` per member, summarised by the runner's
-    :func:`summarise`.
+    """``(spec, (result, summary, learned))`` per member, summarised by the
+    runner's :func:`summarise`.
 
     A single-pass member (``train_passes=0``), which keeps the ensemble
     suite's runs short, has no summary: most apps end such a pass inside
@@ -201,7 +216,9 @@ def outcomes(specs, sims, results):
     its result alone.
     """
     return [
-        (spec, (result, summarise(spec, sim, result) if spec.train_passes else None))
+        (spec, (
+            result, summarise(spec, sim, result) if spec.train_passes else None, learned(sim),
+        ))
         for spec, sim, result in zip(specs, sims, results)
     ]
 
@@ -224,8 +241,9 @@ def run_entry(spec, **hooks):
 
 
 def scalar(spec, instrumentation=None):
-    """The reference outcome ``(result, summary)`` of one member: its own
-    ``Simulation.run()``, summarised by the runner's :func:`summarise`."""
+    """The reference outcome ``(result, summary, learned)`` of one member:
+    its own ``Simulation.run()``, summarised by the runner's
+    :func:`summarise`."""
     sim = build_sim(spec, instrumentation)
     return outcomes([spec], [sim], [sim.run()])[0][1]
 
@@ -235,8 +253,9 @@ def unfilled(profile: ThermalProfile) -> np.ndarray:
     return profile._data[:, len(profile):]
 
 
-def digest(result, summary):
-    """The canonical member digest: ``(result hash, cached summary bytes)``.
+def digest(result, summary, learned=None):
+    """The canonical member digest: ``(result hash, cached summary bytes,
+    learned)``, ``learned`` being the outcome's :func:`learned` hash.
 
     The hash covers every :class:`SimulationResult` field (profile
     samples, energy, perf counters, app records, time, completion,
@@ -246,7 +265,7 @@ def digest(result, summary):
     """
     summary_bytes = None if summary is None else pickle.dumps(summary)
     if result is None:
-        return None, summary_bytes
+        return None, summary_bytes, learned
     perf, energy, profile = result.perf, result.energy, result.profile
     fields = (
         profile.num_cores, profile.sample_period_s, profile.samples.shape,
@@ -259,7 +278,7 @@ def digest(result, summary):
     )
     sha = hashlib.sha256(np.ascontiguousarray(profile.samples).tobytes())
     sha.update(repr(fields).encode())
-    return sha.hexdigest(), summary_bytes
+    return sha.hexdigest(), summary_bytes, learned
 
 
 def assert_same_digests(reference, axes):
@@ -274,6 +293,7 @@ def assert_same_digests(reference, axes):
             got = digest(*outcome)
             assert got[1] == want[spec][1], f"{axis} axis, {spec.label}: summary differs"
             assert got[0] in (None, want[spec][0]), f"{axis} axis, {spec.label}: result differs"
+            assert got[2] in (None, want[spec][2]), f"{axis} axis, {spec.label}: Q-table differs"
 
 
 def check_axes(batch, axes):
@@ -326,7 +346,7 @@ def traced(spec, chain_dir: Path):
     assert [entry.tick for entry in chain] == [
         CHECKPOINT_EVERY * (k + 1) for k in range(len(chain))
     ]
-    return (None, summary), obs
+    return (None, summary, None), obs
 
 
 def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
@@ -352,7 +372,7 @@ def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
     obs = fresh_obs()
     summary = run_entry(spec, instrumentation=obs, checkpoint_every=CHECKPOINT_EVERY,
                         checkpoint_dir=cut, resume=damage != "ignored")
-    return (None, summary), obs
+    return (None, summary, None), obs
 
 
 def traced_and_resumed(spec, tick, damage, root: Path):
@@ -377,7 +397,7 @@ def check_every_axis(batch, tick, damage, jobs):
         # example, so this axis always crosses the planner and shards.
         mp.setattr(planner, "MIN_GROUP", 1)
         summaries = ExperimentEngine(jobs=jobs, cache=None).run(runnable)
-    axes["sharded"] = [(spec, (None, summary)) for spec, summary in zip(runnable, summaries)]
+    axes["sharded"] = [(spec, (None, summary, None)) for spec, summary in zip(runnable, summaries)]
     axes["traced"], axes["resumed"] = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for index, spec in enumerate(dict.fromkeys(runnable)):
@@ -480,6 +500,7 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
         assert reference[batch[0]][0].manager_stats["inter_events"] > 0
     if batch == EXPLOITATION_BATCH:
         assert reference[batch[0]][0].manager_stats["exploitation_entry_epoch"] >= 0
+        assert reference[batch[0]][2] is not None  # the Q-tables were compared
         held = build_sim(batch[0])
         EnsembleSimulation([held]).run(max_ticks=tick)
         assert held.manager.agent.stats.exploitation_entry_epoch is not None
@@ -488,7 +509,7 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
 def test_cached_bytes_ignore_unfilled_capacity():
     """The cache bytes of a frozen run must not depend on the profile
     memory past its last sample."""
-    _, summary = scalar(member("tachyon", "linux", 1, max_time_s=FREEZE_S))
+    summary = scalar(member("tachyon", "linux", 1, max_time_s=FREEZE_S))[1]
     spare = unfilled(summary.profile)
     assert spare.size, "the frozen run's profile has no spare capacity to vary"
     spare[...] = 0.0

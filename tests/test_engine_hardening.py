@@ -230,6 +230,20 @@ def test_engine_config_validates_hardening_fields():
         EngineConfig(checkpoint_every=0)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [{"checkpoint_every": 50}, {"resume": True}],
+    ids=["every", "resume"],
+)
+def test_engine_rejects_checkpoint_flags_without_a_directory(flags):
+    """With no store directory a checkpoint flag would do nothing but
+    route every cell scalar, so every way of building an engine fails."""
+    with pytest.raises(ValueError, match="checkpoint_dir"):
+        ExperimentEngine(**flags)
+    with pytest.raises(ValueError, match="checkpoint_dir"):
+        ExperimentEngine.from_config(EngineConfig(use_cache=False, **flags))
+
+
 def test_job_failure_as_dict_round_trips():
     failure = JobFailure(
         key="a" * 64,

@@ -73,7 +73,7 @@ def test_ensemble_matches_scalar_under_faults():
         single("mpeg_dec", "proposed", 7 + 5 * k, faults=FAULTS, mapping=HALF)
         for k in range(MEMBERS)
     ])
-    for result, _ in scalar.values():
+    for result, *_ in scalar.values():
         assert result.fault_stats  # the injector actually fired
 
 
@@ -83,7 +83,7 @@ def test_vectorized_agent_matches_scalar_under_faults():
     scalar = check_ensemble([
         single("face_rec", "proposed", 17 + 7 * k, faults=FAULTS) for k in range(MEMBERS)
     ])
-    for result, _ in scalar.values():
+    for result, *_ in scalar.values():
         assert result.fault_stats  # the injector actually fired
         assert result.manager_stats  # the vectorized agent actually ran
 
@@ -135,7 +135,7 @@ def test_mixed_workloads_and_lengths_match_scalar():
     finish at different ticks and each still matches its scalar twin
     (including the ``completed`` flag)."""
     scalar = check_ensemble(MIXED + [single("sphinx", "linux", 35, max_time_s=FREEZE_S)])
-    assert any(not result.completed for result, _ in scalar.values())
+    assert any(not result.completed for result, *_ in scalar.values())
 
 
 @given(

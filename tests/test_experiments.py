@@ -6,7 +6,19 @@ structure and the robust qualitative trends, not exact values.
 
 import pytest
 
+from repro.experiments import (
+    fig1_motivation,
+    fig3_inter,
+    fig6_sampling,
+    fig7_epoch,
+    fig8_convergence,
+    fig9_power,
+    fig45_phases,
+    table2_intra,
+    table3_exec_time,
+)
 from repro.experiments.runner import POLICIES, build_manager, run_scenario, run_workload
+from tests.conftest import render_artefact
 
 FAST = 0.3  # iteration scale for quick runs
 
@@ -76,9 +88,7 @@ def test_run_scenario_structure():
 
 
 def test_fig1_motivation_structure():
-    from repro.experiments.fig1_motivation import run_fig1
-
-    result = run_fig1(iteration_scale=FAST)
+    result = render_artefact(fig1_motivation, iteration_scale=FAST)
     assert len(result.cells) == 4
     face_linux = result.cell("face_rec", "linux_default")
     assert face_linux.profile is not None
@@ -89,9 +99,7 @@ def test_fig1_motivation_structure():
 
 
 def test_table2_structure_and_trends():
-    from repro.experiments.table2_intra import run_table2
-
-    result = run_table2(iteration_scale=FAST, workloads=("tachyon",))
+    result = render_artefact(table2_intra, iteration_scale=FAST, workloads=("tachyon",))
     assert len(result.rows) == 3
     for row in result.rows:
         linux = row.summaries["linux"]
@@ -104,9 +112,7 @@ def test_table2_structure_and_trends():
 
 
 def test_fig3_structure():
-    from repro.experiments.fig3_inter import run_fig3
-
-    result = run_fig3(iteration_scale=FAST)
+    result = render_artefact(fig3_inter, iteration_scale=FAST)
     assert len(result.rows) == 6
     for row in result.rows:
         assert row.normalised("linux") == pytest.approx(1.0)
@@ -115,9 +121,7 @@ def test_fig3_structure():
 
 
 def test_fig45_split():
-    from repro.experiments.fig45_phases import run_fig45
-
-    result = run_fig45(iteration_scale=0.6)
+    result = render_artefact(fig45_phases, iteration_scale=0.6)
     assert result.split_s > 0.0
     assert len(result.exploration_profile) > 0
     assert len(result.exploitation_profile) > 0
@@ -127,9 +131,7 @@ def test_fig45_split():
 
 
 def test_fig6_trends():
-    from repro.experiments.fig6_sampling import run_fig6
-
-    result = run_fig6(intervals=(1, 3, 6, 10), iteration_scale=FAST)
+    result = render_artefact(fig6_sampling, intervals=(1, 3, 6, 10), iteration_scale=FAST)
     assert len(result.rows) == 4
     autocorrs = [r.autocorrelation for r in result.rows]
     # Autocorrelation decays with the interval.
@@ -142,9 +144,8 @@ def test_fig6_trends():
 
 
 def test_fig7_trends():
-    from repro.experiments.fig7_epoch import run_fig7
-
-    result = run_fig7(
+    result = render_artefact(
+        fig7_epoch,
         epochs=(5.0, 30.0, 80.0), apps=(("mpeg_dec", "clip 1"),), iteration_scale=FAST
     )
     series = result.series("mpeg_dec")
@@ -155,9 +156,8 @@ def test_fig7_trends():
 
 
 def test_fig8_structure():
-    from repro.experiments.fig8_convergence import run_fig8
-
-    result = run_fig8(
+    result = render_artefact(
+        fig8_convergence,
         state_grid=((4, (2, 2)), (12, (3, 4))),
         action_grid=(4, 12),
         iteration_scale=FAST,
@@ -169,9 +169,7 @@ def test_fig8_structure():
 
 
 def test_table3_structure():
-    from repro.experiments.table3_exec_time import run_table3
-
-    result = run_table3(iteration_scale=FAST, apps=("tachyon",))
+    result = render_artefact(table3_exec_time, iteration_scale=FAST, apps=("tachyon",))
     row = result.rows[0]
     # 3.4 GHz is the fastest, powersave the slowest.
     assert row.execution_time("userspace@3.4") <= row.execution_time("linux") * 1.05
@@ -182,9 +180,7 @@ def test_table3_structure():
 
 
 def test_fig9_structure():
-    from repro.experiments.fig9_power import run_fig9
-
-    result = run_fig9(iteration_scale=FAST, apps=("tachyon",))
+    result = render_artefact(fig9_power, iteration_scale=FAST, apps=("tachyon",))
     row = result.rows[0]
     assert row.dynamic_power_w("powersave") < row.dynamic_power_w("userspace@3.4")
     assert row.static_energy_j("linux") > 0.0

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.config import FaultConfig, SupervisorConfig
-from repro.experiments.fault_tolerance import run_fault_tolerance
+from repro.experiments import fault_tolerance
 from repro.faults import combined_fault_config, default_supervisor_config
 from repro.soc.simulator import Simulation, ThermalManagerBase
+from tests.conftest import render_artefact
 from tests.test_soc import short_app
 
 
@@ -131,7 +132,8 @@ def test_emergency_engages_at_critical_threshold():
 
 
 def test_all_policies_complete_on_faulty_substrate():
-    result = run_fault_tolerance(
+    result = render_artefact(
+        fault_tolerance,
         iteration_scale=0.02,
         policies=("linux", "ge", "proposed"),
         fault_modes=("sensor",),

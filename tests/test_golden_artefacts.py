@@ -31,6 +31,7 @@ import pytest
 from repro.experiments.engine import ExperimentEngine, ResultCache
 from repro.experiments.engine.sweep import ARTEFACTS
 from repro.obs.metrics import MetricsRegistry
+from tests.conftest import render_artefact
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -109,8 +110,9 @@ def test_ensemble_engine_never_writes_goldens(monkeypatch, tmp_path):
 def assert_matches_golden(name, engine):
     """``name``'s reduced grid through ``engine`` reproduces its golden
     (or, under ``REPRO_REGEN_GOLDEN`` on the scalar engine, rewrites it)."""
-    run = getattr(ARTEFACTS[name], f"run_{name}")
-    result = run(iteration_scale=SCALE, seed=1, engine=engine, **CASES[name])
+    result = render_artefact(
+        ARTEFACTS[name], engine, iteration_scale=SCALE, seed=1, **CASES[name]
+    )
     text = result.format_table() + "\n"
     golden_path = GOLDEN_DIR / f"{name}.txt"
 

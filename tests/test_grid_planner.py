@@ -1,5 +1,5 @@
 """The ensemble grid planner: partition properties, cache discipline,
-failure granularity, and the experiments' declared batching axes.
+failure granularity, and the experiments' ensemble groups.
 
 Four layers of guarantees over :mod:`repro.experiments.engine.planner`
 and the engine's ``ensemble=True`` execution path:
@@ -17,9 +17,8 @@ and the engine's ``ensemble=True`` execution path:
 * **Failure granularity** (regression) — a failed shard inside a real
   sweep grid degrades exactly its members' cells; a re-run against the
   same cache re-executes only the members that actually failed.
-* **Declared axes** — every experiment that advertises
-  ``ENSEMBLE_AXES`` produces grids whose planned groups vary only along
-  those axes.
+* **Ensemble groups** — the default grid of each experiment that
+  batches across its cells plans at least one ensemble group.
 """
 
 import dataclasses
@@ -50,7 +49,6 @@ from repro.experiments.engine.planner import (
     MIN_GROUP,
     ensemble_eligible,
     plan_grid,
-    varying_fields,
 )
 from repro.experiments.engine.scheduler import EngineJobError
 from repro.experiments.engine.spec import (
@@ -62,6 +60,7 @@ from repro.experiments.engine.spec import (
 )
 from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.engine.worker import job_checkpoint_dir
+from tests.conftest import render_artefact
 
 #: Smallest scale at which every app clears the 60 s warm-up skip.
 SCALE = 0.12
@@ -175,13 +174,6 @@ class TestPlanGridProperties:
         every attempt of the worker that runs it."""
         with pytest.raises(ValueError, match="not ensemble-eligible"):
             ensemble_job([workload_job("tachyon", platform=_EMA_PLATFORM)])
-
-    def test_varying_fields(self):
-        a = workload_job("tachyon", policy="linux", seed=1)
-        b = workload_job("tachyon", policy="proposed", seed=2)
-        assert varying_fields([]) == frozenset()
-        assert varying_fields([a]) == frozenset()
-        assert varying_fields([a, b]) == frozenset({"policy", "seed"})
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +323,8 @@ class TestPartialShardFailureInSweep:
             jobs=2, cache=cache, ensemble=True, max_job_attempts=1
         )
         with pytest.raises(EngineJobError) as excinfo:
-            montecarlo.run_montecarlo(
-                iteration_scale=SCALE, seeds=4, apps=("tachyon",), engine=engine
+            render_artefact(
+                montecarlo, engine, iteration_scale=SCALE, seeds=4, apps=("tachyon",)
             )
         members = [
             workload_job(
@@ -355,8 +347,8 @@ class TestPartialShardFailureInSweep:
 
         monkeypatch.undo()
         retry = ExperimentEngine(jobs=2, cache=cache, ensemble=True)
-        result = montecarlo.run_montecarlo(
-            iteration_scale=SCALE, seeds=4, apps=("tachyon",), engine=retry
+        result = render_artefact(
+            montecarlo, retry, iteration_scale=SCALE, seeds=4, apps=("tachyon",)
         )
         assert retry.stats.cache_hits == 4
         assert retry.stats.executed == 4
@@ -364,51 +356,26 @@ class TestPartialShardFailureInSweep:
 
 
 # ----------------------------------------------------------------------
-# Declared ensemble axes
+# Ensemble groups of the experiments' default grids
 # ----------------------------------------------------------------------
 
 
-class _Captured(Exception):
-    """Sentinel unwinding an experiment after its batch is recorded."""
-
-
-class _RecordingEngine(ExperimentEngine):
-    def run(self, specs):
-        self.captured = list(specs)
-        raise _Captured
-
-
-_AXED_EXPERIMENTS = {
-    "table2": (table2_intra.run_table2, table2_intra.ENSEMBLE_AXES),
-    "fig3": (fig3_inter.run_fig3, fig3_inter.ENSEMBLE_AXES),
-    "fig6": (fig6_sampling.run_fig6, fig6_sampling.ENSEMBLE_AXES),
-    "fig8": (fig8_convergence.run_fig8, fig8_convergence.ENSEMBLE_AXES),
-    "fault_tolerance": (
-        fault_tolerance.run_fault_tolerance,
-        fault_tolerance.ENSEMBLE_AXES,
-    ),
-    "montecarlo": (montecarlo.run_montecarlo, montecarlo.ENSEMBLE_AXES),
+_GROUPED_ARTEFACTS = {
+    "table2": table2_intra,
+    "fig3": fig3_inter,
+    "fig6": fig6_sampling,
+    "fig8": fig8_convergence,
+    "fault_tolerance": fault_tolerance,
+    "montecarlo": montecarlo,
 }
 
 
-@pytest.mark.parametrize("name", list(_AXED_EXPERIMENTS), ids=list(_AXED_EXPERIMENTS))
-def test_planned_groups_vary_only_along_declared_axes(name):
-    """Each experiment's full default grid partitions into groups that
-    vary only along its declared ``ENSEMBLE_AXES`` — capturing the
-    submitted batch costs no simulation time."""
-    run, axes = _AXED_EXPERIMENTS[name]
-    engine = _RecordingEngine(jobs=1)
-    with pytest.raises(_Captured):
-        run(iteration_scale=SCALE, seed=1, engine=engine)
-    specs = engine.captured
-    plan = plan_grid(specs)
-    assert plan.groups, f"{name} declared axes but plans no ensemble groups"
-    for group in plan.groups:
-        members = [specs[index] for index in group]
-        undeclared = varying_fields(members) - set(axes)
-        assert not undeclared, (
-            f"{name}: group varies along undeclared axes {sorted(undeclared)}"
-        )
+@pytest.mark.parametrize("name", list(_GROUPED_ARTEFACTS))
+def test_default_grid_plans_an_ensemble_group(name):
+    """Each of these experiments' default grids, at the sweep scale,
+    plans at least one ensemble group (planning runs no simulation)."""
+    grid = _GROUPED_ARTEFACTS[name].cells(iteration_scale=SCALE, seed=1)
+    assert plan_grid(list(grid.values())).groups, f"{name} plans no ensemble group"
 
 
 # ----------------------------------------------------------------------
@@ -422,10 +389,7 @@ def test_montecarlo_grid_executes_only_as_planned_ensemble_groups(monkeypatch):
     ``EnsembleJobSpec`` per planned group and no scalar member at all.
     Counting calls, not timing them, catches a quiet fallback to scalar
     jobs deterministically."""
-    recorder = _RecordingEngine(jobs=1)
-    with pytest.raises(_Captured):
-        montecarlo.run_montecarlo(iteration_scale=SCALE, engine=recorder)
-    submitted = recorder.captured
+    submitted = list(montecarlo.cells(iteration_scale=SCALE).values())
     plan = plan_grid(submitted)
 
     received = []
@@ -436,7 +400,7 @@ def test_montecarlo_grid_executes_only_as_planned_ensemble_groups(monkeypatch):
 
     monkeypatch.setattr(scheduler_module, "execute_job", recording_execute)
     engine = ExperimentEngine(ensemble=True, jobs=1, cache=None)
-    montecarlo.run_montecarlo(iteration_scale=SCALE, engine=engine)
+    render_artefact(montecarlo, engine, iteration_scale=SCALE)
 
     assert all(isinstance(spec, EnsembleJobSpec) for spec in received)
     assert len(received) == len(plan.groups)

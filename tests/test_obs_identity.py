@@ -57,7 +57,7 @@ class TestEmittedTraceContract:
     @pytest.fixture(scope="class")
     def traced(self):
         obs = fresh_obs()
-        _, summary = scalar(FAULTED, obs)
+        summary = scalar(FAULTED, obs)[1]
         return obs, summary
 
     def test_every_event_validates(self, traced):

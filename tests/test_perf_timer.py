@@ -31,18 +31,6 @@ class TestAccumulation:
         assert set(totals) == {"first", "second"}
         assert all(seconds >= 0.0 for seconds in totals.values())
 
-    def test_fractions_sum_to_one(self):
-        timer = SectionTimer()
-        timer.add("a", 3.0)
-        timer.add("b", 1.0)
-        fractions = timer.fractions()
-        assert fractions["a"] == pytest.approx(0.75)
-        assert fractions["b"] == pytest.approx(0.25)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_fractions_of_empty_timer(self):
-        assert SectionTimer().fractions() == {}
-
     def test_tick_counting_and_reset(self):
         timer = SectionTimer()
         timer.count_tick()

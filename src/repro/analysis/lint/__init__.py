@@ -42,7 +42,6 @@ from repro.analysis.lint.closure import (
     closure_digest,
     closure_report,
     compute_closure,
-    python_tag,
 )
 from repro.analysis.lint.context import ModuleContext, module_for_path
 from repro.analysis.lint.engine import LintReport, lint_package, lint_source
@@ -52,7 +51,9 @@ from repro.analysis.lint.fingerprint import (
     Marker,
     fingerprint_module,
     parse_markers,
+    python_tag,
 )
+from repro.analysis.lint.memo import MEMO_FILENAME, FingerprintMemo
 from repro.analysis.lint.project import ModuleInfo, ProjectModel
 from repro.analysis.lint.registry import (
     ModuleRule,
@@ -86,8 +87,10 @@ __all__ = [
     "ClosureReport",
     "FINGERPRINT_SCHEMA_VERSION",
     "Finding",
+    "FingerprintMemo",
     "LintReport",
     "MALFORMED_SUPPRESSION_CODE",
+    "MEMO_FILENAME",
     "Marker",
     "ModuleContext",
     "ModuleInfo",

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Union
 
-from repro.analysis.lint.closure import python_tag
 from repro.analysis.lint.findings import Finding
+from repro.analysis.lint.fingerprint import python_tag
 
 #: Default filename, looked up in the working directory.
 BASELINE_FILENAME = ".repro-lint-baseline.json"

@@ -20,18 +20,25 @@ digest document carries the fingerprint schema version and the
 interpreter's ``major.minor`` tag, so algorithm revisions and
 interpreter upgrades (whose ASTs and pickles differ) re-key the cache
 too.
+
+:func:`closure_report` keeps each member's fingerprint and unresolved
+edges in a content-keyed memo file (:mod:`repro.analysis.lint.memo`)
+under the result cache's root, so a fresh process hashes the members'
+bytes instead of parsing them.  The memo cannot go stale, since its
+keys cover everything an entry depends on, and ``--no-cache`` (no
+*result* cache) still uses it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.lint.fingerprint import FINGERPRINT_SCHEMA_VERSION
+from repro.analysis.lint.fingerprint import FINGERPRINT_SCHEMA_VERSION, python_tag
+from repro.analysis.lint.memo import MEMO_FILENAME, FingerprintMemo
 from repro.analysis.lint.project import ProjectModel, package_root
 
 #: The job executors whose transitive imports define the closure.
@@ -44,11 +51,6 @@ CLOSURE_ROOTS: Tuple[str, ...] = (
 
 #: Tooling packages never included in the closure.
 CLOSURE_EXCLUDES: Tuple[str, ...] = ("repro.analysis.lint",)
-
-
-def python_tag() -> str:
-    """``major.minor`` of the running interpreter (part of the digest)."""
-    return f"{sys.version_info[0]}.{sys.version_info[1]}"
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,21 @@ def compute_closure(
     model: ProjectModel,
     roots: Tuple[str, ...] = CLOSURE_ROOTS,
     excludes: Tuple[str, ...] = CLOSURE_EXCLUDES,
+    memo: Optional[FingerprintMemo] = None,
 ) -> ClosureReport:
     """Closure membership and digest of a project model.
 
-    Parses only the closure's members, one at a time, and keeps none of
-    the trees it parses (see :meth:`ProjectModel.fingerprints`); a model
-    that already holds them, as ``repro lint``'s does, is not parsed
-    again.
+    Parses only the closure's members that ``memo`` does not hold, one
+    at a time, and keeps none of the trees it parses (see
+    :meth:`ProjectModel.fingerprints`); a model that already holds them,
+    as ``repro lint``'s does, is not parsed again.
 
     Raises
     ------
     SyntaxError
         If a closure member does not parse.
     """
-    streamed = model.fingerprints(roots, exclude_prefixes=excludes)
+    streamed = model.fingerprints(roots, exclude_prefixes=excludes, memo=memo)
     modules = dict(sorted(streamed.items()))
     payload = {
         "schema": FINGERPRINT_SCHEMA_VERSION,
@@ -116,11 +119,14 @@ def closure_report(root: Optional[Path] = None) -> ClosureReport:
     Job-key derivation calls this for every spec, so the report is
     computed once per (process, package root): ``root=None`` and an
     explicit path to the installed package share one entry.  Computing
-    it parses and fingerprints only the closure's members, never the
-    rest of the tree, and holds one parsed member at a time, so the
-    process (and every worker forked from it) keeps no trees' worth of
-    memory mapped afterwards.  Tests that edit a tree in place must call
-    :func:`clear_closure_cache` between edits.
+    it reads the fingerprint memo at ``<cache root>/fingerprint-memo.json``
+    (``$REPRO_CACHE_DIR`` or ``./.repro-cache``) and parses only the
+    closure's members the memo misses, never the rest of the tree,
+    holding one parsed member at a time, so the process (and every
+    worker forked from it) keeps no trees' worth of memory mapped
+    afterwards.  A miss rewrites the memo with the closure's entries.
+    Tests that edit a tree in place must call :func:`clear_closure_cache`
+    between edits.
 
     Raises
     ------
@@ -133,7 +139,12 @@ def closure_report(root: Optional[Path] = None) -> ClosureReport:
     key = Path(root).resolve() if root is not None else package_root()
     cached = _CLOSURE_CACHE.get(key)
     if cached is None:
-        cached = compute_closure(ProjectModel.build(key))
+        # Imported lazily: the result cache pulls in the engine's spec
+        # layer, which ``repro lint`` never needs.
+        from repro.experiments.engine.cache import default_cache_root
+
+        memo = FingerprintMemo(default_cache_root() / MEMO_FILENAME)
+        cached = compute_closure(ProjectModel.build(key), memo=memo)
         _CLOSURE_CACHE[key] = cached
     return cached
 

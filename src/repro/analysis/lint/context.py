@@ -120,11 +120,20 @@ class ModuleContext:
         )
 
     @classmethod
-    def from_file(cls, path: Path, module: Optional[str] = None) -> "ModuleContext":
-        """Read and parse one file; ``module`` defaults from ``path``."""
-        return cls.from_source(
-            path.read_text(encoding="utf-8"), path=str(path), module=module
-        )
+    def from_file(
+        cls, path: Path, module: Optional[str] = None, data: Optional[bytes] = None
+    ) -> "ModuleContext":
+        """Read and parse one file; ``module`` defaults from ``path``.
+
+        ``data`` is the file's bytes when the caller already read them
+        (the fingerprint memo keys on them): the parse then sees exactly
+        the bytes that were keyed.  They are decoded as ``read_text``
+        would, UTF-8 with universal newlines.
+        """
+        if data is None:
+            data = path.read_bytes()
+        source = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return cls.from_source(source, path=str(path), module=module)
 
     # ------------------------------------------------------------------
     # Helpers for rules

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import re
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Union
 
@@ -28,6 +29,15 @@ from typing import Dict, List, Union
 #: fingerprints are derived so closure digests can never silently
 #: collide across algorithm revisions.
 FINGERPRINT_SCHEMA_VERSION = 1
+
+
+def python_tag() -> str:
+    """``major.minor`` of the running interpreter.
+
+    ASTs differ across Python minors, so the tag is part of the closure
+    digest and of every fingerprint-memo key.
+    """
+    return f"{sys.version_info[0]}.{sys.version_info[1]}"
 
 _MARKER_RE = re.compile(
     r"#\s*repro:\s*behavior-irrelevant(?:\s+reason=(?P<reason>.*))?"

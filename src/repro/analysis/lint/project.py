@@ -7,7 +7,7 @@ listing alone answers whether a module exists.  A module is parsed the
 first time something asks for it (:meth:`ProjectModel.module`): one
 ``ast.walk`` indexes its imports, dotted references and docstring owners
 (:class:`~repro.analysis.lint.context.TreeIndex`), the docstrings are
-stripped in place and the dependency edges are resolved from that index.
+stripped in place and the dependency edges are derived from that index.
 Following edges from a set of roots (:meth:`ProjectModel.fingerprints`,
 :meth:`ProjectModel.reachable`) therefore parses only the modules it
 reaches; the closure digest never touches the rest of the tree, while
@@ -16,25 +16,33 @@ parses them all.
 
 :meth:`ProjectModel.module` keeps what it parses, for the rules that
 walk the trees later.  Following edges keeps nothing new: each reached
-module the model does not already hold is parsed, fingerprinted and
-dropped before the next one, keeping only its fingerprint and edges.
-Holding every closure tree until the digest is done would cost for the
-life of the process, since pymalloc keeps the arenas of freed trees
-mapped, and every pool worker forked from it inherits them.
+module the model does not already hold is looked up in a
+:class:`~repro.analysis.lint.memo.FingerprintMemo` by its name and
+bytes, and only on a miss parsed, fingerprinted and dropped before the
+next one, keeping only its fingerprint and edges.  Holding every closure
+tree until the digest is done would cost for the life of the process,
+since pymalloc keeps the arenas of freed trees mapped, and every pool
+worker forked from it inherits them.
 
 Fingerprints (see :mod:`repro.analysis.lint.fingerprint`) are computed
 on first read and cached: the whole-module fingerprint the digest
 hashes, and the marker data IRR001 reads.
 
-The dependency graph:
+The dependency graph is derived in two steps.  First a module's
+:class:`~repro.analysis.lint.memo.EdgeCandidates`, which depend only on
+its bytes and dotted name (:func:`edge_candidates`):
 
 * every ``import``/``from ... import`` — including lazy imports inside
-  function bodies — adds an edge to the imported module *and* to each
-  ancestor package (importing ``repro.x.y`` executes ``repro/__init__``
-  and ``repro/x/__init__`` too);
+  function bodies — names a module, relative imports applied against
+  the module's own name;
 * every dotted call or attribute access that resolves (through the
-  context's import aliases) to a name under the package adds an edge to
-  the longest matching module prefix.
+  context's import aliases) to a name under the package names it.
+
+Then the candidates are resolved against the tree listing, the same way
+for a parsed module and a memo hit: an import adds an edge to the
+imported module *and* to each listed ancestor package (importing
+``repro.x.y`` executes ``repro/__init__`` and ``repro/x/__init__`` too);
+a reference adds an edge to its longest listed module prefix.
 
 The graph is what :mod:`repro.analysis.lint.closure` walks to derive
 the behavior-closure digest, and what the project rules use to decide
@@ -59,6 +67,7 @@ from repro.analysis.lint.fingerprint import (
     parse_markers,
     strip_docstring,
 )
+from repro.analysis.lint.memo import EdgeCandidates, FingerprintMemo
 
 
 @dataclass
@@ -75,8 +84,10 @@ class ModuleInfo:
     name: str
     path: str
     ctx: ModuleContext
+    #: The edges' names before the tree listing resolves them.
+    candidates: EdgeCandidates
     #: Resolved in-package dependency edges (sorted module names).
-    imports: Tuple[str, ...] = ()
+    imports: Tuple[str, ...]
 
     @cached_property
     def markers(self) -> Dict[int, Marker]:
@@ -121,13 +132,63 @@ def _list_sources(root: Path) -> Dict[str, Path]:
     return sources
 
 
+def _under(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def _import_from_base(node: ast.ImportFrom, module: str) -> Optional[str]:
+    """The absolute module a ``from ... import`` in ``module`` resolves against."""
+    if node.level == 0:
+        return node.module
+    # Relative import: strip ``level`` components off the importing
+    # module's package path (one level = the current package).
+    package_parts = module.split(".")
+    base_parts = package_parts[: len(package_parts) - node.level]
+    if node.module:
+        base_parts = base_parts + node.module.split(".")
+    return ".".join(base_parts) if base_parts else None
+
+
+def edge_candidates(ctx: ModuleContext, package: str) -> EdgeCandidates:
+    """The names under ``package`` that ``ctx``'s imports and dotted
+    references name: a function of the module's bytes and dotted name.
+
+    Names outside ``package`` are dropped here, since no listed module
+    can prefix them.
+    """
+    imports: Set[str] = set()
+    for node in ctx.index.imports:
+        if isinstance(node, ast.Import):
+            imports.update(item.name for item in node.names)
+            continue
+        base = _import_from_base(node, ctx.module)
+        if base is None:
+            continue
+        imports.add(base)
+        imports.update(
+            f"{base}.{item.name}" for item in node.names if item.name != "*"
+        )
+    references: Set[str] = set()
+    for ref in ctx.index.references:
+        target = ref.func if isinstance(ref, ast.Call) else ref
+        qualified = ctx.qualified_name(target)
+        if qualified is not None:
+            references.add(qualified)
+    return EdgeCandidates(
+        imports=tuple(sorted(name for name in imports if _under(name, package))),
+        references=tuple(
+            sorted(name for name in references if _under(name, package))
+        ),
+    )
+
+
 def _ancestors(module: str, package: str) -> List[str]:
     """``module`` plus every ancestor package down to ``package``."""
     parts = module.split(".")
     names: List[str] = []
     for depth in range(1, len(parts) + 1):
         candidate = ".".join(parts[:depth])
-        if candidate == package or candidate.startswith(package + "."):
+        if _under(candidate, package):
             names.append(candidate)
     return names
 
@@ -168,24 +229,27 @@ class ProjectModel:
             info = self._parsed[name] = self._derive(name)
         return info
 
-    def _derive(self, name: str) -> ModuleInfo:
-        """Parse, index, strip and resolve ``name``; the model keeps nothing
-        but a parse error."""
+    def _derive(self, name: str, data: Optional[bytes] = None) -> ModuleInfo:
+        """Parse, index, strip and resolve ``name`` (from ``data``, its
+        file's bytes, when already read); the model keeps nothing but a
+        parse error."""
         error = self._errors.get(name)
         if error is not None:
             raise error
         try:
-            ctx = ModuleContext.from_file(self.sources[name], module=name)
+            ctx = ModuleContext.from_file(self.sources[name], module=name, data=data)
         except SyntaxError as exc:
             self._errors[name] = exc
             raise
         for owner in ctx.index.docstring_owners:
             strip_docstring(owner)
+        candidates = edge_candidates(ctx, self.package)
         return ModuleInfo(
             name=name,
             path=ctx.path,
             ctx=ctx,
-            imports=tuple(sorted(self._resolve_edges(ctx))),
+            candidates=candidates,
+            imports=self._resolve(name, candidates),
         )
 
     def _parse_all(self) -> None:
@@ -221,42 +285,17 @@ class ProjectModel:
             if name in self.sources
         ]
 
-    def _resolve_edges(self, ctx: ModuleContext) -> Set[str]:
+    def _resolve(self, module: str, candidates: EdgeCandidates) -> Tuple[str, ...]:
+        """``module``'s dependency edges: its candidates resolved against
+        the tree listing (sorted module names)."""
         edges: Set[str] = set()
-        package_parts = ctx.module.split(".")
-        for node in ctx.index.imports:
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    edges.update(self._edge_targets(item.name))
-                continue
-            base = self._import_from_base(node, package_parts)
-            if base is None:
-                continue
-            edges.update(self._edge_targets(base))
-            for item in node.names:
-                if item.name != "*":
-                    edges.update(self._edge_targets(f"{base}.{item.name}"))
-        for ref in ctx.index.references:
-            target = ref.func if isinstance(ref, ast.Call) else ref
-            qualified = ctx.qualified_name(target)
-            if qualified is not None:
-                edges.add(self._longest_module_prefix(qualified))
-        edges.discard(ctx.module)
+        for name in candidates.imports:
+            edges.update(self._edge_targets(name))
+        for qualified in candidates.references:
+            edges.add(self._longest_module_prefix(qualified))
+        edges.discard(module)
         edges.discard("")
-        return edges
-
-    def _import_from_base(
-        self, node: ast.ImportFrom, package_parts: List[str]
-    ) -> Optional[str]:
-        """The absolute module a ``from ... import`` resolves against."""
-        if node.level == 0:
-            return node.module
-        # Relative import: strip ``level`` components off the importing
-        # module's package path (one level = the current package).
-        base_parts = package_parts[: len(package_parts) - node.level]
-        if node.module:
-            base_parts = base_parts + node.module.split(".")
-        return ".".join(base_parts) if base_parts else None
+        return tuple(sorted(edges))
 
     def _longest_module_prefix(self, qualified: str) -> str:
         """The longest known module that prefixes ``qualified`` ('' if none)."""
@@ -295,14 +334,22 @@ class ProjectModel:
         self,
         roots: Iterable[str],
         exclude_prefixes: Tuple[str, ...] = (),
+        memo: Optional[FingerprintMemo] = None,
     ) -> Dict[str, str]:
         """Fingerprint of every module :meth:`reachable` from ``roots``.
 
-        A reached module the model does not hold is derived, and only
-        its fingerprint and edges are kept: its tree is dropped before
-        the next module is parsed, so a fresh model never holds more
-        than one tree.  Raises as :meth:`reachable` does.
+        A reached module the model does not hold is looked up in
+        ``memo`` (default: an empty in-memory one) by its name and
+        bytes.  A hit is neither parsed nor walked.  A miss is derived,
+        and only its fingerprint and edges are kept: its tree is dropped
+        before the next module is parsed, so a fresh model never holds
+        more than one tree.  Either way the stored edge candidates are
+        resolved against this model's listing.  Afterwards the memo is
+        saved if anything was missing.  Raises as :meth:`reachable`
+        does.
         """
+        if memo is None:
+            memo = FingerprintMemo()
 
         def excluded(name: str) -> bool:
             return any(
@@ -318,15 +365,30 @@ class ProjectModel:
             name = frontier.pop()
             if name in fingerprints:
                 continue
-            info = self._parsed.get(name) or self._derive(name)
-            fingerprints[name] = info.fingerprint
-            edges = info.imports
-            # Drop the tree before the next parse, which reuses its
-            # memory: trees held to the end leave their arenas mapped.
-            del info
+            fingerprints[name], edges = self._summary(name, memo)
             frontier.extend(
                 edge
                 for edge in edges
                 if edge not in fingerprints and not excluded(edge)
             )
+        memo.save()
         return fingerprints
+
+    def _summary(
+        self, name: str, memo: FingerprintMemo
+    ) -> Tuple[str, Tuple[str, ...]]:
+        """Fingerprint and resolved edges of ``name``, parsing it only if
+        neither the model nor the memo holds it."""
+        held = self._parsed.get(name)
+        if held is not None:
+            return held.fingerprint, held.imports
+        data = self.sources[name].read_bytes()
+        key = memo.key(name, data)
+        entry = memo.get(key)
+        if entry is None:
+            # The tree dies with ``info`` when this returns, before the
+            # next parse reuses its memory: trees held to the end leave
+            # their arenas mapped.
+            info = self._derive(name, data)
+            entry = memo.put(key, info.fingerprint, info.candidates)
+        return entry.fingerprint, self._resolve(name, entry.candidates)

@@ -102,7 +102,9 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the content-addressed result cache under .repro-cache/",
+        help="bypass the content-addressed result cache under .repro-cache/ "
+        "(the closure digest's fingerprint memo there is still used: its "
+        "entries are keyed by file content and cannot go stale)",
     )
     parser.add_argument(
         "--job-timeout",

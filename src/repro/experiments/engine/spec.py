@@ -251,8 +251,12 @@ def behavior_digest() -> str:
     otherwise the digest of the tree at ``$REPRO_CLOSURE_ROOT`` (the
     installed ``repro`` package when unset).  The underlying computation
     is memoized per process and per root, so repeated key derivations —
-    and worker processes forked after the first one — pay the AST walk
-    at most once.
+    and worker processes forked after the first one — pay it at most
+    once.  A fresh process reads each closure module's fingerprint from
+    the content-keyed memo file under the cache root
+    (``fingerprint-memo.json``, see :mod:`repro.analysis.lint.memo`)
+    and parses only the modules it misses; ``--no-cache`` does not turn
+    the memo off.
     """
     pinned = os.environ.get(CLOSURE_DIGEST_ENV)
     if pinned:

@@ -68,6 +68,9 @@ class TestEndToEndInvalidation:
         )
         monkeypatch.delenv(CLOSURE_DIGEST_ENV, raising=False)
         monkeypatch.setenv(CLOSURE_ROOT_ENV, str(package))
+        # The fingerprint memo lives beside the result store, so these
+        # edits re-key through it.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_closure_cache()
         yield package
         clear_closure_cache()

@@ -6,6 +6,7 @@ the same dotted module names as it does for the installed package.
 """
 
 import ast
+import json
 import textwrap
 import weakref
 from pathlib import Path
@@ -14,6 +15,8 @@ import pytest
 
 import repro
 from repro.analysis.lint import (
+    MEMO_FILENAME,
+    FingerprintMemo,
     Marker,
     ProjectModel,
     clear_closure_cache,
@@ -46,6 +49,18 @@ def write_tree(root, files):
 
 def build(root, files):
     return ProjectModel.build(write_tree(root, files))
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh ``$REPRO_CACHE_DIR``: the closure digest starts from a cold
+    fingerprint memo and no memoised report, whatever earlier runs left
+    in ``./.repro-cache``."""
+    root = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    clear_closure_cache()
+    yield root
+    clear_closure_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +338,7 @@ class TestClosure:
         edited = compute_closure(ProjectModel.build(package)).digest
         assert edited != original
 
-    def test_closure_digest_memoised_per_root(self, tmp_path):
+    def test_closure_digest_memoised_per_root(self, tmp_path, cache_dir):
         package = write_tree(tmp_path, CLOSURE_TREE)
         clear_closure_cache()
         try:
@@ -343,16 +358,18 @@ class TestClosure:
         finally:
             clear_closure_cache()
 
-    def test_closure_report_and_lint_model_agree_on_the_real_tree(self):
+    def test_closure_report_and_lint_model_agree_on_the_real_tree(self, cache_dir):
         report = closure_report()
         linted = compute_closure(ProjectModel.build())
         assert linted.digest == report.digest
         assert sorted(linted.modules) == sorted(report.modules)
 
-    def test_digest_holds_one_tree_at_a_time(self, monkeypatch):
+    def test_digest_holds_one_tree_at_a_time(self, monkeypatch, cache_dir):
         # Trees left alive until the digest ends keep their pymalloc
         # arenas mapped for the life of the process (and of every worker
         # it forks), so each member's tree must die before the next parse.
+        # The memo is cold (``cache_dir``): a warm one parses nothing,
+        # which would pass this test vacuously.
         trees = []
         most_alive = 0
         real_parse = ast.parse
@@ -368,12 +385,18 @@ class TestClosure:
         clear_closure_cache()
         try:
             streamed = closure_report()
+            cold_parses = len(trees)
+            clear_closure_cache()
+            # The converse: the memo the cold run wrote serves every member.
+            warm = closure_report()
         finally:
             clear_closure_cache()
         monkeypatch.undo()
-        assert len(trees) == len(streamed.modules) > 1
+        assert cold_parses == len(streamed.modules) > 1
         assert most_alive == 1
         assert all(ref() is None for ref in trees)
+        assert len(trees) == cold_parses, "a warm memo must parse nothing"
+        assert warm.modules == streamed.modules
 
         # The same digest as the lint model, which keeps every tree, and
         # as the committed baseline.
@@ -386,7 +409,9 @@ class TestClosure:
         if baseline.comparable:
             assert streamed.digest == baseline.closure_digest
 
-    def test_digest_parses_only_closure_members(self, tmp_path, monkeypatch):
+    def test_digest_parses_only_closure_members(
+        self, tmp_path, monkeypatch, cache_dir
+    ):
         package = write_tree(
             tmp_path, {**CLOSURE_TREE, "tools/broken.py": "def broken(:\n"}
         )
@@ -414,7 +439,7 @@ class TestClosure:
         assert linted.closure is not None
         assert linted.closure.digest == report.digest
 
-    def test_closure_member_that_does_not_parse_raises(self, tmp_path):
+    def test_closure_member_that_does_not_parse_raises(self, tmp_path, cache_dir):
         package = write_tree(
             tmp_path, {**CLOSURE_TREE, "soc/chip.py": "def temp(:\n"}
         )
@@ -442,3 +467,243 @@ class TestClosure:
             ("API001", "pkg.a.util"),
             ("API001", "pkg.b.util"),
         ]
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def held_closure():
+    """The real tree's closure from a model that holds every tree."""
+    return compute_closure(ProjectModel.build())
+
+
+def count_parses(monkeypatch):
+    """Patch ``ast.parse`` to count its calls; returns the running list."""
+    calls = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        calls.append(kwargs.get("filename"))
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    return calls
+
+
+def warm_up(root=None):
+    """Compute the closure once (writing the memo), then forget it."""
+    clear_closure_cache()
+    report = closure_report(root)
+    clear_closure_cache()
+    return report
+
+
+def read_memo(cache_dir):
+    return json.loads((cache_dir / MEMO_FILENAME).read_text(encoding="utf-8"))
+
+
+def write_memo(cache_dir, document):
+    (cache_dir / MEMO_FILENAME).write_text(json.dumps(document), encoding="utf-8")
+
+
+def _cold(cache_dir, monkeypatch):
+    return None
+
+
+def _warm(cache_dir, monkeypatch):
+    warm_up()
+    return 0
+
+
+def _corrupt(cache_dir, monkeypatch):
+    cache_dir.mkdir(parents=True)
+    (cache_dir / MEMO_FILENAME).write_text("{not json", encoding="utf-8")
+    return None
+
+
+def _truncated(cache_dir, monkeypatch):
+    warm_up()
+    data = (cache_dir / MEMO_FILENAME).read_bytes()
+    (cache_dir / MEMO_FILENAME).write_bytes(data[: len(data) // 2])
+    return None
+
+
+def _wrong_shape_entries(cache_dir, monkeypatch):
+    warm_up()
+    document = read_memo(cache_dir)
+    keys = sorted(document["entries"])
+    document["entries"][keys[0]] = ["not", "an", "entry"]
+    document["entries"][keys[1]]["fingerprint"] = 7
+    document["entries"][keys[2]]["imports"] = "repro.soc"
+    document["entries"][keys[3]]["references"] = [None]
+    write_memo(cache_dir, document)
+    return 4
+
+
+def _read_only(cache_dir, monkeypatch):
+    # Root ignores permission bits, so the refusal is simulated too.
+    warm_up()
+    document = read_memo(cache_dir)
+    del document["entries"][sorted(document["entries"])[0]]
+    write_memo(cache_dir, document)
+    cache_dir.chmod(0o555)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only cache root")
+
+    monkeypatch.setattr("repro.analysis.lint.memo.atomic_write_text", refuse)
+    return 1
+
+
+def _not_a_directory(cache_dir, monkeypatch):
+    cache_dir.parent.mkdir(parents=True, exist_ok=True)
+    cache_dir.write_text("a file where the cache root should be", encoding="utf-8")
+    return None
+
+
+#: Memo state before the digest -> its parses (None: every member).
+MEMO_STATES = {
+    "cold": _cold,
+    "warm": _warm,
+    "corrupt": _corrupt,
+    "truncated": _truncated,
+    "wrong-shape-entries": _wrong_shape_entries,
+    "read-only": _read_only,
+    "not-a-directory": _not_a_directory,
+}
+
+LISTING_TREE = {
+    "experiments/__init__.py": "",
+    "experiments/runner.py": (
+        "import repro.soc\n\n\ndef run():\n    return repro.soc.extra.VALUE\n"
+    ),
+    "soc/__init__.py": "",
+}
+
+
+class TestFingerprintMemo:
+    @pytest.mark.parametrize("state", sorted(MEMO_STATES))
+    def test_digest_is_the_baseline_whatever_the_memo_holds(
+        self, state, cache_dir, monkeypatch, held_closure
+    ):
+        expected_parses = MEMO_STATES[state](cache_dir, monkeypatch)
+        parses = count_parses(monkeypatch)
+        try:
+            report = closure_report()
+        finally:
+            clear_closure_cache()
+        monkeypatch.undo()
+        if cache_dir.is_dir():
+            cache_dir.chmod(0o755)
+        assert report.modules == held_closure.modules
+        assert report.digest == held_closure.digest
+        baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
+        if baseline.comparable:
+            assert report.digest == baseline.closure_digest
+        assert len(parses) == (
+            len(report.modules) if expected_parses is None else expected_parses
+        )
+        if state not in ("read-only", "not-a-directory"):
+            # Whatever was missing or unreadable has been rewritten.
+            entries = read_memo(cache_dir)["entries"]
+            assert len(entries) == len(report.modules)
+
+    def test_warm_memo_sees_a_new_module_the_listing_adds(
+        self, tmp_path, cache_dir
+    ):
+        # ``runner.py`` never changes, so its memo entry stays a hit; the
+        # module its reference resolves to is decided by the listing.
+        package = write_tree(tmp_path, LISTING_TREE)
+        cold = warm_up(package)
+        assert "repro.soc" in cold.modules
+
+        extra = package / "soc" / "extra.py"
+        extra.write_text("VALUE = 1\n", encoding="utf-8")
+        warm = warm_up(package)
+        assert "repro.soc.extra" in warm.modules
+        fresh = compute_closure(ProjectModel.build(package))
+        assert warm.modules == fresh.modules
+        assert warm.digest == fresh.digest
+
+        extra.unlink()
+        assert warm_up(package) == cold
+
+    def test_same_bytes_under_two_names_get_their_own_edges(self, tmp_path):
+        relative = "from .helper import VALUE\n"
+        package = write_tree(
+            tmp_path,
+            {
+                "a/__init__.py": "",
+                "a/helper.py": "VALUE = 1\n",
+                "a/mod.py": relative,
+                "b/__init__.py": "",
+                "b/helper.py": "VALUE = 2\n",
+                "b/mod.py": relative,
+            },
+        )
+        path = tmp_path / "memo.json"
+        roots = ("repro.a.mod", "repro.b.mod")
+        held = ProjectModel.build(package).modules
+        for _ in range(2):
+            # A cold memo, then the warm one the first round saved.
+            model = ProjectModel.build(package)
+            memo = FingerprintMemo(path)
+            assert sorted(model.fingerprints(roots[:1], memo=memo)) == [
+                "repro",
+                "repro.a",
+                "repro.a.helper",
+                "repro.a.mod",
+            ]
+            assert sorted(model.fingerprints(roots[1:], memo=memo)) == [
+                "repro",
+                "repro.b",
+                "repro.b.helper",
+                "repro.b.mod",
+            ]
+            assert path.exists()
+        assert held["repro.a.mod"].imports != held["repro.b.mod"].imports
+
+    def test_syntax_error_after_a_warm_memo_still_raises(
+        self, tmp_path, cache_dir
+    ):
+        package = write_tree(tmp_path, CLOSURE_TREE)
+        warm_up(package)
+        (package / "soc" / "chip.py").write_text("def temp(:\n", encoding="utf-8")
+        try:
+            with pytest.raises(SyntaxError):
+                closure_report(package)
+        finally:
+            clear_closure_cache()
+
+    def test_memo_holds_only_the_current_closure(
+        self, tmp_path, cache_dir, monkeypatch
+    ):
+        package = write_tree(tmp_path, CLOSURE_TREE)
+        before = warm_up(package)
+        assert len(read_memo(cache_dir)["entries"]) == len(before.modules)
+
+        # A warm digest misses nothing, so the file is not rewritten.
+        writes = []
+        monkeypatch.setattr(
+            "repro.analysis.lint.memo.atomic_write_text",
+            lambda *args, **kwargs: writes.append(args),
+        )
+        assert warm_up(package) == before
+        assert writes == []
+        monkeypatch.undo()
+
+        # The runner stops importing the chip: the closure shrinks, and
+        # the rewritten memo drops the chip's entry with it.
+        runner = package / "experiments" / "runner.py"
+        runner.write_text("import repro.experiments\n", encoding="utf-8")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        after = warm_up(package)
+        assert "repro.soc.chip" in before.modules
+        assert "repro.soc.chip" not in after.modules
+        entries = read_memo(cache_dir)["entries"]
+        assert len(entries) == len(after.modules)
+        chip = package / "soc" / "chip.py"
+        assert FingerprintMemo.key("repro.soc.chip", chip.read_bytes()) not in entries

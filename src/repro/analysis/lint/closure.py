@@ -23,10 +23,10 @@ too.
 
 :func:`closure_report` keeps each member's fingerprint and unresolved
 edges in a content-keyed memo file (:mod:`repro.analysis.lint.memo`)
-under the result cache's root, so a fresh process hashes the members'
-bytes instead of parsing them.  The memo cannot go stale, since its
-keys cover everything an entry depends on, and ``--no-cache`` (no
-*result* cache) still uses it.
+under the cache root (:func:`repro.ioutil.default_cache_root`), so a
+fresh process hashes the members' bytes instead of parsing them.  The
+memo cannot go stale, since its keys cover everything an entry depends
+on, and ``--no-cache`` (no *result* cache) still uses it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.lint.fingerprint import FINGERPRINT_SCHEMA_VERSION, python_tag
 from repro.analysis.lint.memo import MEMO_FILENAME, FingerprintMemo
 from repro.analysis.lint.project import ProjectModel, package_root
+from repro.ioutil import default_cache_root
 
 #: The job executors whose transitive imports define the closure.
 CLOSURE_ROOTS: Tuple[str, ...] = (
@@ -139,10 +140,6 @@ def closure_report(root: Optional[Path] = None) -> ClosureReport:
     key = Path(root).resolve() if root is not None else package_root()
     cached = _CLOSURE_CACHE.get(key)
     if cached is None:
-        # Imported lazily: the result cache pulls in the engine's spec
-        # layer, which ``repro lint`` never needs.
-        from repro.experiments.engine.cache import default_cache_root
-
         memo = FingerprintMemo(default_cache_root() / MEMO_FILENAME)
         cached = compute_closure(ProjectModel.build(key), memo=memo)
         _CLOSURE_CACHE[key] = cached

@@ -18,26 +18,23 @@ model resolves the candidates against its listing on every lookup, hit
 or miss alike.  Relative imports are applied against the module's own
 name before storing, which is why the name is part of the key.
 
-The memo is one JSON file (:data:`MEMO_FILENAME`, under the result
-cache's root for the closure digest).  It is rewritten atomically, only
-when a lookup missed, and then holds only the entries the last
-computation used, so it stays the size of one closure.  A file or entry
-that cannot be read or has the wrong shape is a miss, and a file that
-cannot be written is skipped: the memo only ever saves time.
+The memo is one JSON file (:data:`MEMO_FILENAME`, under the cache
+root for the closure digest) kept by :class:`repro.ioutil.ContentMemo`:
+rewritten atomically only when a lookup missed, it then holds only the
+entries the last computation used, so it stays the size of one
+closure.  This module defines only the key and the entry schema.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.lint.fingerprint import FINGERPRINT_SCHEMA_VERSION, python_tag
-from repro.ioutil import atomic_write_text
+from repro.ioutil import ContentMemo
 
 #: The memo file's name inside its directory.
 MEMO_FILENAME = "fingerprint-memo.json"
@@ -92,7 +89,7 @@ class MemoEntry:
         return cls(fingerprint, EdgeCandidates(tuple(imports), tuple(references)))
 
 
-class FingerprintMemo:
+class FingerprintMemo(ContentMemo[MemoEntry]):
     """Module summaries by content key, optionally backed by a JSON file.
 
     With ``path=None`` the memo lives in memory only and :meth:`save`
@@ -101,61 +98,10 @@ class FingerprintMemo:
     """
 
     def __init__(self, path: Optional[Path] = None) -> None:
-        self.path = path
-        self._stored = _load(path) if path is not None else {}
-        #: Entries looked up or added since loading: what :meth:`save` writes.
-        self._used: Dict[str, MemoEntry] = {}
-        self._missed = False
+        super().__init__(path, MEMO_FORMAT, MemoEntry.from_json, MemoEntry.as_json)
 
     @staticmethod
     def key(name: str, data: bytes) -> str:
         """Content key of module ``name`` whose file holds ``data``."""
         header = f"{FINGERPRINT_SCHEMA_VERSION}\0{python_tag()}\0{name}\0"
         return hashlib.sha256(header.encode("utf-8") + data).hexdigest()
-
-    def get(self, key: str) -> Optional[MemoEntry]:
-        """The entry under ``key``; ``None`` (a miss) if absent or malformed."""
-        entry = self._used.get(key)
-        if entry is None and key in self._stored:
-            entry = MemoEntry.from_json(self._stored[key])
-            if entry is not None:
-                self._used[key] = entry
-        return entry
-
-    def put(
-        self, key: str, fingerprint: str, candidates: EdgeCandidates
-    ) -> MemoEntry:
-        """Record a freshly computed entry (after a miss)."""
-        entry = self._used[key] = MemoEntry(fingerprint, candidates)
-        self._missed = True
-        return entry
-
-    def save(self) -> None:
-        """Rewrite the file with the entries used, if any lookup missed.
-
-        An unwritable location is skipped: the entries are recomputed
-        next time.
-        """
-        if self.path is None or not self._missed:
-            return
-        document = {
-            "format": MEMO_FORMAT,
-            "entries": {key: self._used[key].as_json() for key in sorted(self._used)},
-        }
-        with suppress(OSError):
-            atomic_write_text(
-                self.path, json.dumps(document, sort_keys=True, separators=(",", ":"))
-            )
-        self._missed = False
-
-
-def _load(path: Path) -> Dict[str, object]:
-    """Raw entries of the memo file; empty if it is missing or unreadable."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(document, dict) or document.get("format") != MEMO_FORMAT:
-        return {}
-    entries = document.get("entries")
-    return entries if isinstance(entries, dict) else {}

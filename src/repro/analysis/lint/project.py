@@ -67,7 +67,7 @@ from repro.analysis.lint.fingerprint import (
     parse_markers,
     strip_docstring,
 )
-from repro.analysis.lint.memo import EdgeCandidates, FingerprintMemo
+from repro.analysis.lint.memo import EdgeCandidates, FingerprintMemo, MemoEntry
 
 
 @dataclass
@@ -390,5 +390,5 @@ class ProjectModel:
             # next parse reuses its memory: trees held to the end leave
             # their arenas mapped.
             info = self._derive(name, data)
-            entry = memo.put(key, info.fingerprint, info.candidates)
+            entry = memo.put(key, MemoEntry(info.fingerprint, info.candidates))
         return entry.fingerprint, self._resolve(name, entry.candidates)

@@ -26,7 +26,6 @@ committed full-scale artefacts.
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,19 +33,9 @@ from typing import Optional
 
 import repro
 from repro.experiments.engine.spec import JobSpec, behavior_digest, job_key
-from repro.ioutil import atomic_write
-
-#: Environment variable relocating the cache tree (tests, CI).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Default cache directory name, created relative to the working dir.
-DEFAULT_CACHE_DIRNAME = ".repro-cache"
-
-
-def default_cache_root() -> Path:
-    """The cache root: ``$REPRO_CACHE_DIR`` or ``./.repro-cache``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    return Path(override) if override else Path(DEFAULT_CACHE_DIRNAME)
+from repro.ioutil import CACHE_DIR_ENV as CACHE_DIR_ENV  # re-exported
+from repro.ioutil import DEFAULT_CACHE_DIRNAME as DEFAULT_CACHE_DIRNAME  # re-exported
+from repro.ioutil import atomic_write, default_cache_root
 
 
 def artifact_dir(scale: float, results_dir: Path) -> Path:

@@ -19,17 +19,114 @@ and ``N = C^{-1}``.  Both matrices are precomputed once, so a step is a
 5x5 matrix-vector product: unconditionally stable and exact regardless
 of the tick length (important because the experiments sweep sampling
 intervals up to 10 s).
+
+``A_d`` is the one thing here that needs SciPy (``scipy.linalg.expm``),
+and importing ``scipy.linalg`` costs a process about 0.3 s and 28 MB,
+while the models a run builds share a handful of ``M dt`` matrices.  So
+:func:`propagator` serves ``A_d`` from a content-keyed memo file,
+``<cache root>/propagator-memo.json``, and imports ``scipy.linalg`` only
+when the memo misses.  The key covers SciPy's ``version.py``, NumPy's
+version and the exact bytes of ``M dt``; the value is the raw float64
+bytes ``expm`` returned, so a hit is bit-for-bit what ``expm`` gives.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import base64
+import functools
+import hashlib
+import importlib.util
+from contextlib import suppress
+from pathlib import Path
+from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.config import ThermalConfig
+from repro.ioutil import ContentMemo, default_cache_root
 from repro.thermal.floorplan import Floorplan
+
+#: The propagator memo's file name inside the cache root.
+PROPAGATOR_MEMO_FILENAME = "propagator-memo.json"
+
+#: Version of the propagator memo's key; bumping it retires every entry.
+PROPAGATOR_SCHEMA_VERSION = 1
+
+#: Layout of the propagator memo file; a file of any other format is ignored.
+PROPAGATOR_MEMO_FORMAT = 1
+
+#: One memo per memo file: each process reads a file at most once, and
+#: pool workers forked afterwards inherit what it holds.
+_MEMOS: Dict[Path, ContentMemo[bytes]] = {}  # repro: noqa[MUT001] reason=content-keyed memo; a value is a pure function of its key, so processes cannot diverge
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_version_bytes() -> bytes:
+    """SciPy's ``version.py``, read without importing SciPy (empty if absent)."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return b""
+    with suppress(OSError):
+        return (Path(spec.origin).parent / "version.py").read_bytes()
+    return b""
+
+
+def propagator_key(m_dt: np.ndarray) -> str:
+    """Content key of ``expm(m_dt)``: everything its bits depend on."""
+    header = "\0".join(
+        (
+            str(PROPAGATOR_SCHEMA_VERSION),
+            hashlib.sha256(_scipy_version_bytes()).hexdigest(),
+            np.__version__,
+            m_dt.dtype.str,
+            repr(m_dt.shape),
+            "",
+        )
+    )
+    return hashlib.sha256(header.encode("utf-8") + m_dt.tobytes()).hexdigest()
+
+
+def _decode_entry(raw: object) -> Optional[bytes]:
+    if not isinstance(raw, str):
+        return None
+    try:
+        return base64.b64decode(raw, validate=True)
+    except ValueError:  # binascii.Error: not base64
+        return None
+
+
+def _encode_entry(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def propagator(m_dt: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(m_dt)``, from the propagator memo when it holds it.
+
+    A miss (or an entry of the wrong length) imports ``scipy.linalg``,
+    calls ``expm`` exactly as an uncached model would and rewrites the
+    memo file.  The memo never creates the cache root (so ``--no-cache``
+    on a fresh root leaves no directory behind), and a root that does
+    not exist or cannot be written only costs the next process the same
+    computation.
+    """
+    m_dt = np.ascontiguousarray(m_dt, dtype=np.float64)
+    path = default_cache_root() / PROPAGATOR_MEMO_FILENAME
+    memo = _MEMOS.get(path)
+    if memo is None:
+        memo = _MEMOS[path] = ContentMemo(
+            path, PROPAGATOR_MEMO_FORMAT, _decode_entry, _encode_entry
+        )
+    key = propagator_key(m_dt)
+    raw = memo.get(key)
+    if raw is not None and len(raw) == m_dt.nbytes:
+        return np.frombuffer(raw, dtype=m_dt.dtype).reshape(m_dt.shape).copy()
+    from scipy.linalg import expm
+
+    result = expm(m_dt)
+    memo.put(key, result.tobytes())
+    if path.parent.is_dir():
+        memo.save()
+    return result
 
 
 class RCThermalModel:
@@ -89,7 +186,7 @@ class RCThermalModel:
 
         inv_c = np.diag(1.0 / caps)
         m = -inv_c @ g
-        self._propagator = expm(m * dt)
+        self._propagator = propagator(m * dt)
         # S = M^{-1} (A_d - I) C^{-1}; M is invertible because the network
         # is grounded through the ambient leg.
         self._input_matrix = np.linalg.solve(

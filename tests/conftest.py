@@ -29,6 +29,20 @@ def render_artefact(module, engine=None, **grid):
     return module.render(engine.run_grid(module.cells(**grid)))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_root(tmp_path_factory):
+    """A temporary ``$REPRO_CACHE_DIR`` for the whole session.
+
+    The process memos (closure fingerprints, RC propagators) live under
+    the cache root whatever cache directory an engine is given, so
+    without this every test that builds a ``Simulation`` or computes the
+    closure digest would write into the checkout's ``./.repro-cache/``.
+    Tests that set their own root still win."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture
 def platform() -> PlatformConfig:
     """Default platform configuration."""

@@ -163,16 +163,33 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         file="src/repro/analysis/lint/project.py",
-        anchor="entry = memo.put(key, info.fingerprint, info.candidates)",
+        anchor="entry = memo.put(key, MemoEntry(info.fingerprint, info.candidates))",
         replacement=(
-            "entry = memo.put(key, info.fingerprint, "
-            "EdgeCandidates(imports=(), references=info.imports))"
+            "entry = memo.put(key, MemoEntry(info.fingerprint, "
+            "EdgeCandidates(imports=(), references=info.imports)))"
         ),
         test=(
             "tests/test_audit_model.py::TestFingerprintMemo::"
             "test_warm_memo_sees_a_new_module_the_listing_adds"
         ),
         found_by="Memoise closure-module fingerprints on disk by content",
+    ),
+    Mutant(
+        file="src/repro/thermal/rc_model.py",
+        anchor='header.encode("utf-8") + m_dt.tobytes()',
+        replacement='header.encode("utf-8")',
+        test="tests/test_audit_model.py::TestPropagatorMemo::test_two_ticks_share_one_file",
+        found_by="Serve the RC propagator from the content memo",
+    ),
+    Mutant(
+        file="src/repro/thermal/rc_model.py",
+        anchor="if raw is not None and len(raw) == m_dt.nbytes:",
+        replacement="if raw is not None:",
+        test=(
+            "tests/test_audit_model.py::TestPropagatorMemo::"
+            "test_bits_are_expm_whatever_the_root_holds[wrong-length-entry]"
+        ),
+        found_by="Serve the RC propagator from the content memo",
     ),
 )
 

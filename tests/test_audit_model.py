@@ -1,4 +1,5 @@
-"""Tests for the lint project model: fingerprints, graph, closure.
+"""Tests for the lint project model: fingerprints, graph, closure, and
+the two users of the content memo (closure fingerprints, RC propagators).
 
 Fixture trees are written under ``<tmp>/repro/...`` so that the model,
 which names each file from its path relative to the tree root, derives
@@ -6,12 +7,20 @@ the same dotted module names as it does for the installed package.
 """
 
 import ast
+import base64
 import json
+import os
+import shutil
+import subprocess
+import sys
 import textwrap
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import scipy.linalg
+from scipy.linalg import expm
 
 import repro
 from repro.analysis.lint import (
@@ -29,6 +38,9 @@ from repro.analysis.lint import (
     parse_markers,
     python_tag,
 )
+from repro.config import default_platform_config
+from repro.soc.chip import Chip
+from repro.thermal import rc_model
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -554,7 +566,7 @@ def _read_only(cache_dir, monkeypatch):
     def refuse(*args, **kwargs):
         raise PermissionError("read-only cache root")
 
-    monkeypatch.setattr("repro.analysis.lint.memo.atomic_write_text", refuse)
+    monkeypatch.setattr("repro.ioutil.atomic_write_text", refuse)
     return 1
 
 
@@ -688,7 +700,7 @@ class TestFingerprintMemo:
         # A warm digest misses nothing, so the file is not rewritten.
         writes = []
         monkeypatch.setattr(
-            "repro.analysis.lint.memo.atomic_write_text",
+            "repro.ioutil.atomic_write_text",
             lambda *args, **kwargs: writes.append(args),
         )
         assert warm_up(package) == before
@@ -707,3 +719,236 @@ class TestFingerprintMemo:
         assert len(entries) == len(after.modules)
         chip = package / "soc" / "chip.py"
         assert FingerprintMemo.key("repro.soc.chip", chip.read_bytes()) not in entries
+
+
+# ---------------------------------------------------------------------------
+# The propagator memo: the content memo's other user
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def propagator_root(tmp_path, monkeypatch):
+    """A fresh, empty ``$REPRO_CACHE_DIR`` in a process that has read no
+    propagator memo yet."""
+    root = tmp_path / "cache"
+    root.mkdir()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    monkeypatch.setattr(rc_model, "_MEMOS", {})
+    return root
+
+
+def new_process():
+    """Forget every propagator memo read so far, as a fresh process has."""
+    rc_model._MEMOS.clear()
+
+
+def count_expm(monkeypatch):
+    """Patch ``scipy.linalg.expm`` to count its calls (the memo's misses)."""
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    return calls
+
+
+def model_inputs(monkeypatch, platforms):
+    """Each distinct ``M·dt`` the thermal models of ``platforms`` build,
+    as the model hands it to :func:`rc_model.propagator`."""
+    seen = {}
+    real_propagator = rc_model.propagator
+
+    def recording(m_dt):
+        seen.setdefault(m_dt.tobytes(), m_dt.copy())
+        return real_propagator(m_dt)
+
+    monkeypatch.setattr(rc_model, "propagator", recording)
+    for platform in platforms:
+        Chip(platform)
+    monkeypatch.setattr(rc_model, "propagator", real_propagator)
+    return list(seen.values())
+
+
+def artefact_platforms():
+    """Every distinct platform the artefacts' cells run on."""
+    from repro.experiments.engine.sweep import ARTEFACTS
+
+    platforms = {}
+    for module in ARTEFACTS.values():
+        for spec in module.cells(iteration_scale=0.12, seed=1).values():
+            platform = spec.platform or default_platform_config()
+            platforms.setdefault(repr(platform), platform)
+    return list(platforms.values())
+
+
+def propagator_memo(root):
+    return json.loads(
+        (root / rc_model.PROPAGATOR_MEMO_FILENAME).read_text(encoding="utf-8")
+    )
+
+
+def _p_cold(root, m_dt, monkeypatch):
+    return 1
+
+
+def _p_warm(root, m_dt, monkeypatch):
+    rc_model.propagator(m_dt)
+    new_process()
+    return 0
+
+
+def _p_corrupt(root, m_dt, monkeypatch):
+    (root / rc_model.PROPAGATOR_MEMO_FILENAME).write_text("{not json", encoding="utf-8")
+    return 1
+
+
+def _p_truncated(root, m_dt, monkeypatch):
+    _p_warm(root, m_dt, monkeypatch)
+    path = root / rc_model.PROPAGATOR_MEMO_FILENAME
+    path.write_bytes(path.read_bytes()[:-20])
+    return 1
+
+
+def _p_wrong_length_entry(root, m_dt, monkeypatch):
+    _p_warm(root, m_dt, monkeypatch)
+    document = propagator_memo(root)
+    (key,) = document["entries"]
+    # Valid base64 of a shorter matrix: it decodes, but is not this one.
+    short = base64.b64decode(document["entries"][key])[:-8]
+    document["entries"][key] = base64.b64encode(short).decode("ascii")
+    (root / rc_model.PROPAGATOR_MEMO_FILENAME).write_text(
+        json.dumps(document), encoding="utf-8"
+    )
+    return 1
+
+
+def _p_read_only(root, m_dt, monkeypatch):
+    # Root ignores permission bits, so the refusal is simulated too.
+    _p_warm(root, m_dt, monkeypatch)
+    (root / rc_model.PROPAGATOR_MEMO_FILENAME).write_text(
+        json.dumps({"format": rc_model.PROPAGATOR_MEMO_FORMAT, "entries": {}}),
+        encoding="utf-8",
+    )
+    root.chmod(0o555)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only cache root")
+
+    monkeypatch.setattr("repro.ioutil.atomic_write_text", refuse)
+    return 1
+
+
+def _p_missing(root, m_dt, monkeypatch):
+    root.rmdir()
+    return 1
+
+
+def _p_not_a_directory(root, m_dt, monkeypatch):
+    root.rmdir()
+    root.write_text("a file where the cache root should be", encoding="utf-8")
+    return 1
+
+
+#: Cache root state before a lookup -> the ``expm`` calls it costs.
+PROPAGATOR_STATES = {
+    "cold": _p_cold,
+    "warm": _p_warm,
+    "corrupt": _p_corrupt,
+    "truncated": _p_truncated,
+    "wrong-length-entry": _p_wrong_length_entry,
+    "read-only": _p_read_only,
+    "missing": _p_missing,
+    "not-a-directory": _p_not_a_directory,
+}
+
+#: Builds one ``Simulation`` on the inherited ``$REPRO_CACHE_DIR``.
+SIMULATION_SCRIPT = """
+import json, sys
+from repro.experiments.engine.spec import workload_job
+from repro.experiments.runner import build_simulation
+sim = build_simulation(workload_job("tachyon", iteration_scale=0.05))
+print(json.dumps({
+    "scipy": "scipy" in sys.modules,
+    "propagator": sim.chip.thermal._propagator.tobytes().hex(),
+}))
+"""
+
+
+class TestPropagatorMemo:
+    def test_hits_are_expm_bits_for_every_artefact_platform(
+        self, propagator_root, monkeypatch
+    ):
+        inputs = model_inputs(monkeypatch, artefact_platforms())
+        assert inputs
+        new_process()
+        calls = count_expm(monkeypatch)
+        for m_dt in inputs:
+            assert rc_model.propagator(m_dt).tobytes() == expm(m_dt).tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("state", sorted(PROPAGATOR_STATES))
+    def test_bits_are_expm_whatever_the_root_holds(
+        self, state, propagator_root, monkeypatch
+    ):
+        (m_dt,) = model_inputs(monkeypatch, [default_platform_config()])
+        new_process()
+        shutil.rmtree(propagator_root)
+        propagator_root.mkdir()
+        expected_calls = PROPAGATOR_STATES[state](propagator_root, m_dt, monkeypatch)
+        calls = count_expm(monkeypatch)
+        try:
+            first = rc_model.propagator(m_dt)
+            new_process()
+            again = rc_model.propagator(m_dt)
+        finally:
+            if propagator_root.is_dir():
+                propagator_root.chmod(0o755)
+        assert first.tobytes() == expm(m_dt).tobytes()
+        assert again.tobytes() == first.tobytes()
+        assert first.shape == m_dt.shape and first.flags["C_CONTIGUOUS"]
+        if state in ("read-only", "missing", "not-a-directory"):
+            # Nothing was written, so the next process misses too; a
+            # missing root is not created.
+            assert len(calls) == 2 * expected_calls
+            assert propagator_root.exists() == (state != "missing")
+        else:
+            # Whatever was missing or unreadable has been rewritten.
+            assert len(calls) == expected_calls
+            assert len(propagator_memo(propagator_root)["entries"]) == 1
+
+    def test_two_ticks_share_one_file(self, propagator_root, monkeypatch):
+        platform = default_platform_config()
+        inputs = model_inputs(monkeypatch, [platform, replace(platform, dt=0.5)])
+        assert len(inputs) == 2
+        assert len(propagator_memo(propagator_root)["entries"]) == 2
+
+        new_process()
+        calls = count_expm(monkeypatch)
+        hits = [rc_model.propagator(m_dt).tobytes() for m_dt in inputs]
+        assert calls == []
+        assert hits == [expm(m_dt).tobytes() for m_dt in inputs]
+        assert hits[0] != hits[1]
+
+    def test_warm_process_builds_a_simulation_without_scipy(
+        self, propagator_root, monkeypatch
+    ):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        runs = []
+        for _ in ("cold", "warm"):
+            done = subprocess.run(
+                [sys.executable, "-c", SIMULATION_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+        assert [run["scipy"] for run in runs] == [True, False]
+
+        (m_dt,) = model_inputs(monkeypatch, [default_platform_config()])
+        assert {run["propagator"] for run in runs} == {expm(m_dt).tobytes().hex()}

@@ -34,6 +34,10 @@ EXEMPT: Tuple[Tuple[str, str], ...] = (
         "result cache: an on-disk store outside any simulation",
     ),
     (
+        "repro.ioutil.ContentMemo",
+        "process memo: an on-disk store outside any simulation",
+    ),
+    (
         "repro.obs.manifest.RunManifest",
         "manifest: describes a finished sweep's artefacts",
     ),

@@ -210,16 +210,15 @@ class SensorConfig:
     ema_tau_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite("min_c", self.min_c)
+        _check_finite("max_c", self.max_c)
         if self.min_c >= self.max_c:
             raise ValueError(
                 f"sensor range is empty: min_c={self.min_c} >= max_c={self.max_c}"
             )
-        if self.quantisation_c < 0.0:
-            raise ValueError(f"quantisation_c must be >= 0, got {self.quantisation_c}")
-        if self.noise_std_c < 0.0:
-            raise ValueError(f"noise_std_c must be >= 0, got {self.noise_std_c}")
-        if self.ema_tau_s < 0.0:
-            raise ValueError(f"ema_tau_s must be >= 0, got {self.ema_tau_s}")
+        _check_non_negative("quantisation_c", self.quantisation_c)
+        _check_non_negative("noise_std_c", self.noise_std_c)
+        _check_non_negative("ema_tau_s", self.ema_tau_s)
 
 
 @dataclass(frozen=True)

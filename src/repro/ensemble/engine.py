@@ -284,7 +284,7 @@ class EnsembleSimulation:
         )
         self.governors = BatchedGovernors(reference.chip.ladder, m, c)
         self.chip = BatchedChip(reference.chip, m)
-        self.eval_sensors = BatchedEvalSensors(platform.sensor, m, c)
+        self.eval_sensors = BatchedEvalSensors(platform.sensor, m, c, eval_period)
 
         self.members: List[MemberState] = []
         for member, sim in enumerate(members):
@@ -377,12 +377,11 @@ class EnsembleSimulation:
     # ------------------------------------------------------------------
     def prepare(self) -> None:
         """Mirror of ``Simulation.prepare`` for every member."""
+        self.eval_sensors.reset()
         for member, state in enumerate(self.members):
             state.manager_sensors.reset()
             if state.sensor_supervisor is not None:
                 state.sensor_supervisor.reset()
-            # (Eval sensors hold no filter state here: EMA is rejected
-            # at construction, and reset never touches the RNG.)
             if state.manager is not None:
                 state.manager.attach(self.views[member])
                 self.mgr_next[member] = _manager_next_fire(state.manager)

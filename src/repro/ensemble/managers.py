@@ -20,9 +20,10 @@ batches that path for every member driven by a plain
   bit-identical by construction.
 
 Members whose manager is *not* batchable — the GE baselines, static
-policies, subclassed managers, agents with instrumentation, or sensor
-banks with an EMA filter — keep the scalar per-member path; the two
-paths coexist in one ensemble.
+policies, subclassed managers, agents with instrumentation, or
+management sensor banks with an EMA filter — keep the scalar per-member
+path; the two paths coexist in one ensemble.  (The evaluation sensors
+are batched for every member, filtered or not.)
 
 The epoch-harvest invariant: the engine's ``mgr_next`` gate and the
 manager's own ``_next_sample_s`` gate are the same condition, so a
@@ -42,6 +43,7 @@ from repro.core.agent import QLearningThermalAgent
 from repro.core.manager import ProposedThermalManager
 from repro.ensemble.agents import BatchedAgents
 from repro.soc.simulator import DECISION_OVERHEAD_S, SAMPLE_OVERHEAD_S
+from repro.thermal.sensors import sensor_reading
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ensemble.engine import EnsembleSimulation
@@ -161,21 +163,18 @@ class BatchedControlPlane:
         # --- Sample: Simulation.read_sensors, batched ----------------
         engine.perf.record_sample_event_rows(members)
         engine.scheduler.stall_all_rows(members, SAMPLE_OVERHEAD_S)
-        readings = engine.chip.core_temps()[members]  # fancy copy per row
         config = self._sensor_config
-        if config.noise_std_c > 0.0:
-            num_cores = engine.num_cores
-            for i, member in enumerate(members.tolist()):
-                bank = engine.members[member].manager_sensors
-                readings[i] += bank._rng.normal(
-                    0.0, config.noise_std_c, size=num_cores
-                )
-        if config.quantisation_c > 0.0:
-            step = config.quantisation_c
-            readings /= step
-            np.round(readings, out=readings)
-            readings *= step
-        np.clip(readings, config.min_c, config.max_c, out=readings)
+        banks = [engine.members[member].manager_sensors for member in members.tolist()]
+        readings, _ = sensor_reading(
+            config,
+            engine.chip.core_temps()[members],
+            lambda: np.stack(
+                [
+                    bank._rng.normal(0.0, config.noise_std_c, size=engine.num_cores)
+                    for bank in banks
+                ]
+            ),
+        )
         now = engine.now
         interval = self._sampling_interval_s
         for i, member in enumerate(members.tolist()):

@@ -25,8 +25,8 @@ def run_ensemble_workloads(specs: Sequence[JobSpec]) -> List[RunSummary]:
     as one ensemble; one summary per spec.
 
     The specs must form a valid
-    :class:`~repro.experiments.engine.spec.EnsembleJobSpec` (every one
-    ensemble-eligible, one platform).  Member results do not depend on
+    :class:`~repro.experiments.engine.spec.EnsembleJobSpec` (one
+    platform).  Member results do not depend on
     which other members share the ensemble (cross-member isolation), so
     any subset of a job list can be batched together without changing
     anyone's summary.

@@ -9,16 +9,19 @@ worth batching.
 
 Noise draws reuse each member's own eval-sensor Generator through a
 chunked ``(chunk, cores)`` buffer: a ``size=(k, cores)`` draw is
-bit-identical to ``k`` successive ``size=cores`` draws.
+bit-identical to ``k`` successive ``size=cores`` draws.  Members share
+the eval schedule, so their low-pass filters (``SensorConfig.ema_tau_s``)
+step in lockstep as one ``(m, c)`` state array.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro.config import SensorConfig
+from repro.thermal.sensors import ema_alpha, sensor_reading
 
 #: Eval reads buffered per refill.
 _CHUNK = 64
@@ -28,47 +31,47 @@ class BatchedEvalSensors:
     """All members' evaluation sensors, read in one vectorized call."""
 
     #: Checkpointed state (see :mod:`repro.checkpoint.state`).
-    STATE_FIELDS = ("_rngs", "_chunk", "_cursor")
+    STATE_FIELDS = ("_rngs", "_chunk", "_cursor", "_ema")
     #: Construction values, never checkpointed.
-    DERIVED_FIELDS = ("config", "num_members", "num_cores")
+    DERIVED_FIELDS = ("config", "num_members", "num_cores", "_ema_alpha")
 
     def __init__(
-        self, config: SensorConfig, num_members: int, num_cores: int
+        self,
+        config: SensorConfig,
+        num_members: int,
+        num_cores: int,
+        sample_period_s: float,
     ) -> None:
         self.config = config
         self.num_members = num_members
         self.num_cores = num_cores
-        m, c = num_members, num_cores
-        if config.ema_tau_s > 0.0:
-            # Eval sensors sample once per evaluation period; the scalar
-            # bank computes alpha from its construction-time period.
-            raise ValueError(
-                "ensemble eval sensors do not support EMA filtering "
-                "(ema_tau_s > 0); the default platform disables it"
-            )
         self._rngs: List[np.random.Generator] = []
-        self._chunk = np.zeros((m, _CHUNK, c), dtype=np.float64)
+        self._chunk = np.zeros((num_members, _CHUNK, num_cores), dtype=np.float64)
         self._cursor = _CHUNK
+        self._ema: Optional[np.ndarray] = None
+        self._ema_alpha = ema_alpha(config, sample_period_s)
 
     def adopt_rng(self, rng: np.random.Generator) -> None:
         self._rngs.append(rng)
 
+    def reset(self) -> None:
+        """Clear the filter state, as :meth:`SensorBank.reset` does."""
+        self._ema = None
+
+    def _next_noise(self) -> np.ndarray:
+        if self._cursor >= _CHUNK:
+            for m, rng in enumerate(self._rngs):
+                self._chunk[m] = rng.normal(
+                    0.0, self.config.noise_std_c, size=(_CHUNK, self.num_cores)
+                )
+            self._cursor = 0
+        noise = self._chunk[:, self._cursor, :]
+        self._cursor += 1
+        return noise
+
     def read(self, true_temps: np.ndarray) -> np.ndarray:
         """One reading per member per core; ``true_temps`` is (m, c)."""
-        config = self.config
-        readings = true_temps.copy()
-        if config.noise_std_c > 0.0:
-            if self._cursor >= _CHUNK:
-                for m, rng in enumerate(self._rngs):
-                    self._chunk[m] = rng.normal(
-                        0.0, config.noise_std_c, size=(_CHUNK, self.num_cores)
-                    )
-                self._cursor = 0
-            readings += self._chunk[:, self._cursor, :]
-            self._cursor += 1
-        if config.quantisation_c > 0.0:
-            step = config.quantisation_c
-            readings /= step
-            np.round(readings, out=readings)
-            readings *= step
-        return np.clip(readings, config.min_c, config.max_c, out=readings)
+        readings, self._ema = sensor_reading(
+            self.config, true_temps, self._next_noise, self._ema, self._ema_alpha
+        )
+        return readings

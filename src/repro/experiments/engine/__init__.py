@@ -43,7 +43,6 @@ from repro.experiments.engine.spec import (
     behavior_digest,
     canonical_json,
     canonicalise,
-    ensemble_eligible,
     ensemble_job,
     job_key,
     scenario_job,
@@ -67,7 +66,6 @@ __all__ = [
     "canonical_json",
     "canonicalise",
     "default_cache_root",
-    "ensemble_eligible",
     "ensemble_job",
     "execute_job",
     "job_key",

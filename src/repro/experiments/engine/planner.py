@@ -4,17 +4,15 @@ Every experiment grid submits plain scalar :class:`JobSpec` cells.  The
 planner is the pass that lets the engine execute those same cells
 through the vectorized ensemble engine instead: it partitions a batch
 into :class:`EnsembleJobSpec`-shaped member groups plus the scalar
-leftovers the ensemble engine cannot (or should not) take.
+leftovers too few to be worth an ensemble.
 
-The grouping rules are exactly the ensemble engine's own preconditions:
-
-* every member is :func:`~repro.experiments.engine.spec.ensemble_eligible`
-  (re-exported here), the rule :class:`EnsembleJobSpec` enforces;
-* members of one group share the *exact* ``platform`` field —
-  ``None`` ("the runner's default") is deliberately distinct from an
-  explicit default-valued :class:`~repro.config.PlatformConfig`, because
-  that is the uniformity :class:`EnsembleJobSpec` validates and the one
-  the member cache keys encode.
+The one grouping rule is the ensemble engine's own precondition: members
+of one group share the *exact* ``platform`` field — ``None`` ("the
+runner's default") is deliberately distinct from an explicit
+default-valued :class:`~repro.config.PlatformConfig`, because that is
+the uniformity :class:`EnsembleJobSpec` validates and the one the member
+cache keys encode.  A platform with fewer than :data:`MIN_GROUP` cells
+stays scalar.
 
 Everything else — job kind, app or scenario, dataset, policy, seed,
 agent config, action space, affinity mapping, fault schedule,
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import PlatformConfig
-from repro.experiments.engine.spec import JobSpec, ensemble_eligible
+from repro.experiments.engine.spec import JobSpec
 
 #: Fewest members worth an ensemble, and fewest per shard.  The
 #: vectorized tick has a fixed dispatch cost, so narrow ensembles lose
@@ -76,8 +74,8 @@ class GridPlan:
 def plan_grid(specs: Sequence[JobSpec]) -> GridPlan:
     """Partition a batch into ensemble groups plus scalar leftovers.
 
-    Eligible platforms with fewer than :data:`MIN_GROUP` cells (read at
-    call time) fall back to the scalar path.
+    Platforms with fewer than :data:`MIN_GROUP` cells (read at call
+    time) fall back to the scalar path.
 
     Parameters
     ----------
@@ -88,17 +86,13 @@ def plan_grid(specs: Sequence[JobSpec]) -> GridPlan:
     """
     by_platform: Dict[Optional[PlatformConfig], List[int]] = {}
     order: List[Optional[PlatformConfig]] = []
-    scalar: List[int] = []
     for index, spec in enumerate(specs):
-        if not ensemble_eligible(spec):
-            scalar.append(index)
-            continue
-        key = spec.platform
-        if key not in by_platform:
-            by_platform[key] = []
-            order.append(key)
-        by_platform[key].append(index)
+        if spec.platform not in by_platform:
+            by_platform[spec.platform] = []
+            order.append(spec.platform)
+        by_platform[spec.platform].append(index)
     groups: List[Tuple[int, ...]] = []
+    scalar: List[int] = []
     for key in order:
         members = by_platform[key]
         if len(members) >= MIN_GROUP:

@@ -171,23 +171,6 @@ def scenario_job(
     )
 
 
-def ensemble_eligible(spec: JobSpec) -> bool:
-    """Whether the vectorized ensemble engine can execute ``spec``.
-
-    The one eligibility rule: the grid planner batches exactly these
-    specs and :class:`EnsembleJobSpec` rejects any other member.  Both
-    job kinds qualify (a workload's training passes and a scenario's
-    applications are each an application sequence the ensemble steps
-    per member), supervised or not; the one exclusion is an effective
-    platform whose evaluation sensor low-pass filters
-    (``sensor.ema_tau_s > 0``):
-    :class:`~repro.ensemble.sensors.BatchedEvalSensors` has no batched
-    filter path.
-    """
-    platform = spec.platform if spec.platform is not None else PlatformConfig()
-    return not platform.sensor.ema_tau_s > 0.0
-
-
 @dataclass(frozen=True)
 class EnsembleJobSpec:
     """A batch of jobs executed by the vectorized ensemble engine.
@@ -207,12 +190,6 @@ class EnsembleJobSpec:
             raise ValueError("ensemble jobs need at least one member")
         platform = self.members[0].platform
         for index, member in enumerate(self.members):
-            if not ensemble_eligible(member):
-                raise ValueError(
-                    f"ensemble member {index} ({member.label}) is not "
-                    "ensemble-eligible: ensembles take jobs with an "
-                    "EMA-free evaluation sensor"
-                )
             if member.platform != platform:
                 raise ValueError(
                     f"ensemble member {index} has a different platform; "
@@ -226,8 +203,8 @@ class EnsembleJobSpec:
 
 
 def ensemble_job(members) -> EnsembleJobSpec:
-    """An ensemble job spec from an iterable of ensemble-eligible job specs
-    (workload or scenario)."""
+    """An ensemble job spec from an iterable of job specs (workload or
+    scenario) that share one platform."""
     return EnsembleJobSpec(members=tuple(members))
 
 

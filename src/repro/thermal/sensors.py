@@ -10,11 +10,51 @@ even though the underlying silicon keeps cycling.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import SensorConfig
+
+
+def ema_alpha(config: SensorConfig, sample_period_s: float) -> float:
+    """The low-pass filter's per-reading weight (1.0 when it is off)."""
+    if config.ema_tau_s > 0.0:
+        return 1.0 - np.exp(-sample_period_s / config.ema_tau_s)
+    return 1.0
+
+
+def sensor_reading(
+    config: SensorConfig,
+    temps: np.ndarray,
+    noise: Callable[[], np.ndarray],
+    ema: Optional[np.ndarray] = None,
+    alpha: float = 1.0,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The reading path every sensor bank shares, scalar or batched.
+
+    ``temps`` holds true temperatures of any shape; ``noise()`` is
+    called once, only when the config adds noise, and returns the draw
+    to add; ``ema`` is the filter state (``None`` before the first
+    reading) and ``alpha`` its :func:`ema_alpha`.  Returns
+    ``(readings, ema)`` with the filter state advanced.
+    Each in-place ufunc performs the same elementwise operation as an
+    allocating expression would, so readings are bit-identical whatever
+    the shape of ``temps``.
+    """
+    if config.ema_tau_s > 0.0:
+        ema = temps.copy() if ema is None else ema + alpha * (temps - ema)
+        readings = ema.copy()
+    else:
+        readings = temps.copy()
+    if config.noise_std_c > 0.0:
+        readings += noise()
+    if config.quantisation_c > 0.0:
+        step = config.quantisation_c
+        readings /= step
+        np.round(readings, out=readings)
+        readings *= step
+    return np.clip(readings, config.min_c, config.max_c, out=readings), ema
 
 
 class SensorBank:
@@ -48,10 +88,7 @@ class SensorBank:
         self.config = config
         self._rng = np.random.default_rng(seed)
         self._ema: np.ndarray | None = None
-        if config.ema_tau_s > 0.0:
-            self._ema_alpha = 1.0 - np.exp(-sample_period_s / config.ema_tau_s)
-        else:
-            self._ema_alpha = 1.0
+        self._ema_alpha = ema_alpha(config, sample_period_s)
 
     def reset(self) -> None:
         """Clear the reading-path filter state (the EMA history).
@@ -80,23 +117,11 @@ class SensorBank:
         if temps.shape != (self.num_cores,):
             raise ValueError(f"expected {self.num_cores} temperatures")
         config = self.config
-        # One fresh buffer per call (the caller keeps the reading); every
-        # later stage mutates it in place.  Each in-place ufunc performs
-        # the same elementwise operation as the seed's allocating
-        # expression, so readings are bit-identical.
-        if config.ema_tau_s > 0.0:
-            if self._ema is None:
-                self._ema = temps.copy()
-            else:
-                self._ema = self._ema + self._ema_alpha * (temps - self._ema)
-            readings = self._ema.copy()
-        else:
-            readings = temps.copy()
-        if config.noise_std_c > 0.0:
-            readings += self._rng.normal(0.0, config.noise_std_c, size=self.num_cores)
-        if config.quantisation_c > 0.0:
-            step = config.quantisation_c
-            readings /= step
-            np.round(readings, out=readings)
-            readings *= step
-        return np.clip(readings, config.min_c, config.max_c, out=readings)
+        readings, self._ema = sensor_reading(
+            config,
+            temps,
+            lambda: self._rng.normal(0.0, config.noise_std_c, size=self.num_cores),
+            self._ema,
+            self._ema_alpha,
+        )
+        return readings

@@ -191,6 +191,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         found_by="Serve the RC propagator from the content memo",
     ),
+    Mutant(
+        file="src/repro/ensemble/sensors.py",
+        anchor='STATE_FIELDS = ("_rngs", "_chunk", "_cursor", "_ema")',
+        replacement='STATE_FIELDS = ("_rngs", "_chunk", "_cursor")',
+        test=HARNESS,
+        found_by="Route ensemble cells by platform alone",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(

@@ -98,6 +98,12 @@ def test_custom_opp_table():
         ({"quantisation_c": -1.0}, "quantisation_c"),
         ({"noise_std_c": -0.5}, "noise_std_c"),
         ({"ema_tau_s": -2.0}, "ema_tau_s"),
+        ({"ema_tau_s": float("nan")}, "ema_tau_s"),
+        ({"ema_tau_s": float("inf")}, "ema_tau_s"),
+        ({"noise_std_c": float("nan")}, "noise_std_c"),
+        ({"quantisation_c": float("inf")}, "quantisation_c"),
+        ({"min_c": float("nan")}, "min_c"),
+        ({"max_c": float("inf")}, "max_c"),
     ],
 )
 def test_sensor_config_rejects_invalid(kwargs, fragment):

@@ -9,8 +9,8 @@ A member is a job spec (:func:`member`).  Its reference outcome is
 running it is an *axis* that must reproduce the reference's
 :func:`digest`:
 
-* ``ensemble`` — every ensemble-eligible member in one
-  :class:`EnsembleSimulation`;
+* ``ensemble`` — the members in one :class:`EnsembleSimulation` per
+  effective platform;
 * ``restored`` — that ensemble captured at a tick, restored into a
   fresh engine and run to the end (both in :func:`ensemble_axes`);
 * ``sharded`` — the batch through the default (ensemble-routed)
@@ -35,9 +35,9 @@ and summaries can agree while the tables differ.
 below drives it over random batches.  The per-axis suites
 (``test_ensemble_equivalence``, ``test_checkpoint_resume``,
 ``test_obs_identity``) pin their corners with the one axis each is
-named for.  Ensemble eligibility is the engine's own
-:func:`ensemble_eligible`, and members are built and summarised by the
-runner's own :func:`build_simulation` and :func:`summarise`.  The sweep
+named for.  Ensembles group members by platform alone, as the engine's
+planner does, and members are built and summarised by the runner's own
+:func:`build_simulation` and :func:`summarise`.  The sweep
 layer, one scalar ``repro all`` reference sweep that every other engine
 axis is compared with, is the session fixture ``sweeps`` in
 ``conftest.py``.
@@ -62,7 +62,7 @@ from repro.checkpoint import CheckpointStore, serialize_checkpoint
 from repro.config import FaultConfig, PlatformConfig, SupervisorConfig
 from repro.ensemble.engine import EnsembleSimulation
 from repro.experiments.engine import ExperimentEngine, planner
-from repro.experiments.engine.spec import ensemble_eligible, scenario_job, workload_job
+from repro.experiments.engine.spec import scenario_job, workload_job
 from repro.experiments.engine.sweep import ARTEFACTS
 from repro.experiments.runner import (
     build_manager,
@@ -123,12 +123,11 @@ ACTUATION_FAULTS = FaultConfig(
     seed=99,
 )
 
-#: ``None``, the explicit default and fig6's EMA-filtered reference.
-PLATFORMS = (
-    None,
-    PlatformConfig(),
-    PlatformConfig(sensor=replace(PlatformConfig().sensor, ema_tau_s=4.0)),
-)
+#: Fig. 6's EMA-filtered sensor platform.
+FILTERED = PlatformConfig(sensor=replace(PlatformConfig().sensor, ema_tau_s=4.0))
+
+#: ``None``, the explicit default and :data:`FILTERED`.
+PLATFORMS = (None, PlatformConfig(), FILTERED)
 
 APPS = ("tachyon", "mpeg_dec", "mpeg_enc", "face_rec", "sphinx")
 #: Two-app scenarios long enough to outlast the warm-up skip.
@@ -237,7 +236,8 @@ def run_entry(spec, **hooks):
         fields["max_time_s"] = spec.max_time_s
     if spec.kind == "scenario":
         return run_scenario(spec.apps, **fields)
-    return run_workload(spec.app, train_passes=spec.train_passes, mapping=spec.mapping, **fields)
+    return run_workload(spec.app, spec.dataset, train_passes=spec.train_passes,
+                        mapping=spec.mapping, **fields)
 
 
 def scalar(spec, instrumentation=None):
@@ -306,8 +306,23 @@ def check_axes(batch, axes):
 
 
 def ensemble_axes(specs, tick=None):
-    """The ``ensemble`` axis of one eligible batch and, given a ``tick``,
-    its ``restored`` axis.
+    """The ``ensemble`` axis of a batch and, given a ``tick``, its
+    ``restored`` axis: one :func:`platform_axes` per effective platform
+    (``None`` runs on the default one)."""
+    by_platform = {}
+    for spec in specs:
+        platform = spec.platform if spec.platform is not None else PlatformConfig()
+        by_platform.setdefault(platform, []).append(spec)
+    axes = {}
+    for group in by_platform.values():
+        for axis, pairs in platform_axes(group, tick).items():
+            axes.setdefault(axis, []).extend(pairs)
+    return axes
+
+
+def platform_axes(specs, tick=None):
+    """The ``ensemble`` axis of a batch on one platform and, given a
+    ``tick``, its ``restored`` axis.
 
     The ensemble is then captured at ``tick`` on its way to the end, and
     the snapshot goes through the on-disk encoding into a fresh engine.
@@ -388,12 +403,11 @@ def traced_and_resumed(spec, tick, damage, root: Path):
 def check_every_axis(batch, tick, damage, jobs):
     """Assert every member of ``batch`` has one digest on every axis;
     returns each distinct member's scalar outcome."""
-    eligible = [spec for spec in batch if ensemble_eligible(spec)]
-    axes = ensemble_axes(eligible, tick) if eligible else {}
+    axes = ensemble_axes(batch, tick)
 
     runnable = [spec for spec in batch if runner_runs(spec)]
     with pytest.MonkeyPatch.context() as mp:
-        # A floor of 1 batches every eligible member, however small the
+        # A floor of 1 batches every member, however small the
         # example, so this axis always crosses the planner and shards.
         mp.setattr(planner, "MIN_GROUP", 1)
         summaries = ExperimentEngine(jobs=jobs, cache=None).run(runnable)
@@ -443,6 +457,17 @@ VARIATION_TICK = 4000
 EXPLOITATION_BATCH = [member("mpeg_dec", "proposed", 4, iteration_scale=0.5)]
 EXPLOITATION_TICK = 9000
 
+#: Fig. 6's filtered reference beside a supervised learning member on
+#: its EMA-filtered platform, and a default-platform member: two
+#: ensembles.  The restore tick falls after the first eval reading, so
+#: the snapshot carries the batched low-pass state.
+FILTERED_BATCH = [
+    member("tachyon", "linux", 1, dataset="set 2", platform=FILTERED),
+    member("mpeg_dec", "proposed", 2, platform=FILTERED, supervisor=SUPERVISED),
+    member("tachyon", "proposed", 3),
+]
+FILTERED_TICK = 450
+
 
 @settings(max_examples=4, deadline=None)
 @given(
@@ -481,6 +506,7 @@ EXPLOITATION_TICK = 9000
 @example(batch=EMERGENCY_BATCH, tick=EMERGENCY_TICK, damage="none", jobs=1)
 @example(batch=VARIATION_BATCH, tick=VARIATION_TICK, damage="newest", jobs=1)
 @example(batch=EXPLOITATION_BATCH, tick=EXPLOITATION_TICK, damage="newest", jobs=1)
+@example(batch=FILTERED_BATCH, tick=FILTERED_TICK, damage="newest", jobs=2)
 def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
     reference = check_every_axis(batch, tick, damage, jobs)
     if batch == SCENARIO_BATCH:
@@ -504,6 +530,12 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
         held = build_sim(batch[0])
         EnsembleSimulation([held]).run(max_ticks=tick)
         assert held.manager.agent.stats.exploitation_entry_epoch is not None
+    if batch == FILTERED_BATCH:
+        filtered = EnsembleSimulation(
+            [build_sim(spec) for spec in batch if spec.platform == FILTERED]
+        )
+        filtered.run(max_ticks=tick)
+        assert filtered.capture()["eval_sensors"]["_ema"] is not None
 
 
 def test_cached_bytes_ignore_unfilled_capacity():

@@ -16,17 +16,19 @@ same grids on the next pass.
 
 A second layer replays the committed golden-master grids
 (:mod:`tests.test_golden_artefacts`) through an ensemble-routed engine
-whose member floor is lowered to 1, so every eligible cell of those
-small grids runs inside an ensemble shard:
+whose member floor is lowered to 1, so every cell of those small grids
+runs inside an ensemble shard:
 the goldens were generated on the scalar path, so matching them proves
 scalar/ensemble interchangeability against a fixed on-disk reference,
 not merely within one process.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.experiments.engine import ExperimentEngine, ResultCache
-from repro.experiments.engine.spec import EnsembleJobSpec, ensemble_eligible
+from repro.experiments.engine import ExperimentEngine, ResultCache, planner
+from repro.experiments.engine.spec import EnsembleJobSpec
 from repro.experiments.engine.sweep import ARTEFACTS
 
 from tests.test_differential import assert_same_artefacts, assert_sweeps_stay_out_of_results
@@ -100,15 +102,19 @@ def ensemble_engine(tmp_path, monkeypatch, narrow_ensembles):
 def test_ensemble_path_reproduces_committed_goldens(name, ensemble_engine):
     """The golden masters were generated by the scalar path; the
     ensemble-routed engine must reproduce their bytes exactly, and never
-    rewrites them.  Every ensemble-eligible cell of the case crosses an
-    ensemble shard, and every case dispatches at least one."""
+    rewrites them.  Every cell of a platform with at least ``MIN_GROUP``
+    cells crosses an ensemble shard, and every case dispatches at least
+    one."""
     engine, dispatched = ensemble_engine
     assert_matches_golden(name, engine)
     shards = [job for job in dispatched if isinstance(job, EnsembleJobSpec)]
-    scalar_eligible = [
-        job
-        for job in dispatched
-        if not isinstance(job, EnsembleJobSpec) and ensemble_eligible(job)
+    scalar = [job for job in dispatched if not isinstance(job, EnsembleJobSpec)]
+    cells_by_platform = Counter(
+        cell.platform
+        for cell in scalar + [member for shard in shards for member in shard.members]
+    )
+    grouped_scalar = [
+        job for job in scalar if cells_by_platform[job.platform] >= planner.MIN_GROUP
     ]
-    assert not scalar_eligible, f"{name}: eligible cells ran scalar"
+    assert not grouped_scalar, f"{name}: cells of a full platform ran scalar"
     assert shards, f"{name}: no ensemble shard dispatched"

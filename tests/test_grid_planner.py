@@ -7,8 +7,8 @@ and the engine's ``ensemble=True`` execution path:
 * **Partition properties** (Hypothesis) — for arbitrary mixed batches
   (workload/scenario kinds, platforms, supervisors), ``plan_grid``
   yields a deterministic partition: every index exactly once, groups
-  platform-uniform and ensemble-valid, ineligible cells scalar, groups
-  in first-appearance order.
+  platform-uniform and ensemble-valid, a platform's cells batched all
+  or none, groups in first-appearance order.
 * **Cache discipline** (Hypothesis) — routing a batch through
   ``ExperimentEngine(ensemble=True)`` never executes a member that the
   cache (or deduplication) already resolved, and never executes any
@@ -45,11 +45,7 @@ from repro.experiments import (
 )
 from repro.checkpoint import CheckpointStore
 from repro.experiments.engine import ExperimentEngine, ResultCache, planner
-from repro.experiments.engine.planner import (
-    MIN_GROUP,
-    ensemble_eligible,
-    plan_grid,
-)
+from repro.experiments.engine.planner import MIN_GROUP, plan_grid
 from repro.experiments.engine.scheduler import EngineJobError
 from repro.experiments.engine.spec import (
     EnsembleJobSpec,
@@ -72,7 +68,7 @@ _EMA_PLATFORM = dataclasses.replace(
 )
 
 # ----------------------------------------------------------------------
-# Strategies: mixed batches exercising every eligibility rule
+# Strategies: mixed batches over kinds, platforms and supervisors
 # ----------------------------------------------------------------------
 
 _workload_specs = st.builds(
@@ -115,7 +111,6 @@ class TestPlanGridProperties:
             assert len(group) >= min_group
             assert list(group) == sorted(group)
             members = [specs[index] for index in group]
-            assert all(ensemble_eligible(member) for member in members)
             platforms = {member.platform for member in members}
             assert len(platforms) == 1
             # The group materialises into a valid EnsembleJobSpec.
@@ -123,32 +118,18 @@ class TestPlanGridProperties:
 
     @given(specs=_grids, min_group=_min_groups)
     @settings(deadline=None)
-    def test_ineligible_specs_always_stay_scalar(self, specs, min_group):
-        with mock.patch.object(planner, "MIN_GROUP", min_group):
-            plan = plan_grid(specs)
-        batched = {index for group in plan.groups for index in group}
-        for index, spec in enumerate(specs):
-            if not ensemble_eligible(spec):
-                assert index not in batched
-        assert list(plan.scalar) == sorted(plan.scalar)
-
-    @given(specs=_grids, min_group=_min_groups)
-    @settings(deadline=None)
     def test_platform_cells_batch_all_or_none(self, specs, min_group):
-        """Every eligible cell of a platform is batched iff the platform
-        mustered ``MIN_GROUP`` cells — no partial groups."""
+        """Every cell of a platform is batched iff the platform mustered
+        ``MIN_GROUP`` cells — no partial groups, no other rule."""
         with mock.patch.object(planner, "MIN_GROUP", min_group):
             plan = plan_grid(specs)
-        eligible_by_platform = Counter(
-            spec.platform for spec in specs if ensemble_eligible(spec)
-        )
+        cells_by_platform = Counter(spec.platform for spec in specs)
         for group in plan.groups:
             platform = specs[group[0]].platform
-            assert len(group) == eligible_by_platform[platform]
+            assert len(group) == cells_by_platform[platform]
         for index in plan.scalar:
-            spec = specs[index]
-            if ensemble_eligible(spec):
-                assert eligible_by_platform[spec.platform] < min_group
+            assert cells_by_platform[specs[index].platform] < min_group
+        assert list(plan.scalar) == sorted(plan.scalar)
 
     @given(specs=_grids, min_group=_min_groups)
     @settings(deadline=None)
@@ -156,24 +137,16 @@ class TestPlanGridProperties:
         with mock.patch.object(planner, "MIN_GROUP", min_group):
             plan = plan_grid(specs)
             assert plan == plan_grid(list(specs))
-        # Groups appear in order of their platform's first eligible cell.
+        # Groups appear in order of their platform's first cell.
         first_indices = [group[0] for group in plan.groups]
         assert first_indices == sorted(first_indices)
 
     @given(spec=st.one_of(_workload_specs, _scenario_specs))
     @settings(deadline=None)
-    def test_ensemble_jobs_take_exactly_the_eligible_specs(self, spec):
-        if ensemble_eligible(spec):
-            ensemble_job([spec])
-        else:
-            with pytest.raises(ValueError, match="not ensemble-eligible"):
-                ensemble_job([spec])
-
-    def test_ema_sensor_member_is_rejected_at_construction(self):
-        """An EMA-filtered member fails when the job is built, not in
-        every attempt of the worker that runs it."""
-        with pytest.raises(ValueError, match="not ensemble-eligible"):
-            ensemble_job([workload_job("tachyon", platform=_EMA_PLATFORM)])
+    def test_every_spec_builds_an_ensemble_job(self, spec):
+        """Workload or scenario, supervised or not, EMA-filtered sensor
+        or not: any spec is a valid one-member ensemble."""
+        assert ensemble_job([spec]).members == (spec,)
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +430,7 @@ class TestCrossoverFloor:
 
 def test_one_pool_serves_every_group_and_the_leftovers(monkeypatch):
     """One ensemble group — workload, scenario and supervised cells
-    alike — plus the scalar leftover (an EMA-platform cell) run through
+    alike — plus the scalar leftover (a cell alone on its platform) run through
     a single dispatch: one worker pool per batch."""
     pools = []
     received = []
@@ -524,7 +497,7 @@ def test_engine_dispatches_through_the_shard_entry_point(monkeypatch):
 def test_cold_sweep_plans_one_group_and_one_scalar_cell():
     """A cold scale-0.12 ``repro all`` batch, deduplicated as the engine
     does, plans every cell into one ensemble group but Figure 6's
-    EMA-sensor reference, the one cell the ensemble cannot take."""
+    EMA-sensor reference, the one cell alone on its platform."""
     cells = [
         spec
         for name in ARTEFACTS
@@ -535,6 +508,7 @@ def test_cold_sweep_plans_one_group_and_one_scalar_cell():
     assert [len(group) for group in plan.groups] == [253]
     assert len(plan.scalar) == 1
     leftover = pending[plan.scalar[0]]
+    assert [spec.platform for spec in pending].count(leftover.platform) == 1
     assert leftover.platform.sensor.ema_tau_s > 0.0
     assert leftover in fig6_sampling.cells(iteration_scale=SCALE, seed=1).values()
 

@@ -128,6 +128,11 @@ class GeQiuThermalManager(ThermalManagerBase):
     # ThermalManagerBase interface
     # ------------------------------------------------------------------
 
+    @property
+    def sensor_period_s(self) -> float:
+        """The sample/learn/act interval."""
+        return self.config.interval_s
+
     def attach(self, sim: Simulation) -> None:
         """Bind to the platform, preserving learning across runs.
 

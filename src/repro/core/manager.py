@@ -53,6 +53,11 @@ class ProposedThermalManager(ThermalManagerBase):
     # ThermalManagerBase interface
     # ------------------------------------------------------------------
 
+    @property
+    def sensor_period_s(self) -> float:
+        """The temperature sampling interval."""
+        return self.config.sampling_interval_s
+
     def attach(self, sim: Simulation) -> None:
         """Reset sampling state at the start of a run."""
         self._next_sample_s = self.config.sampling_interval_s

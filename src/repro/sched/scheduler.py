@@ -21,14 +21,19 @@ per tick, every experiment is tens of thousands of ticks), so placement
 state is maintained incrementally instead of being recomputed per
 decision: ``_runnable_per_core`` mirrors what the seed implementation's
 O(threads x cores) ``_runnable_count`` scans produced, and phase 3 builds
-the per-core run queues in a single pass over the threads.  All decisions
-are bit-identical to the reference behaviour preserved in
+the per-core run queues in a single pass over the threads.  A *quiet*
+tick — one that finds every thread in the phase the last full tick
+found it in, at the same frequencies, with nothing placed, moved or
+stalled since — skips both thread passes and replays that tick's
+layout from a memo (see :meth:`Scheduler.tick`).  All decisions are
+bit-identical to the reference behaviour preserved in
 ``tests/_reference_scheduler.py`` (see the randomized equivalence test).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sched.affinity import AffinityMapping
 from repro.sched.perf import PerfCounters
@@ -40,9 +45,13 @@ _COMPUTE = ThreadPhase.COMPUTE
 _BARRIER = ThreadPhase.BARRIER
 _DONE = ThreadPhase.DONE
 
-#: Bypasses the namedtuple's eval-generated ``__new__`` wrapper (one
-#: Python frame per core per tick); produces an identical CoreLoad.
-_new_load = tuple.__new__
+#: Bypass the namedtuples' eval-generated ``__new__`` wrapper (one
+#: Python frame per core per tick); they produce an identical CoreLoad
+#: or quiet-tick memo.
+_new_load = _new_memo = tuple.__new__
+
+#: One thread's phase; ``map`` over the threads builds the quiet-tick key.
+_phase_of = attrgetter("phase")
 
 
 class CoreLoad(NamedTuple):
@@ -64,6 +73,23 @@ class CoreLoad(NamedTuple):
     activity: float
     num_runnable: int
     executed_cycles: float
+
+
+class _QuietMemo(NamedTuple):
+    """What a full tick left for the quiet ticks after it to replay.
+
+    The first three fields are the key (a quiet tick must see them
+    again); the rest is the layout: per busy core, in core order, its
+    run queue, the cycles it grants each queued thread and its executed
+    cycles; the loads the tick returned; its busy-core fraction.
+    """
+
+    phases: List[ThreadPhase]
+    frequencies: List[float]
+    dt: float
+    busy: List[Tuple[List[SimThread], float, float]]
+    loads: Tuple[CoreLoad, ...]
+    busy_fraction: float
 
 
 class Scheduler:
@@ -100,8 +126,9 @@ class Scheduler:
         "_since_rebalance_s",
         "_runnable_per_core",
     )
-    #: Construction values and per-tick caches (run queues, the
-    #: dt-keyed EWMA weight, the in-tick migration flag).
+    #: Construction values and per-tick caches (the dt-keyed EWMA
+    #: weight, the in-tick migration flag, the quiet-tick memo and its
+    #: counter).
     DERIVED_FIELDS = (
         "num_cores",
         "perf",
@@ -111,10 +138,11 @@ class Scheduler:
         "pack_cap",
         "idle_activity",
         "_all_cores",
-        "_run_queues",
         "_ewma_dt",
         "_ewma_weight",
         "_cores_moved",
+        "_memo",
+        "quiet_ticks",
     )
 
     def __init__(
@@ -152,16 +180,28 @@ class Scheduler:
         # (thread phases change outside the scheduler), then maintained
         # incrementally across placements within a call.
         self._runnable_per_core: List[int] = [0] * num_cores
-        # Reusable phase-3 per-core run queues (cleared every tick).
-        self._run_queues: List[List[SimThread]] = [[] for _ in range(num_cores)]
         # min(1.0, dt / 2.0) cached per tick length (dt is constant
         # within a run; recomputed only if a caller changes it).
         self._ewma_dt: Optional[float] = None
         self._ewma_weight = 0.0
-        # Set by _place/_move while a tick is in flight: tells phase 3
-        # whether the entry core snapshot is still valid (the common,
-        # no-migration case skips one dict lookup per thread).
+        # Set by _place/_move when a thread changes core while a tick is
+        # in flight: tells phase 3 whether the entry core snapshot is
+        # still valid (the common, no-migration case skips one dict
+        # lookup per thread) and rules the tick out as a quiet memo.
         self._cores_moved = False
+        # The last full tick's layout, replayed by quiet ticks.  None
+        # whenever the next tick must take the full path: every full
+        # tick rebuilds or drops it, and the out-of-tick entry points
+        # that place, migrate or stall (set_threads, set_mapping,
+        # stall_all) drop it.
+        self._memo: Optional[_QuietMemo] = None
+        #: Ticks served from the memo (tests and profiling read it).
+        self.quiet_ticks = 0
+
+    def _after_restore(self) -> None:
+        # Restored placement state (cores, phases, stalls) is not the
+        # layout the memo replays.
+        self._memo = None
 
     # ------------------------------------------------------------------
     # Thread and mapping management
@@ -182,6 +222,7 @@ class Scheduler:
     ) -> None:
         """Adopt a fresh thread set (application start or switch)."""
         self._threads = list(threads)
+        self._memo = None
         self._core_of.clear()
         # Fresh threads are not "waking" — wake-affine packing applies
         # only to genuine sync->compute transitions later on.
@@ -209,6 +250,7 @@ class Scheduler:
                     f"have {len(self._threads)}"
                 )
         self._mapping = mapping
+        self._memo = None
         self._refresh_runnable_counts()
         for thread in self._threads:
             core = self._core_of.get(thread)
@@ -219,6 +261,7 @@ class Scheduler:
         """Steal CPU time from every core (management overhead)."""
         if seconds < 0.0:
             raise ValueError("stall cannot be negative")
+        self._memo = None
         stall_s = self._stall_s
         for core in range(self.num_cores):
             stall_s[core] += seconds
@@ -295,12 +338,13 @@ class Scheduler:
         previous = self._core_of.get(thread)
         self._core_of[thread] = core
         thread.core = core
-        self._cores_moved = True
-        if previous != core and thread.phase is _COMPUTE:
-            counts = self._runnable_per_core
-            if previous is not None:
-                counts[previous] -= 1
-            counts[core] += 1
+        if previous != core:
+            self._cores_moved = True
+            if thread.phase is _COMPUTE:
+                counts = self._runnable_per_core
+                if previous is not None:
+                    counts[previous] -= 1
+                counts[core] += 1
         if previous is not None and previous != core:
             thread.last_core = previous
             self.perf.record_migration()
@@ -357,6 +401,21 @@ class Scheduler:
     def tick(self, frequencies_hz: Sequence[float], dt: float) -> List[CoreLoad]:
         """Place, balance and execute all threads for one tick.
 
+        A tick is *quiet* when the memo of the last full tick is still
+        held (nothing was placed, migrated or stalled since: every full
+        tick that does any of that drops it, as do ``set_threads``,
+        ``set_mapping`` and ``stall_all``), every thread is in the phase
+        that tick found it in, and the frequencies and ``dt`` are that
+        tick's.  Then phases 1 and 3 below are provably no-ops or
+        repeats: no thread woke or lost its core, the counts and run
+        queues are the memo's, and no queued thread's burst ended since
+        (one that had would have changed phase).  A quiet tick still
+        runs the balancers (2a, 2b) — their timers advance every tick —
+        and falls back to the full path if they move a thread or if a
+        queued thread's burst would end this tick; otherwise it burns
+        the memo's cycles and returns the memo's loads, which the full
+        path would rebuild from the same values by the same expressions.
+
         Parameters
         ----------
         frequencies_hz:
@@ -377,52 +436,58 @@ class Scheduler:
             raise ValueError("dt must be positive")
 
         # Thread phases changed since the last scheduler call (the
-        # application ticked), so the incremental counts are stale.
-        # One pass refreshes the counts and snapshots each thread's
-        # phase and core: phases cannot change before execution (only
-        # ``execute`` flips COMPUTE -> BARRIER mid-tick) and a thread's
-        # own core cannot change before its phase-1 visit, so both
-        # snapshots are valid exactly as long as they are used.
+        # application ticked).  A full tick refreshes the incremental
+        # counts and snapshots each thread's core in one pass: phases
+        # cannot change before execution (only ``execute`` flips COMPUTE
+        # -> BARRIER mid-tick) and a thread's own core cannot change
+        # before its phase-1 visit, so both snapshots are valid exactly
+        # as long as they are used.
         threads = self._threads
-        core_of = self._core_of
+        phases: List[ThreadPhase] = list(map(_phase_of, threads))
+        memo = self._memo
+        quiet = (
+            memo is not None
+            and phases == memo.phases
+            and frequencies_hz == memo.frequencies
+            and dt == memo.dt
+        )
         prev_runnable = self._prev_runnable
-        mapping = self._mapping
         counts = self._runnable_per_core
-        for core in range(num_cores):
-            counts[core] = 0
         self._cores_moved = False
-        phases: List[ThreadPhase] = []
-        cores: List[Optional[int]] = []
-        phases_append = phases.append
-        cores_append = cores.append
-        for thread in threads:
-            phase = thread.phase
-            core = core_of.get(thread)
-            phases_append(phase)
-            cores_append(core)
-            if phase is _COMPUTE and core is not None:
-                counts[core] += 1
+        cores: Optional[List[Optional[int]]] = None
+        if not quiet:
+            core_of = self._core_of
+            mapping = self._mapping
+            for core in range(num_cores):
+                counts[core] = 0
+            cores = []
+            cores_append = cores.append
+            for thread, phase in zip(threads, phases):
+                core = core_of.get(thread)
+                cores_append(core)
+                if phase is _COMPUTE and core is not None:
+                    counts[core] += 1
 
-        # 1. Handle wakes and placement.
-        if mapping is None:
-            for thread, phase, core in zip(threads, phases, cores):
-                if phase is _DONE:
-                    continue
-                if core is None:
-                    self._place(thread, initial=True)
-                elif phase is _COMPUTE and not prev_runnable[thread]:
-                    self._place(thread, wake=True)
-        else:
-            for thread, phase, core in zip(threads, phases, cores):
-                if phase is _DONE:
-                    continue
-                woke = phase is _COMPUTE and not prev_runnable[thread]
-                if core is None:
-                    self._place(thread, initial=True)
-                elif not mapping.allows(thread.thread_id, core):
-                    self._migrate(thread)
-                elif woke and self._mapping_is_free(thread):
-                    self._place(thread, wake=True)
+            # 1. Handle wakes and placement.
+            if mapping is None:
+                for thread, phase, core in zip(threads, phases, cores):
+                    if phase is _DONE:
+                        continue
+                    if core is None:
+                        self._place(thread, initial=True)
+                    elif phase is _COMPUTE and not prev_runnable[thread]:
+                        self._place(thread, wake=True)
+            else:
+                for thread, phase, core in zip(threads, phases, cores):
+                    if phase is _DONE:
+                        continue
+                    woke = phase is _COMPUTE and not prev_runnable[thread]
+                    if core is None:
+                        self._place(thread, initial=True)
+                    elif not mapping.allows(thread.thread_id, core):
+                        self._migrate(thread)
+                    elif woke and self._mapping_is_free(thread):
+                        self._place(thread, wake=True)
 
         # 2a. Newly-idle balancing: a core that has sat idle for longer
         # than the pull delay steals a runnable thread from the busiest
@@ -451,17 +516,37 @@ class Scheduler:
             self._since_rebalance_s = 0.0
             self._rebalance()
 
+        record_execution = self.perf.record_execution
+        if quiet and not self._cores_moved:
+            # Quiet tick: replay the memo unless a burst ends (the
+            # comparison is the full path's own ``remaining <= 0.0``).
+            busy = memo.busy
+            for queue, cycles, _ in busy:
+                for thread in queue:
+                    if thread.remaining_cycles - cycles <= 0.0:
+                        quiet = False
+            if quiet:
+                for queue, cycles, executed in busy:
+                    for thread in queue:
+                        thread.remaining_cycles -= cycles
+                    record_execution(executed)
+                self._busy_ewma += self._ewma_weight * (
+                    memo.busy_fraction - self._busy_ewma
+                )
+                self.quiet_ticks += 1
+                return list(memo.loads)
+
         # 3. Execute: one pass builds the per-core run queues and waiting
         # counts, then each core grants its effective time slice.  The
         # same pass records each thread's pre-execution runnable flag in
         # ``prev_runnable`` (the phase snapshot is still valid here);
         # executed threads — the only ones whose phase can change below
         # — are corrected after their burst.
-        run_queues = self._run_queues
+        run_queues: List[List[SimThread]] = [[] for _ in range(num_cores)]
         wait_counts = [0] * num_cores
         stalled = self._stalled
         has_stalled = bool(stalled)
-        if not self._cores_moved:
+        if cores is not None and not self._cores_moved:
             # No migration this tick: the entry core snapshot is intact.
             for thread, phase, core in zip(threads, phases, cores):
                 if phase is _COMPUTE:
@@ -475,6 +560,7 @@ class Scheduler:
                     if phase is not _DONE and core is not None:
                         wait_counts[core] += 1
         else:
+            core_of = self._core_of
             for thread, phase in zip(threads, phases):
                 if phase is _COMPUTE:
                     prev_runnable[thread] = True
@@ -491,10 +577,14 @@ class Scheduler:
                             wait_counts[core] += 1
 
         stall_s = self._stall_s
+        # The layout is replayable only if nothing moved, nothing was
+        # held back as just-migrated and no stall shortened a slice;
+        # a burst that ends below rules it out as well.
+        memoizable = not (self._cores_moved or has_stalled or any(stall_s))
         idle_activity = self.idle_activity
-        record_execution = self.perf.record_execution
         loads: List[CoreLoad] = []
         loads_append = loads.append
+        busy: List[Tuple[List[SimThread], float, float]] = []
         busy_cores = 0
         for core in range(num_cores):
             pending = stall_s[core]
@@ -519,6 +609,7 @@ class Scheduler:
                         thread.phase = _BARRIER
                     executed += cycles
                 record_execution(executed)
+                busy.append((runnable, cycles, executed))
             scale = effective_dt / dt
             utilisation = (num_runnable * 1.0 + num_waiting * 0.03) * scale + (
                 stall / dt
@@ -541,6 +632,7 @@ class Scheduler:
                     else:
                         total = total + spec.activity_low
                         prev_runnable[thread] = False
+                        memoizable = False
                 activity = total / num_runnable
                 activity *= scale
             else:
@@ -551,7 +643,6 @@ class Scheduler:
             loads_append(
                 _new_load(CoreLoad, (utilisation, activity, num_runnable, executed))
             )
-            runnable.clear()
 
         # 4. Bookkeeping for the next tick.
         busy_fraction = busy_cores / num_cores
@@ -561,6 +652,14 @@ class Scheduler:
         self._busy_ewma += self._ewma_weight * (busy_fraction - self._busy_ewma)
         if has_stalled:
             stalled.clear()
+        self._memo = (
+            _new_memo(
+                _QuietMemo,
+                (phases, list(frequencies_hz), dt, busy, tuple(loads), busy_fraction),
+            )
+            if memoizable
+            else None
+        )
         return loads
 
     def _mapping_is_free(self, thread: SimThread) -> bool:

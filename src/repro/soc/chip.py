@@ -10,13 +10,16 @@ accumulates both channels.
 runs off a precomputed :class:`~repro.power.table.PowerTable` (one dict
 lookup per core instead of a ladder scan plus re-validated free-function
 calls) and the thermal update goes through the RC model's unchecked
-``_step_into`` — both bit-identical to the seed arithmetic.
+``_step_into`` — both bit-identical to the seed arithmetic.  Per-core
+dynamic power depends on nothing but the activities and frequencies, so
+a step that gets the previous step's reuses its dynamic list (quiet
+scheduler ticks repeat both exactly).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +54,9 @@ class Chip:
         "_last_static",
         "_drift_rng",
     )
-    #: Construction values and the dt-keyed drift constants (a fresh
-    #: ``_drift_dt`` of None recomputes them on the next step).
+    #: Construction values, the dt-keyed drift constants (a fresh
+    #: ``_drift_dt`` of None recomputes them on the next step) and the
+    #: input-keyed dynamic-power memo.
     DERIVED_FIELDS = (
         "config",
         "ladder",
@@ -65,6 +69,7 @@ class Chip:
         "_idle_package_power_w",
         "_uncore_per_active_w",
         "_timer",
+        "_power_memo",
     )
 
     def __init__(self, config: PlatformConfig, seed: int = 0) -> None:
@@ -90,6 +95,14 @@ class Chip:
         self._idle_package_power_w = config.power.idle_package_power
         self._uncore_per_active_w = config.power.uncore_power_per_active_core
         self._timer: Optional[SectionTimer] = None
+        # (activities, frequencies) of the last evaluated step, with its
+        # dynamic list, per-core leakage scales and uncore power.
+        self._power_memo: Optional[
+            Tuple[List[float], List[float], List[float], List[float], float]
+        ] = None
+
+    def _after_restore(self) -> None:
+        self._power_memo = None
 
     def attach_timer(self, timer: Optional[SectionTimer]) -> None:
         """Attach (or detach, with None) a per-phase section timer."""
@@ -113,7 +126,7 @@ class Chip:
         activities: Sequence[float],
         frequencies_hz: Sequence[float],
         dt: float,
-    ) -> np.ndarray:
+    ) -> None:
         """Advance the die one tick.
 
         Parameters
@@ -124,11 +137,6 @@ class Chip:
             Per-core clock frequencies (must be OPP frequencies).
         dt:
             Tick length in seconds.
-
-        Returns
-        -------
-        numpy.ndarray
-            The new true core temperatures.
         """
         num_cores = self.config.num_cores
         if len(activities) != num_cores or len(frequencies_hz) != num_cores:
@@ -151,30 +159,48 @@ class Chip:
         timer = self._timer
         if timer is not None:
             mark = timer.now()
-        table = self.power_table
-        by_frequency = table._by_frequency
-        c_eff = table.c_eff
-        t_leak = table.t_leak
+        t_leak = self.power_table.t_leak
+        exp = math.exp
         # Plain-float temperatures: one C-level conversion instead of a
         # boxed numpy scalar per core (same IEEE doubles either way).
         temps = self.thermal._temps.tolist()
-        dynamic: List[float] = []
-        static: List[float] = []
-        for core in range(num_cores):
-            frequency = frequencies_hz[core]
-            entry = by_frequency.get(frequency)
-            if entry is None:
-                entry = table.entry_for_hz(frequency)
-            activity = activities[core]
-            if not 0.0 <= activity <= 1.0:
-                raise ValueError(f"activity {activity} outside [0, 1]")
-            voltage = entry.voltage_v
-            dynamic.append(activity * c_eff * voltage * voltage * frequency)
-            static.append(entry.leakage_scale_w * math.exp(t_leak * temps[core]))
-        uncore = (
-            self._idle_package_power_w
-            + self._uncore_per_active_w * sum(activities)
-        )
+        memo = self._power_memo
+        if (
+            memo is not None
+            and activities == memo[0]
+            and frequencies_hz == memo[1]
+        ):
+            # Same inputs as the last evaluated step (already validated
+            # then): its dynamic powers, leakage scales and uncore power.
+            dynamic, scales, uncore = memo[2], memo[3], memo[4]
+            static = [scale * exp(t_leak * temp) for scale, temp in zip(scales, temps)]
+        else:
+            table = self.power_table
+            by_frequency = table._by_frequency
+            c_eff = table.c_eff
+            dynamic = []
+            scales: List[float] = []
+            static = []
+            for core in range(num_cores):
+                frequency = frequencies_hz[core]
+                entry = by_frequency.get(frequency)
+                if entry is None:
+                    entry = table.entry_for_hz(frequency)
+                activity = activities[core]
+                if not 0.0 <= activity <= 1.0:
+                    raise ValueError(f"activity {activity} outside [0, 1]")
+                voltage = entry.voltage_v
+                dynamic.append(activity * c_eff * voltage * voltage * frequency)
+                scale = entry.leakage_scale_w
+                scales.append(scale)
+                static.append(scale * exp(t_leak * temps[core]))
+            uncore = (
+                self._idle_package_power_w
+                + self._uncore_per_active_w * sum(activities)
+            )
+            self._power_memo = (
+                list(activities), list(frequencies_hz), dynamic, scales, uncore
+            )
         self.energy.record(dynamic, static, uncore, dt)
         self._last_dynamic = dynamic
         self._last_static = static
@@ -184,7 +210,6 @@ class Chip:
         self.thermal._step_into(total, uncore)
         if timer is not None:
             timer.lap("thermal", mark)
-        return self.thermal.core_temps_c()
 
     def last_core_powers_w(self) -> List[float]:
         """Total per-core power of the most recent tick."""

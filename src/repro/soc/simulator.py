@@ -75,6 +75,11 @@ def _mapping_masks(mapping: Optional[AffinityMapping]) -> Optional[list]:
 class ThermalManagerBase:
     """Interface every thermal-management controller implements."""
 
+    #: How often the controller reads the sensors, in seconds: the
+    #: period its sensor bank's low-pass filter is discretised for.
+    #: Controllers that never read them keep the bank's 1 s default.
+    sensor_period_s = 1.0
+
     def attach(self, sim: "Simulation") -> None:
         """Called once before the run starts."""
 
@@ -266,7 +271,14 @@ class Simulation:
         self._mapping = mapping
         self.manager = manager
         self._manager_sensors = SensorBank(
-            self.platform.num_cores, self.platform.sensor, seed=seed + 101
+            self.platform.num_cores,
+            self.platform.sensor,
+            seed=seed + 101,
+            sample_period_s=(
+                ThermalManagerBase.sensor_period_s
+                if manager is None
+                else manager.sensor_period_s
+            ),
         )
         self._eval_sensors = SensorBank(
             self.platform.num_cores,

@@ -198,6 +198,23 @@ MUTANTS: Tuple[Mutant, ...] = (
         test=HARNESS,
         found_by="Route ensemble cells by platform alone",
     ),
+    Mutant(
+        file="src/repro/sched/scheduler.py",
+        anchor="and frequencies_hz == memo.frequencies",
+        replacement="and len(frequencies_hz) == len(memo.frequencies)",
+        test=HARNESS,
+        found_by="Replay quiet scalar ticks from the scheduler's last layout",
+    ),
+    Mutant(
+        file="src/repro/sched/scheduler.py",
+        anchor="# layout the memo replays.\n        self._memo = None",
+        replacement="# layout the memo replays.\n        pass",
+        test=(
+            "tests/test_sched_fastpath.py::"
+            "test_restore_into_a_ticked_scheduler_drops_its_memo"
+        ),
+        found_by="Replay quiet scalar ticks from the scheduler's last layout",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(

@@ -11,15 +11,24 @@ The chain surgery is the ``traced`` and ``resumed`` axes of
 :mod:`tests.test_differential`.
 """
 
+import json
+
 import pytest
 
-from repro.checkpoint import CheckpointStore
+from repro.checkpoint import (
+    CheckpointStore,
+    capture_simulation,
+    restore_simulation,
+    serialize_checkpoint,
+)
 from repro.config import FaultConfig
 
 from tests.test_differential import (
     SUPERVISED,
     assert_same_digests,
+    build_sim,
     member,
+    outcomes,
     resumed,
     scalar,
     traced,
@@ -92,3 +101,43 @@ def test_scenario_resume_is_byte_identical(tmp_path):
     assert_same_digests(
         {spec: scalar(spec)}, {"traced": [(spec, traced_outcome)], "resumed": [(spec, resumed_outcome)]}
     )
+
+
+class QuietSnapshot:
+    """A run-loop hook that captures the first tick boundary, past
+    ``after`` ticks, that falls inside a quiet stretch: the tick just run
+    was served from the scheduler's memo and the memo is still held."""
+
+    def __init__(self, after: int) -> None:
+        self.after = after
+        self.state = None
+        self._quiet_ticks = 0
+
+    def maybe_checkpoint(self, sim) -> bool:
+        quiet = sim.scheduler.quiet_ticks > self._quiet_ticks
+        self._quiet_ticks = sim.scheduler.quiet_ticks
+        if self.state is not None or sim.tick_index < self.after:
+            return False
+        if not quiet or sim.scheduler._memo is None:
+            return False
+        self.state = json.loads(serialize_checkpoint(capture_simulation(sim)))
+        return True
+
+
+def test_resume_inside_a_quiet_stretch_is_identical():
+    """A snapshot taken between two quiet ticks, restored into a fresh
+    simulation (which holds no memo), continues to the summary of the
+    run that was never interrupted."""
+    spec = member("face_rec", "proposed", 2)
+    sim = build_sim(spec)
+    hook = QuietSnapshot(after=300)
+    sim.attach_checkpointer(hook)
+    reference = outcomes([spec], [sim], [sim.run()])[0][1]
+    assert hook.state is not None
+
+    fresh = build_sim(spec)
+    restore_simulation(fresh, hook.state)
+    assert fresh.scheduler._memo is None
+    outcome = outcomes([spec], [fresh], [fresh.run()])[0][1]
+    assert fresh.scheduler.quiet_ticks > 0
+    assert_same_digests({spec: reference}, {"resumed": [(spec, outcome)]})

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.config import PlatformConfig, SensorConfig
+from repro.experiments.engine.spec import workload_job
+from repro.experiments.runner import build_simulation
 from repro.sched.perf import PerfCounters
 from repro.soc.chip import Chip
 from repro.thermal.sensors import SensorBank
@@ -102,6 +104,23 @@ def test_filtered_sensor_smooths_oscillation():
         fast_span.append(fast.read(t)[0])
         slow_span.append(slow.read(t)[0])
     assert max(slow_span[10:]) - min(slow_span[10:]) < max(fast_span) - min(fast_span)
+
+
+@pytest.mark.parametrize(
+    "policy, alpha",
+    [
+        ("proposed", 0.5276),  # 1 - exp(-3/4): the 3 s sampling interval
+        ("ge", 0.5276),  # the 3 s learning interval
+        ("linux", 0.2212),  # 1 - exp(-1/4): nobody reads it, the 1 s default
+    ],
+)
+def test_manager_bank_filters_at_its_read_period(policy, alpha):
+    """On a filtered platform (tau = 4 s) the manager's sensor bank
+    discretises the low-pass filter for the period its manager reads at."""
+    platform = PlatformConfig(sensor=replace(PlatformConfig().sensor, ema_tau_s=4.0))
+    spec = workload_job("tachyon", None, policy, platform=platform, iteration_scale=0.1)
+    sim = build_simulation(spec)
+    assert sim._manager_sensors._ema_alpha == pytest.approx(alpha, abs=5e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ import random
 import pytest
 
 from tests._reference_scheduler import ReferenceScheduler
+from repro.checkpoint import capture_state, restore_state
+from repro.experiments.engine.spec import workload_job
+from repro.experiments.runner import build_simulation
 from repro.sched.affinity import MAPPING_ORDER, mapping_by_name
 from repro.sched.scheduler import Scheduler
 from repro.workloads.application import Application
@@ -154,3 +157,55 @@ def test_core_load_fields_and_type() -> None:
         assert load.executed_cycles == load[3]
         assert 0.0 <= load.utilisation <= 1.0
         assert 0.0 <= load.activity <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The quiet-tick memo
+# ---------------------------------------------------------------------------
+
+
+def test_short_face_rec_run_takes_the_quiet_path_on_most_ticks() -> None:
+    """Most ticks of a face_rec run under the proposed manager find the
+    last full tick's phases, cores and frequencies and are replayed from
+    the memo.  A refactor that silently stops serving them fails here."""
+    sim = build_simulation(
+        workload_job("face_rec", None, "proposed", seed=1, iteration_scale=0.1)
+    )
+    sim.run()
+    assert sim.scheduler.quiet_ticks >= 0.5 * sim.tick_index
+
+
+def test_restore_into_a_ticked_scheduler_drops_its_memo() -> None:
+    """A snapshot restored into a scheduler that has ticked on (a rewind)
+    must not replay the memo of the layout it ticked under since.
+
+    Bursts never end here, so every thread stays in COMPUTE: the phases
+    and frequencies match the stale memo after the restore, and only the
+    restored cores (spread, not the packed ``cluster_2`` layout the memo
+    holds) tell the two apart.
+    """
+    spec = WorkloadSpec(
+        name="t", dataset="d", num_threads=4, work_cycles=1e15,
+        work_jitter_sigma=0.0, activity_high=0.9, activity_low=0.1,
+        sync_time_s=0.1, iterations=2, performance_constraint=1.0,
+    )
+    frequencies = [2.4e9] * NUM_CORES
+    app, twin_app = Application(spec, seed=0), Application(spec, seed=0)
+    sched, twin = Scheduler(NUM_CORES), Scheduler(NUM_CORES)
+    sched.set_threads(app.threads)
+    twin.set_threads(twin_app.threads)
+    for _ in range(3):
+        assert sched.tick(frequencies, DT) == twin.tick(frequencies, DT)
+    snapshot = capture_state(sched)
+
+    sched.set_mapping(mapping_by_name("cluster_2", spec.num_threads))
+    for _ in range(3):
+        sched.tick(frequencies, DT)
+    assert sched._memo is not None
+
+    restore_state(sched, snapshot)
+    for _ in range(3):
+        assert sched.tick(frequencies, DT) == twin.tick(frequencies, DT)
+    assert [t.remaining_cycles for t in app.threads] == [
+        t.remaining_cycles for t in twin_app.threads
+    ]

@@ -18,16 +18,20 @@ The engine splits the system into two planes:
   :mod:`~repro.ensemble.power_thermal`, :mod:`~repro.ensemble.sensors`);
 * **control plane** (one member, occasionally) — thermal managers, fault
   injectors, supervisors and management-path sensor banks stay *real
-  scalar objects*.  When a member's manager is due it runs unchanged
-  against a :class:`~repro.ensemble.member_view.MemberView`, so every
-  Q-table update and exploration draw is bit-identical by construction.
+  scalar objects*, held by one
+  :class:`~repro.ensemble.member_view.EnsembleMember` per member.  When
+  a member's manager is due it runs unchanged against that member, which
+  inherits ``Simulation``'s manager-facing code
+  (:class:`~repro.soc.simulator.ControlSurface`) and supplies only its
+  rows of the batched arrays, so every Q-table update, exploration draw
+  and fault outcome is bit-identical by construction.
 
 Managers are gated by a per-member next-fire time harvested from their
 ``_next_sample_s`` attribute, so the quiescent per-tick cost of the
 control plane is one vectorized comparison, not N Python calls.  A
-supervised member's tick ends, as the scalar one does, with a
-supervision round (watchdog read, retries, thermal emergency) against
-its view; an unsupervised ensemble skips that phase entirely.
+supervised member's tick ends, as the scalar one does, with the shared
+supervision round (watchdog read, retries, thermal emergency); an
+unsupervised ensemble skips that phase entirely.
 
 A member runs an application *sequence* — a workload job's training
 passes then its measured pass, or a scenario's applications — and
@@ -42,24 +46,20 @@ loop would have broken; the remaining members keep stepping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.checkpoint.state import capture_state, restore_state
-from repro.ensemble.governors import BatchedGovernors, GovernorRow
+from repro.ensemble.governors import BatchedGovernors
 from repro.ensemble.managers import BatchedControlPlane
-from repro.ensemble.member_view import MemberView
+from repro.ensemble.member_view import EnsembleMember
 from repro.ensemble.power_thermal import BatchedChip
 from repro.ensemble.sched import BatchedPerf, BatchedScheduler
 from repro.ensemble.sensors import BatchedEvalSensors
 from repro.ensemble.workloads import BatchedWorkloads
-from repro.faults.injector import FaultInjector
-from repro.faults.supervisor import ActuationSupervisor, SensorSupervisor
 from repro.perf.timer import SectionTimer
 from repro.power.energy import EnergyMeter
-from repro.sched.affinity import AffinityMapping
 from repro.sched.perf import PerfCounters
 from repro.soc.simulator import (
     AppRecord,
@@ -68,8 +68,6 @@ from repro.soc.simulator import (
     ThermalManagerBase,
 )
 from repro.thermal.profile import ThermalProfile
-from repro.thermal.sensors import SensorBank
-from repro.workloads.application import Application
 
 #: Initial eval-sample capacity of the batched profile buffer.
 _INITIAL_PROFILE_CAPACITY = 64
@@ -98,62 +96,6 @@ def _manager_next_fire(manager: Optional[ThermalManagerBase]) -> float:
     if type(manager).on_tick is ThermalManagerBase.on_tick:
         return math.inf
     return float(getattr(manager, "_next_sample_s", -math.inf))
-
-
-@dataclass
-class MemberState:
-    """The scalar (control-plane) objects one member keeps."""
-
-    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  The
-    #: applications carry the generators the batched workloads draw from.
-    STATE_FIELDS = (
-        "applications",
-        "manager",
-        "manager_sensors",
-        "fault_injector",
-        "mapping",
-        "sensor_supervisor",
-        "actuation_supervisor",
-        "next_watchdog_s",
-        "pre_emergency_governor",
-    )
-    DERIVED_FIELDS = ("max_time_s", "seed")
-
-    applications: List[Application]
-    manager: Optional[ThermalManagerBase]
-    manager_sensors: SensorBank
-    fault_injector: Optional[FaultInjector]
-    mapping: Optional[AffinityMapping]
-    max_time_s: Optional[float]
-    seed: int
-    sensor_supervisor: Optional[SensorSupervisor] = None
-    actuation_supervisor: Optional[ActuationSupervisor] = None
-    #: When the supervisor's watchdog next samples the sensors.
-    next_watchdog_s: float = 0.0
-    #: The governor the thermal emergency parked, restored on release.
-    pre_emergency_governor: Optional[GovernorRow] = None
-
-
-class _UnsupervisedView:
-    """The engine as :class:`BatchedControlPlane` sees it.
-
-    Supervised members show no manager, so their managers keep the
-    per-member :class:`MemberView` path: the batched sample would skip
-    the sensor supervisor's filter and the supervised actuation.
-    Everything else is the engine's own.
-    """
-
-    def __init__(self, engine: "EnsembleSimulation") -> None:
-        self._engine = engine
-        self.members = [
-            replace(state, manager=None)
-            if state.actuation_supervisor is not None
-            else state
-            for state in engine.members
-        ]
-
-    def __getattr__(self, name: str):
-        return getattr(self._engine, name)
 
 
 class EnsembleSimulation:
@@ -205,7 +147,6 @@ class EnsembleSimulation:
         "dt",
         "eval_sample_period_s",
         "chip_template",
-        "views",
         "_eval_count",
         "_profile_buf",
         "_mgr_min",
@@ -286,33 +227,19 @@ class EnsembleSimulation:
         self.chip = BatchedChip(reference.chip, m)
         self.eval_sensors = BatchedEvalSensors(platform.sensor, m, c, eval_period)
 
-        self.members: List[MemberState] = []
+        self.members: List[EnsembleMember] = []
         for member, sim in enumerate(members):
             self.chip.adopt_row(member, sim.chip)
             self.governors.adopt_row(member, sim._governor)
             self.eval_sensors.adopt_rng(sim._eval_sensors._rng)
-            self.members.append(
-                MemberState(
-                    applications=list(sim.applications),
-                    manager=sim.manager,
-                    manager_sensors=sim._manager_sensors,
-                    fault_injector=sim._fault_injector,
-                    mapping=sim._mapping,
-                    max_time_s=sim.max_time_s,
-                    seed=sim._seed,
-                    sensor_supervisor=sim._sensor_supervisor,
-                    actuation_supervisor=sim._actuation_supervisor,
-                    next_watchdog_s=sim._next_watchdog_s,
-                )
-            )
-        self.views = [MemberView(self, member) for member in range(m)]
+            self.members.append(EnsembleMember(self, member, sim))
         # The members whose run loop ends each tick with a supervision
         # round (empty for an unsupervised ensemble).
         self._supervised = np.asarray(
             [
                 member
                 for member, state in enumerate(self.members)
-                if state.actuation_supervisor is not None
+                if state._actuation_supervisor is not None
             ],
             dtype=np.int64,
         )
@@ -379,15 +306,15 @@ class EnsembleSimulation:
         """Mirror of ``Simulation.prepare`` for every member."""
         self.eval_sensors.reset()
         for member, state in enumerate(self.members):
-            state.manager_sensors.reset()
-            if state.sensor_supervisor is not None:
-                state.sensor_supervisor.reset()
+            state._manager_sensors.reset()
+            if state._sensor_supervisor is not None:
+                state._sensor_supervisor.reset()
             if state.manager is not None:
-                state.manager.attach(self.views[member])
+                state.manager.attach(state)
                 self.mgr_next[member] = _manager_next_fire(state.manager)
         for member in range(self.num_members):
             self._start_next_app(member)
-        self._control = BatchedControlPlane(_UnsupervisedView(self))
+        self._control = BatchedControlPlane(self)
         self._prepared = True
 
     def _start_next_app(self, member: int) -> bool:
@@ -399,12 +326,12 @@ class EnsembleSimulation:
             return False
         app = state.applications[index]
         self.workloads.load_app_row(member, app)
-        self.scheduler.set_threads_row(member, state.mapping)
+        self.scheduler.set_threads_row(member, state._mapping)
         self.app_start_s[member] = self.now
         self._snap_dynamic_j[member] = self.chip.dynamic_j[member]
         self._snap_static_j[member] = self.chip.static_j[member]
         if state.manager is not None and index > 0:
-            state.manager.on_app_switch(self.views[member], app)
+            state.manager.on_app_switch(state, app)
             self.mgr_next[member] = _manager_next_fire(state.manager)
             self._mgr_min = -math.inf  # fire time may have moved earlier
         return True
@@ -495,30 +422,19 @@ class EnsembleSimulation:
                 # path; whatever remains runs the scalar loop.
                 due = self._control.on_tick(due)
             for member in due:
-                manager = self.members[member].manager
-                manager.on_tick(self.views[member])
-                self.mgr_next[member] = _manager_next_fire(manager)
+                state = self.members[member]
+                state.manager.on_tick(state)
+                self.mgr_next[member] = _manager_next_fire(state.manager)
             self._mgr_min = float(
                 np.min(np.where(self.active, self.mgr_next, math.inf))
             )
-        if self._supervised.size:
-            self._supervise_tick()
+        supervised = self._supervised
+        if supervised.size:
+            for member in supervised[self.active[supervised]].tolist():
+                self.members[member]._supervise_tick()
         if timer is not None:
             timer.lap("manager", mark)
             timer.count_tick()
-
-    def _supervise_tick(self) -> None:
-        """Mirror of ``Simulation._supervise_tick`` for every active
-        supervised member."""
-        supervised = self._supervised
-        for member in supervised[self.active[supervised]].tolist():
-            state = self.members[member]
-            view = self.views[member]
-            supervisor = state.actuation_supervisor
-            if self.now + 1e-9 >= state.next_watchdog_s:
-                state.next_watchdog_s += supervisor.config.watchdog_period_s
-                view.read_sensors()
-            supervisor.on_tick(view)
 
     def _append_eval(self, reading: np.ndarray) -> None:
         if self._eval_count == self._profile_buf.shape[2]:
@@ -607,11 +523,11 @@ class EnsembleSimulation:
         for member in range(self.num_members):
             state = self.members[member]
             supervisor_stats: Dict[str, float] = {}
-            if state.sensor_supervisor is not None:
-                supervisor_stats.update(state.sensor_supervisor.stats())
-            if state.actuation_supervisor is not None:
+            if state._sensor_supervisor is not None:
+                supervisor_stats.update(state._sensor_supervisor.stats())
+            if state._actuation_supervisor is not None:
                 supervisor_stats.update(
-                    state.actuation_supervisor.stats(
+                    state._actuation_supervisor.stats(
                         float(self.total_time_s[member])
                     )
                 )
@@ -641,8 +557,8 @@ class EnsembleSimulation:
                         else {}
                     ),
                     fault_stats=(
-                        state.fault_injector.stats.as_dict()
-                        if state.fault_injector is not None
+                        state._fault_injector.stats.as_dict()
+                        if state._fault_injector is not None
                         else {}
                     ),
                     supervisor_stats=supervisor_stats,

@@ -1,10 +1,10 @@
 """Batched control plane for the proposed thermal manager.
 
-PR 7 vectorized the data plane but left the control plane scalar: when
-many members' managers fire on the same tick (the common case — all
-members share the paper's 3 s sampling interval and start together),
-the engine ran one full Python ``on_tick`` per member.  This module
-batches that path for every member driven by a plain
+Many members' managers fire on the same tick (the common case — all
+members share the paper's 3 s sampling interval and start together), and
+one full Python ``on_tick`` per member would cost more than the
+vectorized data plane.  This module batches that path for every
+unsupervised member driven by a plain
 :class:`~repro.core.manager.ProposedThermalManager`:
 
 * the **sample tick** (every firing) becomes one batched perf event,
@@ -15,14 +15,15 @@ batches that path for every member driven by a plain
   harvested across members and handed to
   :class:`~repro.ensemble.agents.BatchedAgents` as one masked kernel;
   actuation (:meth:`ProposedThermalManager._apply`) still runs scalar
-  per member through the :class:`~repro.ensemble.member_view.MemberView`
-  facade, so fault-outcome draws and governor/mapping switches are
-  bit-identical by construction.
+  per member against its :class:`~repro.ensemble.member_view.EnsembleMember`,
+  whose surface is ``Simulation``'s own code, so fault-outcome draws and
+  governor/mapping switches are bit-identical by construction.
 
 Members whose manager is *not* batchable — the GE baselines, static
-policies, subclassed managers, agents with instrumentation, or
-management sensor banks with an EMA filter — keep the scalar per-member
-path; the two paths coexist in one ensemble.  (The evaluation sensors
+policies, subclassed managers, agents with instrumentation, management
+sensor banks with an EMA filter, or any supervised member (the batched
+sample has no supervisor filter) — keep the scalar per-member path; the
+two paths coexist in one ensemble.  (The evaluation sensors
 are batched for every member, filtered or not.)
 
 The epoch-harvest invariant: the engine's ``mgr_next`` gate and the
@@ -87,13 +88,18 @@ class BatchedControlPlane:
         reference_bank = None
         members: List[int] = []
         for member, state in enumerate(engine.members):
+            # A supervised member keeps the per-member path: the batched
+            # sample has no sensor supervisor filter, and its actuation
+            # must go through the supervisor.
+            if state._actuation_supervisor is not None:
+                continue
             manager = state.manager
             if type(manager) is not ProposedThermalManager:
                 continue
             agent = manager.agent
             if type(agent) is not QLearningThermalAgent or agent.obs is not None:
                 continue
-            bank = state.manager_sensors
+            bank = state._manager_sensors
             if bank.config.ema_tau_s > 0.0:
                 continue
             if reference is None:
@@ -164,7 +170,7 @@ class BatchedControlPlane:
         engine.perf.record_sample_event_rows(members)
         engine.scheduler.stall_all_rows(members, SAMPLE_OVERHEAD_S)
         config = self._sensor_config
-        banks = [engine.members[member].manager_sensors for member in members.tolist()]
+        banks = [engine.members[member]._manager_sensors for member in members.tolist()]
         readings, _ = sensor_reading(
             config,
             engine.chip.core_temps()[members],
@@ -179,8 +185,8 @@ class BatchedControlPlane:
         interval = self._sampling_interval_s
         for i, member in enumerate(members.tolist()):
             state = engine.members[member]
-            if state.fault_injector is not None:
-                readings[i] = state.fault_injector.perturb_sensors(
+            if state._fault_injector is not None:
+                readings[i] = state._fault_injector.perturb_sensors(
                     now, readings[i]
                 )
             # Keep the scalar facade's sampling schedule live (checkpoint
@@ -209,10 +215,9 @@ class BatchedControlPlane:
                 ready.tolist(), performance, constraint, now
             )
             for member, action_index in zip(ready_list, actions):
-                manager = engine.members[member].manager
-                action = manager.agent.actions[action_index]
-                view = engine.views[member]
-                manager._apply(view, action, view.current_app)
+                state = engine.members[member]
+                action = state.manager.agent.actions[action_index]
+                state.manager._apply(state, action, state.current_app)
             engine.perf.record_decision_event_rows(ready_members)
             engine.scheduler.stall_all_rows(ready_members, DECISION_OVERHEAD_S)
         return due[~mask]

@@ -1,20 +1,21 @@
-"""Per-member control-plane views.
+"""One ensemble member: its control-plane objects and data-plane primitives.
 
 Thermal managers (the learning agents and baselines) stay *scalar*
-objects in the ensemble engine: each member keeps its own real manager,
-fault injector, supervisors and management-path
-:class:`~repro.thermal.sensors.SensorBank`.  When a member's manager or
-supervisor fires, it is handed a :class:`MemberView` — an adapter with
-the same observation/actuation surface as
-:class:`repro.soc.simulator.Simulation`, including the faultable
-actuation internals and the thermal-emergency hooks the
-:class:`~repro.faults.supervisor.ActuationSupervisor` calls — whose
-methods read and write that member's rows of the batched arrays.
+objects in the ensemble engine: each :class:`EnsembleMember` keeps its
+own real manager, fault injector, supervisors and management-path
+:class:`~repro.thermal.sensors.SensorBank`, under the attribute names
+:class:`~repro.soc.simulator.Simulation` uses.  The member is what its
+manager and supervisors are handed.  It inherits the manager-facing
+surface — sensor reads, governor and mapping requests, the faultable
+actuation internals, the read-backs and the thermal emergency — from
+:class:`~repro.soc.simulator.ControlSurface`, the class ``Simulation``
+inherits it from, and supplies only the data-plane primitives, which
+read and write the member's rows of the batched arrays.
 
-Because the manager code runs unchanged against this view, every
-Q-table update, exploration draw and governor/mapping decision is
-bit-identical to the scalar engine *by construction*; only the data
-plane underneath is vectorized.
+Because the manager and the surface code are the scalar engine's own,
+every Q-table update, exploration draw, fault outcome and
+governor/mapping decision is bit-identical to the scalar engine *by
+construction*; only the data plane underneath is vectorized.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.ensemble.governors import GovernorRow
 from repro.sched.affinity import AffinityMapping
 from repro.soc.simulator import (
     DECISION_OVERHEAD_S,
-    KNOWN_GOVERNORS,
     SAMPLE_OVERHEAD_S,
+    ControlSurface,
+    Simulation,
 )
-from repro.faults.injector import OUTCOME_FAIL, OUTCOME_OK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ensemble.engine import EnsembleSimulation
@@ -75,141 +77,94 @@ class AppView:
         return self.throughput(window_s) >= self.spec.performance_constraint
 
 
-class MemberView:
-    """The ``Simulation``-shaped handle one member's manager drives."""
+class EnsembleMember(ControlSurface):
+    """One member of an :class:`EnsembleSimulation`, adopted from ``sim``."""
 
-    def __init__(self, engine: "EnsembleSimulation", member: int) -> None:
+    #: Checkpointed state (see :mod:`repro.checkpoint.state`).  The
+    #: applications carry the generators the batched workloads draw from.
+    STATE_FIELDS = (
+        "applications",
+        "manager",
+        "_manager_sensors",
+        "_fault_injector",
+        "_mapping",
+        "_sensor_supervisor",
+        "_actuation_supervisor",
+        "_next_watchdog_s",
+        "_pre_emergency_governor",
+    )
+    #: The engine row this member is, and construction values.
+    DERIVED_FIELDS = (
+        "_engine",
+        "_member",
+        "platform",
+        "max_time_s",
+        "chip",
+        "current_app",
+        "obs",
+    )
+
+    def __init__(
+        self, engine: "EnsembleSimulation", member: int, sim: Simulation
+    ) -> None:
         self._engine = engine
         self._member = member
+        self.platform = sim.platform
+        self.max_time_s = sim.max_time_s
         self.chip = ChipView(engine)
-        self.obs = None
-        self._app_view = AppView(engine, member)
+        self.current_app = AppView(engine, member)
+        self.obs = None  # ensembles reject instrumented members
+        self.applications = list(sim.applications)
+        self.manager = sim.manager
+        self._manager_sensors = sim._manager_sensors
+        self._fault_injector = sim._fault_injector
+        self._mapping = sim._mapping
+        self._sensor_supervisor = sim._sensor_supervisor
+        self._actuation_supervisor = sim._actuation_supervisor
+        self._next_watchdog_s = sim._next_watchdog_s
+        #: The governor row the thermal emergency parked.
+        self._pre_emergency_governor: Optional[GovernorRow] = None
 
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         return self._engine.now
 
-    @property
-    def current_app(self) -> AppView:
-        return self._app_view
-
-    @property
-    def mapping(self) -> Optional[AffinityMapping]:
-        return self._engine.members[self._member].mapping
-
-    def read_sensors(self) -> np.ndarray:
-        """Mirror of ``Simulation.read_sensors`` for one member."""
-        engine = self._engine
-        member = self._member
-        engine.perf.record_sample_event_row(member)
-        engine.scheduler.stall_all_row(member, SAMPLE_OVERHEAD_S)
-        state = engine.members[member]
-        readings = state.manager_sensors.read(engine.chip.core_temps()[member])
-        if state.fault_injector is not None:
-            readings = state.fault_injector.perturb_sensors(
-                engine.now, readings
-            )
-        if state.sensor_supervisor is not None:
-            readings = state.sensor_supervisor.filter(engine.now, readings)
-        return readings
-
     # ------------------------------------------------------------------
-    # Actuation
+    # Data-plane primitives: this member's rows of the batched arrays
     # ------------------------------------------------------------------
-    def set_governor(
-        self, name: str, userspace_frequency_hz: Optional[float] = None
-    ) -> None:
-        """Mirror of ``Simulation.set_governor`` (fault-model aware)."""
-        if name not in KNOWN_GOVERNORS:
-            raise ValueError(
-                f"unknown governor {name!r}; expected one of {KNOWN_GOVERNORS}"
-            )
-        if name == "userspace" and userspace_frequency_hz is None:
-            raise ValueError("userspace governor needs an explicit frequency")
-        supervisor = self._engine.members[self._member].actuation_supervisor
-        if supervisor is not None:
-            supervisor.request_governor(self, name, userspace_frequency_hz)
-            return
-        self._actuate_governor(name, userspace_frequency_hz)
-
-    def set_mapping(self, mapping: Optional[AffinityMapping]) -> None:
-        """Mirror of ``Simulation.set_mapping`` (fault-model aware)."""
-        if mapping is not None:
-            mapping.validate(self._engine.num_cores)
-        supervisor = self._engine.members[self._member].actuation_supervisor
-        if supervisor is not None:
-            supervisor.request_mapping(self, mapping)
-            return
-        self._actuate_mapping(mapping)
-
-    def _actuate_governor(
-        self, name: str, userspace_frequency_hz: Optional[float]
-    ) -> bool:
-        """Mirror of ``Simulation._actuate_governor``."""
+    def _charge_event(self, decision: bool) -> None:
         engine = self._engine
         member = self._member
-        injector = engine.members[member].fault_injector
-        if injector is not None:
-            outcome = injector.governor_outcome()
-            if outcome != OUTCOME_OK:
-                return outcome != OUTCOME_FAIL
-        engine.governors.switch_row(member, name, userspace_frequency_hz)
-        return True
-
-    def _actuate_mapping(self, mapping: Optional[AffinityMapping]) -> bool:
-        """Mirror of ``Simulation._actuate_mapping``."""
-        engine = self._engine
-        member = self._member
-        state = engine.members[member]
-        if state.fault_injector is not None:
-            outcome = state.fault_injector.mapping_outcome()
-            if outcome != OUTCOME_OK:
-                return outcome != OUTCOME_FAIL
-        state.mapping = mapping
-        if mapping is None:
-            engine.scheduler.clear_mapping_row(member)
+        if decision:
+            engine.perf.record_decision_event_row(member)
+            engine.scheduler.stall_all_row(member, DECISION_OVERHEAD_S)
         else:
-            engine.scheduler.set_mapping_row(member, mapping)
-        return True
+            engine.perf.record_sample_event_row(member)
+            engine.scheduler.stall_all_row(member, SAMPLE_OVERHEAD_S)
+
+    def _core_temps(self) -> np.ndarray:
+        return self._engine.chip.core_temps()[self._member]
+
+    def _switch_governor(
+        self, name: str, userspace_frequency_hz: Optional[float]
+    ) -> None:
+        self._engine.governors.switch_row(self._member, name, userspace_frequency_hz)
+
+    def _park_governor(self) -> GovernorRow:
+        return self._engine.governors.row(self._member)
+
+    def _restore_governor(self, parked: GovernorRow) -> None:
+        self._engine.governors.restore_row(self._member, parked)
+
+    def _apply_mapping(self, mapping: Optional[AffinityMapping]) -> None:
+        if mapping is None:
+            self._engine.scheduler.clear_mapping_row(self._member)
+        else:
+            self._engine.scheduler.set_mapping_row(self._member, mapping)
 
     def governor_in_force(
         self, name: str, userspace_frequency_hz: Optional[float] = None
     ) -> bool:
-        """Mirror of ``Simulation.governor_in_force``."""
         return self._engine.governors.in_force(
             self._member, name, userspace_frequency_hz
         )
-
-    def mapping_in_force(self, mapping: Optional[AffinityMapping]) -> bool:
-        """Mirror of ``Simulation.mapping_in_force``."""
-        current = self.mapping
-        if mapping is None or current is None:
-            return current is mapping
-        return current == mapping
-
-    def _engage_thermal_emergency(self) -> None:
-        """Mirror of ``Simulation._engage_thermal_emergency``."""
-        engine = self._engine
-        state = engine.members[self._member]
-        if state.pre_emergency_governor is None:
-            state.pre_emergency_governor = engine.governors.row(self._member)
-        engine.governors.switch_row(self._member, "powersave", None)
-
-    def _release_thermal_emergency(self) -> None:
-        """Mirror of ``Simulation._release_thermal_emergency``."""
-        state = self._engine.members[self._member]
-        if state.pre_emergency_governor is not None:
-            self._engine.governors.restore_row(
-                self._member, state.pre_emergency_governor
-            )
-            state.pre_emergency_governor = None
-
-    def charge_decision_overhead(self) -> None:
-        """Mirror of ``Simulation.charge_decision_overhead``."""
-        engine = self._engine
-        member = self._member
-        engine.perf.record_decision_event_row(member)
-        engine.scheduler.stall_all_row(member, DECISION_OVERHEAD_S)

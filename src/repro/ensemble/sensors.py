@@ -3,8 +3,8 @@
 Mirrors :class:`repro.thermal.sensors.SensorBank` for the *evaluation*
 sensors (the per-second thermal-profile readings).  The management-path
 banks stay scalar objects — they are only read when a member's manager
-fires, through the :class:`~repro.ensemble.member_view.MemberView` — but the
-evaluation read happens for every member every evaluation tick, so it is
+fires, through its :class:`~repro.ensemble.member_view.EnsembleMember` — but
+the evaluation read happens for every member every evaluation tick, so it is
 worth batching.
 
 Noise draws reuse each member's own eval-sensor Generator through a

@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from repro.config import EngineConfig
+from repro.config import EngineConfig, _check_positive
 from repro.experiments.engine.cache import ResultCache
 from repro.experiments.engine.spec import EnsembleJobSpec, JobSpec, job_key
 from repro.experiments.engine.worker import execute_job
@@ -200,6 +200,8 @@ class ExperimentEngine:
             raise ValueError(
                 f"max_job_attempts must be >= 1, got {self.max_job_attempts}"
             )
+        if self.job_timeout_s is not None:
+            _check_positive("job_timeout_s", self.job_timeout_s)
         if self.checkpoint_dir is None and (
             self.checkpoint_every is not None or self.resume
         ):
@@ -592,7 +594,3 @@ class ExperimentEngine:
                 continue
             temp_hist.observe(summary.average_temp_c)
             time_hist.observe(summary.execution_time_s)
-
-    def run_one(self, spec: JobSpec) -> RunSummary:
-        """Convenience wrapper for a single job."""
-        return self.run([spec])[0]

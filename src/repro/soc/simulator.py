@@ -17,6 +17,11 @@ system interacts with Linux:
 * pay for it: sampling/decision overhead is charged through
   :meth:`repro.sched.scheduler.Scheduler.stall_all` and the perf
   counters.
+
+That surface is :class:`ControlSurface`.  The ensemble engine's
+per-member handle inherits it too, so a manager and the supervisors run
+one implementation on either engine; each engine supplies only the
+data-plane primitives underneath.
 """
 
 from __future__ import annotations
@@ -153,7 +158,239 @@ class SimulationResult:
         return self.total_time_s
 
 
-class Simulation:
+class ControlSurface:
+    """What a manager and the supervisors see of an engine, written once.
+
+    :class:`Simulation` and the ensemble's per-member
+    :class:`~repro.ensemble.member_view.EnsembleMember` both inherit this
+    class, so argument validation, supervisor routing, fault-outcome
+    draws, trace events and the order of fault perturbation and sensor
+    filtering are one code path on either engine.  A subclass supplies
+    the attributes read here (``now``, ``obs``, ``platform``,
+    ``_manager_sensors``, ``_fault_injector``, ``_sensor_supervisor``,
+    ``_actuation_supervisor``, ``_mapping``, ``_next_watchdog_s`` and
+    ``_pre_emergency_governor``) and the data-plane primitives below.
+    """
+
+    # ------------------------------------------------------------------
+    # Data-plane primitives (one implementation per engine)
+    # ------------------------------------------------------------------
+
+    def _charge_event(self, decision: bool) -> None:
+        """Count one sample (or decision) event and stall every core for
+        its overhead."""
+        raise NotImplementedError
+
+    def _core_temps(self) -> np.ndarray:
+        """True per-core temperatures, before the sensor model."""
+        raise NotImplementedError
+
+    def _switch_governor(
+        self, name: str, userspace_frequency_hz: Optional[float]
+    ) -> None:
+        """Put a fresh governor in force (adaptive kinds keep the clocks)."""
+        raise NotImplementedError
+
+    def _park_governor(self):
+        """The governor in force, as a value :meth:`_restore_governor`
+        puts back exactly."""
+        raise NotImplementedError
+
+    def _restore_governor(self, parked) -> None:
+        """Put a :meth:`_park_governor` value back in force."""
+        raise NotImplementedError
+
+    def _apply_mapping(self, mapping: Optional[AffinityMapping]) -> None:
+        """Hand affinity masks to the scheduler."""
+        raise NotImplementedError
+
+    def governor_in_force(
+        self, name: str, userspace_frequency_hz: Optional[float] = None
+    ) -> bool:
+        """Whether the active governor matches a requested transition."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Manager-facing API
+    # ------------------------------------------------------------------
+
+    @property
+    def mapping(self) -> Optional[AffinityMapping]:
+        """The active affinity mapping."""
+        return self._mapping
+
+    def read_sensors(self) -> np.ndarray:
+        """Sample the on-board sensors (the manager's observation).
+
+        With a fault model active the clean sensor reading is perturbed
+        (offsets, drift, stuck-at, spikes, NaN dropouts); with the
+        supervisor active the — possibly faulted — reading is sanitised
+        before any controller sees it.
+        """
+        self._charge_event(decision=False)
+        readings = self._manager_sensors.read(self._core_temps())
+        if self._fault_injector is not None:
+            readings = self._fault_injector.perturb_sensors(self.now, readings)
+        if self._sensor_supervisor is not None:
+            readings = self._sensor_supervisor.filter(self.now, readings)
+        return readings
+
+    def set_governor(
+        self, name: str, userspace_frequency_hz: Optional[float] = None
+    ) -> None:
+        """Switch the cpufreq governor (``cpufreq-set -g``).
+
+        Raises
+        ------
+        ValueError
+            For an unknown governor name, or ``userspace`` without a
+            frequency.  Argument validation happens before the fault
+            model: an invalid request is a caller bug, not a transient
+            platform failure.
+        """
+        if name not in KNOWN_GOVERNORS:
+            raise ValueError(
+                f"unknown governor {name!r}; expected one of {KNOWN_GOVERNORS}"
+            )
+        if name == "userspace" and userspace_frequency_hz is None:
+            raise ValueError("userspace governor needs an explicit frequency")
+        if self._actuation_supervisor is not None:
+            self._actuation_supervisor.request_governor(
+                self, name, userspace_frequency_hz
+            )
+            return
+        self._actuate_governor(name, userspace_frequency_hz)
+
+    def set_mapping(self, mapping: Optional[AffinityMapping]) -> None:
+        """Apply affinity masks (``pthread_setaffinity_np``).
+
+        Raises
+        ------
+        ValueError
+            If the mapping references cores outside the platform.
+        """
+        if mapping is not None:
+            mapping.validate(self.platform.num_cores)
+        if self._actuation_supervisor is not None:
+            self._actuation_supervisor.request_mapping(self, mapping)
+            return
+        self._actuate_mapping(mapping)
+
+    def charge_decision_overhead(self) -> None:
+        """Charge one learning-decision event's CPU cost."""
+        self._charge_event(decision=True)
+
+    # ------------------------------------------------------------------
+    # Actuation internals (fault-model aware)
+    # ------------------------------------------------------------------
+
+    def _actuate_governor(
+        self, name: str, userspace_frequency_hz: Optional[float]
+    ) -> bool:
+        """Perform one governor transition through the faultable path.
+
+        Returns False when the platform *reports* the transition failed
+        (the analogue of a non-zero ``cpufreq-set`` exit status).  A
+        silent no-op returns True without changing anything — only
+        reading the state back (:meth:`governor_in_force`) can catch it.
+        """
+        if self._fault_injector is not None:
+            outcome = self._fault_injector.governor_outcome()
+            if outcome != OUTCOME_OK:
+                if self.obs is not None:
+                    self.obs.emit(
+                        "governor_change",
+                        self.now,
+                        governor=name,
+                        frequency_hz=userspace_frequency_hz,
+                        outcome=outcome,
+                    )
+                    self.obs.emit(
+                        "fault", self.now, path="governor", kind=outcome, count=1
+                    )
+                return outcome != OUTCOME_FAIL
+        self._switch_governor(name, userspace_frequency_hz)
+        if self.obs is not None:
+            self.obs.emit(
+                "governor_change",
+                self.now,
+                governor=name,
+                frequency_hz=userspace_frequency_hz,
+                outcome=OUTCOME_OK,
+            )
+        return True
+
+    def _actuate_mapping(self, mapping: Optional[AffinityMapping]) -> bool:
+        """Perform one affinity change through the faultable path."""
+        if self._fault_injector is not None:
+            outcome = self._fault_injector.mapping_outcome()
+            if outcome != OUTCOME_OK:
+                if self.obs is not None:
+                    self.obs.emit(
+                        "mapping_change",
+                        self.now,
+                        mapping=_mapping_masks(mapping),
+                        outcome=outcome,
+                    )
+                    self.obs.emit(
+                        "fault", self.now, path="mapping", kind=outcome, count=1
+                    )
+                return outcome != OUTCOME_FAIL
+        self._mapping = mapping
+        self._apply_mapping(mapping)
+        if self.obs is not None:
+            self.obs.emit(
+                "mapping_change",
+                self.now,
+                mapping=_mapping_masks(mapping),
+                outcome=OUTCOME_OK,
+            )
+        return True
+
+    def mapping_in_force(self, mapping: Optional[AffinityMapping]) -> bool:
+        """Whether the active mapping equals the requested one.
+
+        Compared by value (mask equality), so a retry with an
+        equal-but-distinct :class:`AffinityMapping` object verifies
+        correctly.
+        """
+        if mapping is None or self._mapping is None:
+            return self._mapping is mapping
+        return self._mapping == mapping
+
+    def _engage_thermal_emergency(self) -> None:
+        """Clamp the chip to the minimum operating point.
+
+        Models hardware thermal protection (PROCHOT): the clamp acts
+        below the software cpufreq path, so it is immune to the
+        injected actuation faults.
+        """
+        if self._pre_emergency_governor is None:
+            self._pre_emergency_governor = self._park_governor()
+        self._switch_governor("powersave", None)
+
+    def _release_thermal_emergency(self) -> None:
+        """Lift the clamp and restore the pre-emergency governor."""
+        if self._pre_emergency_governor is not None:
+            self._restore_governor(self._pre_emergency_governor)
+            self._pre_emergency_governor = None
+
+    def _supervise_tick(self) -> None:
+        """One supervision round: watchdog sampling, retries, emergency.
+
+        The watchdog samples through :meth:`read_sensors` — paying the
+        same overhead a controller pays — so the thermal-emergency
+        monitor stays alive even under controllers that never read the
+        sensors themselves (the static policies).
+        """
+        supervisor = self._actuation_supervisor
+        if self.now + 1e-9 >= self._next_watchdog_s:
+            self._next_watchdog_s += supervisor.config.watchdog_period_s
+            self.read_sensors()
+        supervisor.on_tick(self)
+
+
+class Simulation(ControlSurface):
     """One end-to-end run of applications on the simulated platform.
 
     Parameters
@@ -233,7 +470,6 @@ class Simulation:
         "_seed",
         "_dt",
         "faults",
-        "supervisor",
         "_timer",
         "_checkpointer",
         "_resume_armed",
@@ -299,7 +535,6 @@ class Simulation:
         self._next_eval_s = eval_sample_period_s
         self._app_switched_flag = False
         self.faults = faults
-        self.supervisor = supervisor
         self._fault_injector: Optional[FaultInjector] = None
         if faults is not None and faults.enabled:
             self._fault_injector = FaultInjector(
@@ -344,98 +579,24 @@ class Simulation:
         """The active frequency governor."""
         return self._governor
 
-    @property
-    def mapping(self) -> Optional[AffinityMapping]:
-        """The active affinity mapping."""
-        return self._mapping
-
-    def read_sensors(self) -> np.ndarray:
-        """Sample the on-board sensors (the manager's observation).
-
-        With a fault model active the clean sensor reading is perturbed
-        (offsets, drift, stuck-at, spikes, NaN dropouts); with the
-        supervisor active the — possibly faulted — reading is sanitised
-        before any controller sees it.
-        """
-        self.perf.record_sample_event()
-        self.scheduler.stall_all(SAMPLE_OVERHEAD_S)
-        readings = self._manager_sensors.read(self.chip.core_temps_c())
-        if self._fault_injector is not None:
-            readings = self._fault_injector.perturb_sensors(self.now, readings)
-        if self._sensor_supervisor is not None:
-            readings = self._sensor_supervisor.filter(self.now, readings)
-        return readings
-
-    def set_governor(
-        self, name: str, userspace_frequency_hz: Optional[float] = None
-    ) -> None:
-        """Switch the cpufreq governor (``cpufreq-set -g``).
-
-        Raises
-        ------
-        ValueError
-            For an unknown governor name, or ``userspace`` without a
-            frequency.  Argument validation happens before the fault
-            model: an invalid request is a caller bug, not a transient
-            platform failure.
-        """
-        if name not in KNOWN_GOVERNORS:
-            raise ValueError(
-                f"unknown governor {name!r}; expected one of {KNOWN_GOVERNORS}"
-            )
-        if name == "userspace" and userspace_frequency_hz is None:
-            raise ValueError("userspace governor needs an explicit frequency")
-        if self._actuation_supervisor is not None:
-            self._actuation_supervisor.request_governor(
-                self, name, userspace_frequency_hz
-            )
-            return
-        self._actuate_governor(name, userspace_frequency_hz)
-
-    def set_mapping(self, mapping: Optional[AffinityMapping]) -> None:
-        """Apply affinity masks (``pthread_setaffinity_np``).
-
-        Raises
-        ------
-        ValueError
-            If the mapping references cores outside the platform.
-        """
-        if mapping is not None:
-            mapping.validate(self.platform.num_cores)
-        if self._actuation_supervisor is not None:
-            self._actuation_supervisor.request_mapping(self, mapping)
-            return
-        self._actuate_mapping(mapping)
-
     # ------------------------------------------------------------------
-    # Actuation internals (fault-model aware)
+    # Data-plane primitives of the control surface
     # ------------------------------------------------------------------
 
-    def _actuate_governor(
+    def _charge_event(self, decision: bool) -> None:
+        if decision:
+            self.perf.record_decision_event()
+            self.scheduler.stall_all(DECISION_OVERHEAD_S)
+        else:
+            self.perf.record_sample_event()
+            self.scheduler.stall_all(SAMPLE_OVERHEAD_S)
+
+    def _core_temps(self) -> np.ndarray:
+        return self.chip.core_temps_c()
+
+    def _switch_governor(
         self, name: str, userspace_frequency_hz: Optional[float]
-    ) -> bool:
-        """Perform one governor transition through the faultable path.
-
-        Returns False when the platform *reports* the transition failed
-        (the analogue of a non-zero ``cpufreq-set`` exit status).  A
-        silent no-op returns True without changing anything — only
-        reading the state back (:meth:`governor_in_force`) can catch it.
-        """
-        if self._fault_injector is not None:
-            outcome = self._fault_injector.governor_outcome()
-            if outcome != OUTCOME_OK:
-                if self.obs is not None:
-                    self.obs.emit(
-                        "governor_change",
-                        self.now,
-                        governor=name,
-                        frequency_hz=userspace_frequency_hz,
-                        outcome=outcome,
-                    )
-                    self.obs.emit(
-                        "fault", self.now, path="governor", kind=outcome, count=1
-                    )
-                return outcome != OUTCOME_FAIL
+    ) -> None:
         current = self._governor
         self._governor = make_governor(
             name, self.chip.ladder, self.platform.num_cores, userspace_frequency_hz
@@ -444,42 +605,15 @@ class Simulation:
         # governor switch does not teleport the clock.
         if self._governor.adaptive:
             self._governor.inherit_frequencies(current.frequencies())
-        if self.obs is not None:
-            self.obs.emit(
-                "governor_change",
-                self.now,
-                governor=name,
-                frequency_hz=userspace_frequency_hz,
-                outcome=OUTCOME_OK,
-            )
-        return True
 
-    def _actuate_mapping(self, mapping: Optional[AffinityMapping]) -> bool:
-        """Perform one affinity change through the faultable path."""
-        if self._fault_injector is not None:
-            outcome = self._fault_injector.mapping_outcome()
-            if outcome != OUTCOME_OK:
-                if self.obs is not None:
-                    self.obs.emit(
-                        "mapping_change",
-                        self.now,
-                        mapping=_mapping_masks(mapping),
-                        outcome=outcome,
-                    )
-                    self.obs.emit(
-                        "fault", self.now, path="mapping", kind=outcome, count=1
-                    )
-                return outcome != OUTCOME_FAIL
-        self._mapping = mapping
+    def _park_governor(self) -> Governor:
+        return self._governor
+
+    def _restore_governor(self, parked: Governor) -> None:
+        self._governor = parked
+
+    def _apply_mapping(self, mapping: Optional[AffinityMapping]) -> None:
         self.scheduler.set_mapping(mapping)
-        if self.obs is not None:
-            self.obs.emit(
-                "mapping_change",
-                self.now,
-                mapping=_mapping_masks(mapping),
-                outcome=OUTCOME_OK,
-            )
-        return True
 
     def governor_in_force(
         self, name: str, userspace_frequency_hz: Optional[float] = None
@@ -494,41 +628,6 @@ class Simulation:
             target = self.chip.ladder.nearest(userspace_frequency_hz).frequency_hz
             return abs(governor.target_frequency_hz - target) < 1.0
         return governor.name == name
-
-    def mapping_in_force(self, mapping: Optional[AffinityMapping]) -> bool:
-        """Whether the active mapping equals the requested one.
-
-        Compared by value (mask equality), so a retry with an
-        equal-but-distinct :class:`AffinityMapping` object verifies
-        correctly.
-        """
-        if mapping is None or self._mapping is None:
-            return self._mapping is mapping
-        return self._mapping == mapping
-
-    def _engage_thermal_emergency(self) -> None:
-        """Clamp the chip to the minimum operating point.
-
-        Models hardware thermal protection (PROCHOT): the clamp acts
-        below the software cpufreq path, so it is immune to the
-        injected actuation faults.
-        """
-        if self._pre_emergency_governor is None:
-            self._pre_emergency_governor = self._governor
-        self._governor = make_governor(
-            "powersave", self.chip.ladder, self.platform.num_cores
-        )
-
-    def _release_thermal_emergency(self) -> None:
-        """Lift the clamp and restore the pre-emergency governor."""
-        if self._pre_emergency_governor is not None:
-            self._governor = self._pre_emergency_governor
-            self._pre_emergency_governor = None
-
-    def charge_decision_overhead(self) -> None:
-        """Charge one learning-decision event's CPU cost."""
-        self.perf.record_decision_event()
-        self.scheduler.stall_all(DECISION_OVERHEAD_S)
 
     # ------------------------------------------------------------------
     # Engine
@@ -653,19 +752,6 @@ class Simulation:
         if timer is not None:
             timer.lap("manager", mark)
             timer.count_tick()
-
-    def _supervise_tick(self) -> None:
-        """One supervision round: watchdog sampling, retries, emergency.
-
-        The watchdog samples through :meth:`read_sensors` — paying the
-        same overhead a controller pays — so the thermal-emergency
-        monitor stays alive even under controllers that never read the
-        sensors themselves (the static policies).
-        """
-        if self.now + 1e-9 >= self._next_watchdog_s:
-            self._next_watchdog_s += self.supervisor.watchdog_period_s
-            self.read_sensors()
-        self._actuation_supervisor.on_tick(self)
 
     def prepare(self) -> None:
         """Arm the engine for manual stepping.

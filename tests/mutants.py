@@ -38,6 +38,9 @@ from typing import List, Optional, Sequence, Tuple
 REPO = Path(__file__).resolve().parent.parent
 
 HARNESS = "tests/test_differential.py::test_every_axis_gives_the_same_digest"
+GOLDEN_FAULT_TOLERANCE = (
+    "tests/test_golden_artefacts.py::test_artefact_matches_golden[fault_tolerance]"
+)
 MEMBER_VIEW = (
     "tests/test_member_view.py::TestActuationParity::"
     "test_supervised_read_backs_and_emergency_track_the_scalar"
@@ -75,20 +78,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         found_by="c374915 One sweep, one batch, routed through the ensemble",
     ),
     Mutant(
-        file="src/repro/ensemble/engine.py",
-        anchor="BatchedControlPlane(_UnsupervisedView(self))",
-        replacement="BatchedControlPlane(self)",
+        file="src/repro/ensemble/managers.py",
+        anchor="if state._actuation_supervisor is not None:",
+        replacement="if False:",
         test=HARNESS,
         found_by="80f630f Scenario and supervised cells run in the ensemble",
     ),
     Mutant(
         file="src/repro/ensemble/member_view.py",
-        anchor=(
-            "            self._engine.governors.restore_row(\n"
-            "                self._member, state.pre_emergency_governor\n"
-            "            )\n"
-        ),
-        replacement="            pass\n",
+        anchor="self._engine.governors.restore_row(self._member, parked)",
+        replacement="pass",
         test=MEMBER_VIEW,
         found_by="80f630f Scenario and supervised cells run in the ensemble",
     ),
@@ -215,6 +214,25 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         found_by="Replay quiet scalar ticks from the scheduler's last layout",
     ),
+    # Shared by both engines, so the harness compares it with itself:
+    # only a committed golden can see it.
+    Mutant(
+        file="src/repro/soc/simulator.py",
+        anchor=(
+            "        if self._fault_injector is not None:\n"
+            "            readings = self._fault_injector.perturb_sensors(self.now, readings)\n"
+            "        if self._sensor_supervisor is not None:\n"
+            "            readings = self._sensor_supervisor.filter(self.now, readings)\n"
+        ),
+        replacement=(
+            "        if self._sensor_supervisor is not None:\n"
+            "            readings = self._sensor_supervisor.filter(self.now, readings)\n"
+            "        if self._fault_injector is not None:\n"
+            "            readings = self._fault_injector.perturb_sensors(self.now, readings)\n"
+        ),
+        test=GOLDEN_FAULT_TOLERANCE,
+        found_by="One control surface for both engines",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(
@@ -262,9 +280,24 @@ def check(mutant: Mutant) -> Optional[str]:
     return None
 
 
+def row_index(text: str) -> int:
+    """A ``--row`` value: an index into :data:`MUTANTS`."""
+    try:
+        index = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= index < len(MUTANTS):
+        raise argparse.ArgumentTypeError(
+            f"{index} is out of range: the table has rows 0 to {len(MUTANTS) - 1}"
+        )
+    return index
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--row", type=int, action="append", help="row index (repeatable)")
+    parser.add_argument(
+        "--row", type=row_index, action="append", help="row index (repeatable)"
+    )
     args = parser.parse_args(argv)
     rows = args.row if args.row else range(len(MUTANTS))
     escaped: List[int] = []

@@ -521,7 +521,7 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
         assert stats["emergencies"] > 0 and not stats["emergency_active"]
         parked = EnsembleSimulation([build_sim(batch[0])])
         parked.run(max_ticks=tick)
-        assert parked.members[0].pre_emergency_governor is not None
+        assert parked.members[0]._pre_emergency_governor is not None
     if batch == VARIATION_BATCH:
         assert reference[batch[0]][0].manager_stats["inter_events"] > 0
     if batch == EXPLOITATION_BATCH:

@@ -167,8 +167,8 @@ def test_same_spec_identical_across_process_boundary():
 def test_same_spec_identical_across_cache_round_trip(tmp_path):
     spec = workload_job("tachyon", "set 2", "ge", **CHEAP)
     cache = ResultCache(root=tmp_path)
-    fresh = ExperimentEngine(cache=cache).run_one(spec)
-    cached = ExperimentEngine(cache=ResultCache(root=tmp_path)).run_one(spec)
+    fresh = ExperimentEngine(cache=cache).run([spec])[0]
+    cached = ExperimentEngine(cache=ResultCache(root=tmp_path)).run([spec])[0]
     assert summaries_identical(fresh, cached)
 
 

@@ -230,6 +230,15 @@ def test_engine_config_validates_hardening_fields():
         EngineConfig(checkpoint_every=0)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_engine_rejects_a_timeout_no_attempt_can_meet(timeout):
+    """A budget <= 0 would kill every parallel attempt at its first poll
+    and report each job as timed out; the engine refuses it up front,
+    as EngineConfig does."""
+    with pytest.raises(ValueError, match="job_timeout_s"):
+        ExperimentEngine(job_timeout_s=timeout)
+
+
 @pytest.mark.parametrize(
     "flags",
     [{"checkpoint_every": 50}, {"resume": True}],

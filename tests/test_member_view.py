@@ -1,7 +1,8 @@
-"""Scalar-facade parity of :class:`repro.ensemble.member_view.MemberView`.
+"""Scalar parity of :class:`repro.ensemble.member_view.EnsembleMember`.
 
-A manager driven by the ensemble engine sees a ``MemberView`` instead
-of the real :class:`Simulation`.  These tests run a scalar simulation
+A manager driven by the ensemble engine sees an ``EnsembleMember``
+instead of the real :class:`Simulation`: the same manager-facing code
+over the member's rows of the batched arrays.  These tests run a scalar simulation
 and a single-member ensemble in lockstep and assert that everything the
 manager (and, through it, a checkpoint capture) reads off the facade —
 clock, current application, mapping, chip ladder, sensor readings — is
@@ -39,7 +40,7 @@ def _step_both(scalar, ensemble, ticks):
 class TestObservationParity:
     def test_static_surface_matches(self):
         scalar, ensemble = _lockstep_pair()
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         # Built from twin specs, not shared objects: compare by value.
         assert view.chip.ladder.points == scalar.chip.ladder.points
         assert view.obs is None
@@ -47,7 +48,7 @@ class TestObservationParity:
 
     def test_clock_and_app_surface_track_the_scalar_run(self):
         scalar, ensemble = _lockstep_pair()
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         for _ in range(5):
             _step_both(scalar, ensemble, 37)
             assert view.now == scalar.now
@@ -69,7 +70,7 @@ class TestObservationParity:
     def test_read_sensors_matches_bitwise_and_charges_the_same_cost(self):
         # Fault-free first: readings equal the clean scalar samples.
         scalar, ensemble = _lockstep_pair(app="tachyon", policy="linux")
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         _step_both(scalar, ensemble, 50)
         a = scalar.read_sensors()
         b = view.read_sensors()
@@ -83,7 +84,7 @@ class TestObservationParity:
 
     def test_read_sensors_matches_under_faults(self):
         scalar, ensemble = _lockstep_pair(app="tachyon", policy="linux", faults=FAULTS)
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         _step_both(scalar, ensemble, 40)
         for _ in range(5):
             a = np.asarray(scalar.read_sensors())
@@ -95,7 +96,7 @@ class TestObservationParity:
 class TestActuationParity:
     def test_set_governor_rejects_what_the_scalar_rejects(self):
         _, ensemble = _lockstep_pair()
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         with pytest.raises(ValueError, match="unknown governor"):
             view.set_governor("warp-speed")
         with pytest.raises(ValueError, match="explicit frequency"):
@@ -104,7 +105,7 @@ class TestActuationParity:
 
     def test_set_mapping_validates_against_the_platform(self):
         _, ensemble = _lockstep_pair()
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         bad = AffinityMapping("wide", (frozenset({99}),))
         with pytest.raises(ValueError):
             view.set_mapping(bad)
@@ -113,7 +114,7 @@ class TestActuationParity:
         """Drive the same actuation sequence through both facades; the
         thermal/energy/perf state they produce stays bitwise equal."""
         scalar, ensemble = _lockstep_pair(app="mpeg_enc", policy="linux")
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         script = [
             (40, lambda s: s.set_governor("powersave")),
             (40, lambda s: s.set_mapping(HALF)),
@@ -148,7 +149,7 @@ class TestActuationParity:
         scalar, ensemble = _lockstep_pair(
             app="mpeg_enc", policy="linux", faults=FAULTS, supervisor=SUPERVISED
         )
-        view = ensemble.views[0]
+        view = ensemble.members[0]
         probes = [(name, None) for name in KNOWN_GOVERNORS if name != "userspace"]
         probes += [("userspace", None), ("userspace", 1.2e9), ("userspace", 2.0e9)]
 
@@ -175,5 +176,5 @@ class TestActuationParity:
             assert_same_read_backs()
         _step_both(scalar, ensemble, 120)
         assert float(ensemble.chip.dynamic_j[0]) == scalar.chip.energy.dynamic_j
-        supervisor = ensemble.members[0].actuation_supervisor
+        supervisor = ensemble.members[0]._actuation_supervisor
         assert supervisor.stats(view.now) == scalar._actuation_supervisor.stats(scalar.now)

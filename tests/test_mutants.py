@@ -6,7 +6,7 @@ own (``python tests/mutants.py``); this check reads files only.
 
 import pytest
 
-from tests.mutants import MUTANTS, REPO
+from tests.mutants import MUTANTS, REPO, main
 
 
 @pytest.mark.parametrize(
@@ -18,3 +18,11 @@ def test_every_anchor_occurs_exactly_once(mutant):
     assert mutant.replacement != mutant.anchor
     path, _, name = mutant.test.partition("::")
     assert (REPO / path).is_file() and name, mutant.test
+
+
+@pytest.mark.parametrize("row", ["-1", str(len(MUTANTS)), "one"])
+def test_a_row_outside_the_table_is_a_usage_error(row, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--row", row])
+    assert exit_info.value.code == 2
+    assert "--row" in capsys.readouterr().err

@@ -7,8 +7,11 @@ silently dropped from snapshots, so this test walks the project model
 over the closure roots and requires, for every class that declares state
 or assigns a ``self.<attr>`` outside ``__init__`` (plain, augmented or
 subscript assignment), that each attribute it assigns sits in exactly
-one of the two lists.  Classes that hold no simulation state are listed
-in :data:`EXEMPT`, each with its reason.
+one of the two lists.  A base class's writes count as its subclasses'
+writes: a base that declares nothing itself (a shared surface whose
+subclasses hold the state) is checked against each subclass's lists.
+Classes that hold no simulation state are listed in :data:`EXEMPT`,
+each with its reason.
 """
 
 import ast
@@ -165,18 +168,21 @@ def declaration_problems(
         if name in skipped:
             continue
         assigned, outside_init = _assignments(node)
-        declares = hasattr(cls, "STATE_FIELDS") or hasattr(cls, "DERIVED_FIELDS")
-        if not (declares or outside_init):
-            continue
         # Attributes assigned by in-closure base classes live on this
         # class's instances too.
         for base in cls.__mro__[1:]:
             if base in nodes:
-                assigned |= _assignments(nodes[base])[0]
+                base_assigned, base_outside_init = _assignments(nodes[base])
+                assigned |= base_assigned
+                outside_init = outside_init or base_outside_init
+        declares = hasattr(cls, "STATE_FIELDS") or hasattr(cls, "DERIVED_FIELDS")
+        if not (declares or outside_init):
+            continue
         state = tuple(getattr(cls, "STATE_FIELDS", ()))
         derived = tuple(getattr(cls, "DERIVED_FIELDS", ()))
         if not declares:
-            problems.append(f"{name}: assigns outside __init__ but declares nothing")
+            if not any(cls in sub.__mro__[1:] for sub in nodes):
+                problems.append(f"{name}: assigns outside __init__ but declares nothing")
             continue
         listed = state + derived
         for field in sorted({f for f in listed if listed.count(f) > 1}):
@@ -250,6 +256,23 @@ class Complete:
 class Immutable:
     def __init__(self):
         self.name = "fixed"
+
+
+class Surface:
+    def park(self):
+        self.parked = True
+
+
+class Kept(Surface):
+    STATE_FIELDS = ("parked",)
+
+
+class Dropped(Surface):
+    STATE_FIELDS = ()
+
+
+class Bare(Surface):
+    pass
 '''
 
 
@@ -268,7 +291,10 @@ def test_check_flags_an_undeclared_attribute(tmp_path):
     problems = declaration_problems(
         model, ["repro.model"], resolve=lambda module, name: namespace[name]
     )
+    # Surface declares nothing but is checked through its subclasses.
     assert problems == [
+        "repro.model.Bare: assigns outside __init__ but declares nothing",
         "repro.model.Declared.cache: in neither STATE_FIELDS nor DERIVED_FIELDS",
+        "repro.model.Dropped.parked: in neither STATE_FIELDS nor DERIVED_FIELDS",
         "repro.model.Undeclared: assigns outside __init__ but declares nothing",
     ]

@@ -31,14 +31,21 @@ def main() -> None:
         max_time_s=30_000,
     )
 
-    # Wrap the agent's decide() to narrate each decision epoch.
+    # Wrap the agent's state observation and decide() to narrate each
+    # decision epoch.
     agent = manager.agent
+    original_observe = agent.states.observe
     original_decide = agent.decide
     last_events = {"inter": 0, "intra": 0}
+    observed = {}
 
-    def narrated_decide(performance, constraint):
-        index = original_decide(performance, constraint)
-        obs = agent.last_observation
+    def recorded_observe(*args, **kwargs):
+        observed["last"] = original_observe(*args, **kwargs)
+        return observed["last"]
+
+    def narrated_decide(performance, constraint, now_s=0.0):
+        index = original_decide(performance, constraint, now_s)
+        obs = observed["last"]
         marker = ""
         if agent.stats.inter_events > last_events["inter"]:
             marker = "  <<< INTER-APPLICATION VARIATION: re-learning"
@@ -54,6 +61,7 @@ def main() -> None:
         )
         return index
 
+    agent.states.observe = recorded_observe
     agent.decide = narrated_decide
     result = sim.run()
 

@@ -36,7 +36,6 @@ FAST_PATH_MODULES: Tuple[str, ...] = (
     "repro.ensemble.workloads",
     "repro.ensemble.power_thermal",
     "repro.ensemble.engine",
-    "repro.ensemble.agents",
     "repro.ensemble.managers",
     "repro.ensemble.shard",
 )

@@ -28,7 +28,7 @@ from repro.ioutil import atomic_write_bytes
 
 #: Bump when the snapshot layout changes; older checkpoints are then
 #: treated as invalid (skipped, not migrated).
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Checkpoint filename prefix: ``ckpt-<tick:010d>-<digest12>.json``.
 CHECKPOINT_PREFIX = "ckpt-"

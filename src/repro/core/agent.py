@@ -33,7 +33,7 @@ from repro.core.actions import ActionSpace, build_action_space
 from repro.core.qtable import QTable
 from repro.core.reward import RewardFunction
 from repro.core.schedule import AlphaSchedule, LearningPhase
-from repro.core.state import EpochObservation, StateSpace
+from repro.core.state import StateSpace
 from repro.core.variation import VariationDetector, VariationKind, VariationReport
 
 #: Epochs of unchanged greedy policy after which we call it converged.
@@ -123,7 +123,6 @@ class QLearningThermalAgent:
         "_prev_epoch_series",
         "_prev_state",
         "_prev_action",
-        "_prev_prev_action",
         "_same_action_count",
         "_policy_stable_for",
         "_last_policy",
@@ -131,16 +130,13 @@ class QLearningThermalAgent:
         "_last_inter_epoch",
         "stats",
     )
-    #: Construction values and attach-time hooks; ``last_observation`` is
-    #: diagnostic only (nothing on the decide path reads it back) and the
-    #: next full epoch rebuilds it.
+    #: Construction values and attach-time hooks.
     DERIVED_FIELDS = (
         "config",
         "actions",
         "states",
         "reward_fn",
         "samples_per_epoch",
-        "last_observation",
         "obs",
     )
 
@@ -177,14 +173,12 @@ class QLearningThermalAgent:
         self._prev_epoch_series: Optional[List[List[float]]] = None
         self._prev_state: Optional[int] = None
         self._prev_action: Optional[int] = None
-        self._prev_prev_action: Optional[int] = None
         self._same_action_count = 0
         self._policy_stable_for = 0
         self._last_policy: Optional[np.ndarray] = None
         self._last_intra_epoch = -(10**9)
         self._last_inter_epoch = -(10**9)
         self.stats = AgentStats()
-        self.last_observation: Optional[EpochObservation] = None
         #: Optional observation-only hook (set by the manager).
         self.obs: "Optional[Instrumentation]" = None
 
@@ -240,7 +234,6 @@ class QLearningThermalAgent:
             context_samples=self._prev_epoch_series,
         )
         self._prev_epoch_series = epoch_series
-        self.last_observation = observation
 
         # 1. Workload-variation handling (Section 5.4).  Inter-application
         # re-learning is armed only once the current learning pass has
@@ -269,7 +262,6 @@ class QLearningThermalAgent:
             self.detector.reset()
             self._prev_state = None
             self._prev_action = None
-            self._prev_prev_action = None
             self._same_action_count = 0
             self._policy_stable_for = 0
             self._last_policy = None
@@ -389,7 +381,6 @@ class QLearningThermalAgent:
             self._same_action_count += 1
         else:
             self._same_action_count = 1
-        self._prev_prev_action = self._prev_action
         self._prev_action = action
         self._trec.clear()
         self.stats.epochs += 1

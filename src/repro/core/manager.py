@@ -110,8 +110,3 @@ class ProposedThermalManager(ThermalManagerBase):
     def stats(self) -> Dict[str, float]:
         """Agent counters for the simulation result."""
         return self.agent.stats.as_dict()
-
-    @property
-    def current_action(self) -> Optional[Action]:
-        """The most recently enforced action."""
-        return self._current_action

@@ -79,15 +79,6 @@ class QTable:
         """The greedy action per state (for convergence tracking)."""
         return np.argmax(self._q, axis=1)
 
-    def visits(self, state: int, action: int) -> int:
-        """How many updates the (state, action) entry has received."""
-        return int(self._visits[state, action])
-
-    @property
-    def total_visits(self) -> int:
-        """Total update count across the table."""
-        return int(self._visits.sum())
-
     # ------------------------------------------------------------------
     # Updates (Eq. 7)
     # ------------------------------------------------------------------

@@ -139,7 +139,7 @@ class EnsembleSimulation:
     )
     #: Construction values, the sample buffer ``_eval_samples`` stands
     #: for, the lazily recomputed run-loop bounds and the control plane
-    #: (which syncs with the members' scalar agents).
+    #: (which holds no state of its own).
     DERIVED_FIELDS = (
         "platform",
         "num_members",
@@ -418,8 +418,8 @@ class EnsembleSimulation:
         if self.now + 1e-9 >= self._mgr_min:
             due = np.nonzero(self.active & (self.now + 1e-9 >= self.mgr_next))[0]
             if due.size:
-                # Batched members take the vectorized sample/decide
-                # path; whatever remains runs the scalar loop.
+                # Batched members share one vectorized sample; whatever
+                # remains runs the scalar loop.
                 due = self._control.on_tick(due)
             for member in due:
                 state = self.members[member]
@@ -517,8 +517,6 @@ class EnsembleSimulation:
                 "ensemble still has active members; run() to completion "
                 "before collecting results"
             )
-        if self._control is not None:
-            self._control.sync_out()
         out: List[SimulationResult] = []
         for member in range(self.num_members):
             state = self.members[member]
@@ -584,10 +582,6 @@ class EnsembleSimulation:
 
     def capture(self) -> dict:
         """JSON-ready snapshot of the whole ensemble at a tick boundary."""
-        if self._control is not None:
-            # Flush the stacked control-plane state onto the scalar
-            # agents whose declared state the snapshot reads.
-            self._control.sync_out()
         return capture_state(self)
 
     def restore(self, state: dict) -> None:
@@ -603,7 +597,4 @@ class EnsembleSimulation:
         restore_state(self, state)
 
     def _after_restore(self) -> None:
-        if self._control is not None:
-            # Re-adopt the restored scalar agents into the stacked arrays.
-            self._control.sync_in()
         self._mgr_min = -math.inf  # restored fire times: recompute lazily

@@ -126,11 +126,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         test=HARNESS,
         found_by="837c96b The differential harness replaces EQV001",
     ),
+    # Shared by both engines (an ensemble member runs the scalar agent),
+    # so the harness compares it with itself: a unit test sees it.
     Mutant(
-        file="src/repro/ensemble/agents.py",
-        anchor="self.has_snap[slot] = snapshot is not None",
-        replacement="self.has_snap[slot] = False",
-        test=HARNESS,
+        file="src/repro/core/qtable.py",
+        anchor="self._exploration_snapshot = self._q.copy()",
+        replacement="self._exploration_snapshot = self._q",
+        test="tests/test_core_qtable.py::test_snapshot_restore_cycle",
         found_by="094f3e3 Stream the behavior-closure digest",
     ),
     Mutant(
@@ -143,11 +145,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         found_by="094f3e3 Stream the behavior-closure digest",
     ),
+    # Shared by both engines: only a committed golden can see it.
     Mutant(
-        file="src/repro/ensemble/agents.py",
-        anchor="max(agent.schedule.alpha, EXPLOITATION_ALPHA_FLOOR)",
-        replacement="agent.schedule.alpha",
-        test=HARNESS,
+        file="src/repro/core/agent.py",
+        anchor="alpha = max(self.schedule.alpha, EXPLOITATION_ALPHA_FLOOR)",
+        replacement="alpha = self.schedule.alpha",
+        test="tests/test_golden_artefacts.py::test_artefact_matches_golden[fig7]",
         found_by="c09c173 Make an artefact cells + render",
     ),
     Mutant(

@@ -8,6 +8,8 @@ from repro.core.agent import QLearningThermalAgent
 from repro.core.schedule import LearningPhase
 from repro.units import ghz
 
+from tests.test_core_qtable import total_visits
+
 
 # ---------------------------------------------------------------------------
 # Action space
@@ -148,12 +150,12 @@ def test_inter_reset_on_level_shift(agent):
         feed_epoch(agent, [62.0] * 4)
         agent.decide(1.0, 0.5)
     assert agent.stats.inter_events == 0
-    before = agent.qtable.total_visits
+    before = total_visits(agent.qtable)
     for _ in range(4):
         feed_epoch(agent, [35.0] * 4)
         agent.decide(1.0, 0.5)
     assert agent.stats.inter_events == 1
-    assert agent.qtable.total_visits < before  # table was reset
+    assert total_visits(agent.qtable) < before  # table was reset
 
 
 def test_stats_dict_keys(agent):

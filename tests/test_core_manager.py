@@ -7,6 +7,8 @@ from repro.core.manager import ProposedThermalManager
 from repro.soc.simulator import Simulation
 from repro.workloads.alpbench import make_application
 
+from tests.test_core_qtable import total_visits
+
 
 def short_app(name="mpeg_dec", iters=15, seed=5):
     from dataclasses import replace
@@ -40,7 +42,7 @@ def test_manager_decides_at_epochs(manager):
 def test_manager_actuates(manager):
     sim = Simulation([short_app(iters=60)], manager=manager, seed=1, max_time_s=700.0)
     sim.run()
-    assert manager.current_action is not None
+    assert manager._current_action is not None
 
 
 def test_manager_ignores_explicit_switch_signal(manager):
@@ -48,10 +50,10 @@ def test_manager_ignores_explicit_switch_signal(manager):
     sim = Simulation([short_app(seed=1)], manager=manager, seed=1, max_time_s=100.0)
     sim._start_next_app()
     before_epochs = manager.agent.stats.epochs
-    before_visits = manager.agent.qtable.total_visits
+    before_visits = total_visits(manager.agent.qtable)
     manager.on_app_switch(sim, sim.current_app)
     assert manager.agent.stats.epochs == before_epochs
-    assert manager.agent.qtable.total_visits == before_visits
+    assert total_visits(manager.agent.qtable) == before_visits
 
 
 def test_manager_stats_exposed(manager):

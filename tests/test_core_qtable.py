@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from repro.core.qtable import QTable
 
 
+def total_visits(table: QTable) -> int:
+    """Total update count across ``table``."""
+    return int(table._visits.sum())
+
+
 def test_starts_at_zero():
     table = QTable(3, 4)
     assert np.all(table.as_array() == 0.0)
-    assert table.total_visits == 0
+    assert total_visits(table) == 0
 
 
 def test_update_matches_eq7():
@@ -71,7 +76,7 @@ def test_reset_clears_everything():
     table.capture_exploration()
     table.reset()
     assert np.all(table.as_array() == 0.0)
-    assert table.total_visits == 0
+    assert total_visits(table) == 0
     assert not table.has_exploration_snapshot
 
 
@@ -85,8 +90,8 @@ def test_visits_counted():
     table = QTable(2, 2)
     table.update(1, 0, 1.0, 0, alpha=0.5, gamma=0.5)
     table.update(1, 0, 1.0, 0, alpha=0.5, gamma=0.5)
-    assert table.visits(1, 0) == 2
-    assert table.total_visits == 2
+    assert table._visits[1, 0] == 2
+    assert total_visits(table) == 2
 
 
 def test_dimension_validation():

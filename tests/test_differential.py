@@ -59,7 +59,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointStore, serialize_checkpoint
-from repro.config import FaultConfig, PlatformConfig, SupervisorConfig
+from repro.config import FaultConfig, PlatformConfig, SupervisorConfig, default_agent_config
+from repro.core.actions import build_action_space
 from repro.ensemble.engine import EnsembleSimulation
 from repro.experiments.engine import ExperimentEngine, planner
 from repro.experiments.engine.spec import scenario_job, workload_job
@@ -230,6 +231,7 @@ def run_entry(spec, **hooks):
     """
     fields = dict(
         policy=spec.policy, seed=spec.seed, iteration_scale=spec.iteration_scale,
+        agent_config=spec.agent_config, action_space=spec.action_space(),
         platform=spec.platform, faults=spec.faults, supervisor=spec.supervisor, **hooks,
     )
     if spec.max_time_s is not None:
@@ -422,12 +424,16 @@ def check_every_axis(batch, tick, damage, jobs):
 
 
 #: Two scenarios, one supervised and faulted, between workloads; the
-#: restore tick falls after each scenario's application switch.
+#: restore tick falls after each scenario's application switch.  The
+#: last two members learn side by side on the batched control plane:
+#: the default action menu, and a Fig. 8-sized one.
 SCENARIO_BATCH = [
     member(("tachyon", "mpeg_dec"), "proposed", 2),
     member(("mpeg_dec", "tachyon"), "ge_modified", 3, faults=FAULTS, supervisor=SUPERVISED),
     member("tachyon", "linux", 1),
     member("mpeg_dec", "proposed", 4),
+    member("mpeg_dec", "proposed", 5, agent_config=replace(default_agent_config(), num_actions=4),
+           action_space=build_action_space(4)),
 ]
 SCENARIO_TICK = 900
 
@@ -443,9 +449,9 @@ EMERGENCY_TICK = 803
 
 #: A learning member long enough for its variation detector to open an
 #: inter-application trigger, which only a deviation seen under a held
-#: action can do (``action_stable`` in ``QLearningThermalAgent.decide``
-#: and ``BatchedAgents.decide_batch``).  The random batches run too few
-#: decision epochs to reach it.
+#: action can do (``action_stable`` in ``QLearningThermalAgent.decide``,
+#: which the scalar manager and the batched control plane both call).
+#: The random batches run too few decision epochs to reach it.
 VARIATION_BATCH = [member("tachyon", "proposed", 4, iteration_scale=0.6)]
 VARIATION_TICK = 4000
 

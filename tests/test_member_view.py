@@ -18,7 +18,7 @@ from repro.ensemble.engine import EnsembleSimulation
 from repro.sched.affinity import AffinityMapping
 from repro.soc.simulator import KNOWN_GOVERNORS
 
-from tests.test_differential import FAULTS, HALF, SUPERVISED, build_sim, member
+from tests.test_differential import FAULTS, HALF, SCENARIO_BATCH, SUPERVISED, build_sim, member
 
 
 def _lockstep_pair(app="mpeg_dec", policy="proposed", seed=21, **kwargs):
@@ -45,6 +45,16 @@ class TestObservationParity:
         assert view.chip.ladder.points == scalar.chip.ladder.points
         assert view.obs is None
         assert view.mapping == scalar.mapping
+        # The harness's learning workloads, one with the default action
+        # menu and one with a Fig. 8-sized menu, share the batched plane.
+        learners = EnsembleSimulation([
+            build_sim(spec) for spec in SCENARIO_BATCH
+            if spec.kind == "workload" and spec.policy == "proposed"
+        ])
+        learners.prepare()
+        menus = [len(state.manager.agent.actions) for state in learners.members]
+        assert len(set(menus)) == 2
+        assert learners._control._is_batched.all()
 
     def test_clock_and_app_surface_track_the_scalar_run(self):
         scalar, ensemble = _lockstep_pair()

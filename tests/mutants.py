@@ -112,11 +112,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         test=HARNESS,
         found_by="837c96b The differential harness replaces EQV001",
     ),
+    # Shared by both engines (an ensemble member runs the scalar agent),
+    # so the harness compares it with itself: a unit test sees it.
     Mutant(
         file="src/repro/core/agent.py",
         anchor="action_stable = self._same_action_count >= 3",
         replacement="action_stable = self._same_action_count >= 2",
-        test=HARNESS,
+        test=(
+            "tests/test_agent_convergence.py::TestIntraRestoreAndInterReset::"
+            "test_inter_variation_resets_learning"
+        ),
         found_by="837c96b The differential harness replaces EQV001",
     ),
     Mutant(
@@ -126,8 +131,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         test=HARNESS,
         found_by="837c96b The differential harness replaces EQV001",
     ),
-    # Shared by both engines (an ensemble member runs the scalar agent),
-    # so the harness compares it with itself: a unit test sees it.
+    # Shared by both engines, so the harness cannot see it either.
     Mutant(
         file="src/repro/core/qtable.py",
         anchor="self._exploration_snapshot = self._q.copy()",

@@ -18,6 +18,7 @@ same-sign confirmation, opposite-sign rejection, action-stability
 gating, MA freezing) that integration runs rarely reach.
 """
 
+import copy
 import math
 
 import pytest
@@ -164,6 +165,13 @@ class TestIntraRestoreAndInterReset:
             _aging_norm(agent, base_c),
             base_c,
         )
+        # Held for two epochs only, an action may still carry its own
+        # thermal drift: the same jump is not yet a workload change.
+        recent = copy.deepcopy(agent)
+        recent._same_action_count = 2
+        _run_epoch(recent, inter_c)
+        assert recent.stats.inter_events == 0
+
         _run_epoch(agent, inter_c)
         assert agent.stats.inter_events == 1
         # Full re-learning: alpha restarted at 1 (one advance applied),

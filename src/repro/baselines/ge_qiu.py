@@ -87,10 +87,6 @@ class GeQiuThermalManager(ThermalManagerBase):
             self._last_temp_c = float(np.max(finite))
         return self._last_temp_c
 
-    def _temperature_state(self, temps_c: np.ndarray) -> int:
-        """Bin of the hottest core's instantaneous temperature."""
-        return self._bin_of(self._hottest_core_c(np.asarray(temps_c, dtype=float)))
-
     def _bin_of(self, temp_c: float) -> int:
         """Bin index of one (finite) temperature."""
         low, high = self.config.temp_range_c

@@ -1,17 +1,19 @@
 """Tick-boundary checkpointing and resume orchestration.
 
-:class:`Checkpointer` is the object a :class:`~repro.soc.simulator.
-Simulation` calls back into at the bottom of every run-loop iteration
-(``attach_checkpointer``): every ``every_ticks`` completed ticks it
-captures the full closure and appends a content-addressed snapshot to
-its :class:`~repro.checkpoint.store.CheckpointStore`.
+:class:`Checkpointer` is the object either engine — a scalar
+:class:`~repro.soc.simulator.Simulation` or an
+:class:`~repro.ensemble.engine.EnsembleSimulation` — calls back into at
+the bottom of every run-loop iteration (``attach_checkpointer``): every
+``every_ticks`` completed ticks it captures the full closure and appends
+a content-addressed snapshot to its
+:class:`~repro.checkpoint.store.CheckpointStore`.
 
 :func:`resume_simulation` is the other direction: given a *fresh*
 simulation built with the same arguments as the interrupted run, it
-loads the newest valid checkpoint (or an explicitly named one), rebuilds
-the captured state, and arms the simulation so ``run()`` continues
-mid-stream instead of re-preparing.  Both corruption and an empty store
-degrade to ``None`` — the caller simply runs from scratch.
+loads the newest valid checkpoint (or an explicitly named one) and
+rebuilds the captured state in the prepared engine, so ``run()``
+continues mid-stream.  Both corruption and an empty store degrade to
+``None`` — the caller simply runs from scratch.
 """
 
 from __future__ import annotations

@@ -47,11 +47,12 @@ A declared object present on one side only (a snapshot with fault
 injector state restored into a simulation built without faults, or the
 reverse) raises :class:`~repro.checkpoint.store.CheckpointStateError`.
 
-The restore protocol is *prepare-then-overwrite*: the fresh simulation
-runs its normal :meth:`~repro.soc.simulator.Simulation.prepare` (so all
-attach-time side effects — manager binding, first-application adoption,
-lazily-built baseline Q-tables — happen exactly once), after which every
-state field is overwritten from the snapshot.
+The restore protocol is *prepare-then-overwrite*, the same for both
+engines (:class:`~repro.soc.simulator.RunLoop`): the fresh simulation
+runs its normal ``prepare()`` (so all attach-time side effects —
+manager binding, first-application adoption, lazily-built baseline
+Q-tables — happen exactly once), after which every state field is
+overwritten from the snapshot.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sched.governors import Governor, UserspaceGovernor, make_governor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.soc.simulator import Simulation
+    from repro.soc.simulator import RunLoop
 
 _PRIMITIVES = (bool, int, float, str)
 
@@ -383,30 +384,32 @@ def _restore_metrics(registry: MetricsRegistry, entries: List[dict]) -> None:
 # ----------------------------------------------------------------------
 
 
-def capture_simulation(sim: "Simulation") -> Dict[str, Any]:
+def capture_simulation(sim: "RunLoop") -> Dict[str, Any]:
     """Snapshot everything a tick boundary needs to continue from.
 
-    Must be called at a tick boundary of a prepared, running simulation
-    (i.e. from the run loop, after ``step``).
+    ``sim`` is either engine: a scalar
+    :class:`~repro.soc.simulator.Simulation` or an
+    :class:`~repro.ensemble.engine.EnsembleSimulation`.  It must be
+    prepared, and is captured at a tick boundary (from the run loop,
+    after ``step``).
     """
-    if sim._app_index < 0 or sim._app_index >= len(sim.applications):
+    if not sim._prepared:
         raise CheckpointStateError(
-            "can only checkpoint a running simulation (after prepare, "
-            "before the last application finished)"
+            "can only checkpoint a prepared simulation (after prepare or "
+            "a restore)"
         )
     return capture_state(sim)
 
 
-def restore_simulation(sim: "Simulation", state: Dict[str, Any]) -> None:
+def restore_simulation(sim: "RunLoop", state: Dict[str, Any]) -> None:
     """Rebuild a snapshot's exact state inside a fresh simulation.
 
-    The simulation must have been constructed with the same arguments as
-    the checkpointed run (the snapshot carries run-time state only, not
-    configuration).  ``prepare()`` runs first so every attach-time side
-    effect happens through the normal path; the snapshot then overwrites
-    all of it.  Afterwards :meth:`Simulation.run` continues mid-stream
-    (the restore arms the simulation's resume flag).
+    ``sim``, either engine, must have been constructed with the same
+    arguments as the checkpointed run (the snapshot carries run-time
+    state only, not configuration).  The engine is prepared first, by
+    the one prepared rule, so every attach-time side effect happens
+    through the normal path; the snapshot then overwrites all of it, and
+    ``run()`` (which finds the engine prepared) continues mid-stream.
     """
-    sim.prepare()
+    sim._ensure_prepared()
     restore_state(sim, state)
-    sim._resume_armed = True

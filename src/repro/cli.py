@@ -88,8 +88,9 @@ def _package_dir(text: str) -> Path:
     return path
 
 
-def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
-    """Worker-pool and cache flags of every command that runs a batch."""
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine flags of every command that runs a batch: each artefact
+    command, ``all`` and ``ensemble run``."""
     parser.add_argument(
         "--jobs",
         type=_positive_int,
@@ -122,19 +123,13 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="attempts per job before it is recorded as failed (default 3)",
     )
-
-
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine flags shared by every artefact command and ``all``."""
-    _add_pool_flags(parser)
     parser.add_argument(
         "--checkpoint-every",
         type=_positive_int,
         default=None,
         metavar="TICKS",
-        help="snapshot each job's full simulation state every TICKS ticks; "
-        "every cell then runs on the scalar path (ensemble shards keep no "
-        "disk checkpoints)",
+        help="snapshot each job's full simulation state every TICKS ticks "
+        "(an ensemble shard snapshots all its members at once)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -327,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     ens_run = ensemble_sub.add_parser(
         "run",
         help="run one workload across a seed grid through the ensemble "
-        "engine (grids of 8 or more members run vectorized)",
+        "engine (grids of 8 or more members run vectorized, and checkpoint "
+        "and resume per shard)",
     )
     ens_run.add_argument("app", choices=APP_NAMES)
     ens_run.add_argument("--dataset", default=None)
@@ -354,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FAULT_MODES,
         help="inject faults into every member's sensor/actuation paths",
     )
-    _add_pool_flags(ens_run)
-    # Ensemble shards keep no disk checkpoints, so the seed grid takes
-    # none: with checkpointing the engine would route it scalar.
-    ens_run.set_defaults(checkpoint_every=None, checkpoint_dir=None, resume=False)
+    _add_engine_flags(ens_run)
 
     lint = sub.add_parser(
         "lint",

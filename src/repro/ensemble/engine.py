@@ -50,7 +50,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.checkpoint.state import capture_state, restore_state
 from repro.ensemble.governors import BatchedGovernors
 from repro.ensemble.managers import BatchedControlPlane
 from repro.ensemble.member_view import EnsembleMember
@@ -63,6 +62,7 @@ from repro.power.energy import EnergyMeter
 from repro.sched.perf import PerfCounters
 from repro.soc.simulator import (
     AppRecord,
+    RunLoop,
     Simulation,
     SimulationResult,
     ThermalManagerBase,
@@ -98,7 +98,7 @@ def _manager_next_fire(manager: Optional[ThermalManagerBase]) -> float:
     return float(getattr(manager, "_next_sample_s", -math.inf))
 
 
-class EnsembleSimulation:
+class EnsembleSimulation(RunLoop):
     """N scalar simulations, stepped as one vectorized system.
 
     Parameters
@@ -153,6 +153,7 @@ class EnsembleSimulation:
         "_max_time_vec",
         "_min_max_time",
         "_prepared",
+        "_checkpointer",
         "_control",
         "_supervised",
         "_timer",
@@ -186,8 +187,8 @@ class EnsembleSimulation:
                 )
             if sim._checkpointer is not None:
                 raise ValueError(
-                    f"member {index} has a checkpointer attached; use "
-                    "EnsembleSimulation.capture/restore instead"
+                    f"member {index} has a checkpointer attached; attach "
+                    "one to the ensemble instead"
                 )
 
         self.platform = platform
@@ -282,6 +283,7 @@ class EnsembleSimulation:
         # on ticks where nothing can possibly have finished.
         self._min_max_time = float(np.min(self._max_time_vec))
         self._prepared = False
+        self._checkpointer = None
         # Built in prepare() (after managers attach): the vectorized
         # control plane for proposed-manager members.
         self._control: Optional[BatchedControlPlane] = None
@@ -494,12 +496,16 @@ class EnsembleSimulation:
         Returns ``None`` when stopped early by ``max_ticks`` with
         members still active (the benchmark harness does this).
         """
-        if not self._prepared:
-            self.prepare()
+        self._ensure_prepared()
+        checkpointer = self._checkpointer
         ticks = 0
         while bool(self.active.any()):
             self.step()
             self.advance()
+            # As in the scalar loop, the tick that finishes the run is
+            # no checkpoint boundary.
+            if checkpointer is not None and bool(self.active.any()):
+                checkpointer.maybe_checkpoint(self)
             ticks += 1
             if max_ticks is not None and ticks >= max_ticks:
                 break
@@ -579,22 +585,6 @@ class EnsembleSimulation:
             self._grow_profile()
         self._profile_buf[:, :, :count] = samples
         self._eval_count = count
-
-    def capture(self) -> dict:
-        """JSON-ready snapshot of the whole ensemble at a tick boundary."""
-        return capture_state(self)
-
-    def restore(self, state: dict) -> None:
-        """Load a :meth:`capture` snapshot into this (fresh) ensemble.
-
-        Mirrors the scalar checkpoint contract: the ensemble is prepared
-        first (attaching managers, which may draw), then every piece of
-        adopted state is overwritten with the snapshot, so the net
-        effect is exactly the captured trajectory.
-        """
-        if not self._prepared:
-            self.prepare()
-        restore_state(self, state)
 
     def _after_restore(self) -> None:
         self._mgr_min = -math.inf  # restored fire times: recompute lazily

@@ -13,14 +13,24 @@ cache with scalar runs.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.ensemble.engine import EnsembleSimulation
 from repro.experiments.engine.spec import JobSpec, ensemble_job
-from repro.experiments.runner import RunSummary, build_simulation, summarise
+from repro.experiments.runner import (
+    RunSummary,
+    arm_checkpoints,
+    build_simulation,
+    summarise,
+)
 
 
-def run_ensemble_workloads(specs: Sequence[JobSpec]) -> List[RunSummary]:
+def run_ensemble_workloads(
+    specs: Sequence[JobSpec],
+    checkpoint_every: Optional[int] = None,
+    checkpoint_dir=None,
+    resume=False,
+) -> List[RunSummary]:
     """Run job specs — workloads and scenarios alike, supervised or not —
     as one ensemble; one summary per spec.
 
@@ -29,11 +39,16 @@ def run_ensemble_workloads(specs: Sequence[JobSpec]) -> List[RunSummary]:
     platform).  Member results do not depend on
     which other members share the ensemble (cross-member isolation), so
     any subset of a job list can be batched together without changing
-    anyone's summary.
+    anyone's summary.  ``checkpoint_every``/``checkpoint_dir``/``resume``
+    checkpoint the whole ensemble into one store and resume it from
+    there, as :func:`~repro.experiments.runner.run_job` does a scalar
+    job (:func:`~repro.experiments.runner.arm_checkpoints`).
     """
     specs = ensemble_job(specs).members
     simulations = [build_simulation(spec) for spec in specs]
-    results = EnsembleSimulation(simulations).run()
+    ensemble = EnsembleSimulation(simulations)
+    arm_checkpoints(ensemble, checkpoint_every, checkpoint_dir, resume)
+    results = ensemble.run()
     return [
         summarise(spec, sim, result)
         for spec, sim, result in zip(specs, simulations, results)

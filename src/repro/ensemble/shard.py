@@ -30,14 +30,6 @@ Correctness rests on two already-established invariants:
   :func:`~repro.experiments.engine.spec.job_key`.  Shards therefore
   expand to the same per-seed cache keys as serial and unsharded runs,
   and all of them populate one shared cache.
-
-Checkpointing note: ensemble state snapshots live in process memory
-(:meth:`~repro.ensemble.engine.EnsembleSimulation.capture`), so an
-engine with disk checkpointing or resume set routes every cell through
-the scalar path instead of sharding it; crash recovery for sharded runs
-comes from member-level caching (a re-run only re-simulates members
-whose summaries were never stored) and from the engine's retry
-machinery re-running a failed shard whole.
 """
 
 from __future__ import annotations

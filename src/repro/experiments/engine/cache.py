@@ -170,27 +170,6 @@ class ResultCache:
     # Invalidation / eviction
     # ------------------------------------------------------------------
 
-    def invalidate(self, spec: Optional[JobSpec] = None) -> int:
-        """Drop one entry (or every entry when ``spec`` is ``None``).
-
-        Returns the number of entries removed; also counted in
-        ``stats.invalidated``.
-        """
-        removed = 0
-        if spec is not None:
-            path = self._path_for(self.key_for(spec))
-            if path.exists():
-                path.unlink()
-                removed = 1
-        else:
-            store = self.root / "results"
-            if store.exists():
-                for path in sorted(store.rglob("*.pkl")):
-                    path.unlink()
-                    removed += 1
-        self.stats.invalidated += removed
-        return removed
-
     def __len__(self) -> int:
         """Number of entries currently on disk."""
         store = self.root / "results"

@@ -12,8 +12,10 @@ only way a batch executes; the pipeline per batch is:
 3. plan the misses into ensemble groups of at least
    :data:`~repro.experiments.engine.planner.MIN_GROUP` members, each
    split into member shards by :mod:`repro.ensemble.shard`, plus the
-   scalar leftovers (``ensemble=False``, or checkpointing or resume
-   set, runs every miss as a scalar job);
+   scalar leftovers (``ensemble=False`` runs every miss as a scalar
+   job); group size alone decides, checkpointing and resume included —
+   a shard checkpoints into its own per-job store as a scalar cell
+   does;
 4. dispatch the jobs in one go — inline when ``jobs == 1`` or there is
    one job, else fanned out over one ``ProcessPoolExecutor``;
 5. store each fresh result in the cache as it lands (an ensemble shard
@@ -176,19 +178,21 @@ class ExperimentEngine:
     job_timeout_s: Optional[float] = None
     #: Total attempts per job before a structured failure is recorded.
     max_job_attempts: int = 3
-    #: Checkpoint cadence (ticks) and per-job store root; see worker.
-    #: A cadence, like ``resume``, needs the root.
+    #: Checkpoint cadence (ticks) and the root of the per-job stores a
+    #: scalar cell and an ensemble shard alike write; see worker.  A
+    #: cadence, like ``resume``, needs the root.
     checkpoint_every: Optional[int] = None
     checkpoint_dir: Optional[str] = None
-    #: Resume interrupted jobs from their newest valid checkpoint.
+    #: Resume interrupted jobs from their newest valid checkpoint (a
+    #: shard's store is keyed by its member list, so a rerun resumes a
+    #: shard only when it plans the same one).
     resume: bool = False
     #: Route each batch through the ensemble grid planner: cells that
     #: share a platform closure are batched into vectorized ensemble
     #: shards (see :mod:`repro.experiments.engine.planner`); everything
     #: else runs on the scalar path.  Bit-identical either way;
     #: ``False`` is the all-scalar reference the identity tests compare
-    #: with.  Checkpointing or resume routes every cell scalar, since
-    #: ensemble shards keep no disk checkpoints.
+    #: with.  Checkpointing and resume apply to either path.
     ensemble: bool = True
     #: Structured failure records accumulated over the engine's life.
     failures: List[JobFailure] = field(default_factory=list)
@@ -258,8 +262,7 @@ class ExperimentEngine:
         if pending:
             self.stats.executed += len(pending)
             jobs = {index: unique[index] for index in pending}
-            checkpointed = self.checkpoint_every is not None or self.resume
-            if self.ensemble and not checkpointed:
+            if self.ensemble:
                 outcomes, failures = self._execute_ensemble(jobs)
             else:
                 outcomes, failures = self._dispatch(jobs)

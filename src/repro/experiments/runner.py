@@ -5,7 +5,8 @@ A :class:`~repro.experiments.engine.spec.JobSpec` describes one job;
 :class:`~repro.soc.simulator.Simulation`, :func:`summarise` reduces the
 finished run to a :class:`RunSummary` holding every metric any table or
 figure needs, and :func:`run_job` does both, with optional
-checkpointing.  A ``workload`` job runs one application under one
+checkpointing (:func:`arm_checkpoints`, which serves the ensemble
+runner too).  A ``workload`` job runs one application under one
 policy with the standard train-then-measure protocol; a ``scenario`` job
 runs an inter-application sequence (Figure 3) where the *switching*
 itself is the phenomenon, so applications run once each and the whole
@@ -34,7 +35,12 @@ from repro.baselines.static_policy import StaticPolicyManager
 from repro.core.actions import ActionSpace
 from repro.core.manager import ProposedThermalManager
 from repro.sched.affinity import AffinityMapping
-from repro.soc.simulator import Simulation, SimulationResult, ThermalManagerBase
+from repro.soc.simulator import (
+    RunLoop,
+    Simulation,
+    SimulationResult,
+    ThermalManagerBase,
+)
 from repro.thermal.profile import ThermalProfile
 from repro.units import ghz
 from repro.workloads.alpbench import make_application
@@ -118,11 +124,6 @@ class RunSummary:
     supervisor_stats: Dict[str, float] = field(default_factory=dict)
     #: The measurement-window thermal profile, for trace figures.
     profile: Optional[ThermalProfile] = None
-
-    @property
-    def total_energy_j(self) -> float:
-        """Dynamic plus static energy of the measurement window."""
-        return self.dynamic_energy_j + self.static_energy_j
 
 
 def build_manager(
@@ -364,22 +365,40 @@ def run_job(
         one.
     """
     sim = build_simulation(spec, instrumentation)
-    if checkpoint_dir is not None:
-        # Imported lazily so ordinary (checkpoint-free) runs have no
-        # hard dependency on the checkpoint layer.
-        from repro.checkpoint import CheckpointStore, Checkpointer, resume_simulation
-
-        store = CheckpointStore(checkpoint_dir)
-        checkpointer = None
-        if checkpoint_every:
-            checkpointer = Checkpointer(store, checkpoint_every)
-            sim.attach_checkpointer(checkpointer)
-        if resume:
-            explicit = resume if not isinstance(resume, bool) else None
-            loaded = resume_simulation(sim, store, checkpoint=explicit)
-            if loaded is not None and checkpointer is not None:
-                checkpointer.note_resumed(loaded)
+    arm_checkpoints(sim, checkpoint_every, checkpoint_dir, resume)
     return summarise(spec, sim, sim.run())
+
+
+def arm_checkpoints(
+    sim: RunLoop,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_dir=None,
+    resume=False,
+) -> None:
+    """Arm an unrun engine's crash tolerance: the one way both engines
+    checkpoint and resume.
+
+    ``sim`` is a scalar :class:`~repro.soc.simulator.Simulation` or an
+    :class:`~repro.ensemble.engine.EnsembleSimulation`; the keywords
+    mean what they mean to :func:`run_job`.  A resumed engine's
+    checkpointer continues the restored checkpoint's manifest chain.
+    """
+    if checkpoint_dir is None:
+        return
+    # Imported lazily so ordinary (checkpoint-free) runs have no
+    # hard dependency on the checkpoint layer.
+    from repro.checkpoint import CheckpointStore, Checkpointer, resume_simulation
+
+    store = CheckpointStore(checkpoint_dir)
+    checkpointer = None
+    if checkpoint_every:
+        checkpointer = Checkpointer(store, checkpoint_every)
+        sim.attach_checkpointer(checkpointer)
+    if resume:
+        explicit = resume if not isinstance(resume, bool) else None
+        loaded = resume_simulation(sim, store, checkpoint=explicit)
+        if loaded is not None and checkpointer is not None:
+            checkpointer.note_resumed(loaded)
 
 
 def run_workload(

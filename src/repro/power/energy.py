@@ -64,19 +64,6 @@ class EnergyMeter:
             return 0.0
         return self.dynamic_j / self.elapsed_s
 
-    @property
-    def average_static_power_w(self) -> float:
-        """Mean static (leakage) power over the metered interval."""
-        if self.elapsed_s == 0.0:
-            return 0.0
-        return self.static_j / self.elapsed_s
-
-    @property
-    def average_power_w(self) -> float:
-        """Mean total power over the metered interval."""
-        if self.elapsed_s == 0.0:
-            return 0.0
-        return self.total_j / self.elapsed_s
 
     def snapshot(self) -> "EnergyMeter":
         """A frozen copy of the current totals."""

@@ -159,8 +159,3 @@ def count_cycles(series: Sequence[float]) -> List[ThermalCycle]:
 def total_cycle_count(cycles: Sequence[ThermalCycle]) -> float:
     """Total number of cycles, counting half cycles as 0.5."""
     return sum(cycle.count for cycle in cycles)
-
-
-def max_amplitude(cycles: Sequence[ThermalCycle]) -> float:
-    """Largest cycle amplitude in kelvin (0.0 for an empty list)."""
-    return max((cycle.amplitude_k for cycle in cycles), default=0.0)

@@ -211,12 +211,6 @@ class Chip:
         if timer is not None:
             timer.lap("thermal", mark)
 
-    def last_core_powers_w(self) -> List[float]:
-        """Total per-core power of the most recent tick."""
-        return [
-            self._last_dynamic[c] + self._last_static[c] for c in range(self.num_cores)
-        ]
-
     def warm_start_idle(self) -> None:
         """Jump the die to the steady state of an idle chip.
 

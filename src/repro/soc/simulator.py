@@ -158,6 +158,44 @@ class SimulationResult:
         return self.total_time_s
 
 
+class RunLoop:
+    """What the checkpoint layer sees of an engine, written once.
+
+    :class:`Simulation` and the vectorized
+    :class:`~repro.ensemble.engine.EnsembleSimulation` both inherit this
+    class, so one :class:`~repro.checkpoint.Checkpointer` and one
+    capture/restore pair (:mod:`repro.checkpoint.state`) serve either
+    engine.  A subclass supplies ``now``, ``platform``, ``prepare()``
+    (which sets ``_prepared``) and a ``run()`` that starts with
+    :meth:`_ensure_prepared` and calls the attached checkpointer's
+    ``maybe_checkpoint(self)`` at every tick boundary it continues past.
+    """
+
+    def _ensure_prepared(self) -> None:
+        """The one prepared rule: prepare an engine not yet prepared.
+
+        A restore prepares the fresh engine before overwriting its
+        state, so a resumed ``run()`` continues mid-stream; preparing it
+        again would restart its first application.
+        """
+        if not self._prepared:
+            self.prepare()
+
+    def attach_checkpointer(self, checkpointer) -> None:
+        """Attach (or detach, with None) a tick-boundary checkpointer.
+
+        Checkpointing is observation-only: it draws no randomness and
+        mutates nothing, so a checkpointed run is bit-identical to a
+        checkpoint-free one.
+        """
+        self._checkpointer = checkpointer
+
+    @property
+    def tick_index(self) -> int:
+        """Completed ticks since the start of the run."""
+        return int(round(self.now / self.platform.dt))
+
+
 class ControlSurface:
     """What a manager and the supervisors see of an engine, written once.
 
@@ -390,7 +428,7 @@ class ControlSurface:
         supervisor.on_tick(self)
 
 
-class Simulation(ControlSurface):
+class Simulation(RunLoop, ControlSurface):
     """One end-to-end run of applications on the simulated platform.
 
     Parameters
@@ -472,7 +510,7 @@ class Simulation(ControlSurface):
         "faults",
         "_timer",
         "_checkpointer",
-        "_resume_armed",
+        "_prepared",
     )
 
     def __init__(
@@ -545,7 +583,7 @@ class Simulation(ControlSurface):
         # kept untyped so the core simulator never imports the
         # checkpoint layer.
         self._checkpointer = None
-        self._resume_armed = False
+        self._prepared = False
         self._sensor_supervisor: Optional[SensorSupervisor] = None
         self._actuation_supervisor: Optional[ActuationSupervisor] = None
         self._next_watchdog_s = 0.0
@@ -695,21 +733,6 @@ class Simulation(ControlSurface):
         self._timer = timer
         self.chip.attach_timer(timer)
 
-    def attach_checkpointer(self, checkpointer) -> None:
-        """Attach (or detach, with None) a tick-boundary checkpointer.
-
-        The hook's ``maybe_checkpoint(self)`` is called at the bottom of
-        every run-loop iteration.  Checkpointing is observation-only: it
-        draws no randomness and mutates nothing, so a checkpointed run
-        is bit-identical to a checkpoint-free one.
-        """
-        self._checkpointer = checkpointer
-
-    @property
-    def tick_index(self) -> int:
-        """Completed ticks since the start of the run."""
-        return int(round(self.now / self._dt))
-
     def step(self) -> None:
         """Advance the whole system by one tick."""
         timer = self._timer
@@ -779,18 +802,12 @@ class Simulation(ControlSurface):
         if self.manager is not None:
             self.manager.attach(self)
         self._start_next_app()
+        self._prepared = True
 
     def run(self) -> SimulationResult:
         """Execute every application to completion and build the result."""
         completed = True
-        if self._resume_armed:
-            # A restored snapshot already carries a fully prepared
-            # engine (restore ran prepare() and overwrote its state);
-            # re-preparing would emit a second run_start and restart
-            # the first application.
-            self._resume_armed = False
-        else:
-            self.prepare()
+        self._ensure_prepared()
         checkpointer = self._checkpointer
         while True:
             app = self.current_app

@@ -39,11 +39,6 @@ class Floorplan:
                 raise ValueError("a core cannot be adjacent to itself")
 
     @classmethod
-    def grid_2x2(cls) -> "Floorplan":
-        """The default 2x2 quad-core floorplan."""
-        return cls(num_cores=4, adjacency=((0, 1), (0, 2), (1, 3), (2, 3)))
-
-    @classmethod
     def line(cls, num_cores: int) -> "Floorplan":
         """A 1-D row of cores (used for what-if floorplan tests)."""
         pairs = tuple((i, i + 1) for i in range(num_cores - 1))

@@ -179,13 +179,6 @@ class ThermalProfile:
             raise ValueError("empty profile")
         return float(np.max(self.as_array()))
 
-    def per_core_average_c(self) -> List[float]:
-        """Mean temperature of each core."""
-        return [
-            float(np.mean(self._data[core, : self._len]))
-            for core in range(self.num_cores)
-        ]
-
     def core_reports(self, config: ReliabilityConfig) -> List[MttfReport]:
         """Per-core reliability reports (aging + cycling MTTF)."""
         return [

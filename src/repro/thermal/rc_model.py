@@ -224,10 +224,6 @@ class RCThermalModel:
         """Current true core temperatures in degrees Celsius."""
         return self._temps[: self.num_cores].copy()
 
-    def node_temps_c(self) -> np.ndarray:
-        """All node temperatures (cores then spreader)."""
-        return self._temps.copy()
-
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
@@ -306,13 +302,6 @@ class RCThermalModel:
     def ambient_c(self) -> float:
         """The current effective ambient temperature."""
         return self._ambient_c
-
-    def set_state(self, temps_c: Sequence[float]) -> None:
-        """Overwrite the node temperatures (cores then spreader)."""
-        temps = np.asarray(temps_c, dtype=float)
-        if temps.shape != (self._num_nodes,):
-            raise ValueError(f"state must have {self._num_nodes} entries")
-        self._temps = temps.copy()
 
     def warm_start(
         self, core_powers_w: Sequence[float], spreader_power_w: float = 0.0

@@ -23,11 +23,6 @@ def celsius_to_kelvin(temp_c: float) -> float:
     return temp_c + KELVIN_OFFSET
 
 
-def kelvin_to_celsius(temp_k: float) -> float:
-    """Convert a temperature from kelvin to degrees Celsius."""
-    return temp_k - KELVIN_OFFSET
-
-
 def seconds_to_years(seconds: float) -> float:
     """Convert a duration in seconds to years."""
     return seconds / SECONDS_PER_YEAR

@@ -11,7 +11,7 @@ of the paper.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -222,19 +222,3 @@ class Application:
     def performance_satisfied(self, window_s: Optional[float] = None) -> bool:
         """Whether the current throughput meets the constraint ``Pc``."""
         return self.throughput(window_s) >= self.spec.performance_constraint
-
-    def progress_fraction(self) -> float:
-        """Fraction of total iterations completed, in [0, 1]."""
-        return min(1.0, self.completed_iterations / self.spec.iterations)
-
-    def phase_census(self) -> Tuple[int, int, int, int]:
-        """(compute, barrier, sync, done) thread counts — for tests/debug."""
-        counts = {phase: 0 for phase in ThreadPhase}
-        for thread in self.threads:
-            counts[thread.phase] += 1
-        return (
-            counts[ThreadPhase.COMPUTE],
-            counts[ThreadPhase.BARRIER],
-            counts[ThreadPhase.SYNC],
-            counts[ThreadPhase.DONE],
-        )

@@ -15,7 +15,6 @@ from repro.config import (
     default_reliability_config,
 )
 from repro.power.opp import OppLadder
-from repro.thermal.floorplan import Floorplan
 from repro.workloads.alpbench import make_application
 
 
@@ -65,12 +64,6 @@ def agent_config() -> AgentConfig:
 def ladder(platform) -> OppLadder:
     """Default OPP ladder."""
     return OppLadder(platform.opp_table)
-
-
-@pytest.fixture
-def floorplan() -> Floorplan:
-    """Default 2x2 floorplan."""
-    return Floorplan.grid_2x2()
 
 
 @pytest.fixture

@@ -240,6 +240,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         test=GOLDEN_FAULT_TOLERANCE,
         found_by="One control surface for both engines",
     ),
+    # A silent checkpointer leaves every result identical: only a test
+    # that looks at the shard's store sees it.
+    Mutant(
+        file="src/repro/ensemble/engine.py",
+        anchor="if checkpointer is not None and bool(self.active.any()):",
+        replacement="if False:",
+        test=(
+            "tests/test_grid_planner.py::"
+            "test_checkpointing_engine_runs_a_group_as_one_shard"
+        ),
+        found_by="Ensemble shards checkpoint and resume through the one store",
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(

@@ -98,15 +98,15 @@ def test_ge_temperature_state_bins():
     manager = GeQiuThermalManager()
     import numpy as np
 
+    def state(temps_c):
+        """The state ``on_tick`` bins: the hottest core's temperature."""
+        return manager._bin_of(manager._hottest_core_c(np.array(temps_c, dtype=float)))
+
     low, high = manager.config.temp_range_c
-    assert manager._temperature_state(np.array([low] * 4)) == 0
-    assert (
-        manager._temperature_state(np.array([high + 10] * 4))
-        == manager.config.num_temp_bins - 1
-    )
+    assert state([low] * 4) == 0
+    assert state([high + 10] * 4) == manager.config.num_temp_bins - 1
     # The hottest core defines the state.
-    mid = manager._temperature_state(np.array([low, low, high, low]))
-    assert mid == manager.config.num_temp_bins - 1
+    assert state([low, low, high, low]) == manager.config.num_temp_bins - 1
 
 
 def test_ge_base_ignores_switch_signal():

@@ -12,9 +12,11 @@ The chain surgery is the ``traced`` and ``resumed`` axes of
 """
 
 import json
+import pickle
 
 import pytest
 
+import repro.checkpoint as checkpoint
 from repro.checkpoint import (
     CheckpointStore,
     capture_simulation,
@@ -22,8 +24,15 @@ from repro.checkpoint import (
     serialize_checkpoint,
 )
 from repro.config import FaultConfig
+from repro.ensemble.engine import EnsembleSimulation
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine.planner import plan_grid
+from repro.experiments.engine.scheduler import EngineJobError
+from repro.experiments.engine.spec import ensemble_job
+from repro.experiments.engine.worker import job_checkpoint_dir
 
 from tests.test_differential import (
+    CHECKPOINT_EVERY,
     SUPERVISED,
     assert_same_digests,
     build_sim,
@@ -141,3 +150,56 @@ def test_resume_inside_a_quiet_stretch_is_identical():
     outcome = outcomes([spec], [fresh], [fresh.run()])[0][1]
     assert fresh.scheduler.quiet_ticks > 0
     assert_same_digests({spec: reference}, {"resumed": [(spec, outcome)]})
+
+
+#: A group-sized grid: one ensemble shard.
+SHARD = [
+    member("tachyon", policy, seed)
+    for seed in (1, 2, 3, 4)
+    for policy in ("linux", "proposed")
+]
+
+
+@pytest.mark.parametrize("damage", ["none", "newest"])
+def test_interrupted_shard_resumes_from_its_store(tmp_path, monkeypatch, damage):
+    """An engine with checkpointing and resume set, killed after a
+    shard's second checkpoint, restores that shard from its own store on
+    the rerun — from the first checkpoint when the second is damaged —
+    and every member's summary is byte-identical to the uninterrupted
+    run's."""
+    assert [len(group) for group in plan_grid(SHARD).groups] == [len(SHARD)]
+    uninterrupted = ExperimentEngine(cache=None).run(SHARD)
+    settings = dict(cache=None, checkpoint_every=CHECKPOINT_EVERY,
+                    checkpoint_dir=str(tmp_path), resume=True)
+    real_save = CheckpointStore.save
+
+    def killed_after_two(store, *args, **kwargs):
+        if len(store.entries()) == 2:
+            raise RuntimeError("worker killed")
+        return real_save(store, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckpointStore, "save", killed_after_two)
+        with pytest.raises(EngineJobError):
+            ExperimentEngine(max_job_attempts=1, **settings).run(SHARD)
+    store_dir = job_checkpoint_dir(tmp_path, ensemble_job(SHARD))
+    chain = CheckpointStore(store_dir).entries()
+    assert [entry.tick for entry in chain] == [CHECKPOINT_EVERY, 2 * CHECKPOINT_EVERY]
+    if damage == "newest":
+        data = (store_dir / chain[-1].file).read_bytes()
+        (store_dir / chain[-1].file).write_bytes(data[: len(data) // 2])
+
+    restored = []
+    real_resume = checkpoint.resume_simulation
+
+    def recording_resume(sim, *args, **kwargs):
+        loaded = real_resume(sim, *args, **kwargs)
+        restored.append((type(sim), loaded.tick if loaded else None))
+        return loaded
+
+    monkeypatch.setattr(checkpoint, "resume_simulation", recording_resume)
+    summaries = ExperimentEngine(**settings).run(SHARD)
+    want = chain[-1 if damage == "none" else -2].tick
+    assert restored == [(EnsembleSimulation, want)]
+    assert [pickle.dumps(s) for s in summaries] == [pickle.dumps(s) for s in uninterrupted]
+    assert not store_dir.exists(), "a finished shard's store is removed"

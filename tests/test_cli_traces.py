@@ -40,8 +40,9 @@ def test_parser_rejects_unknown_app():
         ["run", "tachyon", "--resume"],
         ["fig1", "--checkpoint-every", "50"],
         ["all", "--resume"],
+        ["ensemble", "run", "tachyon", "--checkpoint-every", "50"],
     ],
-    ids=["run-every", "run-resume", "artefact-every", "all-resume"],
+    ids=["run-every", "run-resume", "artefact-every", "all-resume", "ensemble-every"],
 )
 def test_checkpoint_flags_without_a_directory_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

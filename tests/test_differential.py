@@ -11,12 +11,15 @@ running it is an *axis* that must reproduce the reference's
 
 * ``ensemble`` — the members in one :class:`EnsembleSimulation` per
   effective platform;
-* ``restored`` — that ensemble captured at a tick, restored into a
-  fresh engine and run to the end (both in :func:`ensemble_axes`);
+* ``restored`` — that ensemble checkpointed to disk every
+  :data:`CHECKPOINT_EVERY` ticks, its chain cut and damaged at a tick as
+  the ``resumed`` axis's is, resumed into a fresh engine and run to the
+  end (both in :func:`ensemble_axes`);
 * ``sharded`` — the batch through the default (ensemble-routed)
-  ``ExperimentEngine`` at a worker count, with the planner's member
-  floor lowered to 1: planner, member shards, worker pool and the
-  scalar leftovers;
+  ``ExperimentEngine`` at a worker count, checkpointing every
+  :data:`CHECKPOINT_EVERY` ticks, with the planner's member floor
+  lowered to 1: planner, member shards, worker pool and the scalar
+  leftovers;
 * ``traced`` — ``run_workload``/``run_scenario`` instrumented and
   checkpointed every :data:`CHECKPOINT_EVERY` ticks (:func:`traced`);
 * ``resumed`` — the same entry point instrumented again and resumed
@@ -46,7 +49,6 @@ axis is compared with, is the session fixture ``sweeps`` in
 from __future__ import annotations
 
 import hashlib
-import json
 import pickle
 import shutil
 import tempfile
@@ -58,7 +60,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import CheckpointStore, serialize_checkpoint
+from repro.checkpoint import (
+    Checkpointer,
+    CheckpointStore,
+    capture_simulation,
+    resume_simulation,
+    serialize_checkpoint,
+)
 from repro.config import FaultConfig, PlatformConfig, SupervisorConfig, default_agent_config
 from repro.core.actions import build_action_space
 from repro.ensemble.engine import EnsembleSimulation
@@ -84,7 +92,7 @@ SCALE = 0.05
 #: Iteration scales a batch mixes, so its members end at different ticks.
 SCALES = (0.03, SCALE, 0.08)
 
-#: Checkpoint cadence (ticks) of the traced and resumed runs.
+#: Checkpoint cadence (ticks) of every checkpointed axis.
 CHECKPOINT_EVERY = 150
 
 #: A ``max_time_s`` that freezes every app inside its training pass.
@@ -307,43 +315,64 @@ def check_axes(batch, axes):
     return reference
 
 
-def ensemble_axes(specs, tick=None):
+def ensemble_axes(specs, tick=None, damage="none", root=None):
     """The ``ensemble`` axis of a batch and, given a ``tick``, its
     ``restored`` axis: one :func:`platform_axes` per effective platform
-    (``None`` runs on the default one)."""
+    (``None`` runs on the default one), each checkpointing into its own
+    directory under ``root`` (a temporary one by default)."""
     by_platform = {}
     for spec in specs:
         platform = spec.platform if spec.platform is not None else PlatformConfig()
         by_platform.setdefault(platform, []).append(spec)
     axes = {}
-    for group in by_platform.values():
-        for axis, pairs in platform_axes(group, tick).items():
-            axes.setdefault(axis, []).extend(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, group in enumerate(by_platform.values()):
+            chains = Path(root if root is not None else tmp) / f"platform-{index}"
+            for axis, pairs in platform_axes(group, tick, damage, chains).items():
+                axes.setdefault(axis, []).extend(pairs)
     return axes
 
 
-def platform_axes(specs, tick=None):
+def platform_axes(specs, tick=None, damage="none", root=None):
     """The ``ensemble`` axis of a batch on one platform and, given a
     ``tick``, its ``restored`` axis.
 
-    The ensemble is then captured at ``tick`` on its way to the end, and
-    the snapshot goes through the on-disk encoding into a fresh engine.
+    The ensemble then checkpoints every :data:`CHECKPOINT_EVERY` ticks,
+    and at ``tick``, into ``root / "ref"`` on its way to the end.
+    :func:`cut_chain` cuts and damages that chain at ``tick`` into
+    ``root / "cut"``, and :func:`resume_simulation` restores a fresh
+    ensemble from it (for ``ignored``, the fresh ensemble runs from
+    scratch).
     """
     sims = [build_sim(spec) for spec in specs]
     straight = EnsembleSimulation(sims)
     if tick is None:
         return {"ensemble": outcomes(specs, sims, straight.run())}
+    chain = CheckpointStore(root / "ref")
+    straight.attach_checkpointer(Checkpointer(chain, CHECKPOINT_EVERY))
     straight.run(max_ticks=tick)
-    snapshot = serialize_checkpoint(straight.capture())
+    if straight.active.any() and tick % CHECKPOINT_EVERY:
+        # ``tick`` is a boundary too, so an undamaged chain restores
+        # exactly where a pinned batch holds its state of interest.
+        chain.save(capture_simulation(straight), tick=tick, now=straight.now)
     axes = {"ensemble": outcomes(specs, sims, straight.run())}
+    # Every boundary the run continued past holds one checkpoint.
+    ends = straight.tick_index
+    boundaries = set(range(CHECKPOINT_EVERY, ends, CHECKPOINT_EVERY)) | {tick}
+    assert [entry.tick for entry in chain.entries()] == sorted(t for t in boundaries if t < ends)
+    cut_chain(root / "ref", tick, damage, root / "cut")
 
     sims = [build_sim(spec) for spec in specs]
     resumed = EnsembleSimulation(sims)
-    resumed.restore(json.loads(snapshot))
-    assert serialize_checkpoint(resumed.capture()) == snapshot, "restore is not a round trip"
+    if damage != "ignored":
+        loaded = resume_simulation(resumed, CheckpointStore(root / "cut"))
+        if loaded is not None:
+            assert serialize_checkpoint(capture_simulation(resumed)) == serialize_checkpoint(
+                loaded.state
+            ), "restore is not a round trip"
     axes["restored"] = outcomes(specs, sims, resumed.run())
-    final = serialize_checkpoint(straight.capture())
-    assert serialize_checkpoint(resumed.capture()) == final, "restored final state differs"
+    final = serialize_checkpoint(capture_simulation(straight))
+    assert serialize_checkpoint(capture_simulation(resumed)) == final, "restored final state differs"
     return axes
 
 
@@ -366,14 +395,10 @@ def traced(spec, chain_dir: Path):
     return (None, summary, None), obs
 
 
-def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
-    """The ``resumed`` outcome of ``spec`` from the chain in ``chain_dir``.
-
-    ``cut`` receives what a process killed right after its last
+def cut_chain(chain_dir: Path, tick, damage, cut: Path) -> None:
+    """Leave in ``cut`` what a process killed right after its last
     checkpoint at or before ``tick`` leaves on disk, damaged at the
-    ``damage`` level; the entry point resumes from it (or, for
-    ``ignored``, reruns over it with ``resume=False``).
-    """
+    ``damage`` level; the newest valid checkpoint left is checked."""
     kept = [entry for entry in CheckpointStore(chain_dir).entries() if entry.tick <= tick]
     cut.mkdir(parents=True)
     for entry in kept:
@@ -386,6 +411,16 @@ def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
     survivors = [entry.tick for entry in kept if entry not in damaged]
     latest = CheckpointStore(cut).latest_valid()
     assert (latest.tick if latest else None) == (survivors[-1] if survivors else None)
+
+
+def resumed(spec, chain_dir: Path, tick, damage, cut: Path):
+    """The ``resumed`` outcome of ``spec`` from the chain in ``chain_dir``.
+
+    :func:`cut_chain` cuts and damages the chain into ``cut``; the entry
+    point resumes from it (or, for ``ignored``, reruns over it with
+    ``resume=False``).
+    """
+    cut_chain(chain_dir, tick, damage, cut)
     obs = fresh_obs()
     summary = run_entry(spec, instrumentation=obs, checkpoint_every=CHECKPOINT_EVERY,
                         checkpoint_dir=cut, resume=damage != "ignored")
@@ -405,19 +440,23 @@ def traced_and_resumed(spec, tick, damage, root: Path):
 def check_every_axis(batch, tick, damage, jobs):
     """Assert every member of ``batch`` has one digest on every axis;
     returns each distinct member's scalar outcome."""
-    axes = ensemble_axes(batch, tick)
-
     runnable = [spec for spec in batch if runner_runs(spec)]
-    with pytest.MonkeyPatch.context() as mp:
-        # A floor of 1 batches every member, however small the
-        # example, so this axis always crosses the planner and shards.
-        mp.setattr(planner, "MIN_GROUP", 1)
-        summaries = ExperimentEngine(jobs=jobs, cache=None).run(runnable)
-    axes["sharded"] = [(spec, (None, summary, None)) for spec, summary in zip(runnable, summaries)]
-    axes["traced"], axes["resumed"] = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        axes = ensemble_axes(batch, tick, damage, root / "ensemble")
+        with pytest.MonkeyPatch.context() as mp:
+            # A floor of 1 batches every member, however small the
+            # example, so this axis always crosses the planner and shards.
+            mp.setattr(planner, "MIN_GROUP", 1)
+            engine = ExperimentEngine(jobs=jobs, cache=None, checkpoint_every=CHECKPOINT_EVERY,
+                                      checkpoint_dir=str(root / "sharded"))
+            summaries = engine.run(runnable)
+        axes["sharded"] = [
+            (spec, (None, summary, None)) for spec, summary in zip(runnable, summaries)
+        ]
+        axes["traced"], axes["resumed"] = [], []
         for index, spec in enumerate(dict.fromkeys(runnable)):
-            outcome = traced_and_resumed(spec, tick, damage, Path(tmp) / str(index))
+            outcome = traced_and_resumed(spec, tick, damage, root / str(index))
             axes["traced"].append((spec, outcome[0]))
             axes["resumed"].append((spec, outcome[1]))
     return check_axes(batch, axes)
@@ -541,7 +580,7 @@ def test_every_axis_gives_the_same_digest(batch, tick, damage, jobs):
             [build_sim(spec) for spec in batch if spec.platform == FILTERED]
         )
         filtered.run(max_ticks=tick)
-        assert filtered.capture()["eval_sensors"]["_ema"] is not None
+        assert capture_simulation(filtered)["eval_sensors"]["_ema"] is not None
 
 
 def test_cached_bytes_ignore_unfilled_capacity():

@@ -261,19 +261,6 @@ def test_cache_drops_corrupt_entries(tmp_path):
     assert not path.exists()
 
 
-def test_cache_explicit_invalidation(tmp_path):
-    cache = ResultCache(root=tmp_path)
-    a = workload_job("tachyon", "set 2", "linux", **CHEAP)
-    b = workload_job("tachyon", "set 2", "powersave", **CHEAP)
-    result = execute_job(a)
-    cache.put(a, result)
-    cache.put(b, result)
-    assert cache.invalidate(a) == 1
-    assert len(cache) == 1
-    assert cache.invalidate() == 1
-    assert len(cache) == 0
-
-
 # ---------------------------------------------------------------------------
 # Engine construction
 # ---------------------------------------------------------------------------

@@ -245,8 +245,9 @@ def test_engine_rejects_a_timeout_no_attempt_can_meet(timeout):
     ids=["every", "resume"],
 )
 def test_engine_rejects_checkpoint_flags_without_a_directory(flags):
-    """With no store directory a checkpoint flag would do nothing but
-    route every cell scalar, so every way of building an engine fails."""
+    """With no store directory a checkpoint flag would silently do
+    nothing (no job has a store to save into or resume from), so every
+    way of building an engine fails."""
     with pytest.raises(ValueError, match="checkpoint_dir"):
         ExperimentEngine(**flags)
     with pytest.raises(ValueError, match="checkpoint_dir"):

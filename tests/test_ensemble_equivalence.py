@@ -13,7 +13,7 @@ single pass to keep the runs short; the harness's property and
 * headline equivalence across barrier and work-queue apps under static
   governors, the GE baselines and the full learning agent;
 * equivalence with the fault injector and an affinity mapping active;
-* ensemble checkpoint capture -> restore into a fresh engine -> continue;
+* ensemble checkpoint to disk -> resume into a fresh engine -> continue;
 * cross-member isolation: a member's results never depend on who else
   is in the ensemble;
 * degenerate shapes: single member, empty ensemble, mixed workloads
@@ -100,8 +100,9 @@ MIXED = [
 
 
 def test_ensemble_checkpoint_resume_byte_identity():
-    """Captured early, restored into a fresh engine, continued: the
-    snapshot round-trips and the final state and results are identical."""
+    """Checkpointed early, resumed from disk into a fresh engine,
+    continued: the snapshot round-trips and the final state and results
+    are identical."""
     check_ensemble(MIXED, tick=120)
 
 

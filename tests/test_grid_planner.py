@@ -513,10 +513,10 @@ def test_cold_sweep_plans_one_group_and_one_scalar_cell():
     assert leftover in fig6_sampling.cells(iteration_scale=SCALE, seed=1).values()
 
 
-def test_checkpointing_engine_routes_every_cell_scalar(tmp_path, monkeypatch):
-    """Ensemble shards keep no disk checkpoints, so an engine with
-    ``checkpoint_every`` set runs a group-sized grid cell by cell and
-    writes a checkpoint store for every one of them."""
+def test_checkpointing_engine_runs_a_group_as_one_shard(tmp_path, monkeypatch):
+    """Group size alone routes: an engine with ``checkpoint_every`` set
+    runs a group-sized grid as one ensemble shard, which saves its
+    checkpoints into its own per-job store."""
     saved_into = set()
     real_save = CheckpointStore.save
 
@@ -541,5 +541,5 @@ def test_checkpointing_engine_routes_every_cell_scalar(tmp_path, monkeypatch):
         jobs=1, cache=None, checkpoint_every=500, checkpoint_dir=str(tmp_path)
     )
     engine.run(specs)
-    assert received == specs
-    assert saved_into == {job_checkpoint_dir(tmp_path, spec) for spec in specs}
+    assert received == [ensemble_job(specs)]
+    assert saved_into == {job_checkpoint_dir(tmp_path, ensemble_job(specs))}

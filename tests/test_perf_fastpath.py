@@ -39,6 +39,11 @@ LADDER = OppLadder(PLATFORM.opp_table)
 ACTIVITIES = (0.0, 0.03, 0.25, 0.5, 0.85, 1.0)
 
 
+def set_node_temps(chip, temps_c):
+    """Overwrite the chip's RC node temperatures (cores then spreader)."""
+    chip.thermal._temps = np.array(temps_c, dtype=float)
+
+
 def step_powers(chip, activities, frequencies_hz):
     """One ``Chip.step``: the per-core dynamic and leakage powers it
     evaluated, and the core temperatures it evaluated them at."""
@@ -67,8 +72,8 @@ class TestPowerTable:
         temps = np.linspace(20.0, 110.0, 19).tolist()
         for point in LADDER.points:
             for i in range(len(temps)):
-                chip.thermal.set_state(
-                    [temps[(i + c) % len(temps)] for c in range(cores)] + [40.0]
+                set_node_temps(
+                    chip, [temps[(i + c) % len(temps)] for c in range(cores)] + [40.0]
                 )
                 activities = [ACTIVITIES[(i + c) % len(ACTIVITIES)] for c in range(cores)]
                 assert_step_matches_free_functions(
@@ -82,7 +87,7 @@ class TestPowerTable:
             # At full activity and 0 °C (exp(t_leak * 0) == 1) the chip's
             # powers are c_eff·V²·f and the entry's cached leakage
             # prefactor, exactly.
-            chip.thermal.set_state([0.0] * (cores + 1))
+            set_node_temps(chip, [0.0] * (cores + 1))
             dynamic, static, _ = step_powers(
                 chip, [1.0] * cores, [entry.frequency_hz] * cores
             )

@@ -162,13 +162,10 @@ def test_meter_average_powers():
     meter = EnergyMeter()
     meter.record([3.0], [1.0], 0.0, dt=10.0)
     assert meter.average_dynamic_power_w == pytest.approx(3.0)
-    assert meter.average_static_power_w == pytest.approx(1.0)
-    assert meter.average_power_w == pytest.approx(4.0)
 
 
 def test_meter_empty_averages_are_zero():
     meter = EnergyMeter()
-    assert meter.average_power_w == 0.0
     assert meter.average_dynamic_power_w == 0.0
 
 

@@ -36,9 +36,10 @@ from repro.reliability.rainflow import (
     ThermalCycle,
     count_cycles,
     extract_reversals,
-    max_amplitude,
     total_cycle_count,
 )
+
+from tests.test_reliability_rainflow import max_amplitude
 
 # ---------------------------------------------------------------------------
 # Independent brute-force ASTM E1049-85 reference implementation

@@ -10,9 +10,13 @@ from repro.reliability.rainflow import (
     ThermalCycle,
     count_cycles,
     extract_reversals,
-    max_amplitude,
     total_cycle_count,
 )
+
+
+def max_amplitude(cycles):
+    """Largest cycle amplitude in kelvin (0.0 for an empty list)."""
+    return max((cycle.amplitude_k for cycle in cycles), default=0.0)
 
 
 # ---------------------------------------------------------------------------

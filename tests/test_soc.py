@@ -67,7 +67,7 @@ def test_chip_full_load_reaches_seventies(platform):
 
 def test_chip_last_core_powers(chip, platform):
     chip.step([1.0, 0.0, 0.0, 0.0], [3.4e9] * 4, platform.dt)
-    powers = chip.last_core_powers_w()
+    powers = [d + s for d, s in zip(chip._last_dynamic, chip._last_static)]
     assert powers[0] > powers[1]
     assert all(p > 0.0 for p in powers)  # leakage everywhere
 

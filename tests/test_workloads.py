@@ -167,15 +167,14 @@ def test_performance_satisfied():
 
 def test_phase_census():
     app = Application(make_spec(num_threads=3), seed=1)
-    compute, barrier, sync, done = app.phase_census()
-    assert compute == 3 and barrier == sync == done == 0
+    assert [thread.phase for thread in app.threads] == [ThreadPhase.COMPUTE] * 3
 
 
 def test_progress_fraction():
     app = Application(make_spec(iterations=4), seed=1)
-    assert app.progress_fraction() == 0.0
+    assert app.completed_iterations == 0
     run_app_manually(app)
-    assert app.progress_fraction() == 1.0
+    assert app.completed_iterations == app.spec.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
     python -m repro fig3 --scale 0.5  # Figure 3 at half length
     python -m repro run tachyon --dataset "set 1" --policy proposed
     python -m repro run tachyon --profile   # + cProfile hot-spot dump
-    python -m repro ensemble run tachyon --members 64   # vectorized seed grid
+    python -m repro run tachyon --members 64   # seed grid, vectorized
     python -m repro list              # available artefacts & policies
     python -m repro run tachyon --checkpoint-every 500 --checkpoint-dir ckpts
     python -m repro run tachyon --checkpoint-dir ckpts --resume
@@ -27,12 +27,17 @@ output bytes.  ``all`` additionally writes each table to
 — or, at reduced ``--scale``, into the cache tree so scaled output
 never clobbers the committed full-scale artefacts.
 
-Options are validated while parsing: a non-positive or non-finite
-``--scale``, a count below 1, an unknown ``all --only`` name, or
-``--checkpoint-every``/``--resume`` without ``--checkpoint-dir`` (only
-``run --resume CKPT`` implies the directory) exits 2 with a usage
-message before any work starts.  Host-time benchmarking lives outside
-the package, in ``perfbench/run.py`` (see ``perfbench/README.md``).
+``run --members N`` runs seeds ``seed..seed+N-1`` of one workload as
+one engine batch; with the default ``--members 1`` the run stays in
+this process, where tracing, metrics, profiling and ``--resume CKPT``
+work.  Options are validated while parsing: a non-positive or
+non-finite ``--scale``, a count below 1, an unknown ``all --only`` name,
+a ``--resume CKPT`` that is not a file, ``--checkpoint-every``/
+``--resume`` without ``--checkpoint-dir`` (only ``--resume CKPT``
+implies the directory), or a flag that the chosen ``run`` path would
+ignore exits 2 with a usage message before any work starts.  Host-time
+benchmarking lives outside the package, in ``perfbench/run.py`` (see
+``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ import sys
 from pathlib import Path
 
 from repro.config import EngineConfig
-from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import ExperimentEngine, workload_job
+from repro.experiments.engine.scheduler import EngineJobError
 from repro.experiments.engine.sweep import ARTEFACTS, regenerate_all
-from repro.experiments.runner import POLICIES, run_workload
+from repro.experiments.runner import POLICIES, run_job
 from repro.faults.presets import FAULT_MODES, default_supervisor_config, fault_config_for
 from repro.workloads.alpbench import APP_NAMES
 
@@ -88,13 +94,24 @@ def _package_dir(text: str) -> Path:
     return path
 
 
+def _checkpoint_file(text: str) -> str:
+    """argparse ``type=``: an existing file (``run --resume CKPT``);
+    returned unchanged."""
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"not an existing checkpoint file: {text!r}")
+    return text
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine flags of every command that runs a batch: each artefact
-    command, ``all`` and ``ensemble run``."""
+    """The engine and checkpoint flags of every command that runs a
+    batch: each artefact command, ``all`` and ``run`` (whose single
+    in-process run uses the checkpoint flags alone).  ``--jobs`` and
+    ``--max-job-attempts`` default to ``None`` so the parser can tell
+    them apart from an explicit value; the engine fills in 1 and 3."""
     parser.add_argument(
         "--jobs",
         type=_positive_int,
-        default=1,
+        default=None,
         help="worker processes; all of a command's cells run as one batch "
         "over one pool, and an ensemble group is split into up to this "
         "many deterministic shards of at least 8 members (default 1: "
@@ -119,7 +136,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-job-attempts",
         type=_positive_int,
-        default=3,
+        default=None,
         metavar="N",
         help="attempts per job before it is recorded as failed (default 3)",
     )
@@ -135,31 +152,62 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="root directory for per-job checkpoint stores",
+        help="checkpoint store of a single run, or the root of the per-job "
+        "stores of a batch",
     )
     parser.add_argument(
         "--resume",
-        action="store_true",
+        nargs="?",
+        type=_checkpoint_file,
+        const=True,
+        default=False,
+        metavar="CKPT",
         help="resume interrupted jobs from their newest valid checkpoint "
-        "under --checkpoint-dir",
+        "under --checkpoint-dir, or a single run from the checkpoint file "
+        "CKPT (which implies its directory)",
     )
+
+
+#: ``run`` flags only its single in-process run (``--members 1``) uses,
+#: and those only an engine batch (``--members`` > 1) uses, by dest.
+_SINGLE_RUN_FLAGS = {"trace": "--trace", "metrics": "--metrics", "profile": "--profile"}
+_BATCH_FLAGS = {
+    "jobs": "--jobs",
+    "no_cache": "--no-cache",
+    "job_timeout": "--job-timeout",
+    "max_job_attempts": "--max-job-attempts",
+}
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that also rejects checkpoint flags without a
-    store directory; subcommand parsers inherit the check."""
+    store directory and any flag the chosen path would ignore;
+    subcommand parsers inherit the checks."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        # Commands without checkpoint flags have no ``checkpoint_dir``;
-        # ``run --resume CKPT`` implies the directory holding CKPT.
-        if getattr(namespace, "checkpoint_dir", "") is None and not isinstance(
-            namespace.resume, str
-        ):
+        if not hasattr(namespace, "checkpoint_dir"):
+            return namespace, extras  # a command without engine flags
+        # ``--resume CKPT`` implies the directory holding CKPT.
+        resume_file = isinstance(namespace.resume, str)
+        if namespace.checkpoint_dir is None and not resume_file:
             if namespace.checkpoint_every is not None:
                 self.error("--checkpoint-every needs --checkpoint-dir")
             if namespace.resume:
                 self.error("--resume needs --checkpoint-dir")
+        # Artefact commands and ``all`` have no ``members``: always a batch.
+        members = getattr(namespace, "members", None)
+        if members == 1:
+            for dest, flag in _BATCH_FLAGS.items():
+                if getattr(namespace, dest) not in (None, False):
+                    self.error(f"{flag} needs --members > 1")
+            return namespace, extras
+        if resume_file:
+            self.error("--resume CKPT needs a single run (run --members 1)")
+        if members is not None:
+            for dest, flag in _SINGLE_RUN_FLAGS.items():
+                if getattr(namespace, dest):
+                    self.error(f"{flag} needs --members 1")
         return namespace, extras
 
 
@@ -212,12 +260,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flags(everything)
 
-    run = sub.add_parser("run", help="run one workload under one policy")
+    run = sub.add_parser(
+        "run",
+        help="run one workload under one policy, or a seed grid of it "
+        "(--members N)",
+    )
     run.add_argument("app", choices=APP_NAMES)
     run.add_argument("--dataset", default=None)
     run.add_argument("--policy", default="proposed", choices=POLICIES)
     run.add_argument("--scale", type=_positive_float, default=1.0)
     run.add_argument("--seed", type=int, default=1)
+    run.add_argument(
+        "--members",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="seed-grid size: members get seeds seed..seed+N-1.  1 (the "
+        "default) runs in this process; N > 1 runs one engine batch, "
+        "vectorized in groups of 8 or more, and prints a per-seed table",
+    )
+    run.add_argument(
+        "--max-time",
+        type=_positive_float,
+        default=None,
+        metavar="SECONDS",
+        help="simulated-time cap of each run (default: the workload limit)",
+    )
     run.add_argument(
         "--faults",
         default="none",
@@ -250,29 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for trace/metrics/result/manifest artefacts "
         "(default ./obs)",
     )
-    run.add_argument(
-        "--checkpoint-every",
-        type=_positive_int,
-        default=None,
-        metavar="TICKS",
-        help="snapshot the full simulation state every TICKS ticks",
-    )
-    run.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="checkpoint store directory (required for --checkpoint-every "
-        "and for --resume without CKPT)",
-    )
-    run.add_argument(
-        "--resume",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="CKPT",
-        help="resume from the newest valid checkpoint in --checkpoint-dir, "
-        "or from an explicit checkpoint file",
-    )
+    _add_engine_flags(run)
 
     ckpt = sub.add_parser(
         "ckpt", help="inspect and maintain a checkpoint directory"
@@ -313,44 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) unless the recomputed headline matches this "
         "result.json's embedded trace summary",
     )
-
-    ensemble = sub.add_parser(
-        "ensemble",
-        help="vectorized many-member execution (ensemble run)",
-    )
-    ensemble_sub = ensemble.add_subparsers(dest="ensemble_command", required=True)
-    ens_run = ensemble_sub.add_parser(
-        "run",
-        help="run one workload across a seed grid through the ensemble "
-        "engine (grids of 8 or more members run vectorized, and checkpoint "
-        "and resume per shard)",
-    )
-    ens_run.add_argument("app", choices=APP_NAMES)
-    ens_run.add_argument("--dataset", default=None)
-    ens_run.add_argument("--policy", default="proposed", choices=POLICIES)
-    ens_run.add_argument(
-        "--members",
-        type=_positive_int,
-        default=8,
-        help="ensemble size; members get seeds seed..seed+members-1; "
-        "below 8 they run as scalar jobs (default 8)",
-    )
-    ens_run.add_argument("--seed", type=int, default=1)
-    ens_run.add_argument("--scale", type=_positive_float, default=1.0)
-    ens_run.add_argument(
-        "--max-time",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-member wall-clock cap in simulated seconds",
-    )
-    ens_run.add_argument(
-        "--faults",
-        default="none",
-        choices=FAULT_MODES,
-        help="inject faults into every member's sensor/actuation paths",
-    )
-    _add_engine_flags(ens_run)
 
     lint = sub.add_parser(
         "lint",
@@ -420,16 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
-    """Build the engine an artefact command or ``ensemble run`` asked for."""
+    """Build the engine an artefact command, ``all`` or ``run --members
+    N`` asked for; a flag left out keeps :class:`EngineConfig`'s default."""
+    settings = {
+        "jobs": args.jobs,
+        "job_timeout_s": args.job_timeout,
+        "max_job_attempts": args.max_job_attempts,
+        "checkpoint_every": args.checkpoint_every,
+        "checkpoint_dir": args.checkpoint_dir,
+    }
     return ExperimentEngine.from_config(
         EngineConfig(
-            jobs=args.jobs,
             use_cache=not args.no_cache,
-            job_timeout_s=args.job_timeout,
-            max_job_attempts=args.max_job_attempts,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
             resume=bool(args.resume),
+            **{name: value for name, value in settings.items() if value is not None},
         )
     )
 
@@ -467,12 +479,12 @@ def _command_all(args: argparse.Namespace) -> int:
         path = Path(args.metrics)
         _write_metrics(engine.metrics, path)
         print(f"metrics written to {path}")
-    manifest_path = _write_sweep_manifest(args, report)
+    manifest_path = _write_sweep_manifest(args, report, engine.jobs)
     print(f"manifest written to {manifest_path}")
     return 0 if report.ok else 1
 
 
-def _write_sweep_manifest(args: argparse.Namespace, report) -> Path:
+def _write_sweep_manifest(args: argparse.Namespace, report, jobs: int) -> Path:
     """Bind the sweep's outputs — and its structured job failures — to
     the configuration that produced them."""
     from repro.obs import build_manifest
@@ -482,7 +494,7 @@ def _write_sweep_manifest(args: argparse.Namespace, report) -> Path:
         "scale": args.scale,
         "seed": args.seed,
         "only": args.only,
-        "jobs": args.jobs,
+        "jobs": jobs,
     }
     run_record = dict(sweep_config)
     run_record["failures"] = {
@@ -500,6 +512,23 @@ def _write_sweep_manifest(args: argparse.Namespace, report) -> Path:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    faults = fault_config_for(args.faults)
+    supervisor = default_supervisor_config() if args.supervised else None
+    specs = [
+        workload_job(
+            args.app,
+            args.dataset,
+            args.policy,
+            seed=args.seed + offset,
+            iteration_scale=args.scale,
+            max_time_s=args.max_time,
+            faults=faults,
+            supervisor=supervisor,
+        )
+        for offset in range(args.members)
+    ]
+    if args.members > 1:
+        return _run_members(args, specs)
     profiler = None
     if args.profile:
         import cProfile
@@ -519,18 +548,8 @@ def _command_run(args: argparse.Namespace) -> int:
     if checkpoint_dir is None and isinstance(args.resume, str):
         # An explicit checkpoint file implies its directory's store.
         checkpoint_dir = str(Path(args.resume).parent)
-    summary = run_workload(
-        args.app,
-        args.dataset,
-        args.policy,
-        seed=args.seed,
-        iteration_scale=args.scale,
-        faults=fault_config_for(args.faults),
-        supervisor=default_supervisor_config() if args.supervised else None,
-        instrumentation=instrumentation,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume=args.resume,
+    summary = run_job(
+        specs[0], instrumentation, args.checkpoint_every, checkpoint_dir, args.resume
     )
     if profiler is not None:
         import pstats
@@ -568,6 +587,59 @@ def _command_run(args: argparse.Namespace) -> int:
     if instrumentation is not None:
         _write_run_observability(args, summary, registry, tracer)
     return 0
+
+
+def _run_members(args: argparse.Namespace, specs) -> int:
+    """``run --members N``: the seed grid as one engine batch, printed as
+    a per-seed table plus the engine's execution line."""
+    engine = _engine_from(args)
+    failures = []
+    try:
+        summaries = engine.run(specs)
+    except EngineJobError as error:
+        summaries, failures = error.results, error.failures
+    print(
+        f"{'seed':>6} {'avg C':>8} {'peak C':>8} {'aging yr':>9} "
+        f"{'cyc yr':>9} {'thr/s':>9} {'done':>5}"
+    )
+    completed = []
+    for spec, summary in zip(specs, summaries):
+        if summary is None:
+            print(f"{spec.seed:6d} {'-- failed; see below --':>48}")
+            continue
+        completed.append(summary)
+        print(
+            f"{spec.seed:6d} {summary.average_temp_c:8.2f} "
+            f"{summary.peak_temp_c:8.2f} {summary.aging_mttf_years:9.2f} "
+            f"{summary.cycling_mttf_years:9.2f} {summary.throughput:9.4f} "
+            f"{'yes' if summary.completed else 'no':>5}"
+        )
+    count = len(completed)
+    if count:
+        print(
+            f"ensemble of {count}: "
+            f"mean avg "
+            f"{sum(s.average_temp_c for s in completed) / count:.2f} C, "
+            f"mean aging MTTF "
+            f"{sum(s.aging_mttf_years for s in completed) / count:.2f} yr"
+        )
+    stats = engine.stats
+    print(
+        f"{stats.cache_hits} member(s) from cache, "
+        f"{stats.executed - stats.failed} executed; "
+        f"recovered: {stats.retried} retried attempt(s), "
+        f"{stats.timeouts} timeout(s), "
+        f"{stats.pool_restarts} pool restart(s)"
+    )
+    for failure in failures:
+        suffix = ", timed out" if failure.timed_out else ""
+        print(
+            f"FAILED {failure.label} [{failure.key[:12]}] "
+            f"{failure.error_type}: {failure.message} "
+            f"({failure.attempts} attempts, "
+            f"{failure.duration_s:.1f} s{suffix})"
+        )
+    return 1 if failures else 0
 
 
 def _write_run_observability(
@@ -714,73 +786,6 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_ensemble_run(args: argparse.Namespace) -> int:
-    from repro.experiments.engine.scheduler import EngineJobError
-    from repro.experiments.engine.spec import workload_job
-
-    faults = fault_config_for(args.faults)
-    members = [
-        workload_job(
-            args.app,
-            dataset=args.dataset,
-            policy=args.policy,
-            seed=args.seed + offset,
-            iteration_scale=args.scale,
-            max_time_s=args.max_time,
-            faults=faults,
-        )
-        for offset in range(args.members)
-    ]
-    engine = _engine_from(args)
-    failures = []
-    try:
-        summaries = engine.run(members)
-    except EngineJobError as error:
-        summaries, failures = error.results, error.failures
-    print(
-        f"{'seed':>6} {'avg C':>8} {'peak C':>8} {'aging yr':>9} "
-        f"{'cyc yr':>9} {'thr/s':>9} {'done':>5}"
-    )
-    completed = []
-    for member, summary in zip(members, summaries):
-        if summary is None:
-            print(f"{member.seed:6d} {'-- shard failed; see below --':>48}")
-            continue
-        completed.append(summary)
-        print(
-            f"{member.seed:6d} {summary.average_temp_c:8.2f} "
-            f"{summary.peak_temp_c:8.2f} {summary.aging_mttf_years:9.2f} "
-            f"{summary.cycling_mttf_years:9.2f} {summary.throughput:9.4f} "
-            f"{'yes' if summary.completed else 'no':>5}"
-        )
-    count = len(completed)
-    if count:
-        print(
-            f"ensemble of {count}: "
-            f"mean avg "
-            f"{sum(s.average_temp_c for s in completed) / count:.2f} C, "
-            f"mean aging MTTF "
-            f"{sum(s.aging_mttf_years for s in completed) / count:.2f} yr"
-        )
-    stats = engine.stats
-    print(
-        f"{stats.cache_hits} member(s) from cache, "
-        f"{stats.executed - stats.failed} executed; "
-        f"recovered: {stats.retried} retried attempt(s), "
-        f"{stats.timeouts} timeout(s), "
-        f"{stats.pool_restarts} pool restart(s)"
-    )
-    for failure in failures:
-        suffix = ", timed out" if failure.timed_out else ""
-        print(
-            f"FAILED {failure.label} [{failure.key[:12]}] "
-            f"{failure.error_type}: {failure.message} "
-            f"({failure.attempts} attempts, "
-            f"{failure.duration_s:.1f} s{suffix})"
-        )
-    return 1 if failures else 0
-
-
 def _command_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import (
         BASELINE_FILENAME,
@@ -869,8 +874,6 @@ def main(argv=None) -> int:
         return _command_ckpt(args)
     if args.command == "trace":
         return _command_trace(args)
-    if args.command == "ensemble":
-        return _command_ensemble_run(args)
     if args.command == "lint":
         return _command_lint(args)
     if args.command == "all":

@@ -268,14 +268,6 @@ class PlatformConfig:
                         f"0..{self.num_cores - 1}"
                     )
 
-    def min_frequency(self) -> float:
-        """Lowest frequency of the OPP table in hertz."""
-        return min(p.frequency_hz for p in self.opp_table)
-
-    def max_frequency(self) -> float:
-        """Highest frequency of the OPP table in hertz."""
-        return max(p.frequency_hz for p in self.opp_table)
-
     def frequencies(self) -> List[float]:
         """All OPP frequencies in ascending order (hertz)."""
         return sorted(p.frequency_hz for p in self.opp_table)

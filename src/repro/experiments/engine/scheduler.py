@@ -41,6 +41,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import (
     Dict,
     Hashable,
@@ -69,6 +70,14 @@ _TIMEOUT_POLL_S = 0.1
 
 #: A grid cell's label (an experiment's row/column coordinates).
 Label = TypeVar("Label", bound=Hashable)
+
+
+def job_checkpoint_dir(
+    checkpoint_root: Union[str, Path], spec: Union[JobSpec, EnsembleJobSpec]
+) -> Path:
+    """Per-job checkpoint directory, keyed by the spec's content hash (a
+    shard's hash covers its whole member list)."""
+    return Path(checkpoint_root) / job_key(spec)[:16]
 
 
 @dataclass
@@ -286,9 +295,15 @@ class ExperimentEngine:
     # Hardened execution paths
     # ------------------------------------------------------------------
 
-    def _worker_args(self) -> Tuple[Optional[int], Optional[str], bool]:
-        """Checkpoint settings forwarded to every ``execute_job`` call."""
-        return (self.checkpoint_every, self.checkpoint_dir, self.resume)
+    def _worker_args(
+        self, spec: JobSpec
+    ) -> Tuple[Optional[int], Optional[str], bool]:
+        """The checkpoint arguments of ``spec``'s ``execute_job`` calls:
+        the cadence, the job's own store and the resume flag."""
+        store = None
+        if self.checkpoint_dir is not None:
+            store = str(job_checkpoint_dir(self.checkpoint_dir, spec))
+        return (self.checkpoint_every, store, self.resume)
 
     def _store(
         self, spec: JobSpec, outcome: Union[RunSummary, List[RunSummary]]
@@ -395,12 +410,13 @@ class ExperimentEngine:
         failures: List[JobFailure] = []
         for index in sorted(jobs):
             spec = jobs[index]
+            worker_args = self._worker_args(spec)
             attempts = 0
             started = time.perf_counter()
             while True:
                 attempts += 1
                 try:
-                    summary = execute_job(spec, *self._worker_args())
+                    summary = execute_job(spec, *worker_args)
                 except Exception as error:
                     if attempts >= self.max_job_attempts:
                         failures.extend(
@@ -440,6 +456,7 @@ class ExperimentEngine:
             * len(getattr(jobs[index], "members", (jobs[index],)))
             for index in sorted(jobs)
         }
+        worker_args = {index: self._worker_args(jobs[index]) for index in jobs}
         outcomes: Dict[int, RunSummary] = {}
         failures: List[JobFailure] = []
         attempts: Dict[int, int] = {index: 0 for index in jobs}
@@ -495,7 +512,7 @@ class ExperimentEngine:
                     started.setdefault(index, now)
                     try:
                         future = pool.submit(
-                            execute_job, jobs[index], *self._worker_args()
+                            execute_job, jobs[index], *worker_args[index]
                         )
                     except BrokenProcessPool:
                         # Pool died between batches of submissions.

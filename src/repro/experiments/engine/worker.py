@@ -13,25 +13,16 @@ needs.
 from __future__ import annotations
 
 import shutil
-from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.experiments.engine.spec import EnsembleJobSpec, JobSpec, job_key
+from repro.experiments.engine.spec import EnsembleJobSpec, JobSpec
 from repro.experiments.runner import RunSummary, run_job
-
-
-def job_checkpoint_dir(
-    checkpoint_root: Union[str, Path], spec: Union[JobSpec, EnsembleJobSpec]
-) -> Path:
-    """Per-job checkpoint directory, keyed by the spec's content hash (a
-    shard's hash covers its whole member list)."""
-    return Path(checkpoint_root) / job_key(spec)[:16]
 
 
 def execute_job(
     spec: Union[JobSpec, EnsembleJobSpec],
     checkpoint_every: Optional[int] = None,
-    checkpoint_root: Optional[str] = None,
+    checkpoint_dir: Optional[str] = None,
     resume: bool = False,
 ) -> Union[RunSummary, "List[RunSummary]"]:
     """Execute one job spec serially in this process.
@@ -46,17 +37,14 @@ def execute_job(
         The job to run.  Checkpoint settings deliberately do NOT live on
         the spec: they change crash-recovery behaviour, never results,
         so cache keys stay stable with or without checkpointing.
-    checkpoint_every / checkpoint_root / resume:
-        When ``checkpoint_root`` is given, the job — a scalar cell or a
-        whole ensemble shard — snapshots its full state every
-        ``checkpoint_every`` ticks into a per-job directory
-        (:func:`job_checkpoint_dir`) and, with ``resume``, restarts from
-        the newest valid checkpoint there.  The directory is removed
-        once the job completes.
+    checkpoint_every / checkpoint_dir / resume:
+        When ``checkpoint_dir`` (the job's own store, named by the
+        engine's :func:`~repro.experiments.engine.scheduler.job_checkpoint_dir`)
+        is given, the job — a scalar cell or a whole ensemble shard —
+        snapshots its full state there every ``checkpoint_every`` ticks
+        and, with ``resume``, restarts from the newest valid checkpoint
+        there.  The directory is removed once the job completes.
     """
-    checkpoint_dir: Optional[str] = None
-    if checkpoint_root is not None:
-        checkpoint_dir = str(job_checkpoint_dir(checkpoint_root, spec))
     outcome: Union[RunSummary, List[RunSummary]]
     if isinstance(spec, EnsembleJobSpec):
         # Lazy import: workers running scalar jobs never pay for the

@@ -50,10 +50,6 @@ class Fig3Result:
 
     rows: List[Fig3Row] = field(default_factory=list)
 
-    def mean_improvement(self, policy: str) -> float:
-        """Mean normalised cycling MTTF of a policy across scenarios."""
-        return sum(r.normalised(policy) for r in self.rows) / len(self.rows)
-
     def format_table(self) -> str:
         """Render the figure's series as a table."""
         headers = ["scenario", "switches"] + [

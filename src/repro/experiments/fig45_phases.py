@@ -32,16 +32,6 @@ class Fig45Result:
     exploitation_profile: ThermalProfile
     split_s: float
 
-    @property
-    def exploration_avg_c(self) -> float:
-        """Average temperature during exploration."""
-        return self.exploration_profile.average_temp_c()
-
-    @property
-    def exploitation_avg_c(self) -> float:
-        """Average temperature during exploitation."""
-        return self.exploitation_profile.average_temp_c()
-
     def format_table(self) -> str:
         """Render the comparison of the three traces."""
         headers = ["trace", "avgT", "peakT", "duration_s"]

@@ -52,11 +52,6 @@ class MttfReport:
     #: MTTF due to thermal cycling, in years.
     cycling_mttf_years: float
 
-    @property
-    def combined_mttf_years(self) -> float:
-        """Sum-of-failure-rates combination of both channels, in years."""
-        return sofr_mttf_years(self.aging_mttf_years, self.cycling_mttf_years)
-
 
 def calibrate_atc(config: ReliabilityConfig) -> float:
     """Coffin-Manson scale ``A_TC`` from the documented reference profile.

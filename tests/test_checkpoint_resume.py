@@ -25,11 +25,11 @@ from repro.checkpoint import (
 )
 from repro.config import FaultConfig
 from repro.ensemble.engine import EnsembleSimulation
-from repro.experiments.engine import ExperimentEngine
+import repro.experiments.engine.spec as spec_module
+from repro.experiments.engine import ExperimentEngine, execute_job, workload_job
 from repro.experiments.engine.planner import plan_grid
-from repro.experiments.engine.scheduler import EngineJobError
+from repro.experiments.engine.scheduler import EngineJobError, job_checkpoint_dir
 from repro.experiments.engine.spec import ensemble_job
-from repro.experiments.engine.worker import job_checkpoint_dir
 
 from tests.test_differential import (
     CHECKPOINT_EVERY,
@@ -203,3 +203,28 @@ def test_interrupted_shard_resumes_from_its_store(tmp_path, monkeypatch, damage)
     assert restored == [(EnsembleSimulation, want)]
     assert [pickle.dumps(s) for s in summaries] == [pickle.dumps(s) for s in uninterrupted]
     assert not store_dir.exists(), "a finished shard's store is removed"
+
+
+def test_worker_checkpoints_into_the_store_it_is_handed(tmp_path, monkeypatch):
+    """The engine names each job's store; ``execute_job`` never hashes
+    its spec (no closure digest in a worker), checkpoints into the
+    directory it is handed and removes it once the job completes."""
+
+    def no_digest():
+        raise AssertionError("the worker computed a job key")
+
+    saved_into = set()
+    real_save = CheckpointStore.save
+
+    def recording_save(store, *args, **kwargs):
+        saved_into.add(store.root)
+        return real_save(store, *args, **kwargs)
+
+    monkeypatch.setattr(spec_module, "behavior_digest", no_digest)
+    monkeypatch.setattr(CheckpointStore, "save", recording_save)
+    store_dir = tmp_path / "store"
+    spec = workload_job("tachyon", policy="linux", seed=3, iteration_scale=0.05)
+    summary = execute_job(spec, 200, str(store_dir))
+    assert summary.completed
+    assert saved_into == {store_dir}
+    assert not store_dir.exists()

@@ -176,18 +176,19 @@ class TestReproAllParallel:
 #: 16 members: at --jobs 2 the planner splits them into two shards of
 #: its 8-member floor, so these tests exercise real ensemble shards.
 ENS_RUN_ARGS = [
-    "ensemble", "run", "tachyon", "--members", "16",
-    "--scale", "0.05", "--seed", "7",
+    "run", "tachyon", "--members", "16", "--scale", "0.05", "--seed", "7",
 ]
 
 
 class TestReproEnsembleRun:
-    def test_sharded_output_is_identical_to_serial(self, tmp_path):
+    """``repro run --members N``: the seed grid as one engine batch."""
+
+    def _assert_sharded_matches_serial(self, tmp_path, extra=()):
         """--jobs 2 must print the exact per-seed table --jobs 1 does;
         only the execution-summary line may differ."""
-        serial = _repro([*ENS_RUN_ARGS, "--no-cache", "--jobs", "1"],
+        serial = _repro([*ENS_RUN_ARGS, *extra, "--no-cache", "--jobs", "1"],
                         cwd=tmp_path)
-        sharded = _repro([*ENS_RUN_ARGS, "--no-cache", "--jobs", "2"],
+        sharded = _repro([*ENS_RUN_ARGS, *extra, "--no-cache", "--jobs", "2"],
                          cwd=tmp_path)
         assert serial.returncode == 0, serial.stderr
         assert sharded.returncode == 0, sharded.stderr
@@ -195,6 +196,45 @@ class TestReproEnsembleRun:
         head = serial.stdout.splitlines()[:18]
         assert head == sharded.stdout.splitlines()[:18]
         assert "0 member(s) from cache, 16 executed" in sharded.stdout
+
+    def test_sharded_output_is_identical_to_serial(self, tmp_path):
+        self._assert_sharded_matches_serial(tmp_path)
+
+    def test_supervised_sharded_output_is_identical_to_serial(self, tmp_path):
+        self._assert_sharded_matches_serial(tmp_path, ["--supervised"])
+
+    def test_member_rows_match_single_runs(self, tmp_path):
+        """Both paths of ``run`` agree: seed k's row of an 8-member
+        (vectorized) batch is ``run --seed k``'s summary at the printed
+        precision."""
+        grid = _repro(
+            ["run", "tachyon", "--members", "8", "--scale", "0.05",
+             "--seed", "3", "--no-cache"],
+            cwd=tmp_path,
+        )
+        assert grid.returncode == 0, grid.stderr
+        rows = {
+            int(fields[0]): [float(value) for value in fields[1:5]]
+            for fields in (line.split() for line in grid.stdout.splitlines()[1:9])
+        }
+        assert sorted(rows) == list(range(3, 11))
+        for seed in (3, 10):
+            single = _repro(
+                ["run", "tachyon", "--scale", "0.05", "--seed", str(seed)],
+                cwd=tmp_path,
+            )
+            assert single.returncode == 0, single.stderr
+            printed = {
+                label.strip(): float(value.split()[0])
+                for label, value in (
+                    line.split(":", 1) for line in single.stdout.splitlines()[1:]
+                )
+            }
+            avg_c, peak_c, aging_yr, cycling_yr = rows[seed]
+            assert printed["average temperature"] == round(avg_c, 1)
+            assert printed["peak temperature"] == round(peak_c, 1)
+            assert printed["aging MTTF"] == aging_yr
+            assert printed["cycling MTTF"] == cycling_yr
 
     def test_sharded_run_populates_the_member_cache(self, tmp_path):
         env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
@@ -218,7 +258,7 @@ class TestReproEnsembleRun:
             cwd=tmp_path,
         )
         assert proc.returncode == 1
-        assert "-- shard failed; see below --" in proc.stdout
+        assert "-- failed; see below --" in proc.stdout
         assert "FAILED" in proc.stdout
         assert "timed out" in proc.stdout
 
@@ -238,23 +278,31 @@ _BAD_NUMERIC_OPTIONS = [
     (["run", "tachyon"], ["--scale", "nan"]),
     (["run", "tachyon"], ["--scale", "0"]),
     (["run", "tachyon", "--scale", "0.02"], ["--checkpoint-every", "0"]),
-    (["ensemble", "run", "tachyon"], ["--members", "0"]),
-    (["ensemble", "run", "tachyon"], ["--jobs", "0"]),
-    (["ensemble", "run", "tachyon"], ["--max-job-attempts", "0"]),
-    (["ensemble", "run", "tachyon"], ["--scale", "abc"]),
+    (["run", "tachyon", "--scale", "0.02"], ["--resume", "missing/x.json"]),
+    (["run", "tachyon"], ["--members", "0"]),
+    (["run", "tachyon", "--members", "16"], ["--jobs", "0"]),
+    (["run", "tachyon", "--members", "16"], ["--max-job-attempts", "0"]),
+    (["run", "tachyon", "--members", "16"], ["--scale", "abc"]),
     (["ckpt", "prune", "ckpts"], ["--keep", "0"]),
     (["fig1"], ["--job-timeout", "-1"]),
-    (["ensemble", "run", "tachyon"], ["--job-timeout", "0"]),
-    (["ensemble", "run", "tachyon"], ["--job-timeout", "nan"]),
-    (["ensemble", "run", "tachyon"], ["--max-time", "-5"]),
+    (["run", "tachyon", "--members", "16"], ["--job-timeout", "0"]),
+    (["run", "tachyon", "--members", "16"], ["--job-timeout", "nan"]),
+    (["run", "tachyon", "--members", "16"], ["--max-time", "-5"]),
 ]
+
+
+def _option_id(command, flag, value):
+    """A row's test id: the command, or ``ensemble`` for the seed-grid
+    path (``run --members N``), then the bad option."""
+    path = "ensemble" if "--members" in (*command, flag) else command[0]
+    return f"{path}{flag}={value}"
 
 
 class TestCliErrors:
     @pytest.mark.parametrize(
         "command, option",
         _BAD_NUMERIC_OPTIONS,
-        ids=[f"{command[0]}{flag}={value}"
+        ids=[_option_id(command, flag, value)
              for command, (flag, value) in _BAD_NUMERIC_OPTIONS],
     )
     def test_bad_numeric_option_exits_2_with_usage(self, command, option, tmp_path):

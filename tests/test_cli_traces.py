@@ -40,7 +40,7 @@ def test_parser_rejects_unknown_app():
         ["run", "tachyon", "--resume"],
         ["fig1", "--checkpoint-every", "50"],
         ["all", "--resume"],
-        ["ensemble", "run", "tachyon", "--checkpoint-every", "50"],
+        ["run", "tachyon", "--members", "8", "--checkpoint-every", "50"],
     ],
     ids=["run-every", "run-resume", "artefact-every", "all-resume", "ensemble-every"],
 )
@@ -51,11 +51,59 @@ def test_checkpoint_flags_without_a_directory_are_usage_errors(argv, capsys):
     assert "needs --checkpoint-dir" in capsys.readouterr().err
 
 
-def test_resume_from_a_checkpoint_file_implies_its_directory():
+def test_resume_from_a_checkpoint_file_implies_its_directory(tmp_path):
+    ckpt = tmp_path / "x.ckpt"
+    ckpt.write_text("{}")
     args = build_parser().parse_args(
-        ["run", "tachyon", "--checkpoint-every", "50", "--resume", "ckpts/x.ckpt"]
+        ["run", "tachyon", "--checkpoint-every", "50", "--resume", str(ckpt)]
     )
-    assert args.checkpoint_dir is None and args.resume == "ckpts/x.ckpt"
+    assert args.checkpoint_dir is None and args.resume == str(ckpt)
+
+
+#: Flags on the wrong side of ``run --members``: the single run's
+#: instrumentation and ``--resume CKPT`` under a batch (``all`` is one
+#: too), the engine's batch flags under a single run.
+_BATCH = ["run", "tachyon", "--members", "2"]
+_SINGLE = ["run", "tachyon"]
+_WRONG_SIDE = {
+    "batch-trace": (_BATCH, ["--trace"]),
+    "batch-metrics": (_BATCH, ["--metrics"]),
+    "batch-profile": (_BATCH, ["--profile"]),
+    "batch-resume-ckpt": (_BATCH, ["--resume", "CKPT"]),
+    "all-resume-ckpt": (["all"], ["--resume", "CKPT"]),
+    "single-jobs": (_SINGLE, ["--jobs", "2"]),
+    "single-no-cache": (_SINGLE, ["--no-cache"]),
+    "single-job-timeout": (_SINGLE, ["--job-timeout", "5"]),
+    "single-max-job-attempts": (_SINGLE, ["--max-job-attempts", "2"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", list(_WRONG_SIDE.values()), ids=list(_WRONG_SIDE)
+)
+def test_flags_a_run_path_would_ignore_are_usage_errors(command, flag, tmp_path, capsys):
+    ckpt = tmp_path / "x.ckpt"
+    ckpt.write_text("{}")
+    flag = [str(ckpt) if part == "CKPT" else part for part in flag]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, *flag])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag[0] in err
+    assert "needs --members" in err or "needs a single run" in err
+
+
+def test_batch_and_checkpoint_flags_parse_on_their_own_side():
+    parser = build_parser()
+    batch = parser.parse_args(
+        ["run", "tachyon", "--members", "4", "--jobs", "2", "--no-cache",
+         "--checkpoint-every", "50", "--checkpoint-dir", "ck", "--resume"]
+    )
+    assert (batch.members, batch.jobs, batch.resume) == (4, 2, True)
+    single = parser.parse_args(
+        ["run", "tachyon", "--trace", "--checkpoint-dir", "ck", "--resume"]
+    )
+    assert single.members == 1 and single.jobs is None and single.resume is True
 
 
 @pytest.mark.parametrize("only", ["nope", "fig1,", "fig1,,table2"])

@@ -128,7 +128,8 @@ def test_emergency_engages_at_critical_threshold():
     assert result.supervisor_stats["emergencies"] >= 1
     assert result.supervisor_stats["emergency_time_s"] > 0.0
     # The clamp forces the minimum operating point.
-    assert sim.governor.frequencies() == [sim.platform.min_frequency()] * 4
+    lowest = min(p.frequency_hz for p in sim.platform.opp_table)
+    assert sim.governor.frequencies() == [lowest] * 4
 
 
 def test_all_policies_complete_on_faulty_substrate():

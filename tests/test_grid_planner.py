@@ -55,7 +55,7 @@ from repro.experiments.engine.spec import (
     workload_job,
 )
 from repro.experiments.engine.sweep import ARTEFACTS
-from repro.experiments.engine.worker import job_checkpoint_dir
+from repro.experiments.engine.scheduler import job_checkpoint_dir
 from tests.conftest import render_artefact
 
 #: Smallest scale at which every app clears the 60 s warm-up skip.

@@ -87,7 +87,8 @@ def test_evaluate_profile_summary_fields():
     assert report.num_cycles > 10
     assert 0.0 < report.cycling_mttf_years < REL.baseline_mttf_years
     assert 0.0 < report.aging_mttf_years < REL.baseline_mttf_years
-    assert report.combined_mttf_years < min(
+    combined = sofr_mttf_years(report.aging_mttf_years, report.cycling_mttf_years)
+    assert combined < min(
         report.cycling_mttf_years, report.aging_mttf_years
     )
 

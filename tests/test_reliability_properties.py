@@ -348,7 +348,7 @@ class TestMttfExtremeProfiles:
         assert report.cycling_mttf_years <= config.baseline_mttf_years + 1e-9
         assert report.num_cycles >= 0.0
         assert report.stress >= 0.0
-        combined = report.combined_mttf_years
+        combined = sofr_mttf_years(report.aging_mttf_years, report.cycling_mttf_years)
         assert 0.0 < combined <= min(
             report.aging_mttf_years, report.cycling_mttf_years
         ) + 1e-9
